@@ -63,8 +63,17 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
         delta /= 2.0
     deltas.append(eps)
 
+    # a failed BFS bounds the residual on every arc leaving the set it
+    # reached; phases whose delta exceeds that bound would reach the same
+    # set and push nothing, so they are skipped
+    blocked = float("inf")
     for delta in deltas:
-        while _bfs(n_nodes, adj, to, res, level, s, t, delta):
+        if delta > blocked:
+            continue
+        while True:
+            blocked = _bfs(n_nodes, adj, to, res, level, s, delta)
+            if level[t] < 0:
+                break
             for k in range(n_nodes):
                 it[k] = 0
             while True:
@@ -78,19 +87,31 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
     return value, flow, reach
 
 
-def _bfs(n_nodes, adj, to, res, level, s, t, delta):
+def _bfs(n_nodes, adj, to, res, level, s, delta):
+    """Level the nodes reachable from ``s`` over arcs with residual >= delta.
+
+    Returns the largest residual below ``delta`` on a scanned arc whose head
+    was unreached when it was scanned (0.0 if there is none); when ``t``
+    stays unreached, every arc leaving the reached set has at most that
+    residual.
+    """
     for k in range(n_nodes):
         level[k] = -1
     level[s] = 0
+    blocked = 0.0
     q = deque([s])
     while q:
         u = q.popleft()
         for e in adj[u]:
             v = to[e]
-            if level[v] < 0 and res[e] >= delta:
-                level[v] = level[u] + 1
-                q.append(v)
-    return level[t] >= 0
+            if level[v] < 0:
+                r = res[e]
+                if r >= delta:
+                    level[v] = level[u] + 1
+                    q.append(v)
+                elif r > blocked:
+                    blocked = r
+    return blocked
 
 
 def _dfs(adj, to, res, level, it, s, t, limit, delta):

@@ -117,25 +117,30 @@ def cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    if args.alpha is not None and args.no_search:
-        probe = run_both_sides(h_solve, args.alpha, cfg, rng)
-        result = SolveResult(
-            probe.best_cut,
-            args.alpha / 2.0 if probe.certified and cfg.side_policy == "both" else None,
-            [probe],
-            args.alpha,
-            args.alpha,
-        )
-    else:
-        if args.alpha is not None:
-            cfg = SolverConfig(
-                t_cap=cfg.t_cap,
-                side_policy=cfg.side_policy,
-                alpha_lo=args.alpha / 4.0,
-                alpha_hi=args.alpha * 4.0,
-                oracle=cfg.oracle,
+    try:
+        if args.alpha is not None and args.no_search:
+            probe = run_both_sides(h_solve, args.alpha, cfg, rng)
+            result = SolveResult(
+                probe.best_cut,
+                args.alpha / 2.0 if probe.certified and cfg.side_policy == "both" else None,
+                [probe],
+                args.alpha,
+                args.alpha,
             )
-        result = binary_search(h_solve, cfg, rng)
+        else:
+            if args.alpha is not None:
+                cfg = SolverConfig(
+                    t_cap=cfg.t_cap,
+                    side_policy=cfg.side_policy,
+                    alpha_lo=args.alpha / 4.0,
+                    alpha_hi=args.alpha * 4.0,
+                    oracle=cfg.oracle,
+                )
+            result = binary_search(h_solve, cfg, rng)
+    except ValueError as exc:
+        # instances and options the solver rejects, e.g. a single vertex
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if mode == "expansion" and result.best_cut is not None:
         extra["expansion"] = {

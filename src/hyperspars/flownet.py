@@ -88,26 +88,17 @@ def build_flow_instance(
 ) -> FlowInstance:
     """Attach a source over ``source_caps`` and a sink over ``sink_caps``."""
     n_nodes = rd.num_vertices
-    big = float(rd.big_weight)
-    edge_arc = set(rd.edge_arc_index)
-    arc_from: list[int] = []
-    arc_to: list[int] = []
-    cap: list[float] = []
-    for k, (u, v, w) in enumerate(rd.arcs):
-        arc_from.append(u)
-        arc_to.append(v)
-        cap.append(float(w) / 2.0 if k in edge_arc else big)
+    arc_from, arc_to, cap = rd.flow_arcs
     src = tuple(sorted((int(i), float(c)) for i, c in source_caps.items()))
     snk = tuple(sorted((int(j), float(c)) for j, c in sink_caps.items()))
-    for i, c in src:
-        arc_from.append(n_nodes)
-        arc_to.append(i)
-        cap.append(c)
-    for j, c in snk:
-        arc_from.append(j)
-        arc_to.append(n_nodes + 1)
-        cap.append(c)
-    return FlowInstance(rd, tuple(arc_from), tuple(arc_to), tuple(cap), src, snk)
+    return FlowInstance(
+        rd,
+        arc_from + (n_nodes,) * len(src) + tuple(j for j, _ in snk),
+        arc_to + tuple(i for i, _ in src) + (n_nodes + 1,) * len(snk),
+        cap + tuple(c for _, c in src) + tuple(c for _, c in snk),
+        src,
+        snk,
+    )
 
 
 def max_flow(instance: FlowInstance) -> MaxFlowResult:

@@ -4,13 +4,16 @@ reduction to directed normal graphs.
 A directed hyperedge is a pair of non-empty vertex sets (tail, head); an
 edge leaves a subset S when some tail vertex is inside S and some head
 vertex is outside.  Edge weights stay exact rationals throughout this
-module; the numeric solver converts to floats at its own boundary.
+module; the numeric solver converts to floats at its own boundary, apart
+from the float arc arrays of a reduced digraph, which are built here once
+per digraph for the flow network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 __all__ = [
@@ -30,6 +33,12 @@ __all__ = [
     "reverse",
     "digraph_cut_weight",
 ]
+
+
+def _fields_state(obj) -> dict:
+    # pickle state of a frozen dataclass: its fields, without lazily cached
+    # attributes, so pickles do not depend on what was computed before
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 class DhgParseError(ValueError):
@@ -114,6 +123,17 @@ class DirectedHypergraph:
     def weight_of(self, subset: Iterable[int]) -> int:
         return sum(self.vertex_weights[i] for i in subset)
 
+    @cached_property
+    def _weighted_degrees(self) -> tuple[Fraction, ...]:
+        # computed on first use; not a field, so equality and hashing ignore it
+        deg = [Fraction(0)] * self.n
+        for e in self.edges:
+            for v in e.tail | e.head:
+                deg[v] += e.weight
+        return tuple(deg)
+
+    __getstate__ = _fields_state
+
 
 @dataclass(frozen=True)
 class Cut:
@@ -157,6 +177,25 @@ class ReducedDigraph:
 
     def vertex_weight(self, node: int) -> int:
         return self.base.vertex_weights[node] if node < self.base.n else 0
+
+    @cached_property
+    def flow_arcs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+        """Parallel (from, to, capacity) arrays of the arcs as a flow network.
+
+        Edge arcs carry capacity ``float(w_e) / 2`` and gadget arcs
+        ``float(big_weight)``.  Computed on first use and shared by every
+        flow instance built on this digraph.
+        """
+        big = float(self.big_weight)
+        edge_arc = set(self.edge_arc_index)
+        arc_from = tuple(u for u, _, _ in self.arcs)
+        arc_to = tuple(v for _, v, _ in self.arcs)
+        cap = tuple(
+            float(w) / 2.0 if k in edge_arc else big for k, (_, _, w) in enumerate(self.arcs)
+        )
+        return arc_from, arc_to, cap
+
+    __getstate__ = _fields_state
 
 
 def _parse_weight(tok: str, lineno: int) -> Fraction:
@@ -263,11 +302,11 @@ def serialize_dhg(h: DirectedHypergraph) -> str:
 
 def out_cut(h: DirectedHypergraph, subset: frozenset[int] | set[int]) -> list[int]:
     """Indices of edges in the out-going cut of ``subset``."""
-    crossing = []
-    for k, e in enumerate(h.edges):
-        if not e.tail.isdisjoint(subset) and any(v not in subset for v in e.head):
-            crossing.append(k)
-    return crossing
+    return [
+        k
+        for k, e in enumerate(h.edges)
+        if not e.tail.isdisjoint(subset) and not e.head.issubset(subset)
+    ]
 
 
 def _check_proper(h: DirectedHypergraph, subset) -> frozenset[int]:
@@ -279,21 +318,35 @@ def _check_proper(h: DirectedHypergraph, subset) -> frozenset[int]:
     return s
 
 
-def sparsity(h: DirectedHypergraph, subset) -> Fraction:
-    """Directed sparsity: out-going cut weight over the weight product."""
-    s = _check_proper(h, subset)
-    cut_w = sum((h.edges[k].weight for k in out_cut(h, s)), Fraction(0))
+def _out_weight(h: DirectedHypergraph, subset) -> Fraction:
+    return sum((h.edges[k].weight for k in out_cut(h, subset)), Fraction(0))
+
+
+def _sparsity_of(h: DirectedHypergraph, s: frozenset[int], cut_w: Fraction) -> Fraction:
     ws = h.weight_of(s)
     return cut_w / (ws * (h.total_weight - ws))
 
 
+def sparsity(h: DirectedHypergraph, subset) -> Fraction:
+    """Directed sparsity: out-going cut weight over the weight product."""
+    s = _check_proper(h, subset)
+    return _sparsity_of(h, s, _out_weight(h, s))
+
+
 def weighted_degrees(h: DirectedHypergraph) -> list[Fraction]:
     """Weighted degree of each vertex: total weight of incident edges."""
-    deg = [Fraction(0)] * h.n
-    for e in h.edges:
-        for v in e.tail | e.head:
-            deg[v] += e.weight
-    return deg
+    return list(h._weighted_degrees)
+
+
+def _expansions(
+    h: DirectedHypergraph, s: frozenset[int], w_out: Fraction
+) -> tuple[Fraction, Fraction]:
+    deg = h._weighted_degrees
+    ws = sum((deg[i] for i in s), Fraction(0))
+    if ws == 0:
+        raise ValueError("undefined expansion: subset has zero weighted degree")
+    w_in = _out_weight(h, frozenset(range(h.n)) - s)
+    return w_out / ws, w_in / ws
 
 
 def expansion(h: DirectedHypergraph, subset) -> tuple[Fraction, Fraction, Fraction]:
@@ -303,26 +356,19 @@ def expansion(h: DirectedHypergraph, subset) -> tuple[Fraction, Fraction, Fracti
     against recomputed weighted degrees.
     """
     s = _check_proper(h, subset)
-    deg = weighted_degrees(h)
-    ws = sum((deg[i] for i in s), Fraction(0))
-    if ws == 0:
-        raise ValueError("undefined expansion: subset has zero weighted degree")
-    comp = frozenset(range(h.n)) - s
-    w_out = sum((h.edges[k].weight for k in out_cut(h, s)), Fraction(0))
-    w_in = sum((h.edges[k].weight for k in out_cut(h, comp)), Fraction(0))
-    phi_plus = w_out / ws
-    phi_minus = w_in / ws
+    phi_plus, phi_minus = _expansions(h, s, _out_weight(h, s))
     return phi_plus, phi_minus, min(phi_plus, phi_minus)
 
 
 def evaluate_cut(h: DirectedHypergraph, subset) -> Cut:
     """Bundle sparsity and both expansions of a proper subset."""
     s = _check_proper(h, subset)
+    w_out = _out_weight(h, s)
     try:
-        phi_p, phi_m, _ = expansion(h, s)
+        phi_p, phi_m = _expansions(h, s, w_out)
     except ValueError:
         phi_p = phi_m = Fraction(0)
-    return Cut(s, sparsity(h, s), phi_p, phi_m)
+    return Cut(s, _sparsity_of(h, s, w_out), phi_p, phi_m)
 
 
 def reduce_to_digraph(h: DirectedHypergraph) -> ReducedDigraph:

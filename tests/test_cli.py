@@ -72,6 +72,15 @@ class TestSolve:
         bad.write_text("dhg 2 1\nv a 1\nv b 1\ne 1 T a H\n")
         assert main(["solve", str(bad), "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("extra", [(), ("--alpha", "0.5", "--no-search")])
+    def test_single_vertex_exit_1(self, tmp_path, capsys, extra):
+        one = tmp_path / "one.dhg"
+        one.write_text("dhg 1 0\nv a 1\n")
+        assert main(["solve", str(one), "--seed", "1", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "two vertices" in err
+        assert "Traceback" not in err
+
     def test_no_cut_exit_2(self, toy_file, tmp_path, capsys):
         # single tiny-alpha run without search: both sides go dual/abort
         out = str(tmp_path / "r.json")

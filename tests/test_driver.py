@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hyperspars.flownet import triangle_matrix_sum
 from conftest import make_h, random_hypergraph
 
 TWO_CYCLE = "dhg 2 2\nv a 1\nv b 1\ne 1 T a H b\ne 1 T b H a\n"
+THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
 
 
 class TestMwState:
@@ -248,3 +250,40 @@ class TestBinarySearch:
             SolverConfig(alpha_lo=2.0, alpha_hi=1.0)
         with pytest.raises(ValueError):
             SolverConfig(side_policy="neither")
+
+
+def run_summary(res):
+    """(side, outcome, iterations, run-length-encoded cases) per run."""
+    out = []
+    for probe in res.probes:
+        for side, run in probe.runs.items():
+            cases = [(c, len(list(g))) for c, g in groupby(r.case for r in run.records)]
+            out.append((side, run.outcome, run.iterations, cases))
+    return out
+
+
+class TestPinnedOutputs:
+    """Seeded solves pinned to the outputs of the reference implementation,
+    so that an optimisation claimed to be exact cannot change results."""
+
+    def test_expander_like_n32(self):
+        h = generate(GeneratorSpec(n=32, m=64, kappa=2, model="expander-like", seed=1))
+        res = binary_search(h, SolverConfig(), np.random.default_rng(0))
+        assert sorted(res.best_cut.subset) == [*range(17), 21, 22, 23, 28, 29, 30, 31]
+        assert res.best_cut.sparsity == Fraction(2, 105)
+        assert res.baseline_cut.sparsity == Fraction(2, 45)
+        assert res.lower_bound is None
+        assert run_summary(res) == [(side, "cut", 1, [("2A", 1)]) for side in ("in", "out")] * 4
+
+    def test_unit_cycle_certifies(self):
+        h = parse_dhg(THREE_CYCLE)
+        cfg = SolverConfig(
+            alpha_lo=0.0025, alpha_hi=0.5, search_ratio=2.0, oracle=OracleConfig(c_rho=1.0)
+        )
+        res = binary_search(h, cfg, np.random.default_rng(0))
+        assert sorted(res.best_cut.subset) == [0]
+        assert res.best_cut.sparsity == Fraction(1, 2)
+        assert res.lower_bound == pytest.approx(0.004700753866357992, rel=1e-12)
+        cut = [(side, "cut", 1, [("1A", 1)]) for side in ("in", "out")]
+        certified = [(side, "certified", 251, [("1B", 251)]) for side in ("in", "out")]
+        assert run_summary(res) == cut + certified + cut

@@ -108,6 +108,97 @@ class TestMaxFlowKernels:
             assert v1 == pytest.approx(v2, abs=1e-9 * max(1.0, v1))
 
 
+def edmonds_karp(n_nodes, arc_from, arc_to, cap, s, t):
+    """Shortest-augmenting-path max-flow value, as an independent reference."""
+    to, res, adj = [], [], [[] for _ in range(n_nodes)]
+    for u, v, c in zip(arc_from, arc_to, cap):
+        adj[u].append(len(to))
+        to.append(v)
+        res.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        res.append(0.0)
+    value = 0.0
+    while True:
+        via = [None] * n_nodes
+        via[s] = -1
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if via[to[e]] is None and res[e] > 0.0:
+                    via[to[e]] = e
+                    queue.append(to[e])
+        if via[t] is None:
+            return value
+        path = []
+        v = t
+        while v != s:
+            path.append(via[v])
+            v = to[via[v] ^ 1]
+        pushed = min(res[e] for e in path)
+        for e in path:
+            res[e] -= pushed
+            res[e ^ 1] += pushed
+        value += pushed
+
+
+def reduced_flow_instances(rng, count):
+    """Flow instances on reduced digraphs of random hypergraphs, gadget arcs
+    included, with random terminal capacities on a random vertex split."""
+    instances = []
+    while len(instances) < count:
+        h = random_hypergraph(rng, max_n=9, max_m=8)
+        left = [v for v in range(h.n) if rng.random() < 0.4]
+        right = [v for v in range(h.n) if v not in left]
+        if not left or not right:
+            continue
+        instances.append(
+            build_flow_instance(
+                reduce_to_digraph(h),
+                {i: float(rng.uniform(0.01, 4.0)) for i in left},
+                {j: float(rng.uniform(0.01, 4.0)) for j in right},
+            )
+        )
+    return instances
+
+
+class TestKernelOnReducedDigraphs:
+    # the capacity-scaling kernel skips phases that a failed BFS proves
+    # cannot push flow: these instances take at most 11 BFS per flow with
+    # the skip and 31 to 42 without it
+    MAX_BFS_PER_FLOW = 12
+
+    def test_value_min_cut_and_bfs_count(self, rng, monkeypatch):
+        calls = []
+        bfs = _maxflow_py._bfs
+
+        def counted(*args):
+            calls.append(1)
+            return bfs(*args)
+
+        monkeypatch.setattr(_maxflow_py, "_bfs", counted)
+        worst = 0
+        for inst in reduced_flow_instances(rng, 60):
+            eps = 1e-12 * max(max(inst.cap), 1.0)
+            calls.clear()
+            value, _, reach = _maxflow_py.max_flow_arrays(
+                inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t, eps
+            )
+            worst = max(worst, len(calls))
+            expected = edmonds_karp(
+                inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t
+            )
+            assert value == pytest.approx(expected, abs=eps)
+            assert reach[inst.s] and not reach[inst.t]
+            leaving = sum(
+                c
+                for u, v, c in zip(inst.arc_from, inst.arc_to, inst.cap)
+                if reach[u] and not reach[v]
+            )
+            assert leaving == pytest.approx(value, abs=eps)
+        assert worst <= self.MAX_BFS_PER_FLOW
+
+
 def simple_instance():
     # e0 = ({a}, {b}) w=2, e1 = ({a, b}, {c}) w=3
     h = make_h(3, [({0}, {1}, 2), ({0, 1}, {2}, 3)])

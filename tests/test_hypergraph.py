@@ -1,5 +1,6 @@
 """Data model, text I/O, cut evaluation, and the digraph reduction."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hyperspars.hypergraph import (
     DirectedHypergraph,
     Hyperedge,
     digraph_cut_weight,
+    evaluate_cut,
     expansion,
     out_cut,
     parse_dhg,
@@ -161,6 +163,56 @@ class TestExpansion:
         h = make_h(3, [({0}, {1}, 1)])
         with pytest.raises(ValueError):
             expansion(h, {2})
+
+
+class TestEvaluateCut:
+    def test_matches_sparsity_and_expansion(self, rng):
+        for _ in range(20):
+            h = random_hypergraph(rng, n=5)
+            for mask in range(1, 2**5 - 1):
+                s = frozenset(v for v in range(5) if mask >> v & 1)
+                cut = evaluate_cut(h, s)
+                assert cut.sparsity == sparsity(h, s)
+                try:
+                    phi_p, phi_m, _ = expansion(h, s)
+                except ValueError:
+                    phi_p = phi_m = Fraction(0)
+                assert (cut.phi_plus, cut.phi_minus) == (phi_p, phi_m)
+
+    def test_zero_degree_subset_has_zero_expansions(self):
+        h = make_h(3, [({0}, {1}, 1)])
+        cut = evaluate_cut(h, {2})
+        assert (cut.sparsity, cut.phi_plus, cut.phi_minus) == (0, 0, 0)
+
+
+class TestCachedDerivedData:
+    def test_weighted_degrees_fresh_list(self):
+        h = make_h(3, [({0, 1}, {2}, 2), ({2}, {0}, Fraction(1, 3))])
+        deg = weighted_degrees(h)
+        assert deg == [Fraction(7, 3), 2, Fraction(7, 3)]
+        deg[0] = Fraction(99)
+        assert weighted_degrees(h) == [Fraction(7, 3), 2, Fraction(7, 3)]
+        assert weighted_degrees(h) is not weighted_degrees(h)
+
+    def test_caches_leave_equality_hash_and_pickle_alone(self, rng):
+        h = random_hypergraph(rng, n=6, m=5)
+        twin = DirectedHypergraph(h.names, h.vertex_weights, h.edges)
+        rd, rd_twin = reduce_to_digraph(h), reduce_to_digraph(twin)
+        before = pickle.dumps(h), pickle.dumps(rd)
+        weighted_degrees(h)
+        rd.flow_arcs
+        assert h == twin and hash(h) == hash(twin)
+        assert rd == rd_twin and hash(rd) == hash(rd_twin)
+        assert (pickle.dumps(h), pickle.dumps(rd)) == before
+        assert pickle.loads(pickle.dumps(rd)) == rd
+
+    def test_flow_arcs_capacities(self):
+        h = make_h(2, [({0}, {1}, 3)])
+        rd = reduce_to_digraph(h)
+        arc_from, arc_to, cap = rd.flow_arcs
+        assert list(zip(arc_from, arc_to)) == [(u, v) for u, v, _ in rd.arcs]
+        assert cap == (1.5, 6.0, 6.0)
+        assert rd.flow_arcs is rd.flow_arcs
 
 
 class TestReduction:
