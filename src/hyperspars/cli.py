@@ -28,6 +28,7 @@ from .hypergraph import (
     serialize_dhg,
     weighted_degrees,
 )
+from .oracle import OracleInvariantError
 from .report import (
     dumps_report,
     oracle_config_from_dict,
@@ -137,8 +138,9 @@ def cmd_solve(args) -> int:
                     oracle=cfg.oracle,
                 )
             result = binary_search(h_solve, cfg, rng)
-    except ValueError as exc:
-        # instances and options the solver rejects, e.g. a single vertex
+    except (ValueError, OracleInvariantError) as exc:
+        # instances and options the solver rejects, e.g. a single vertex,
+        # and oracle outcomes that break their own guarantee
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,8 +5,9 @@ A directed hyperedge is a pair of non-empty vertex sets (tail, head); an
 edge leaves a subset S when some tail vertex is inside S and some head
 vertex is outside.  Edge weights stay exact rationals throughout this
 module; the numeric solver converts to floats at its own boundary, apart
-from the float arc arrays of a reduced digraph, which are built here once
-per digraph for the flow network.
+from two arrays built here once and cached: the float arc arrays of a
+reduced digraph, for the flow network, and the solver's K matrix of a
+hypergraph.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
+
+import numpy as np
+
+from .sdpcore import mat_K
 
 __all__ = [
     "DhgParseError",
@@ -123,14 +128,41 @@ class DirectedHypergraph:
     def weight_of(self, subset: Iterable[int]) -> int:
         return sum(self.vertex_weights[i] for i in subset)
 
+    # The cached properties below are computed on first use; they are not
+    # fields, so equality, hashing and pickles ignore them.
+
     @cached_property
     def _weighted_degrees(self) -> tuple[Fraction, ...]:
-        # computed on first use; not a field, so equality and hashing ignore it
         deg = [Fraction(0)] * self.n
         for e in self.edges:
             for v in e.tail | e.head:
                 deg[v] += e.weight
         return tuple(deg)
+
+    @cached_property
+    def _reversed(self) -> "DirectedHypergraph":
+        rev = DirectedHypergraph(
+            self.names,
+            self.vertex_weights,
+            tuple(Hyperedge(e.head, e.tail, e.weight) for e in self.edges),
+        )
+        # share what does not depend on edge direction
+        rev.__dict__.update(
+            _reversed=self, _weighted_degrees=self._weighted_degrees, k_matrix=self.k_matrix
+        )
+        return rev
+
+    @cached_property
+    def _reduced(self) -> "ReducedDigraph":
+        return _reduce(self)
+
+    @cached_property
+    def k_matrix(self) -> np.ndarray:
+        """The solver's K matrix (``sdpcore.mat_K`` of the vertex weights),
+        read-only."""
+        k = mat_K(self.vertex_weights)
+        k.flags.writeable = False
+        return k
 
     __getstate__ = _fields_state
 
@@ -376,8 +408,13 @@ def reduce_to_digraph(h: DirectedHypergraph) -> ReducedDigraph:
 
     Per edge e: arc (tail node -> head node) of weight w_e; arcs
     (u -> tail node) for tail vertices and (head node -> v) for head
-    vertices, all of weight M = n * sum(w_e).
+    vertices, all of weight M = n * sum(w_e).  Built once per hypergraph
+    and shared, so every flow on ``h`` reuses its ``flow_arcs``.
     """
+    return h._reduced
+
+
+def _reduce(h: DirectedHypergraph) -> ReducedDigraph:
     big = h.n * sum((e.weight for e in h.edges), Fraction(0))
     arcs: list[tuple[int, int, Fraction]] = []
     edge_arc_index = []
@@ -432,12 +469,11 @@ def restrict_subset(rd: ReducedDigraph, subset: Iterable[int]) -> tuple[frozense
 
 
 def reverse(h: DirectedHypergraph) -> DirectedHypergraph:
-    """Swap every edge's tail and head; weights are unchanged."""
-    return DirectedHypergraph(
-        h.names,
-        h.vertex_weights,
-        tuple(Hyperedge(e.head, e.tail, e.weight) for e in h.edges),
-    )
+    """Swap every edge's tail and head; weights are unchanged.
+
+    Built once per hypergraph; reversing the result gives ``h`` back.
+    """
+    return h._reversed
 
 
 def degree_scaled(h: DirectedHypergraph) -> DirectedHypergraph:

@@ -29,6 +29,8 @@ from .hypergraph import (
     reduce_to_digraph,
     reverse,
 )
+# mat_K is not called here any more, but perfbench/tracing.py wraps it in
+# this module's namespace, so the name stays
 from .sdpcore import (
     GramState,
     Side,
@@ -45,10 +47,8 @@ __all__ = [
     "DualCertificate",
     "OracleOutcome",
     "run_oracle",
-    "ball",
     "case1",
     "preprocess_wellspread",
-    "direction_split",
     "case2",
     "find_violated_path",
     "certificate_check",
@@ -58,16 +58,23 @@ __all__ = [
 ]
 
 
-class OracleFailure(RuntimeError):
-    """Case 2 exhausted its retry budget; carries diagnostics."""
-
+class _DiagnosedError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
 
 
-class OracleInvariantError(OracleFailure):
-    """An outcome failed its own guarantee (cut ratio or certificate)."""
+class OracleFailure(_DiagnosedError):
+    """No outcome at this alpha: Case 2 exhausted its retry budget, or a
+    valid certificate is wider than rho; carries diagnostics."""
+
+
+class OracleInvariantError(_DiagnosedError):
+    """An outcome failed its own guarantee (cut ratio or certificate).
+
+    This is a defect, not a result of the probe, so it is deliberately not
+    an OracleFailure: the driver lets it reach the caller.
+    """
 
 
 class InconsistentStateError(ValueError):
@@ -97,13 +104,11 @@ class OracleConfig:
     c_A: float = 64.0
     c_A2: float | None = None  # default: the provable 4 * beta
     c_rho: float = 16.0
-    c_D: float = flownet.DEFAULT_DEMAND_NORM_CONST
     sigma: float = 1.0 / 48.0
     c_frac: float = 1.0 / 128.0
     s_viol: float = 0.25
     c_path: float = 4.0
     mu: float = 1.0
-    c_T: float = 6.0
     dual_scale: float = 1.25
     n_dirs: int | None = None
     rng_seed: int = 0
@@ -161,13 +166,6 @@ class DualCertificate:
             return np.zeros((n, n))
         return flownet.flow_matrix(self.flow, n, Side.ZERO_IN, zero)
 
-    def residual_matrix(self, k: np.ndarray, zero: int = 0) -> np.ndarray:
-        n = k.shape[0]
-        m = flownet.triangle_matrix_sum(self.triangle_weights, n)
-        m += self.z * k
-        m -= self.flow_matrix_dense(n, zero)
-        return m
-
 
 @dataclass(frozen=True)
 class OracleOutcome:
@@ -182,11 +180,11 @@ class OracleOutcome:
     def case(self) -> str:
         return self.diagnostics.get("case", "?")
 
-
-def ball(state: GramState, i: int, radius: float) -> frozenset[int]:
-    """Vertices within squared distance radius^2 of vertex i."""
-    d2 = state.pairwise_dist2()
-    return frozenset(int(j) for j in np.flatnonzero(d2[i] <= radius * radius))
+    @property
+    def residual(self) -> np.ndarray:
+        """sum f_p T_p + z K - F of a dual outcome, as certificate_check
+        formed it to measure the width."""
+        return self.diagnostics["report"]["residual"]
 
 
 def _ball_weights(d2: np.ndarray, omega: np.ndarray, radius2: float) -> np.ndarray:
@@ -203,7 +201,8 @@ def run_oracle(
 ) -> OracleOutcome:
     """Dispatch on vector concentration and run the matching case.
 
-    Raises OracleFailure when Case 2 exhausts its retries, and
+    Raises OracleFailure when there is no outcome at this alpha (Case 2
+    exhausted its retries, or the certificate is wider than rho), and
     OracleInvariantError when an outcome fails its own guarantee.
     """
     cfg = cfg or OracleConfig()
@@ -278,25 +277,25 @@ def _dual_outcome(
     case: str,
     extra: dict,
 ) -> OracleOutcome:
-    k = mat_K(h.vertex_weights)
-    cert = DualCertificate(alpha, triangles, flow, 0.0)
-    width = spectral_norm(cert.residual_matrix(k))
-    cert = DualCertificate(alpha, triangles, flow, width)
     rho = cfg.rho(alpha, h)
     diag = dict(extra, case=case, side="in", rho=rho)
-    ok, report = certificate_check(cert, alpha, state, h, rho)
+    # the check measures the width; the certificate records it afterwards
+    ok, report = certificate_check(
+        DualCertificate(alpha, triangles, flow, 0.0), alpha, state, h, rho
+    )
     if not ok:
         if report["first_failure"] == "width_bound":
             # the dual data itself is valid, it is just too wide for the
             # configured loop width; no progress at this alpha
             raise OracleFailure(
-                f"case {case} certificate width {width:.6g} exceeds rho {rho:.6g}",
+                f"case {case} certificate width {report['width']:.6g} exceeds rho {rho:.6g}",
                 dict(diag, report=report),
             )
         raise OracleInvariantError(
             f"case {case} certificate failed: {report['first_failure']}",
             dict(diag, report=report),
         )
+    cert = DualCertificate(alpha, triangles, flow, report["width"])
     return OracleOutcome("dual", dual=cert, diagnostics=dict(diag, report=report))
 
 
@@ -439,7 +438,12 @@ def _direction_split_once(
     cfg: OracleConfig,
     total: float,
 ) -> tuple[np.ndarray, list[int], list[int]] | None:
-    """One direction attempt: sweep for stretched L0/R0, then median split."""
+    """One direction attempt: sweep for stretched L0/R0, then median split.
+
+    Returns (direction, L, R) or None.  Every (i, j) in L x R satisfies the
+    projection stretch along the returned direction and
+    d(i, j) >= |v_i - v_j|^2.
+    """
     proj = vhat[members] @ u
     order = np.argsort(proj, kind="stable")
     sorted_members = members[order]
@@ -478,33 +482,6 @@ def _direction_split_once(
     else:
         return None
     return u_eff, [int(v) for v in left], [int(v) for v in right]
-
-
-def direction_split(
-    state: GramState,
-    h: DirectedHypergraph,
-    s: frozenset[int],
-    i0: int,
-    cfg: OracleConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """Sample directions until a stretched, median-split (L, R) appears.
-
-    Every (i, j) in L x R satisfies the projection stretch along the
-    returned direction and d(i, j) >= |v_i - v_j|^2.
-    """
-    omega = np.array(h.vertex_weights, dtype=float)
-    total = float(h.total_weight)
-    vhat = _rescaled(state, total, i0)
-    members = np.array(sorted(s), dtype=int)
-    for _ in range(cfg.n_dirs_for(h.n)):
-        u = _random_direction(rng, vhat.shape[1])
-        got = _direction_split_once(vhat, omega, members, u, cfg, total)
-        if got is not None:
-            return got
-    raise OracleFailure(
-        "no stretched direction found", {"n_dirs": cfg.n_dirs_for(h.n)}
-    )
 
 
 def _random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -757,14 +734,16 @@ def certificate_check(
 
     Bullets: z >= alpha; (sum f_p T_p + z K) . X <= F . X + 1e-7; f_p >= 0;
     F annihilates the ones vector; F is zero or backed by a capacity-
-    respecting flow; the residual width is at most rho.
+    respecting flow; the residual width is at most rho.  This is the one
+    place the residual R = sum f_p T_p + z K - F and its width are formed:
+    once reached, they are in the report as ``residual`` and ``width``.
     """
     if isinstance(cert, OracleOutcome):
         if cert.kind != "dual" or cert.dual is None:
             raise ValueError("certificate_check needs a dual outcome")
         cert = cert.dual
     n = h.n
-    k = mat_K(h.vertex_weights)
+    k = h.k_matrix
     report: dict = {"first_failure": None}
 
     def fail(name: str) -> tuple[bool, dict]:
@@ -804,7 +783,9 @@ def certificate_check(
         if any(f < 0 for _, _, _, f in cert.flow):
             return fail("negative_flow")
 
-    width = spectral_norm(t_mat + cert.z * k - f_mat)
+    residual = t_mat + cert.z * k - f_mat
+    width = spectral_norm(residual)
+    report["residual"] = residual
     report["width"] = width
     report["rho"] = rho
     if width > rho * (1 + 1e-6):

@@ -34,9 +34,15 @@ def _edge_masks(h: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _common_numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
+    """Numerators over the least common denominator.
+
+    int64 when twice their total fits, so every subset sum and its double
+    stays exact; otherwise Python ints (object dtype), exact at any size.
+    """
     denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    nums = np.array([int(v * denom) for v in values], dtype=np.int64)
-    return nums, denom
+    nums = [int(v * denom) for v in values]
+    fits = 2 * sum(nums) <= np.iinfo(np.int64).max
+    return np.array(nums, dtype=np.int64 if fits else object), denom
 
 
 def _subset_members(mask: int, n: int) -> frozenset[int]:

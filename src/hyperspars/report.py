@@ -28,6 +28,9 @@ from .hypergraph import (
     sparsity,
 )
 from .oracle import DualCertificate, OracleConfig, certificate_check
+
+# mat_K is not called here any more, but perfbench/tracing.py wraps it in
+# this module's namespace, so the name stays
 from .sdpcore import TriangleId, mat_K, min_eigenvalue
 
 __all__ = [
@@ -62,13 +65,11 @@ def _oracle_cfg_dict(cfg: OracleConfig) -> dict:
         "c_A": cfg.c_A,
         "c_A2": cfg.c_A2,
         "c_rho": cfg.c_rho,
-        "c_D": cfg.c_D,
         "sigma": cfg.sigma,
         "c_frac": cfg.c_frac,
         "s_viol": cfg.s_viol,
         "c_path": cfg.c_path,
         "mu": cfg.mu,
-        "c_T": cfg.c_T,
         "dual_scale": cfg.dual_scale,
         "n_dirs": cfg.n_dirs,
         "rng_seed": cfg.rng_seed,
@@ -77,6 +78,7 @@ def _oracle_cfg_dict(cfg: OracleConfig) -> dict:
 
 
 def oracle_config_from_dict(d: dict) -> OracleConfig:
+    # unknown keys, such as the retired c_D and c_T, are ignored
     known = {k: d[k] for k in _oracle_cfg_dict(OracleConfig()) if k in d}
     return OracleConfig(**known)
 
@@ -145,7 +147,7 @@ def solve_report(
                     "mw_check": run.mw_check,
                     "cut": _cut_dict(h, run.cut),
                     "records": [
-                        [r.t, r.case, r.width, r.m_norm, r.log_k_dot_w]
+                        [r.t, r.case, r.width, r.log_k_dot_w]
                         for r in run.records
                     ],
                 }
@@ -223,7 +225,7 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
         else:
             return False, "instance_mismatch"
     cfg = solver_config_from_dict(doc.get("config", {}))
-    k = mat_K(h.vertex_weights)
+    k = h.k_matrix
     n = h.n
 
     cut_claim = doc.get("cut")
@@ -284,7 +286,7 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
             ok, rep = certificate_check(cert, alpha, state, h_run, rho)
             if not ok:
                 return False, str(rep["first_failure"])
-            m_sum += -(1.0 / rho) * cert.residual_matrix(k)
+            m_sum += -(1.0 / rho) * rep["residual"]
 
         if tr.get("outcome") == "certified":
             t_theory = theoretical_iterations(alpha, h, cfg.oracle)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "TriangleId",
     "NotPsdError",
     "GramState",
+    "squared_distances",
+    "k_dot_dist2",
     "mat_A",
     "mat_T",
     "mat_K",
@@ -29,15 +32,10 @@ __all__ = [
     "min_eigenvalue",
     "variance_form",
     "TOL_PSD_REL",
-    "TOL_CHOL",
-    "TOL_NORM",
 ]
 
-# Default tolerances: PSD slack relative to ||X||, Gram reconstruction,
-# and the K-normalization check.
+# Default PSD slack relative to ||X||.
 TOL_PSD_REL = 1e-8
-TOL_CHOL = 1e-8
-TOL_NORM = 1e-6
 
 
 class Side(enum.Enum):
@@ -146,12 +144,33 @@ def cholesky_embed(x: np.ndarray, tol_psd: float | None = None) -> np.ndarray:
     return u * np.sqrt(lam)
 
 
+def squared_distances(vectors: np.ndarray) -> np.ndarray:
+    """Read-only matrix of squared distances |v_i - v_j|^2 between rows."""
+    # centering removes any common offset (e.g. the large all-ones
+    # component of multiplicative-weights iterates) before the norm
+    # expansion, which would otherwise cancel catastrophically
+    centered = vectors - vectors.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
+    np.fill_diagonal(d2, 0.0)
+    d2 = np.maximum(d2, 0.0)
+    d2.flags.writeable = False
+    return d2
+
+
+def k_dot_dist2(d2: np.ndarray, vertex_weights) -> float:
+    """K . X from the squared distances of X's embedding."""
+    w = np.asarray(vertex_weights, dtype=float)
+    return float(0.5 * w @ d2 @ w)
+
+
 @dataclass(frozen=True)
 class GramState:
     """Primal candidate: PSD matrix X with its vector embedding.
 
     ``vectors[i]`` is the row vector of vertex i; ``side`` selects the
-    directed-distance formula used by consumers.
+    directed-distance formula used by consumers.  The squared distances
+    are computed once, on first use, and shared by every consumer.
     """
 
     x: np.ndarray
@@ -173,20 +192,15 @@ class GramState:
     def ddist(self, i: int, j: int, zero: int = 0) -> float:
         return directed_distance(self.vectors, i, j, self.side, zero)
 
+    @cached_property
+    def _dist2(self) -> np.ndarray:
+        return squared_distances(self.vectors)
+
     def pairwise_dist2(self) -> np.ndarray:
-        # centering removes any common offset (e.g. the large all-ones
-        # component of multiplicative-weights iterates) before the norm
-        # expansion, which would otherwise cancel catastrophically
-        centered = self.vectors - self.vectors.mean(axis=0)
-        sq = np.einsum("ij,ij->i", centered, centered)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
-        np.fill_diagonal(d2, 0.0)
-        return np.maximum(d2, 0.0)
+        return self._dist2
 
     def k_dot(self, vertex_weights) -> float:
-        w = np.asarray(vertex_weights, dtype=float)
-        d2 = self.pairwise_dist2()
-        return float(0.5 * w @ d2 @ w)
+        return k_dot_dist2(self.pairwise_dist2(), vertex_weights)
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:

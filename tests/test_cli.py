@@ -81,6 +81,19 @@ class TestSolve:
         assert err.startswith("error: ") and "two vertices" in err
         assert "Traceback" not in err
 
+    def test_oracle_invariant_error_exit_1(self, tmp_path, capsys):
+        # an edge-weight ratio of 1e14 trips the max-flow tolerance and Case
+        # 1A returns an improper cut: an error, not an aborted probe
+        wide = tmp_path / "wide.dhg"
+        wide.write_text(
+            "dhg 3 2\nv a 1\nv b 1\nv c 1\n"
+            "e 1/10000000 T a H b c\ne 10000000 T b c H a\n"
+        )
+        assert main(["solve", str(wide), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: case 1A produced an improper cut")
+        assert "Traceback" not in err
+
     def test_no_cut_exit_2(self, toy_file, tmp_path, capsys):
         # single tiny-alpha run without search: both sides go dual/abort
         out = str(tmp_path / "r.json")
@@ -232,6 +245,14 @@ class TestCheckCert:
         doc = json.loads(open(out).read())
         ok, failing = verify_report(doc, parse_dhg(open(inp).read()))
         assert ok and failing is None
+
+    def test_retired_config_keys_ignored(self, tmp_path, capsys):
+        # reports written before c_D and c_T were retired still verify
+        inp, out = self.make_report(tmp_path)
+        doc = json.loads(open(out).read())
+        assert "c_D" not in doc["config"]["oracle"] and "c_T" not in doc["config"]["oracle"]
+        doc["config"]["oracle"].update(c_D=8.0, c_T=6.0)
+        assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
 
     def test_expansion_mode_report_verifiable(self, planted_file, tmp_path, capsys):
         # expansion reports embed the degree-scaled instance; check-cert

@@ -7,6 +7,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+from hyperspars import driver
 from hyperspars.driver import (
     SolverConfig,
     binary_search,
@@ -15,8 +16,9 @@ from hyperspars.driver import (
     run_both_sides,
     theoretical_iterations,
 )
-from hyperspars.hypergraph import parse_dhg
-from hyperspars.oracle import OracleConfig
+from hyperspars.hypergraph import Hyperedge, parse_dhg
+from hyperspars.oracle import OracleConfig, OracleFailure, OracleInvariantError
+from hyperspars.report import solve_report, verify_report
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import mat_K, min_eigenvalue
 from hyperspars.flownet import triangle_matrix_sum
@@ -125,12 +127,18 @@ class TestRunAlgorithm1:
         assert run2.eta == 0.123
 
     def test_m_norm_within_one(self):
+        # the update norm is width / rho; at alpha 0.003 the run cuts at
+        # once, at 0.0003 it makes 40 dual steps
         h = generate(GeneratorSpec(n=6, m=10, model="expander-like", seed=9))
         cfg = SolverConfig(t_cap=40)
-        run = run_algorithm1(h, 0.003, "in", cfg, np.random.default_rng(1))
-        for rec in run.records:
-            if rec.case.endswith("B") or rec.case.endswith("C"):
-                assert rec.m_norm <= 1.0 + 1e-6
+        duals = 0
+        for alpha in (0.003, 0.0003):
+            run = run_algorithm1(h, alpha, "in", cfg, np.random.default_rng(1))
+            for rec in run.records:
+                if rec.case.endswith("B") or rec.case.endswith("C"):
+                    assert rec.width <= run.rho * (1 + 1e-6)
+                    duals += 1
+        assert duals == 40
 
     def test_invalid_side_rejected(self):
         h = parse_dhg(TWO_CYCLE)
@@ -287,3 +295,73 @@ class TestPinnedOutputs:
         cut = [(side, "cut", 1, [("1A", 1)]) for side in ("in", "out")]
         certified = [(side, "certified", 251, [("1B", 251)]) for side in ("in", "out")]
         assert run_summary(res) == cut + certified + cut
+
+
+class TestOracleErrors:
+    def _raising_oracle(self, monkeypatch, exc):
+        def oracle(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(driver, "run_oracle", oracle)
+
+    def test_invariant_error_reaches_caller(self, monkeypatch):
+        h = parse_dhg(THREE_CYCLE)
+        self._raising_oracle(monkeypatch, OracleInvariantError("improper cut", {"case": "1A"}))
+        with pytest.raises(OracleInvariantError, match="improper cut"):
+            run_algorithm1(h, 0.1, "in", SolverConfig(t_cap=5))
+        with pytest.raises(OracleInvariantError):
+            binary_search(h, SolverConfig(t_cap=5))
+
+    def test_oracle_failure_aborts_the_run(self, monkeypatch):
+        h = parse_dhg(THREE_CYCLE)
+        self._raising_oracle(monkeypatch, OracleFailure("no stretched direction"))
+        run = run_algorithm1(h, 0.1, "in", SolverConfig(t_cap=5))
+        assert run.outcome == "aborted" and run.reason == "oracle: no stretched direction"
+        assert not issubclass(OracleInvariantError, OracleFailure)
+
+
+def count_calls(monkeypatch, owner, names):
+    """Replace owner.<name> for each name by a wrapper that counts calls."""
+    calls = {"n": 0}
+    for name in names:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestPerIterationWork:
+    """Each multiplicative-weights step builds its matrices once."""
+
+    def test_two_eigendecompositions_per_iteration_and_certificate(self, monkeypatch):
+        h = generate(GeneratorSpec(n=32, m=64, kappa=2, model="expander-like", seed=1))
+        base = binary_search(h, SolverConfig(max_probes=0)).best_cut.sparsity
+        cfg = SolverConfig(t_cap=8)
+        eig = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+        probe = run_both_sides(h, 1e-6 * float(base), cfg, np.random.default_rng(0))
+        iterations = sum(run.iterations for run in probe.runs.values())
+        assert iterations == 16
+        assert {r.case for run in probe.runs.values() for r in run.records} == {"2B"}
+        assert eig["n"] <= 2 * iterations
+
+        doc = solve_report(h, cfg, driver.SolveResult(None, None, [probe], 0.0, 0.0), 0)
+        assert len(doc["certificates"]) == iterations
+        eig["n"] = 0
+        assert verify_report(doc, h) == (True, None)
+        assert eig["n"] <= 2 * len(doc["certificates"])
+
+    def test_verify_reverses_the_instance_once(self, monkeypatch):
+        h = generate(GeneratorSpec(n=8, m=16, kappa=2, model="expander-like", seed=2))
+        cfg = SolverConfig(t_cap=3, max_probes=4, alpha_lo=1e-6, alpha_hi=1e-3)
+        res = binary_search(h, cfg, np.random.default_rng(0))
+        doc = solve_report(h, cfg, res, 0)
+        out_runs = [tr for tr in doc["transcript"] if tr["side"] == "out"]
+        assert len(out_runs) >= 2 and doc["certificates"]
+        fresh = parse_dhg(doc["instance"]["dhg"])
+        built = count_calls(monkeypatch, Hyperedge, ("__post_init__",))
+        assert verify_report(doc, fresh) == (True, None)
+        assert built["n"] == fresh.m

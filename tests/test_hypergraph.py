@@ -26,6 +26,8 @@ from hyperspars.hypergraph import (
     weighted_degrees,
 )
 
+from hyperspars.sdpcore import mat_K
+
 from conftest import make_h, random_hypergraph
 
 TOY = "dhg 2 1\nv 1 1\nv 2 1\ne 3 T 1 H 2\n"
@@ -205,6 +207,30 @@ class TestCachedDerivedData:
         assert rd == rd_twin and hash(rd) == hash(rd_twin)
         assert (pickle.dumps(h), pickle.dumps(rd)) == before
         assert pickle.loads(pickle.dumps(rd)) == rd
+
+    def test_reverse_and_reduction_built_once(self, rng):
+        h = random_hypergraph(rng, n=6, m=5)
+        twin = DirectedHypergraph(h.names, h.vertex_weights, h.edges)
+        before = pickle.dumps(h)
+        hr = reverse(h)
+        assert hr is reverse(h) and reverse(hr) is h
+        assert hr == DirectedHypergraph(
+            h.names, h.vertex_weights, tuple(Hyperedge(e.head, e.tail, e.weight) for e in h.edges)
+        )
+        assert reduce_to_digraph(h) is reduce_to_digraph(h)
+        assert reduce_to_digraph(hr) is reduce_to_digraph(reverse(h))
+        assert reduce_to_digraph(h) == reduce_to_digraph(twin)
+        assert h == twin and hash(h) == hash(twin)
+        assert pickle.dumps(h) == before == pickle.dumps(twin)
+        assert pickle.loads(pickle.dumps(hr)) == hr
+
+    def test_k_matrix_cached_read_only(self):
+        h = make_h(3, [({0}, {1}, 1)], weights=[1, 2, 3])
+        k = h.k_matrix
+        assert k is h.k_matrix
+        assert np.array_equal(k, mat_K(h.vertex_weights))
+        with pytest.raises(ValueError):
+            k[0, 0] = 0.0
 
     def test_flow_arcs_capacities(self):
         h = make_h(2, [({0}, {1}, 3)])

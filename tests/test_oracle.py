@@ -11,11 +11,12 @@ from hyperspars.oracle import (
     DualCertificate,
     OracleConfig,
     OracleFailure,
-    ball,
+    _ball_weights,
+    _direction_split_once,
+    _random_direction,
     case1,
     certificate_check,
     certificate_hypergraph,
-    direction_split,
     find_violated_path,
     path_triangles,
     path_violation,
@@ -66,6 +67,14 @@ class TestConfig:
         cfg = OracleConfig()
         expected = 16.0 * 0.5 * 5**2 * math.sqrt(math.log2(2 * 4))
         assert cfg.rho(0.5, h) == pytest.approx(expected)
+
+
+def ball(st, i, radius):
+    """Members of the ball around i that the oracle's dispatch weighs,
+    decoded from _ball_weights under power-of-two vertex weights."""
+    n = st.vectors.shape[0]
+    weight = int(_ball_weights(st.pairwise_dist2(), 2.0 ** np.arange(n), radius * radius)[i])
+    return frozenset(j for j in range(n) if weight >> j & 1)
 
 
 class TestBall:
@@ -224,6 +233,21 @@ class TestPreprocess:
             preprocess_wellspread(st, h)
 
 
+def direction_split(st, h, s, i0, cfg, rng):
+    """Case 2's direction loop: sample up to n_dirs directions until
+    _direction_split_once returns a split; None when none does."""
+    omega = np.array(h.vertex_weights, dtype=float)
+    total = float(h.total_weight)
+    vhat = (total / 3.0) * (st.vectors - st.vectors[i0])
+    members = np.array(sorted(s), dtype=int)
+    for _ in range(cfg.n_dirs_for(h.n)):
+        u = _random_direction(rng, vhat.shape[1])
+        got = _direction_split_once(vhat, omega, members, u, cfg, total)
+        if got is not None:
+            return got
+    return None
+
+
 class TestDirectionSplit:
     def test_antipodal_clusters_split(self, rng):
         # two clusters far apart along one axis: any direction near the
@@ -238,7 +262,9 @@ class TestDirectionSplit:
         vectors = base / norm
         st = GramState(vectors @ vectors.T, vectors)
         s, i0 = frozenset(range(6)), 0
-        u_eff, left, right = direction_split(st, h, s, i0, OracleConfig(), rng)
+        got = direction_split(st, h, s, i0, OracleConfig(), rng)
+        assert got is not None
+        u_eff, left, right = got
         assert left and right
         vhat = (total / 3.0) * (st.vectors - st.vectors[i0])
         sigma = OracleConfig().sigma
@@ -254,8 +280,7 @@ class TestDirectionSplit:
         h = make_h(4, [({0}, {1}, 1)])
         vectors = np.ones((4, 2))
         st = GramState(vectors @ vectors.T, vectors)
-        with pytest.raises(OracleFailure):
-            direction_split(st, h, frozenset(range(4)), 0, OracleConfig(n_dirs=4), rng)
+        assert direction_split(st, h, frozenset(range(4)), 0, OracleConfig(n_dirs=4), rng) is None
 
 
 class TestFindViolatedPath:
@@ -336,15 +361,18 @@ class TestCase2:
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
         cert = DualCertificate(alpha, {t: f_val for t in tris}, None, 0.0)
         k = mat_K(h.vertex_weights)
-        width = spectral_norm(cert.residual_matrix(k))
-        cert = DualCertificate(alpha, cert.triangle_weights, None, width)
-        lhs = float(np.tensordot(cert.residual_matrix(k) + cert.flow_matrix_dense(7), st.x))
-        assert lhs <= 0.0 + 1e-9
         ok, report = certificate_check(cert, alpha, st, h, cfg.rho(alpha, h))
         assert ok, report
-        # width components: ||sum T_p|| small, ||K|| within the corollary
+        # F = 0 here, so the residual is sum f_p T_p + z K
+        residual = sum(f_val * mat_T(7, t) for t in tris) + alpha * k
+        assert np.allclose(report["residual"], residual, rtol=0, atol=1e-9 * np.abs(residual).max())
+        assert report["width"] == pytest.approx(spectral_norm(residual), rel=1e-12)
+        lhs = float(np.tensordot(report["residual"] + cert.flow_matrix_dense(7), st.x))
+        assert lhs <= 0.0 + 1e-9
+        # width components: ||sum T_p|| small (at most 6), ||K|| within the
+        # corollary
         t_norm = spectral_norm(sum(mat_T(7, t) for t in tris))
-        assert t_norm <= cfg.c_T
+        assert t_norm <= 6.0
         assert spectral_norm(k) <= h.kappa * total**2 / h.n + 1e-9
 
 

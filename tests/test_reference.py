@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hyperspars.hypergraph import expansion, serialize_dhg, sparsity
+import numpy as np
+
+from hyperspars.hypergraph import expansion, serialize_dhg, sparsity, weighted_degrees
 from hyperspars.reference import (
     GeneratorSpec,
+    _common_numerators,
     brute_force_expansion,
     brute_force_sparsest,
     generate,
@@ -98,6 +101,54 @@ class TestBruteForceExpansion:
                 ratio_a = total * sparsity(h, s)
                 ratio_b = cut / min(ws, total - ws) if cut else Fraction(0)
                 assert ratio_b <= ratio_a <= 2 * ratio_b or cut == 0
+
+
+def exact_sparsest(h):
+    return min(
+        sparsity(h, {v for v in range(h.n) if mask >> v & 1})
+        for mask in range(1, 2**h.n - 1)
+    )
+
+
+def exact_expansion(h):
+    # light side under weighted degrees, as brute_force_expansion defines it
+    deg = weighted_degrees(h)
+    total = sum(deg)
+    best = None
+    for mask in range(1, 2**h.n - 1):
+        s = {v for v in range(h.n) if mask >> v & 1}
+        ws = sum(deg[v] for v in s)
+        if ws > 0 and 2 * ws <= total:
+            phi = expansion(h, s)[2]
+            best = phi if best is None else min(best, phi)
+    return best
+
+
+class TestBeyondInt64:
+    """Numerators whose sums do not fit in int64 are summed exactly."""
+
+    def test_four_cycle_large_denominators(self):
+        weights = [Fraction(1, d) for d in (1000003, 1000033, 1000037, 1000039)]
+        h = make_h(4, [({k}, {(k + 1) % 4}, w) for k, w in enumerate(weights)])
+        s, val = brute_force_sparsest(h)
+        assert val == exact_sparsest(h) and sparsity(h, s) == val
+        s, phi = brute_force_expansion(h)
+        assert phi == exact_expansion(h) == Fraction(1000042000117, 4000198001782)
+        assert expansion(h, s)[2] == phi
+
+    def test_opposite_arcs_of_weight_5e18(self):
+        w = 5 * 10**18
+        h = make_h(2, [({0}, {1}, w), ({1}, {0}, w)])
+        s, val = brute_force_sparsest(h)
+        assert val == exact_sparsest(h) == w and sparsity(h, s) == val
+        s, phi = brute_force_expansion(h)
+        assert phi == exact_expansion(h) == Fraction(1, 2)
+
+    def test_int64_path_kept_when_sums_fit(self):
+        nums, denom = _common_numerators([Fraction(1, 3), Fraction(1, 2)])
+        assert nums.dtype == np.int64 and list(nums) == [2, 3] and denom == 6
+        nums, _ = _common_numerators([Fraction(5 * 10**18)] * 2)
+        assert nums.dtype == object
 
 
 class TestGenerator:
