@@ -15,7 +15,7 @@ from .hypergraph import (
 )
 from .oracle import OracleConfig, run_oracle
 from .reference import GeneratorSpec, brute_force_expansion, brute_force_sparsest, generate
-from .sdpcore import GramState, Side
+from .sdpcore import GramState
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "GeneratorSpec",
     "GramState",
     "OracleConfig",
-    "Side",
     "SolverConfig",
     "binary_search",
     "brute_force_expansion",

@@ -40,7 +40,6 @@ from .oracle import DualCertificate, OracleConfig, OracleFailure, run_oracle
 # perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .sdpcore import (
     GramState,
-    Side,
     k_dot_dist2,
     mat_K,
     min_eigenvalue,
@@ -134,10 +133,9 @@ def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfi
     )
 
 
-def mw_state(
-    m_sum: np.ndarray, eta: float, k: np.ndarray, vertex_weights
-) -> tuple[GramState, float]:
-    """Primal iterate X = exp(-eta sum M) / (K . exp(-eta sum M)).
+def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> tuple[GramState, float]:
+    """Primal iterate X = exp(-eta sum M) / (K . exp(-eta sum M)), with K the
+    weighted complete-graph Laplacian of ``vertex_weights``.
 
     The embedding is centered before use: every consumed quantity is
     translation-invariant, and centering keeps the numerically huge
@@ -162,18 +160,21 @@ def mw_state(
     vectors = vectors - vectors.mean(axis=0)
     kv = k_dot_dist2(squared_distances(vectors), vertex_weights)
     vectors = vectors / math.sqrt(kv)
-    state = GramState(vectors @ vectors.T, vectors, Side.ZERO_IN)
+    state = GramState(vectors @ vectors.T, vectors)
     return state, shift + math.log(kdw_scaled)
 
 
 def run_algorithm1(
     h: DirectedHypergraph,
     alpha: float,
-    side: str | Side,
+    side: str,
     cfg: SolverConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> AlgorithmRun:
     """One primal-dual run at candidate value alpha on one side of vertex 0.
+
+    The side "in" searches cuts that contain vertex 0; "out" runs the same
+    search on the reversed hypergraph and complements its cut.
 
     Each iteration makes two eigendecompositions: the primal update in
     mw_state and the width in certificate_check, whose residual is also
@@ -181,8 +182,7 @@ def run_algorithm1(
     defect and propagates to the caller.
     """
     cfg = cfg or SolverConfig()
-    side_val = side.value if isinstance(side, Side) else side
-    if side_val not in ("in", "out"):
+    if side not in ("in", "out"):
         raise ValueError("side must be 'in' or 'out'")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -191,7 +191,7 @@ def run_algorithm1(
     if rng is None:
         rng = np.random.default_rng(cfg.oracle.rng_seed)
 
-    h_run = h if side_val == "in" else reverse(h)
+    h_run = h if side == "in" else reverse(h)
     rd = reduce_to_digraph(h_run)
     n = h.n
     k = h.k_matrix
@@ -202,7 +202,7 @@ def run_algorithm1(
 
     run = AlgorithmRun(
         alpha=alpha,
-        side=side_val,
+        side=side,
         outcome="aborted",
         t_theory=t_theory,
         t_horizon=t_horizon,
@@ -213,7 +213,7 @@ def run_algorithm1(
 
     m_sum = np.zeros((n, n))
     for t in range(1, t_horizon + 1):
-        state, log_kdw = mw_state(m_sum, eta, k, h.vertex_weights)
+        state, log_kdw = mw_state(m_sum, eta, h.vertex_weights)
 
         try:
             outcome = run_oracle(alpha, state, h_run, cfg.oracle, rng, rd)
@@ -225,7 +225,7 @@ def run_algorithm1(
         if outcome.kind == "cut":
             assert outcome.cut is not None
             subset = outcome.cut.subset
-            if side_val == "out":
+            if side == "out":
                 subset = frozenset(range(n)) - subset
             run.cut = evaluate_cut(h, subset)
             run.records.append(IterationRecord(t, outcome.case, 0.0, log_kdw))

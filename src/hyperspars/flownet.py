@@ -14,7 +14,7 @@ import numpy as np
 
 from ._core import max_flow_arrays
 from .hypergraph import DirectedHypergraph, ReducedDigraph
-from .sdpcore import GramState, Side, TriangleId
+from .sdpcore import GramState, TriangleId
 
 __all__ = [
     "FlowInstance",
@@ -174,18 +174,16 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
     return FlowAssignment(tuple(values))
 
 
-def flow_matrix(fa: FlowAssignment, n: int, side: Side = Side.ZERO_IN, zero: int = 0) -> np.ndarray:
+def flow_matrix(fa: FlowAssignment, n: int) -> np.ndarray:
     """F = sum over (e, i, j) of f * mat_A(i, j); annihilates the ones vector."""
     m = np.zeros((n, n))
     for _, i, j, f in fa:
-        _accumulate_a(m, i, j, f, side, zero)
+        _accumulate_a(m, i, j, f)
     return m
 
 
-def _accumulate_a(m: np.ndarray, i: int, j: int, coeff: float, side: Side, zero: int) -> None:
-    if side is Side.ZERO_OUT:
-        i, j = j, i
-    for p, q, c in ((i, j, coeff), (i, zero, -coeff), (j, zero, coeff)):
+def _accumulate_a(m: np.ndarray, i: int, j: int, coeff: float) -> None:
+    for p, q, c in ((i, j, coeff), (i, 0, -coeff), (j, 0, coeff)):
         if p == q:
             continue
         m[p, p] += c
@@ -221,19 +219,13 @@ class FlowDecomposition:
         return sum(self.demand.values())
 
 
-def decompose(
-    fa: FlowAssignment,
-    sources,
-    sinks,
-    side: Side = Side.ZERO_IN,
-) -> FlowDecomposition:
+def decompose(fa: FlowAssignment, sources, sinks) -> FlowDecomposition:
     """Path/cycle decomposition of the pairwise flow graph.
 
     Each source-to-sink path (i_0, ..., i_k) contributes its flow to the
     demand on (i_0, i_k) and to the k-1 triangles anchored at i_0; cycles
     are dropped (their pairwise mass is recorded).
     """
-    del side  # the combinatorial structure is side-independent
     g = pair_flow(fa)
     sources = set(sources)
     sinks = set(sinks)
@@ -319,16 +311,11 @@ def decompose(
     return FlowDecomposition(triangles, demand, dropped, dropped_pairs)
 
 
-def demand_matrix(
-    demand: Mapping[tuple[int, int], float],
-    n: int,
-    side: Side = Side.ZERO_IN,
-    zero: int = 0,
-) -> np.ndarray:
+def demand_matrix(demand: Mapping[tuple[int, int], float], n: int) -> np.ndarray:
     """D = sum of d_ij * mat_A(i, j)."""
     m = np.zeros((n, n))
     for (i, j), f in demand.items():
-        _accumulate_a(m, i, j, f, side, zero)
+        _accumulate_a(m, i, j, f)
     return m
 
 
@@ -344,19 +331,18 @@ def capacity_duality_check(
     fa: FlowAssignment,
     state: GramState,
     h: DirectedHypergraph,
-    zero: int = 0,
     tol: float = 1e-9,
 ) -> bool:
     """Weak duality predicate: F . X <= sum_e c_e d_e with c_e = w_e / 2.
 
     Holds for every capacity-respecting flow; exposed as a test predicate.
     """
-    f_dot_x = sum(f * state.ddist(i, j, zero) for _, i, j, f in fa)
+    f_dot_x = sum(f * state.ddist(i, j) for _, i, j, f in fa)
     bound = 0.0
     for e in h.edges:
         d_e = max(
             [0.0]
-            + [state.ddist(i, j, zero) for i in sorted(e.tail) for j in sorted(e.head)]
+            + [state.ddist(i, j) for i in sorted(e.tail) for j in sorted(e.head)]
         )
         bound += float(e.weight) / 2.0 * d_e
     scale = max(abs(f_dot_x), abs(bound), 1.0)
@@ -385,14 +371,8 @@ def decomposition_matrix_identity_gap(
     fa: FlowAssignment,
     dec: FlowDecomposition,
     n: int,
-    side: Side = Side.ZERO_IN,
-    zero: int = 0,
 ) -> float:
     """Max-abs gap of F(cycle-free) - (sum f_p T_p + D); should be ~0."""
-    full = flow_matrix(fa, n, side, zero)
-    cyc = demand_matrix(dec.dropped_pairs, n, side, zero)
-    lhs = full - cyc
-    rhs = triangle_matrix_sum(dec.triangle_weights, n) + demand_matrix(
-        dec.demand, n, side, zero
-    )
+    lhs = flow_matrix(fa, n) - demand_matrix(dec.dropped_pairs, n)
+    rhs = triangle_matrix_sum(dec.triangle_weights, n) + demand_matrix(dec.demand, n)
     return float(np.max(np.abs(lhs - rhs)))

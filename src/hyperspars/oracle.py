@@ -27,13 +27,11 @@ from .hypergraph import (
     ReducedDigraph,
     evaluate_cut,
     reduce_to_digraph,
-    reverse,
 )
 # mat_K is not called here any more, but perfbench/tracing.py wraps it in
 # this module's namespace, so the name stays
 from .sdpcore import (
     GramState,
-    Side,
     TriangleId,
     mat_K,
     spectral_norm,
@@ -52,7 +50,6 @@ __all__ = [
     "case2",
     "find_violated_path",
     "certificate_check",
-    "certificate_hypergraph",
     "log2_skew",
     "log2_weight",
 ]
@@ -161,10 +158,10 @@ class DualCertificate:
     flow: FlowAssignment | None
     width: float
 
-    def flow_matrix_dense(self, n: int, zero: int = 0) -> np.ndarray:
+    def flow_matrix_dense(self, n: int) -> np.ndarray:
         if self.flow is None:
             return np.zeros((n, n))
-        return flownet.flow_matrix(self.flow, n, Side.ZERO_IN, zero)
+        return flownet.flow_matrix(self.flow, n)
 
 
 @dataclass(frozen=True)
@@ -201,6 +198,10 @@ def run_oracle(
 ) -> OracleOutcome:
     """Dispatch on vector concentration and run the matching case.
 
+    Cuts are searched on the side of vertex 0 that contains it; the side
+    that excludes it is the same search on ``reverse(h)``, with the cut
+    complemented.
+
     Raises OracleFailure when there is no outcome at this alpha (Case 2
     exhausted its retries, or the certificate is wider than rho), and
     OracleInvariantError when an outcome fails its own guarantee.
@@ -210,18 +211,6 @@ def run_oracle(
         raise ValueError("alpha must be positive")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-
-    if state.side is Side.ZERO_OUT:
-        inner = GramState(state.x, state.vectors, Side.ZERO_IN)
-        outcome = run_oracle(alpha, inner, reverse(h), cfg, rng, rd=None)
-        if outcome.kind == "cut":
-            assert outcome.cut is not None
-            flipped = frozenset(range(h.n)) - outcome.cut.subset
-            cut = evaluate_cut(h, flipped)
-            diag = dict(outcome.diagnostics, side="out")
-            return OracleOutcome("cut", cut=cut, diagnostics=diag)
-        diag = dict(outcome.diagnostics, side="out")
-        return OracleOutcome("dual", dual=outcome.dual, diagnostics=diag)
 
     omega = np.array(h.vertex_weights, dtype=float)
     total = float(h.total_weight)
@@ -257,7 +246,7 @@ def _cut_outcome(
         )
     cut = evaluate_cut(h, members)
     bound = cfg.ratio_bound(alpha, h, case)
-    diag = dict(extra, case=case, side="in", ratio_bound=bound)
+    diag = dict(extra, case=case, ratio_bound=bound)
     if float(cut.sparsity) > bound * (1 + 1e-9):
         raise OracleInvariantError(
             f"case {case} cut sparsity {float(cut.sparsity):.6g} exceeds "
@@ -278,7 +267,7 @@ def _dual_outcome(
     extra: dict,
 ) -> OracleOutcome:
     rho = cfg.rho(alpha, h)
-    diag = dict(extra, case=case, side="in", rho=rho)
+    diag = dict(extra, case=case, rho=rho)
     # the check measures the width; the certificate records it afterwards
     ok, report = certificate_check(
         DualCertificate(alpha, triangles, flow, 0.0), alpha, state, h, rho
@@ -759,10 +748,8 @@ def certificate_check(
 
     f_mat = cert.flow_matrix_dense(n)
     t_mat = flownet.triangle_matrix_sum(cert.triangle_weights, n)
-    lhs = float(np.tensordot(t_mat, state.x)) + cert.z * float(
-        np.tensordot(k, state.x)
-    )
-    rhs = float(np.tensordot(f_mat, state.x))
+    lhs = float(np.vdot(t_mat, state.x)) + cert.z * float(np.vdot(k, state.x))
+    rhs = float(np.vdot(f_mat, state.x))
     report["lhs_dot"] = lhs
     report["rhs_dot"] = rhs
     if lhs > rhs + 1e-7:
@@ -793,8 +780,3 @@ def certificate_check(
 
     return True, report
 
-
-def certificate_hypergraph(h: DirectedHypergraph, side: Side | str) -> DirectedHypergraph:
-    """Hypergraph a certificate's flow refers to: reversed for ZERO_OUT."""
-    side_val = side.value if isinstance(side, Side) else side
-    return reverse(h) if side_val == "out" else h

@@ -281,7 +281,7 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
 
         m_sum = np.zeros((n, n))
         for entry in entries:
-            state, _ = mw_state(m_sum, eta, k, h.vertex_weights)
+            state, _ = mw_state(m_sum, eta, h.vertex_weights)
             cert = _cert_from_entry(entry)
             ok, rep = certificate_check(cert, alpha, state, h_run, rho)
             if not ok:

@@ -4,11 +4,15 @@ exponential, and spectral diagnostics for the primal-dual solver.
 All matrices are dense symmetric numpy arrays indexed by the hypergraph's
 vertices.  Every constraint matrix built here annihilates the all-ones
 vector, which the correctness argument of the solver relies on.
+
+The directed distance is taken relative to the designated vertex 0:
+d(i, j) = |v_i - v_j|^2 - |v_i - v_0|^2 + |v_j - v_0|^2, the form for cuts
+that contain vertex 0.  Cuts that exclude it are searched on the reversed
+hypergraph and complemented, so this is the only distance formula.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -16,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Side",
     "TriangleId",
     "NotPsdError",
     "GramState",
@@ -36,21 +39,6 @@ __all__ = [
 
 # Default PSD slack relative to ||X||.
 TOL_PSD_REL = 1e-8
-
-
-class Side(enum.Enum):
-    """Which side of the designated vertex 0 the cut is searched on.
-
-    ZERO_IN  : solutions contain vertex 0; d(i,j) = |vi-vj|^2 - |vi-v0|^2 + |vj-v0|^2.
-    ZERO_OUT : solutions exclude vertex 0; the same formula with the roles of
-               the endpoints swapped, i.e. d_out(i,j) = d_in(j,i).  This form
-               agrees with d_in on every integral cut embedding and keeps the
-               all-ones vector in the kernel of every A matrix, which the
-               +v0 variant of the formula would break.
-    """
-
-    ZERO_IN = "in"
-    ZERO_OUT = "out"
 
 
 class NotPsdError(ValueError):
@@ -86,14 +74,12 @@ def _add_sq_diff(m: np.ndarray, i: int, j: int, coeff: float) -> None:
     m[j, i] -= coeff
 
 
-def mat_A(n: int, i: int, j: int, side: Side = Side.ZERO_IN, zero: int = 0) -> np.ndarray:
-    """Directed-distance matrix: mat_A(...) . X == d(i, j) for Gram X."""
-    if side is Side.ZERO_OUT:
-        i, j = j, i
+def mat_A(n: int, i: int, j: int) -> np.ndarray:
+    """Directed-distance matrix: mat_A(n, i, j) . X == d(i, j) for Gram X."""
     m = np.zeros((n, n))
     _add_sq_diff(m, i, j, 1.0)
-    _add_sq_diff(m, i, zero, -1.0)
-    _add_sq_diff(m, j, zero, 1.0)
+    _add_sq_diff(m, i, 0, -1.0)
+    _add_sq_diff(m, j, 0, 1.0)
     return m
 
 
@@ -115,13 +101,9 @@ def mat_K(vertex_weights) -> np.ndarray:
     return total * np.diag(w) - np.outer(w, w)
 
 
-def directed_distance(
-    vectors: np.ndarray, i: int, j: int, side: Side = Side.ZERO_IN, zero: int = 0
-) -> float:
+def directed_distance(vectors: np.ndarray, i: int, j: int) -> float:
     """d(i, j) evaluated directly from the embedding vectors."""
-    if side is Side.ZERO_OUT:
-        i, j = j, i
-    vi, vj, v0 = vectors[i], vectors[j], vectors[zero]
+    vi, vj, v0 = vectors[i], vectors[j], vectors[0]
     d = vi - vj
     a = vi - v0
     b = vj - v0
@@ -168,18 +150,16 @@ def k_dot_dist2(d2: np.ndarray, vertex_weights) -> float:
 class GramState:
     """Primal candidate: PSD matrix X with its vector embedding.
 
-    ``vectors[i]`` is the row vector of vertex i; ``side`` selects the
-    directed-distance formula used by consumers.  The squared distances
+    ``vectors[i]`` is the row vector of vertex i.  The squared distances
     are computed once, on first use, and shared by every consumer.
     """
 
     x: np.ndarray
     vectors: np.ndarray
-    side: Side = Side.ZERO_IN
 
     @classmethod
-    def from_matrix(cls, x: np.ndarray, side: Side = Side.ZERO_IN) -> "GramState":
-        return cls(np.asarray(x, dtype=float), cholesky_embed(x), side)
+    def from_matrix(cls, x: np.ndarray) -> "GramState":
+        return cls(np.asarray(x, dtype=float), cholesky_embed(x))
 
     @property
     def n(self) -> int:
@@ -189,8 +169,8 @@ class GramState:
         d = self.vectors[i] - self.vectors[j]
         return float(d @ d)
 
-    def ddist(self, i: int, j: int, zero: int = 0) -> float:
-        return directed_distance(self.vectors, i, j, self.side, zero)
+    def ddist(self, i: int, j: int) -> float:
+        return directed_distance(self.vectors, i, j)
 
     @cached_property
     def _dist2(self) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperspars.hypergraph import DirectedHypergraph, Hyperedge
-from hyperspars.sdpcore import GramState, Side, mat_K
+from hyperspars.sdpcore import GramState, mat_K
 
 
 def make_h(n, edges, weights=None, names=None):
@@ -37,7 +37,7 @@ def random_hypergraph(rng, n=None, m=None, max_n=8, max_m=6, kappa=None, max_sid
     return make_h(n, edges, weights)
 
 
-def normalized_state(rng, h, dim=None, side=Side.ZERO_IN):
+def normalized_state(rng, h, dim=None):
     """Random PSD Gram state scaled so K . X = 1."""
     n = h.n
     dim = dim or int(rng.integers(1, n + 1))
@@ -45,10 +45,10 @@ def normalized_state(rng, h, dim=None, side=Side.ZERO_IN):
     x = v @ v.T
     k = mat_K(h.vertex_weights)
     x = x / float(np.tensordot(k, x))
-    return GramState.from_matrix(x, side)
+    return GramState.from_matrix(x)
 
 
-def integral_state(h, subset, side=Side.ZERO_IN):
+def integral_state(h, subset):
     """The embedding a cut induces: v_i = +/- v_0 scaled so K . X = 1."""
     n = h.n
     inside = set(subset)
@@ -56,10 +56,8 @@ def integral_state(h, subset, side=Side.ZERO_IN):
     wc = h.total_weight - ws
     norm0 = 1.0 / (4.0 * ws * wc)
     sign = np.array([1.0 if i in inside else -1.0 for i in range(n)])
-    if side is Side.ZERO_OUT:
-        sign = -sign
     vectors = (sign * np.sqrt(norm0)).reshape(n, 1)
-    return GramState(vectors @ vectors.T, vectors, side)
+    return GramState(vectors @ vectors.T, vectors)
 
 
 @pytest.fixture

@@ -32,19 +32,17 @@ from hyperspars.hypergraph import (
     parse_dhg,
     reduce_to_digraph,
     restrict_subset,
+    reverse,
     transform_subset,
 )
 from hyperspars.oracle import (
     OracleConfig,
     OracleFailure,
     certificate_check,
-    certificate_hypergraph,
     run_oracle,
 )
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import (
-    GramState,
-    Side,
     TriangleId,
     mat_A,
     mat_K,
@@ -309,32 +307,38 @@ def test_criterion_07_oracle_contract():
     loud_failures = 0
     for trial in range(300):
         h = random_hypergraph(rng, max_n=10, max_m=8)
-        side = Side.ZERO_IN if trial % 2 else Side.ZERO_OUT
+        # every other trial searches the side that excludes vertex 0: the
+        # oracle runs on the reversed hypergraph and its cut is complemented
+        excluded = trial % 2 == 0
+        h_run = reverse(h) if excluded else h
         if trial % 3 == 0:
             mask = int(rng.integers(1, 2**h.n - 1))
-            st = integral_state(h, {v for v in range(h.n) if mask >> v & 1}, side)
+            subset = {v for v in range(h.n) if mask >> v & 1}
+            if excluded:
+                subset = set(range(h.n)) - subset
+            st = integral_state(h, subset)
         else:
-            st = normalized_state(rng, h, side=side)
+            st = normalized_state(rng, h)
         alpha = float(rng.uniform(0.002, 2.0))
         try:
-            out = run_oracle(alpha, st, h, cfg, rng)
+            out = run_oracle(alpha, st, h_run, cfg, rng)
         except OracleFailure:
             loud_failures += 1
             continue
         cases[out.case] = cases.get(out.case, 0) + 1
         if out.kind == "cut":
+            cut = out.cut.subset
+            if excluded:
+                cut = frozenset(range(h.n)) - cut
             bound = cfg.ratio_bound(alpha, h, out.case)
-            # recompute sparsity from the definition
-            recomputed = hyper_cut_weight(h, out.cut.subset) / (
-                h.weight_of(out.cut.subset)
-                * (h.total_weight - h.weight_of(out.cut.subset))
+            # recompute sparsity on h from the definition
+            recomputed = hyper_cut_weight(h, cut) / (
+                h.weight_of(cut) * (h.total_weight - h.weight_of(cut))
             )
             assert recomputed == out.cut.sparsity
             assert float(recomputed) <= bound * (1 + 1e-9)
         else:
-            h_eff = certificate_hypergraph(h, st.side)
-            inner = GramState(st.x, st.vectors, Side.ZERO_IN)
-            ok, rep = certificate_check(out.dual, alpha, inner, h_eff, cfg.rho(alpha, h))
+            ok, rep = certificate_check(out.dual, alpha, st, h_run, cfg.rho(alpha, h))
             assert ok, rep
     assert sum(cases.values()) + loud_failures == 300
     return f"cases {cases}, loud failures {loud_failures}"

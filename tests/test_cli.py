@@ -141,6 +141,24 @@ class TestSolve:
         assert all(t["side"] == "in" for t in doc["transcript"])
         assert doc["lower_bound"] is None  # single-side runs never certify globally
 
+    def test_side_out_flag(self, planted_file, tmp_path, capsys):
+        # the search ends in cuts; the fixed tiny alpha yields certificates,
+        # which check-cert replays against the reversed instance
+        for extra in (("--t-cap", "40"), ("--t-cap", "5", "--alpha", "1e-6", "--no-search")):
+            out = str(tmp_path / "r.json")
+            code = main(
+                ["solve", planted_file, "--seed", "7", "--side", "out", "--json", "-o", out,
+                 *extra]
+            )
+            assert code in (0, 2)
+            doc = json.loads(open(out).read())
+            assert doc["transcript"]
+            assert all(t["side"] == "out" for t in doc["transcript"])
+            assert all(c["side"] == "out" for c in doc["certificates"])
+            assert doc["lower_bound"] is None
+            assert main(["check-cert", out, planted_file]) == 0
+        assert len(doc["certificates"]) == 5
+
     def test_text_output(self, planted_file, tmp_path, capsys):
         assert main(["solve", planted_file, "--seed", "7", "--t-cap", "40"]) == 0
         out = capsys.readouterr().out

@@ -16,7 +16,7 @@ from hyperspars.driver import (
     run_both_sides,
     theoretical_iterations,
 )
-from hyperspars.hypergraph import Hyperedge, parse_dhg
+from hyperspars.hypergraph import Hyperedge, parse_dhg, reverse, sparsity
 from hyperspars.oracle import OracleConfig, OracleFailure, OracleInvariantError
 from hyperspars.report import solve_report, verify_report
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
@@ -35,7 +35,7 @@ class TestMwState:
         # pairwise distances match the uncentered I / Tr(K) exactly
         h = parse_dhg(TWO_CYCLE)
         k = mat_K(h.vertex_weights)
-        state, _ = mw_state(np.zeros((2, 2)), 0.5, k, h.vertex_weights)
+        state, _ = mw_state(np.zeros((2, 2)), 0.5, h.vertex_weights)
         assert state.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-12)
         assert float(np.tensordot(k, state.x)) == pytest.approx(1.0, abs=1e-10)
         trace_k = float(np.trace(k))
@@ -43,13 +43,12 @@ class TestMwState:
 
     def test_iterates_stay_normalized(self, rng):
         h = random_hypergraph(rng, n=6, m=6)
-        k = mat_K(h.vertex_weights)
         m_sum = np.zeros((6, 6))
         for _ in range(30):
             m = rng.standard_normal((6, 6))
             m = (m + m.T) / 2
             m -= np.outer(np.ones(6), m.mean(axis=0))  # not ones-kernel; fine
-            state, _ = mw_state(m_sum, 0.2, k, h.vertex_weights)
+            state, _ = mw_state(m_sum, 0.2, h.vertex_weights)
             assert state.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-8)
             m_sum += m / max(1.0, np.abs(np.linalg.eigvalsh(m)).max())
 
@@ -144,6 +143,27 @@ class TestRunAlgorithm1:
         h = parse_dhg(TWO_CYCLE)
         with pytest.raises(ValueError):
             run_algorithm1(h, 1.0, "sideways")
+
+
+class TestOneRoute:
+    """Side "out" is side "in" on the reversed hypergraph, cut complemented."""
+
+    def test_out_side_is_reversed_in_side(self):
+        h = generate(GeneratorSpec(n=10, m=20, kappa=2, model="expander-like", seed=2))
+        base = float(binary_search(h, SolverConfig(max_probes=0)).best_cut.sparsity)
+        cfg = SolverConfig(t_cap=12)
+        outcomes = []
+        for alpha in (4 * base, 1e-3 * base):
+            out = run_algorithm1(h, alpha, "out", cfg, np.random.default_rng(0))
+            rev = run_algorithm1(reverse(h), alpha, "in", cfg, np.random.default_rng(0))
+            assert out.records == rev.records
+            assert out.certificates == rev.certificates
+            assert (out.outcome, out.iterations) == (rev.outcome, rev.iterations)
+            if out.cut is not None:
+                assert out.cut.subset == frozenset(range(h.n)) - rev.cut.subset
+                assert out.cut.sparsity == rev.cut.sparsity == sparsity(h, out.cut.subset)
+            outcomes.append((out.outcome, len(out.certificates)))
+        assert outcomes == [("cut", 0), ("aborted", 12)]
 
 
 class TestRunBothSides:

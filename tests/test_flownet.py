@@ -20,7 +20,7 @@ from hyperspars.flownet import (
     triangle_matrix_sum,
 )
 from hyperspars.hypergraph import reduce_to_digraph
-from hyperspars.sdpcore import Side, mat_A, spectral_norm
+from hyperspars.sdpcore import mat_A, spectral_norm
 
 from conftest import make_h, normalized_state, random_hypergraph
 
@@ -287,9 +287,6 @@ class TestFlowMatrix:
     def test_unit_flow_is_mat_a(self):
         fa = FlowAssignment(((0, 1, 2, 1.0),))
         assert np.array_equal(flow_matrix(fa, 4), mat_A(4, 1, 2))
-        assert np.array_equal(
-            flow_matrix(fa, 4, Side.ZERO_OUT), mat_A(4, 1, 2, Side.ZERO_OUT)
-        )
 
     def test_dot_equals_distance_sum(self, rng):
         h = random_hypergraph(rng, n=5, m=4)

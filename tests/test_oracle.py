@@ -16,15 +16,15 @@ from hyperspars.oracle import (
     _random_direction,
     case1,
     certificate_check,
-    certificate_hypergraph,
     find_violated_path,
     path_triangles,
     path_violation,
     preprocess_wellspread,
     run_oracle,
 )
+from hyperspars.hypergraph import reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
-from hyperspars.sdpcore import GramState, Side, TriangleId, mat_K, mat_T, spectral_norm
+from hyperspars.sdpcore import GramState, TriangleId, mat_K, mat_T, spectral_norm
 
 from conftest import integral_state, make_h, normalized_state, random_hypergraph
 
@@ -109,7 +109,7 @@ class TestDispatch:
     def test_unnormalized_rejected(self):
         h, s_star, _ = planted()
         st = integral_state(h, s_star)
-        bad = GramState(st.x * 0.5, st.vectors * math.sqrt(0.5), st.side)
+        bad = GramState(st.x * 0.5, st.vectors * math.sqrt(0.5))
         with pytest.raises(ValueError, match="not normalized"):
             run_oracle(1.0, bad, h, OracleConfig(), np.random.default_rng(0))
 
@@ -427,27 +427,29 @@ class TestCertificateCheck:
 
 
 class TestZeroOutSide:
-    def test_cut_is_complemented_and_equal_value(self):
-        h, s_star, theta = planted()
-        comp = frozenset(range(h.n)) - s_star
-        st = integral_state(h, comp, Side.ZERO_OUT)
-        alpha = 2 * float(theta)
-        out = run_oracle(alpha, st, h, OracleConfig(), np.random.default_rng(0))
-        if out.kind == "cut":
-            from hyperspars.hypergraph import sparsity
+    """The side that excludes vertex 0 runs on the reversed hypergraph."""
 
-            assert sparsity(h, out.cut.subset) == out.cut.sparsity
+    def test_cut_is_complemented_and_equal_value(self):
+        # at 2 theta this state gives a 1B dual; at 4 theta a 1A cut
+        h, s_star, theta = planted()
+        st = integral_state(h, s_star)
+        alpha = 4 * float(theta)
+        cfg = OracleConfig()
+        out = run_oracle(alpha, st, reverse(h), cfg, np.random.default_rng(0))
+        assert out.kind == "cut"
+        flipped = frozenset(range(h.n)) - out.cut.subset
+        assert 0 not in flipped
+        assert sparsity(h, flipped) == out.cut.sparsity
+        assert float(out.cut.sparsity) <= cfg.ratio_bound(alpha, h, out.case) * (1 + 1e-9)
 
     def test_certificate_refers_to_reversed_hypergraph(self, rng):
         h, theta = expanderish()
-        st = integral_state(h, frozenset({3, 4, 5}), Side.ZERO_OUT)
+        st = integral_state(h, frozenset(range(h.n)) - {3, 4, 5})
         alpha = 0.002
-        out = run_oracle(alpha, st, h, OracleConfig(), rng)
+        out = run_oracle(alpha, st, reverse(h), OracleConfig(), rng)
         assert out.kind == "dual"
-        h_cert = certificate_hypergraph(h, "out")
-        inner = GramState(st.x, st.vectors, Side.ZERO_IN)
         ok, report = certificate_check(
-            out.dual, alpha, inner, h_cert, OracleConfig().rho(alpha, h)
+            out.dual, alpha, st, reverse(h), OracleConfig().rho(alpha, h)
         )
         assert ok, report
 
@@ -458,24 +460,28 @@ class TestOracleContractSweep:
         cases = {}
         for _ in range(120):
             h = random_hypergraph(rng, max_n=10, max_m=8)
-            side = Side.ZERO_IN if rng.integers(2) else Side.ZERO_OUT
-            st = normalized_state(rng, h, side=side)
+            # the side that excludes vertex 0 runs on the reversed hypergraph
+            excluded = not rng.integers(2)
+            h_run = reverse(h) if excluded else h
+            st = normalized_state(rng, h)
             alpha = float(rng.uniform(0.001, 2.0))
             try:
-                out = run_oracle(alpha, st, h, cfg, rng)
+                out = run_oracle(alpha, st, h_run, cfg, rng)
             except OracleFailure:
                 cases["fail"] = cases.get("fail", 0) + 1
                 continue
             cases[out.case] = cases.get(out.case, 0) + 1
             if out.kind == "cut":
+                cut = out.cut.subset
+                if excluded:
+                    cut = frozenset(range(h.n)) - cut
+                assert sparsity(h, cut) == out.cut.sparsity
                 bound = cfg.ratio_bound(alpha, h, out.case)
                 assert float(out.cut.sparsity) <= bound * (1 + 1e-9)
                 if out.case == "2A":
                     lo_side = min(out.diagnostics["side_weights"])
                     assert lo_side >= cfg.c_frac * h.total_weight / 4 - 1e-9
             else:
-                h_eff = certificate_hypergraph(h, st.side)
-                inner = GramState(st.x, st.vectors, Side.ZERO_IN)
-                ok, rep = certificate_check(out.dual, alpha, inner, h_eff, cfg.rho(alpha, h))
+                ok, rep = certificate_check(out.dual, alpha, st, h_run, cfg.rho(alpha, h))
                 assert ok, rep
         assert cases.get("fail", 0) == 0

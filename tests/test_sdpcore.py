@@ -8,7 +8,6 @@ import pytest
 from hyperspars.sdpcore import (
     GramState,
     NotPsdError,
-    Side,
     TriangleId,
     cholesky_embed,
     directed_distance,
@@ -50,28 +49,20 @@ class TestMatA:
             n = 4
             x, v = random_gram(rng, n)
             i, j = rng.integers(0, n, size=2)
-            for side in (Side.ZERO_IN, Side.ZERO_OUT):
-                a = mat_A(n, int(i), int(j), side)
-                d = directed_distance(v, int(i), int(j), side)
-                assert dot(a, x) == pytest.approx(d, abs=1e-10 * max(1, abs(d)))
+            a = mat_A(n, int(i), int(j))
+            d = directed_distance(v, int(i), int(j))
+            assert dot(a, x) == pytest.approx(d, abs=1e-10 * max(1, abs(d)))
 
     def test_ones_in_kernel(self, rng):
         ones = np.ones(5)
         for _ in range(10):
             i, j = rng.integers(0, 5, size=2)
-            for side in (Side.ZERO_IN, Side.ZERO_OUT):
-                assert np.max(np.abs(mat_A(5, int(i), int(j), side) @ ones)) <= 1e-12
-
-    def test_zero_out_is_swapped_zero_in(self, rng):
-        for _ in range(10):
-            i, j = int(rng.integers(0, 5)), int(rng.integers(0, 5))
-            assert np.array_equal(
-                mat_A(5, i, j, Side.ZERO_OUT), mat_A(5, j, i, Side.ZERO_IN)
-            )
+            assert np.max(np.abs(mat_A(5, int(i), int(j)) @ ones)) <= 1e-12
 
     def test_zero_out_agrees_on_integral_embeddings(self, rng):
-        # on +/- v_0 embeddings the swapped form reproduces the
-        # paper-style +v_0 distance for the 0-excluded side
+        # on +/- v_0 embeddings the distance of the reversed pair (j, i),
+        # which the reversed hypergraph measures, reproduces the
+        # paper-style +v_0 distance of (i, j) for the 0-excluded side
         v0 = rng.standard_normal(2)
         inside = {1, 3}  # cut excluding vertex 0
         vectors = np.stack([(-1 if i in inside else 1) * v0 for i in range(4)])
@@ -83,7 +74,7 @@ class TestMatA:
                     - (vectors[i] + vectors[0]) @ (vectors[i] + vectors[0])
                     + (vectors[j] + vectors[0]) @ (vectors[j] + vectors[0])
                 )
-                got = dot(mat_A(4, i, j, Side.ZERO_OUT), x)
+                got = dot(mat_A(4, j, i), x)
                 assert got == pytest.approx(d_lit, abs=1e-10)
 
 
@@ -332,11 +323,3 @@ class TestGramState:
         st = GramState.from_matrix(x)
         w = [1, 2, 1, 1, 2, 1]
         assert st.k_dot(w) == pytest.approx(float(np.tensordot(mat_K(w), x)), rel=1e-9)
-
-    def test_ddist_side_swap(self, rng):
-        x, v = random_gram(rng, 4)
-        st_in = GramState(x, v, Side.ZERO_IN)
-        st_out = GramState(x, v, Side.ZERO_OUT)
-        for i in range(4):
-            for j in range(4):
-                assert st_out.ddist(i, j) == pytest.approx(st_in.ddist(j, i), rel=1e-10, abs=1e-12)
