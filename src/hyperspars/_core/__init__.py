@@ -1,25 +1,12 @@
-"""Kernel selection: compiled Cython max-flow if available, else pure Python.
+"""The max-flow kernel: Dinic with capacity scaling, in pure Python.
 
-Set ``HYPERSPARS_PUREPY=1`` to force the Python fallback (used by the kernel
-equivalence tests and the benchmark).
+``_impl`` and ``HAVE_COMPILED`` name the kernel for benchmark provenance;
+there is no compiled kernel.
 """
 
-import os
+from . import _maxflow_py as _impl
 
-from . import _maxflow_py
-
-if os.environ.get("HYPERSPARS_PUREPY") == "1":
-    _impl = _maxflow_py
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _maxflow as _impl  # type: ignore[attr-defined]
-
-        HAVE_COMPILED = True
-    except ImportError:
-        _impl = _maxflow_py
-        HAVE_COMPILED = False
-
+HAVE_COMPILED = False
 max_flow_arrays = _impl.max_flow_arrays
 
 __all__ = ["max_flow_arrays", "HAVE_COMPILED"]

@@ -1,8 +1,7 @@
-"""Pure-Python Dinic max-flow kernel (fallback for the Cython extension).
+"""The max-flow kernel: Dinic with capacity scaling, in pure Python.
 
-Same contract as ``hyperspars._core._maxflow.max_flow_arrays``: arc-array
-input, returns the flow value, per-arc flows, and the residual reachability
-mask whose boundary is a minimum cut.
+Arc-array input; returns the flow value, per-arc flows, and the residual
+reachability mask whose boundary is a minimum cut.
 """
 
 from __future__ import annotations

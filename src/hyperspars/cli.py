@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -130,13 +131,7 @@ def cmd_solve(args) -> int:
             )
         else:
             if args.alpha is not None:
-                cfg = SolverConfig(
-                    t_cap=cfg.t_cap,
-                    side_policy=cfg.side_policy,
-                    alpha_lo=args.alpha / 4.0,
-                    alpha_hi=args.alpha * 4.0,
-                    oracle=cfg.oracle,
-                )
+                cfg = replace(cfg, alpha_lo=args.alpha / 4.0, alpha_hi=args.alpha * 4.0)
             result = binary_search(h_solve, cfg, rng)
     except (ValueError, OracleInvariantError) as exc:
         # instances and options the solver rejects, e.g. a single vertex,

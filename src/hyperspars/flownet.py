@@ -1,17 +1,20 @@
 """Max-flow on the reduced digraph, lifting flows back to hypergraph flows,
 and decomposing them into triangle terms plus an endpoint demand matrix.
 
-Flows are floating point with a 1e-9 conservation tolerance; the exact
-rational layer stops at the hypergraph module.
+The max-flow kernel is ``_core.max_flow_arrays``, Dinic with capacity
+scaling in pure Python.  Flows are floating point with a 1e-9 conservation
+tolerance; the exact rational layer stops at the hypergraph module.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+# perfbench/tracing.py wraps max_flow_arrays in this module's namespace
 from ._core import max_flow_arrays
 from .hypergraph import DirectedHypergraph, ReducedDigraph
 from .sdpcore import GramState, TriangleId
@@ -22,6 +25,7 @@ __all__ = [
     "FlowAssignment",
     "FlowDecomposition",
     "build_flow_instance",
+    "flow_tolerance",
     "max_flow",
     "lift_flow",
     "flow_matrix",
@@ -101,10 +105,20 @@ def build_flow_instance(
     )
 
 
+def flow_tolerance(instance: FlowInstance) -> float:
+    """The kernel's residual tolerance for ``instance``.
+
+    No flow exceeds either terminal total, so the tolerance follows those
+    totals rather than the largest arc: the gadget weight can exceed the
+    terminal capacities by many orders of magnitude.  Without terminal
+    capacity it is the smallest normal float, and the flow is 0.
+    """
+    terminal = max(instance.total_source_cap, instance.total_sink_cap)
+    return max(1e-12 * terminal, sys.float_info.min)
+
+
 def max_flow(instance: FlowInstance) -> MaxFlowResult:
     """Maximum s-t flow; the reachability mask induces a minimum cut."""
-    scale = max(instance.cap, default=0.0)
-    eps = 1e-12 * max(scale, 1.0)
     value, flow, reach = max_flow_arrays(
         instance.num_nodes,
         instance.arc_from,
@@ -112,7 +126,7 @@ def max_flow(instance: FlowInstance) -> MaxFlowResult:
         instance.cap,
         instance.s,
         instance.t,
-        eps,
+        flow_tolerance(instance),
     )
     return MaxFlowResult(float(value), tuple(flow), tuple(bool(r) for r in reach))
 

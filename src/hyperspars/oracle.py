@@ -721,8 +721,10 @@ def certificate_check(
 ) -> tuple[bool, dict]:
     """Numerically verify every certificate bullet; returns (ok, report).
 
-    Bullets: z >= alpha; (sum f_p T_p + z K) . X <= F . X + 1e-7; f_p >= 0;
-    F annihilates the ones vector; F is zero or backed by a capacity-
+    Bullets: z >= alpha; f_p >= 0; every triangle vertex lies in [0, n);
+    every flow entry (e, i, j, f) names an edge e of h with i in its tail
+    and j in its head; (sum f_p T_p + z K) . X <= F . X + 1e-7; F
+    annihilates the ones vector; F is zero or backed by a capacity-
     respecting flow; the residual width is at most rho.  This is the one
     place the residual R = sum f_p T_p + z K - F and its width are formed:
     once reached, they are in the report as ``residual`` and ``width``.
@@ -745,6 +747,19 @@ def certificate_check(
 
     if any(f < 0 for f in cert.triangle_weights.values()):
         return fail("negative_triangle_weight")
+
+    # the structure the matrices below index by, checked before any is built
+    if any(not 0 <= v < n for tri in cert.triangle_weights for v in tri):
+        return fail("triangle_vertex_range")
+    if cert.flow is not None:
+        for e_idx, i, j, _ in cert.flow:
+            if not 0 <= e_idx < h.m:
+                report["flow_entry"] = (e_idx, i, j)
+                return fail("flow_edge_range")
+            edge = h.edges[e_idx]
+            if i not in edge.tail or j not in edge.head:
+                report["flow_entry"] = (e_idx, i, j)
+                return fail("flow_pair_not_in_edge")
 
     f_mat = cert.flow_matrix_dense(n)
     t_mat = flownet.triangle_matrix_sum(cert.triangle_weights, n)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict, fields
 from fractions import Fraction
-from typing import Any
 
 import numpy as np
 
@@ -58,52 +58,20 @@ def _cut_dict(h: DirectedHypergraph, cut: Cut | None) -> dict | None:
     }
 
 
-def _oracle_cfg_dict(cfg: OracleConfig) -> dict:
-    return {
-        "c_ball": cfg.c_ball,
-        "cap_c1": cfg.cap_c1,
-        "c_A": cfg.c_A,
-        "c_A2": cfg.c_A2,
-        "c_rho": cfg.c_rho,
-        "sigma": cfg.sigma,
-        "c_frac": cfg.c_frac,
-        "s_viol": cfg.s_viol,
-        "c_path": cfg.c_path,
-        "mu": cfg.mu,
-        "dual_scale": cfg.dual_scale,
-        "n_dirs": cfg.n_dirs,
-        "rng_seed": cfg.rng_seed,
-        "tol_norm": cfg.tol_norm,
-    }
+def _known_fields(cls, d: dict) -> dict:
+    # unknown keys, such as the retired c_D and c_T or the report's seed
+    # and mode, are ignored
+    return {f.name: d[f.name] for f in fields(cls) if f.name in d}
 
 
 def oracle_config_from_dict(d: dict) -> OracleConfig:
-    # unknown keys, such as the retired c_D and c_T, are ignored
-    known = {k: d[k] for k in _oracle_cfg_dict(OracleConfig()) if k in d}
-    return OracleConfig(**known)
+    return OracleConfig(**_known_fields(OracleConfig, d))
 
 
 def solver_config_from_dict(d: dict) -> SolverConfig:
-    oracle = oracle_config_from_dict(d.get("oracle", {}))
-    kwargs: dict[str, Any] = {"oracle": oracle}
-    for key in ("t_cap", "eta_override", "alpha_lo", "alpha_hi", "search_ratio",
-                "side_policy", "max_probes"):
-        if key in d:
-            kwargs[key] = d[key]
-    return SolverConfig(**kwargs)
-
-
-def _solver_cfg_dict(cfg: SolverConfig) -> dict:
-    return {
-        "t_cap": cfg.t_cap,
-        "eta_override": cfg.eta_override,
-        "alpha_lo": cfg.alpha_lo,
-        "alpha_hi": cfg.alpha_hi,
-        "search_ratio": cfg.search_ratio,
-        "side_policy": cfg.side_policy,
-        "max_probes": cfg.max_probes,
-        "oracle": _oracle_cfg_dict(cfg.oracle),
-    }
+    known = _known_fields(SolverConfig, d)
+    known["oracle"] = oracle_config_from_dict(d.get("oracle", {}))
+    return SolverConfig(**known)
 
 
 def _triangles_list(weights: dict[TriangleId, float]) -> list[list]:
@@ -175,7 +143,7 @@ def solve_report(
             "kappa": h.kappa,
             "total_weight": h.total_weight,
         },
-        "config": dict(_solver_cfg_dict(cfg), seed=seed, mode=mode),
+        "config": dict(asdict(cfg), seed=seed, mode=mode),
         "outcome": "cut" if result.best_cut is not None else "no-cut",
         "cut": _cut_dict(h, result.best_cut),
         "sparsity": float(result.best_cut.sparsity) if result.best_cut else None,

@@ -4,13 +4,17 @@ import json
 
 import pytest
 
+from hyperspars import oracle
 from hyperspars.cli import main
+from hyperspars.flownet import MaxFlowResult
 from hyperspars.hypergraph import parse_dhg
 from hyperspars.report import verify_report
 
 TOY = "dhg 2 2\nv a 1\nv b 1\ne 1 T a H b\ne 1 T b H a\n"
 
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
+
+WIDE = "dhg 3 2\nv a 1\nv b 1\nv c 1\ne 1/10000000 T a H b c\ne 10000000 T b c H a\n"
 
 PLANTED = (
     "dhg 6 8\n"
@@ -81,18 +85,34 @@ class TestSolve:
         assert err.startswith("error: ") and "two vertices" in err
         assert "Traceback" not in err
 
-    def test_oracle_invariant_error_exit_1(self, tmp_path, capsys):
-        # an edge-weight ratio of 1e14 trips the max-flow tolerance and Case
-        # 1A returns an improper cut: an error, not an aborted probe
-        wide = tmp_path / "wide.dhg"
-        wide.write_text(
-            "dhg 3 2\nv a 1\nv b 1\nv c 1\n"
-            "e 1/10000000 T a H b c\ne 10000000 T b c H a\n"
-        )
-        assert main(["solve", str(wide), "--seed", "0"]) == 1
+    def test_oracle_invariant_error_exit_1(self, toy_file, capsys, monkeypatch):
+        # a max-flow that loses its whole flow makes Case 1A return an
+        # improper cut: an error, not an aborted probe
+        real = oracle.max_flow
+
+        def lossy(inst):
+            res = real(inst)
+            reach = tuple(k == inst.s for k in range(inst.num_nodes))
+            return MaxFlowResult(0.0, (0.0,) * len(res.arc_flow), reach)
+
+        monkeypatch.setattr(oracle, "max_flow", lossy)
+        assert main(["solve", toy_file, "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: case 1A produced an improper cut")
         assert "Traceback" not in err
+
+    def test_wide_weight_ratio(self, tmp_path, capsys):
+        # an edge-weight ratio of 1e14; the cut is the brute-force optimum
+        wide = tmp_path / "wide.dhg"
+        wide.write_text(WIDE)
+        out = str(tmp_path / "r.json")
+        assert main(["solve", str(wide), "--seed", "0", "--t-cap", "20", "--json", "-o", out]) == 0
+        doc = json.loads(open(out).read())
+        assert doc["cut"]["vertices"] == ["a"]
+        assert doc["cut"]["sparsity"] == "1/20000000"
+        assert main(["exact", str(wide), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sparsity"] == "1/20000000"
+        assert main(["check-cert", out, str(wide)]) == 0
 
     def test_no_cut_exit_2(self, toy_file, tmp_path, capsys):
         # single tiny-alpha run without search: both sides go dual/abort
@@ -231,6 +251,52 @@ class TestCheckCert:
             row[3] *= 1e6
         open(out, "w").write(json.dumps(doc))
         assert main(["check-cert", out, inp]) == 3
+
+    def rejected(self, doc, out, inp, capsys) -> str:
+        open(out, "w").write(json.dumps(doc))
+        assert main(["check-cert", out, inp]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "column, value, bullet",
+        [
+            (0, -1, "flow_edge_range"),
+            (0, "m", "flow_edge_range"),
+            (1, -1, "flow_pair_not_in_edge"),
+            (1, "n", "flow_pair_not_in_edge"),
+        ],
+        ids=["edge_minus_1", "edge_m", "tail_minus_1", "tail_n"],
+    )
+    def test_flow_entry_outside_instance_rejected(self, tmp_path, capsys, column, value, bullet):
+        inp, out = self.make_report(tmp_path)
+        doc = json.loads(open(out).read())
+        target = next(cert for cert in doc["certificates"] if cert["flow"])
+        target["flow"][0][column] = doc["instance"][value] if isinstance(value, str) else value
+        assert f"certificate check failed: {bullet}" in self.rejected(doc, out, inp, capsys)
+
+    def test_triangle_vertex_outside_instance_rejected(self, tmp_path, capsys):
+        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        doc = json.loads(open(out).read())
+        target = next(cert for cert in doc["certificates"] if cert["f_p"])
+        target["f_p"][0][2] = doc["instance"]["n"]
+        err = self.rejected(doc, out, inp, capsys)
+        assert "certificate check failed: triangle_vertex_range" in err
+
+    def test_out_report_relabelled_in_rejected(self, planted_file, tmp_path, capsys):
+        # the flow of an "out" run pairs tail and head of the reversed
+        # instance; relabelled "in", its entries are not pairs of h
+        out = str(tmp_path / "r.json")
+        main(["solve", planted_file, "--seed", "7", "--side", "out", "--t-cap", "5",
+              "--alpha", "1e-6", "--no-search", "--json", "-o", out])
+        doc = json.loads(open(out).read())
+        assert any(cert["flow"] for cert in doc["certificates"])
+        doc["config"]["side_policy"] = "in"
+        for entry in doc["transcript"] + doc["certificates"]:
+            entry["side"] = "in"
+        err = self.rejected(doc, out, planted_file, capsys)
+        assert "certificate check failed: flow_pair_not_in_edge" in err
 
     def test_wrong_instance_rejected(self, tmp_path, capsys):
         inp, out = self.make_report(tmp_path)
