@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,13 +29,8 @@ from .hypergraph import (
     serialize_dhg,
     weighted_degrees,
 )
-from .oracle import OracleInvariantError
-from .report import (
-    dumps_report,
-    oracle_config_from_dict,
-    solve_report,
-    verify_report,
-)
+from .oracle import OracleConfig, OracleInvariantError
+from .report import dumps_report, solve_report, verify_report
 
 __all__ = ["main"]
 
@@ -60,18 +55,18 @@ def _resolve_seed(args) -> int:
     raise SystemExit("error: --seed (or HYPERSPARS_SEED) is required")
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _solver_config(args) -> SolverConfig:
-    oracle_kwargs = {}
+    constants = {}
     if args.constants:
         with open(args.constants, "r", encoding="utf-8") as fh:
-            oracle_kwargs = json.load(fh)
-    oracle_kwargs["rng_seed"] = _resolve_seed(args)
-    oracle = oracle_config_from_dict(oracle_kwargs)
-    kwargs = {"oracle": oracle, "side_policy": args.side}
+            constants = json.load(fh)
+        if not isinstance(constants, dict):
+            raise ValueError(f"{args.constants}: constants must be a JSON object")
+        # unlike a report's config, a typo here would silently keep a default
+        unknown = sorted(set(constants) - {f.name for f in fields(OracleConfig)})
+        if unknown:
+            raise ValueError(f"{args.constants}: unknown constant {', '.join(unknown)}")
+    kwargs = {"oracle": OracleConfig(**constants), "side_policy": args.side}
     if args.t_cap is not None:
         kwargs["t_cap"] = args.t_cap
     return SolverConfig(**kwargs)
@@ -122,13 +117,8 @@ def cmd_solve(args) -> int:
     try:
         if args.alpha is not None and args.no_search:
             probe = run_both_sides(h_solve, args.alpha, cfg, rng)
-            result = SolveResult(
-                probe.best_cut,
-                args.alpha / 2.0 if probe.certified and cfg.side_policy == "both" else None,
-                [probe],
-                args.alpha,
-                args.alpha,
-            )
+            bound = probe.lower_bound
+            result = SolveResult(probe.best_cut, bound, [probe], args.alpha, args.alpha)
         else:
             if args.alpha is not None:
                 cfg = replace(cfg, alpha_lo=args.alpha / 4.0, alpha_hi=args.alpha * 4.0)
@@ -141,7 +131,7 @@ def cmd_solve(args) -> int:
 
     if mode == "expansion" and result.best_cut is not None:
         extra["expansion"] = {
-            k: (_frac_str(v) if isinstance(v, Fraction) else v)
+            k: (str(v) if isinstance(v, Fraction) else v)
             for k, v in _expansion_estimate(h, result.best_cut.subset).items()
         }
         extra["scaled_weights"] = list(h_solve.vertex_weights)
@@ -159,7 +149,7 @@ def _format_solve_text(h, result, extra) -> str:
     else:
         names = sorted(h.names[v] for v in result.best_cut.subset)
         lines.append(f"cut: {{{', '.join(names)}}}")
-        lines.append(f"sparsity: {_frac_str(result.best_cut.sparsity)}"
+        lines.append(f"sparsity: {result.best_cut.sparsity}"
                      f" ({float(result.best_cut.sparsity):.6g})")
     if result.lower_bound:
         lines.append(f"lower bound: {result.lower_bound:.6g}")
@@ -199,13 +189,13 @@ def cmd_exact(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = {
-        "sparsity": _frac_str(theta),
+        "sparsity": str(theta),
         "sparsity_float": float(theta),
         "sparsest_subset": sorted(h.names[v] for v in s_star),
     }
     try:
         e_star, phi = reference.brute_force_expansion(h)
-        doc["expansion"] = _frac_str(phi)
+        doc["expansion"] = str(phi)
         doc["expansion_float"] = float(phi)
         doc["expansion_subset"] = sorted(h.names[v] for v in e_star)
     except ValueError as exc:
@@ -289,10 +279,10 @@ def cmd_reduce(args) -> int:
             for v in range(rd.num_vertices)
         ],
         "arcs": [
-            {"from": names[u], "to": names[v], "w": _frac_str(w)}
+            {"from": names[u], "to": names[v], "w": str(w)}
             for u, v, w in rd.arcs
         ],
-        "big_weight": _frac_str(rd.big_weight),
+        "big_weight": str(rd.big_weight),
     }
     _write_output(args.output, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return 0

@@ -65,7 +65,6 @@ class SolverConfig:
     """Binary-search geometry, iteration caps, and oracle constants."""
 
     t_cap: int = 5000
-    eta_override: float | None = None
     alpha_lo: float | None = None
     alpha_hi: float | None = None
     search_ratio: float = 1.5
@@ -160,7 +159,7 @@ def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> tuple[GramState, 
     vectors = vectors - vectors.mean(axis=0)
     kv = k_dot_dist2(squared_distances(vectors), vertex_weights)
     vectors = vectors / math.sqrt(kv)
-    state = GramState(vectors @ vectors.T, vectors)
+    state = GramState(vectors)
     return state, shift + math.log(kdw_scaled)
 
 
@@ -189,7 +188,7 @@ def run_algorithm1(
     if h.n < 2:
         raise ValueError("solver needs at least two vertices")
     if rng is None:
-        rng = np.random.default_rng(cfg.oracle.rng_seed)
+        rng = np.random.default_rng(0)
 
     h_run = h if side == "in" else reverse(h)
     rd = reduce_to_digraph(h_run)
@@ -198,7 +197,7 @@ def run_algorithm1(
     rho = cfg.oracle.rho(alpha, h)
     t_theory = theoretical_iterations(alpha, h, cfg.oracle)
     t_horizon = min(t_theory, cfg.t_cap)
-    eta = cfg.eta_override or math.sqrt(math.log(n) / t_horizon)
+    eta = math.sqrt(math.log(n) / t_horizon)
 
     run = AlgorithmRun(
         alpha=alpha,
@@ -275,6 +274,11 @@ class ProbeResult:
     def found_cut(self) -> bool:
         return any(r.outcome == "cut" for r in self.runs.values())
 
+    @property
+    def lower_bound(self) -> float | None:
+        """alpha / 2 when both sides of vertex 0 ran and certified."""
+        return self.alpha / 2.0 if self.certified and set(self.runs) == {"in", "out"} else None
+
 
 def run_both_sides(
     h: DirectedHypergraph,
@@ -286,7 +290,7 @@ def run_both_sides(
     all sides to certify, a cut from any side counts."""
     cfg = cfg or SolverConfig()
     if rng is None:
-        rng = np.random.default_rng(cfg.oracle.rng_seed)
+        rng = np.random.default_rng(0)
     runs = {}
     for side in cfg.sides():
         runs[side] = run_algorithm1(h, alpha, side, cfg, rng)
@@ -345,7 +349,7 @@ def binary_search(
     if h.n < 2:
         raise ValueError("solver needs at least two vertices")
     if rng is None:
-        rng = np.random.default_rng(cfg.oracle.rng_seed)
+        rng = np.random.default_rng(0)
 
     baseline = _singleton_baseline(h)
     best_cut = baseline
@@ -380,8 +384,8 @@ def binary_search(
             if best_cut.sparsity == 0:
                 break
         else:
-            if probe.certified and cfg.side_policy == "both":
-                lower_bound = max(lower_bound or 0.0, alpha / 2.0)
+            if probe.lower_bound is not None:
+                lower_bound = max(lower_bound or 0.0, probe.lower_bound)
             lo = alpha
 
     return SolveResult(best_cut, lower_bound, probes, lo, hi, baseline)

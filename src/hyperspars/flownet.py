@@ -16,8 +16,8 @@ import numpy as np
 
 # perfbench/tracing.py wraps max_flow_arrays in this module's namespace
 from ._core import max_flow_arrays
-from .hypergraph import DirectedHypergraph, ReducedDigraph
-from .sdpcore import GramState, TriangleId
+from .hypergraph import ReducedDigraph
+from .sdpcore import TriangleId, add_mat_A, add_mat_T
 
 __all__ = [
     "FlowInstance",
@@ -32,13 +32,9 @@ __all__ = [
     "pair_flow",
     "decompose",
     "demand_matrix",
-    "demand_norm_bound",
-    "capacity_duality_check",
-    "DEFAULT_DEMAND_NORM_CONST",
 ]
 
 CONSERVATION_TOL = 1e-9
-DEFAULT_DEMAND_NORM_CONST = 8.0
 
 
 @dataclass(frozen=True)
@@ -192,18 +188,8 @@ def flow_matrix(fa: FlowAssignment, n: int) -> np.ndarray:
     """F = sum over (e, i, j) of f * mat_A(i, j); annihilates the ones vector."""
     m = np.zeros((n, n))
     for _, i, j, f in fa:
-        _accumulate_a(m, i, j, f)
+        add_mat_A(m, i, j, f)
     return m
-
-
-def _accumulate_a(m: np.ndarray, i: int, j: int, coeff: float) -> None:
-    for p, q, c in ((i, j, coeff), (i, 0, -coeff), (j, 0, coeff)):
-        if p == q:
-            continue
-        m[p, p] += c
-        m[q, q] += c
-        m[p, q] -= c
-        m[q, p] -= c
 
 
 def pair_flow(fa: FlowAssignment) -> dict[tuple[int, int], float]:
@@ -329,38 +315,8 @@ def demand_matrix(demand: Mapping[tuple[int, int], float], n: int) -> np.ndarray
     """D = sum of d_ij * mat_A(i, j)."""
     m = np.zeros((n, n))
     for (i, j), f in demand.items():
-        _accumulate_a(m, i, j, f)
+        add_mat_A(m, i, j, f)
     return m
-
-
-def demand_norm_bound(
-    demand: Mapping[tuple[int, int], float],
-    norm_const: float = DEFAULT_DEMAND_NORM_CONST,
-) -> float:
-    """Upper bound norm_const * sum(d_ij) on the demand matrix spectral norm."""
-    return norm_const * sum(demand.values())
-
-
-def capacity_duality_check(
-    fa: FlowAssignment,
-    state: GramState,
-    h: DirectedHypergraph,
-    tol: float = 1e-9,
-) -> bool:
-    """Weak duality predicate: F . X <= sum_e c_e d_e with c_e = w_e / 2.
-
-    Holds for every capacity-respecting flow; exposed as a test predicate.
-    """
-    f_dot_x = sum(f * state.ddist(i, j) for _, i, j, f in fa)
-    bound = 0.0
-    for e in h.edges:
-        d_e = max(
-            [0.0]
-            + [state.ddist(i, j) for i in sorted(e.tail) for j in sorted(e.head)]
-        )
-        bound += float(e.weight) / 2.0 * d_e
-    scale = max(abs(f_dot_x), abs(bound), 1.0)
-    return f_dot_x <= bound + tol * scale
 
 
 def triangle_matrix_sum(
@@ -369,24 +325,5 @@ def triangle_matrix_sum(
     """sum of f_p * mat_T(p) accumulated densely."""
     m = np.zeros((n, n))
     for tri, f in triangles.items():
-        for p, q, c in (
-            (tri.a, tri.mid, f),
-            (tri.mid, tri.b, f),
-            (tri.a, tri.b, -f),
-        ):
-            m[p, p] += c
-            m[q, q] += c
-            m[p, q] -= c
-            m[q, p] -= c
+        add_mat_T(m, tri, f)
     return m
-
-
-def decomposition_matrix_identity_gap(
-    fa: FlowAssignment,
-    dec: FlowDecomposition,
-    n: int,
-) -> float:
-    """Max-abs gap of F(cycle-free) - (sum f_p T_p + D); should be ~0."""
-    lhs = flow_matrix(fa, n) - demand_matrix(dec.dropped_pairs, n)
-    rhs = triangle_matrix_sum(dec.triangle_weights, n) + demand_matrix(dec.demand, n)
-    return float(np.max(np.abs(lhs - rhs)))

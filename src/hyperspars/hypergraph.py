@@ -33,10 +33,7 @@ __all__ = [
     "expansion",
     "weighted_degrees",
     "reduce_to_digraph",
-    "transform_subset",
-    "restrict_subset",
     "reverse",
-    "digraph_cut_weight",
 ]
 
 
@@ -315,10 +312,6 @@ def parse_dhg(text: str | bytes) -> DirectedHypergraph:
     return DirectedHypergraph(tuple(names), tuple(weights), tuple(edges))
 
 
-def _fmt_weight(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-
-
 def serialize_dhg(h: DirectedHypergraph) -> str:
     """Canonical text form: vertices sorted by name, edges in input order."""
     order = sorted(range(h.n), key=lambda i: h.names[i])
@@ -328,7 +321,7 @@ def serialize_dhg(h: DirectedHypergraph) -> str:
     for e in h.edges:
         tail = " ".join(sorted(h.names[i] for i in e.tail))
         head = " ".join(sorted(h.names[i] for i in e.head))
-        out.append(f"e {_fmt_weight(e.weight)} T {tail} H {head}")
+        out.append(f"e {e.weight} T {tail} H {head}")
     return "\n".join(out) + "\n"
 
 
@@ -428,44 +421,6 @@ def _reduce(h: DirectedHypergraph) -> ReducedDigraph:
         for v in sorted(e.head):
             arcs.append((h_node, v, big))
     return ReducedDigraph(h, tuple(arcs), big, tuple(edge_arc_index))
-
-
-def transform_subset(rd: ReducedDigraph, subset: Iterable[int]) -> frozenset[int]:
-    """Canonical lift of an original subset into the reduced digraph."""
-    s = frozenset(subset)
-    h = rd.base
-    lifted = set(s)
-    for k, e in enumerate(h.edges):
-        if not e.tail.isdisjoint(s):
-            lifted.add(rd.tail_node(k))
-        if e.head <= s:
-            lifted.add(rd.head_node(k))
-    return frozenset(lifted)
-
-
-def digraph_cut_weight(rd: ReducedDigraph, subset: Iterable[int]) -> Fraction:
-    """Weight of arcs leaving ``subset`` in the reduced digraph."""
-    s = set(subset)
-    return sum((w for u, v, w in rd.arcs if u in s and v not in s), Fraction(0))
-
-
-def restrict_subset(rd: ReducedDigraph, subset: Iterable[int]) -> tuple[frozenset[int], bool]:
-    """Project a digraph subset back to original vertices.
-
-    The flag certifies cut-weight preservation: the digraph cut stayed
-    below the gadget weight M and the projected subset's out-going cut
-    equals it.  (Below M alone does not suffice: a tail gadget node without
-    any of its tail vertices keeps the edge arc in the digraph cut while
-    contributing nothing to the restricted cut.)
-    """
-    s = set(subset)
-    restricted = frozenset(v for v in s if v < rd.base.n)
-    dig = digraph_cut_weight(rd, s)
-    if dig >= rd.big_weight:
-        return restricted, False
-    crossing = [k for k in out_cut(rd.base, restricted)]
-    hyp = sum((rd.base.edges[k].weight for k in crossing), Fraction(0))
-    return restricted, hyp == dig
 
 
 def reverse(h: DirectedHypergraph) -> DirectedHypergraph:

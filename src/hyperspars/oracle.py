@@ -78,6 +78,9 @@ class InconsistentStateError(ValueError):
     """Input state contradicts the K . X = 1 normalization."""
 
 
+TOL_NORM = 1e-6  # slack allowed in the input state's K . X = 1
+
+
 def log2_skew(h: DirectedHypergraph) -> float:
     """log2(kappa * n) floored at 1; the log factor of the ratio bounds."""
     return max(1.0, math.log2(h.kappa * h.n))
@@ -92,39 +95,29 @@ def log2_weight(h: DirectedHypergraph) -> float:
 class OracleConfig:
     """Explicit values for every constant the analysis leaves inside O(.).
 
-    beta is derived (32 c_path / (9 mu s_viol c_frac)) so the Case-2 capacity
+    beta is derived (32 c_path / (9 s_viol c_frac)) so the Case-2 capacity
     coefficient stays consistent with the violated-path parameters.
     """
 
     c_ball: float = 0.25
     cap_c1: float = 8.0
     c_A: float = 64.0
-    c_A2: float | None = None  # default: the provable 4 * beta
     c_rho: float = 16.0
     sigma: float = 1.0 / 48.0
     c_frac: float = 1.0 / 128.0
     s_viol: float = 0.25
     c_path: float = 4.0
-    mu: float = 1.0
     dual_scale: float = 1.25
     n_dirs: int | None = None
-    rng_seed: int = 0
-    tol_norm: float = 1e-6
 
     @property
     def beta(self) -> float:
-        return 32.0 * self.c_path / (9.0 * self.mu * self.s_viol * self.c_frac)
+        return 32.0 * self.c_path / (9.0 * self.s_viol * self.c_frac)
 
     @property
     def eta_stretch(self) -> float:
-        # equals mu * s_viol / (4 c_path) by the choice of beta
+        # equals s_viol / (4 c_path) by the choice of beta
         return 8.0 / (9.0 * self.c_frac * self.beta)
-
-    @property
-    def c_A2_effective(self) -> float:
-        # the well-spread flow case guarantees sparsity below
-        # 4 beta sqrt(log) alpha; a fixed override tightens the assert
-        return self.c_A2 if self.c_A2 is not None else 4.0 * self.beta
 
     def n_dirs_for(self, n: int) -> int:
         if self.n_dirs is not None:
@@ -138,10 +131,11 @@ class OracleConfig:
     def ratio_bound(self, alpha: float, h: DirectedHypergraph, case: str) -> float:
         if case.startswith("1"):
             return self.c_A * alpha
-        return self.c_A2_effective * math.sqrt(log2_skew(h)) * alpha
+        # the well-spread flow case guarantees sparsity below 4 beta sqrt(log) alpha
+        return 4.0 * self.beta * math.sqrt(log2_skew(h)) * alpha
 
     def path_cap(self, h: DirectedHypergraph) -> int:
-        return math.ceil((2.0 * self.c_path / self.mu) * math.sqrt(log2_weight(h)))
+        return math.ceil(2.0 * self.c_path * math.sqrt(log2_weight(h)))
 
 
 @dataclass(frozen=True)
@@ -210,12 +204,12 @@ def run_oracle(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(0)
 
     omega = np.array(h.vertex_weights, dtype=float)
     total = float(h.total_weight)
     kdot = state.k_dot(h.vertex_weights)
-    if abs(kdot - 1.0) > cfg.tol_norm:
+    if abs(kdot - 1.0) > TOL_NORM:
         raise ValueError(f"state not normalized: K.X = {kdot:.9g}")
 
     if rd is None:
@@ -224,9 +218,8 @@ def run_oracle(
     d2 = state.pairwise_dist2()
     radius2 = 1.0 / (8.0 * total * total)
     ball_w = _ball_weights(d2, omega, radius2)
-    i0 = int(np.argmax(ball_w))
-    if ball_w[i0] >= cfg.c_ball * total:
-        return case1(alpha, state, h, cfg, i0=i0, rd=rd)
+    if ball_w.max() >= cfg.c_ball * total:
+        return case1(alpha, state, h, cfg, ball_w=ball_w, rd=rd)
     return case2(alpha, state, h, cfg, rng=rng, rd=rd)
 
 
@@ -295,13 +288,13 @@ def _scaled_flow_dual(
     cfg: OracleConfig,
     fa: FlowAssignment,
     dec,
+    d_dot_x: float,
     case: str,
     extra: dict,
 ) -> OracleOutcome:
     """Dual outcome from a saturating flow, scaled down to what the demand
     bound needs: D . X barely above alpha keeps the certificate width small
     without touching any other bullet (scaling preserves them all)."""
-    d_dot_x = sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
     extra = dict(extra, d_dot_x=d_dot_x)
     scale = 1.0
     if d_dot_x > alpha:
@@ -320,7 +313,7 @@ def case1(
     state: GramState,
     h: DirectedHypergraph,
     cfg: OracleConfig,
-    i0: int | None = None,
+    ball_w: np.ndarray | None = None,
     rd: ReducedDigraph | None = None,
 ) -> OracleOutcome:
     """Concentrated-vectors case: one max-flow decides cut versus dual."""
@@ -328,11 +321,12 @@ def case1(
     total = float(h.total_weight)
     d2 = state.pairwise_dist2()
     radius2 = 1.0 / (8.0 * total * total)
-    if i0 is None:
-        i0 = int(np.argmax(_ball_weights(d2, omega, radius2)))
-    in_ball = d2[i0] <= radius2
-    if _ball_weights(d2, omega, radius2)[i0] < cfg.c_ball * total:
+    if ball_w is None:
+        ball_w = _ball_weights(d2, omega, radius2)
+    i0 = int(np.argmax(ball_w))
+    if ball_w[i0] < cfg.c_ball * total:
         raise ValueError("case1 precondition: no concentrated ball")
+    in_ball = d2[i0] <= radius2
     left = [int(v) for v in np.flatnonzero(in_ball)]
     right = [int(v) for v in np.flatnonzero(~in_ball)]
     if not right:
@@ -373,7 +367,8 @@ def case1(
     fa = lift_flow(res, inst)
     dec = decompose(fa, sources.keys(), sinks.keys())
     extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
-    return _scaled_flow_dual(alpha, state, h, cfg, fa, dec, "1B", extra)
+    d_dot_x = sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
+    return _scaled_flow_dual(alpha, state, h, cfg, fa, dec, d_dot_x, "1B", extra)
 
 
 def preprocess_wellspread(
@@ -423,6 +418,7 @@ def _direction_split_once(
     vhat: np.ndarray,
     omega: np.ndarray,
     members: np.ndarray,
+    dist0: np.ndarray,
     u: np.ndarray,
     cfg: OracleConfig,
     total: float,
@@ -431,7 +427,7 @@ def _direction_split_once(
 
     Returns (direction, L, R) or None.  Every (i, j) in L x R satisfies the
     projection stretch along the returned direction and
-    d(i, j) >= |v_i - v_j|^2.
+    d(i, j) >= |v_i - v_j|^2.  ``dist0`` holds the norms |vhat_i - vhat_0|.
     """
     proj = vhat[members] @ u
     order = np.argsort(proj, kind="stable")
@@ -454,9 +450,6 @@ def _direction_split_once(
     if sorted_proj[len(sorted_members) - k_hi - 1] - sorted_proj[k_lo] < stretch:
         return None
 
-    dist0 = np.sqrt(
-        np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0])
-    )
     r_med = _weighted_median(dist0[l0], omega[l0])
     l0_minus = l0[dist0[l0] <= r_med]
     l0_plus = l0[dist0[l0] >= r_med]
@@ -491,12 +484,13 @@ def case2(
 ) -> OracleOutcome:
     """Well-spread case: sampled direction, flow, then cut / dual / path."""
     if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(0)
     omega = np.array(h.vertex_weights, dtype=float)
     total = float(h.total_weight)
     s, i0 = preprocess_wellspread(state, h, cfg)
     vhat = _rescaled(state, total, i0)
     members = np.array(sorted(s), dtype=int)
+    dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
     rd = rd or reduce_to_digraph(h)
 
     sqlog = math.sqrt(log2_weight(h))
@@ -508,7 +502,7 @@ def case2(
     best_cut: OracleOutcome | None = None
     for _ in range(attempts):
         u = _random_direction(rng, vhat.shape[1])
-        got = _direction_split_once(vhat, omega, members, u, cfg, total)
+        got = _direction_split_once(vhat, omega, members, dist0, u, cfg, total)
         if got is None:
             continue
         u_eff, left, right = got
@@ -544,7 +538,7 @@ def case2(
         extra["d_dot_x"] = d_dot_x
         extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
         if d_dot_x >= alpha * (1 - 1e-9):
-            return _scaled_flow_dual(alpha, state, h, cfg, fa, dec, "2B", extra)
+            return _scaled_flow_dual(alpha, state, h, cfg, fa, dec, d_dot_x, "2B", extra)
 
         # at least half the flow sits on short rescaled pairs (Markov over
         # the demand given d_dot_x < alpha and flow >= threshold), which is
@@ -713,7 +707,7 @@ def _best_chain(
 
 
 def certificate_check(
-    cert: DualCertificate | OracleOutcome,
+    cert: DualCertificate,
     alpha: float,
     state: GramState,
     h: DirectedHypergraph,
@@ -729,10 +723,6 @@ def certificate_check(
     place the residual R = sum f_p T_p + z K - F and its width are formed:
     once reached, they are in the report as ``residual`` and ``width``.
     """
-    if isinstance(cert, OracleOutcome):
-        if cert.kind != "dual" or cert.dual is None:
-            raise ValueError("certificate_check needs a dual outcome")
-        cert = cert.dual
     n = h.n
     k = h.k_matrix
     report: dict = {"first_failure": None}

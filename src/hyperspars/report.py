@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,13 +36,8 @@ __all__ = [
     "solve_report",
     "dumps_report",
     "verify_report",
-    "oracle_config_from_dict",
     "solver_config_from_dict",
 ]
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _cut_dict(h: DirectedHypergraph, cut: Cut | None) -> dict | None:
@@ -51,7 +45,7 @@ def _cut_dict(h: DirectedHypergraph, cut: Cut | None) -> dict | None:
         return None
     return {
         "vertices": sorted(h.names[v] for v in cut.subset),
-        "sparsity": _frac_str(cut.sparsity),
+        "sparsity": str(cut.sparsity),
         "sparsity_float": float(cut.sparsity),
         "phi_plus": float(cut.phi_plus),
         "phi_minus": float(cut.phi_minus),
@@ -64,13 +58,9 @@ def _known_fields(cls, d: dict) -> dict:
     return {f.name: d[f.name] for f in fields(cls) if f.name in d}
 
 
-def oracle_config_from_dict(d: dict) -> OracleConfig:
-    return OracleConfig(**_known_fields(OracleConfig, d))
-
-
 def solver_config_from_dict(d: dict) -> SolverConfig:
     known = _known_fields(SolverConfig, d)
-    known["oracle"] = oracle_config_from_dict(d.get("oracle", {}))
+    known["oracle"] = OracleConfig(**_known_fields(OracleConfig, d.get("oracle", {})))
     return SolverConfig(**known)
 
 
@@ -162,16 +152,41 @@ def dumps_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _Malformed(ValueError):
+    """A transcript row or certificate entry that cannot be read."""
+
+
+def _finite(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
+def _run_fields(d: dict, *numbers: str) -> tuple:
+    """(probe, side, *numbers) of a transcript row or certificate entry."""
+    try:
+        if d["side"] not in ("in", "out"):
+            raise ValueError(f"unknown side {d['side']!r}")
+        return (int(d["probe"]), d["side"], *(_finite(d[key]) for key in numbers))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _Malformed(str(exc)) from None
+
+
 def _cert_from_entry(entry: dict) -> DualCertificate:
-    triangles = {
-        TriangleId.make(int(a), int(b), int(mid)): float(v)
-        for a, b, mid, v in entry["f_p"]
-    }
-    flow = entry.get("flow")
-    fa = None
-    if flow is not None:
-        fa = FlowAssignment(tuple((int(e), int(i), int(j), float(f)) for e, i, j, f in flow))
-    return DualCertificate(float(entry["z"]), triangles, fa, 0.0)
+    try:
+        # TriangleId.make raises ValueError on a repeated vertex
+        triangles = {
+            TriangleId.make(int(a), int(b), int(mid)): _finite(v)
+            for a, b, mid, v in entry["f_p"]
+        }
+        flow = entry.get("flow")
+        fa = None
+        if flow is not None:
+            fa = FlowAssignment(tuple((int(e), int(i), int(j), _finite(f)) for e, i, j, f in flow))
+        return DualCertificate(_finite(entry["z"]), triangles, fa, 0.0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _Malformed(str(exc)) from None
 
 
 def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
@@ -181,8 +196,15 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     certificate_check at every step, re-checks the regret inequality of
     every certified run, and validates the top-level cut and lower-bound
     claims against the transcript.  Returns (ok, first failing bullet or
-    None).
+    None); an unreadable entry fails as ``certificate_malformed``.
     """
+    try:
+        return _verify(doc, h)
+    except _Malformed:
+        return False, "certificate_malformed"
+
+
+def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     base = serialize_dhg(h)
     if doc.get("instance", {}).get("dhg") != base:
         # expansion-mode reports are solved on the degree-scaled instance
@@ -206,12 +228,13 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
         if not subset or len(subset) == n:
             return False, "cut_improper"
         actual = sparsity(h, subset)
-        if _frac_str(actual) != cut_claim.get("sparsity"):
+        if str(actual) != cut_claim.get("sparsity"):
             return False, "cut_sparsity_mismatch"
 
-    by_run: dict[tuple[int, str], list[dict]] = {}
+    by_run: dict[tuple[int, str], list[tuple[float, dict]]] = {}
     for entry in doc.get("certificates", []):
-        by_run.setdefault((int(entry["probe"]), str(entry["side"])), []).append(entry)
+        probe, side, t = _run_fields(entry, "t")
+        by_run.setdefault((probe, side), []).append((t, entry))
 
     # the lower bound must be backed by a probe on which every side of the
     # configured policy certified
@@ -223,8 +246,9 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
         alpha_by_probe: dict[int, float] = {}
         for tr in doc.get("transcript", []):
             if tr.get("outcome") == "certified":
-                certified_by_probe.setdefault(int(tr["probe"]), set()).add(str(tr["side"]))
-                alpha_by_probe[int(tr["probe"])] = float(tr["alpha"])
+                probe, side, alpha = _run_fields(tr, "alpha")
+                certified_by_probe.setdefault(probe, set()).add(side)
+                alpha_by_probe[probe] = alpha
         supported = [
             alpha_by_probe[p] / 2.0
             for p, sides in certified_by_probe.items()
@@ -234,21 +258,17 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
             return False, "lower_bound_unsupported"
 
     for tr in doc.get("transcript", []):
-        key = (int(tr["probe"]), str(tr["side"]))
-        entries = sorted(by_run.get(key, []), key=lambda e: int(e["t"]))
-        alpha = float(tr["alpha"])
-        rho = float(tr["rho"])
-        eta = float(tr["eta"])
-        side = str(tr["side"])
+        probe, side, alpha, rho, eta = _run_fields(tr, "alpha", "rho", "eta")
+        entries = sorted(by_run.get((probe, side), []), key=lambda te: te[0])
         h_run = reverse(h) if side == "out" else h
         expected_rho = cfg.oracle.rho(alpha, h)
         if not math.isclose(rho, expected_rho, rel_tol=1e-9):
             return False, "rho_mismatch"
-        if [int(e["t"]) for e in entries] != list(range(1, len(entries) + 1)):
+        if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
             return False, "certificate_sequence_gap"
 
         m_sum = np.zeros((n, n))
-        for entry in entries:
+        for _, entry in entries:
             state, _ = mw_state(m_sum, eta, h.vertex_weights)
             cert = _cert_from_entry(entry)
             ok, rep = certificate_check(cert, alpha, state, h_run, rho)

@@ -1,5 +1,5 @@
-"""Symmetric-matrix toolkit: constraint matrices, Gram embeddings, matrix
-exponential, and spectral diagnostics for the primal-dual solver.
+"""Symmetric-matrix toolkit: constraint matrices, Gram embeddings and
+spectral diagnostics for the primal-dual solver.
 
 All matrices are dense symmetric numpy arrays indexed by the hypergraph's
 vertices.  Every constraint matrix built here annihilates the all-ones
@@ -28,12 +28,12 @@ __all__ = [
     "mat_A",
     "mat_T",
     "mat_K",
+    "add_mat_A",
+    "add_mat_T",
     "directed_distance",
     "cholesky_embed",
-    "mat_exp",
     "spectral_norm",
     "min_eigenvalue",
-    "variance_form",
     "TOL_PSD_REL",
 ]
 
@@ -74,21 +74,31 @@ def _add_sq_diff(m: np.ndarray, i: int, j: int, coeff: float) -> None:
     m[j, i] -= coeff
 
 
+def add_mat_A(m: np.ndarray, i: int, j: int, coeff: float) -> None:
+    """m += coeff * mat_A(n, i, j), in place."""
+    _add_sq_diff(m, i, j, coeff)
+    _add_sq_diff(m, i, 0, -coeff)
+    _add_sq_diff(m, j, 0, coeff)
+
+
+def add_mat_T(m: np.ndarray, tri: TriangleId, coeff: float) -> None:
+    """m += coeff * mat_T(n, tri), in place."""
+    _add_sq_diff(m, tri.a, tri.mid, coeff)
+    _add_sq_diff(m, tri.mid, tri.b, coeff)
+    _add_sq_diff(m, tri.a, tri.b, -coeff)
+
+
 def mat_A(n: int, i: int, j: int) -> np.ndarray:
     """Directed-distance matrix: mat_A(n, i, j) . X == d(i, j) for Gram X."""
     m = np.zeros((n, n))
-    _add_sq_diff(m, i, j, 1.0)
-    _add_sq_diff(m, i, 0, -1.0)
-    _add_sq_diff(m, j, 0, 1.0)
+    add_mat_A(m, i, j, 1.0)
     return m
 
 
 def mat_T(n: int, tri: TriangleId) -> np.ndarray:
     """Triangle-slack matrix: mat_T(p) . X is the l2^2 triangle slack of p."""
     m = np.zeros((n, n))
-    _add_sq_diff(m, tri.a, tri.mid, 1.0)
-    _add_sq_diff(m, tri.mid, tri.b, 1.0)
-    _add_sq_diff(m, tri.a, tri.b, -1.0)
+    add_mat_T(m, tri, 1.0)
     return m
 
 
@@ -148,22 +158,26 @@ def k_dot_dist2(d2: np.ndarray, vertex_weights) -> float:
 
 @dataclass(frozen=True)
 class GramState:
-    """Primal candidate: PSD matrix X with its vector embedding.
+    """Primal candidate: the vector embedding of a PSD matrix X = V V^T.
 
-    ``vectors[i]`` is the row vector of vertex i.  The squared distances
-    are computed once, on first use, and shared by every consumer.
+    ``vectors[i]`` is the row vector of vertex i.  X and the squared
+    distances are computed once, on first use, and shared by every consumer.
     """
 
-    x: np.ndarray
     vectors: np.ndarray
 
     @classmethod
     def from_matrix(cls, x: np.ndarray) -> "GramState":
-        return cls(np.asarray(x, dtype=float), cholesky_embed(x))
+        return cls(cholesky_embed(x))
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.vectors.shape[0]
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The Gram matrix V V^T."""
+        return self.vectors @ self.vectors.T
 
     def dist2(self, i: int, j: int) -> float:
         d = self.vectors[i] - self.vectors[j]
@@ -183,14 +197,6 @@ class GramState:
         return k_dot_dist2(self.pairwise_dist2(), vertex_weights)
 
 
-def mat_exp(m: np.ndarray) -> np.ndarray:
-    """exp(M) for symmetric M via eigendecomposition; result symmetric PSD."""
-    m = np.asarray(m, dtype=float)
-    lam, u = np.linalg.eigh((m + m.T) / 2.0)
-    out = (u * np.exp(lam)) @ u.T
-    return (out + out.T) / 2.0
-
-
 def spectral_norm(m: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     m = np.asarray(m, dtype=float)
@@ -202,25 +208,3 @@ def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     m = np.asarray(m, dtype=float)
     return float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
-
-
-def variance_form(u, delta) -> float:
-    """Variance of the values u under the probability masses delta.
-
-    Preconditions: sum(u) = 0, sum(u^2) = 1, delta a positive probability
-    vector.  The value always lies in [min(delta), max(delta)].
-    """
-    u = np.asarray(u, dtype=float)
-    d = np.asarray(delta, dtype=float)
-    if u.shape != d.shape:
-        raise ValueError("u and delta must have equal length")
-    if abs(u.sum()) > 1e-9:
-        raise ValueError("u must sum to zero")
-    if abs(u @ u - 1.0) > 1e-9:
-        raise ValueError("u must have unit squared norm")
-    if np.any(d <= 0):
-        raise ValueError("delta entries must be positive")
-    if abs(d.sum() - 1.0) > 1e-9:
-        raise ValueError("delta must sum to one")
-    mean = float(d @ u)
-    return float(d @ (u * u)) - mean * mean

@@ -57,7 +57,7 @@ def integral_state(h, subset):
     norm0 = 1.0 / (4.0 * ws * wc)
     sign = np.array([1.0 if i in inside else -1.0 for i in range(n)])
     vectors = (sign * np.sqrt(norm0)).reshape(n, 1)
-    return GramState(vectors @ vectors.T, vectors)
+    return GramState(vectors)
 
 
 @pytest.fixture

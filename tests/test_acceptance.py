@@ -18,22 +18,16 @@ from hyperspars.driver import SolverConfig, binary_search
 from hyperspars.flownet import (
     FlowAssignment,
     build_flow_instance,
-    capacity_duality_check,
     decompose,
-    decomposition_matrix_identity_gap,
     demand_matrix,
-    demand_norm_bound,
     lift_flow,
     max_flow,
 )
 from hyperspars.hypergraph import (
-    digraph_cut_weight,
     out_cut,
     parse_dhg,
     reduce_to_digraph,
-    restrict_subset,
     reverse,
-    transform_subset,
 )
 from hyperspars.oracle import (
     OracleConfig,
@@ -47,13 +41,21 @@ from hyperspars.sdpcore import (
     mat_A,
     mat_K,
     mat_T,
-    mat_exp,
     min_eigenvalue,
     spectral_norm,
-    variance_form,
 )
 
 from conftest import integral_state, normalized_state, random_hypergraph
+from witnesses import (
+    capacity_duality_check,
+    decomposition_matrix_identity_gap,
+    demand_norm_bound,
+    digraph_cut_weight,
+    mat_exp,
+    restrict_subset,
+    transform_subset,
+    variance_form,
+)
 
 
 def criterion(num, label):

@@ -101,6 +101,14 @@ class TestSolve:
         assert err.startswith("error: case 1A produced an improper cut")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["c_roh", "mu"], ids=["typo", "retired"])
+    def test_unknown_constant_exit_1(self, toy_file, tmp_path, capsys, key):
+        constants = tmp_path / "constants.json"
+        constants.write_text(json.dumps({"c_rho": 4.0, key: 4.0}))
+        out = str(tmp_path / "r.json")
+        assert run_solve(toy_file, out, ("--constants", str(constants))) == 1
+        assert f"unknown constant {key}" in capsys.readouterr().err
+
     def test_wide_weight_ratio(self, tmp_path, capsys):
         # an edge-weight ratio of 1e14; the cut is the brute-force optimum
         wide = tmp_path / "wide.dhg"
@@ -196,6 +204,24 @@ class TestSolve:
         assert doc["mode"] == "expansion"
         assert "expansion" in doc
         assert "phi" in doc["expansion"]
+
+
+def _repeat_triangle_vertex(doc):
+    row = next(cert for cert in doc["certificates"] if cert["f_p"])["f_p"][0]
+    row[1] = row[0]
+
+
+# report edits check-cert cannot read; each must fail as certificate_malformed
+MALFORMED = {
+    "triangle_repeated_vertex": _repeat_triangle_vertex,
+    "certificate_without_z": lambda doc: doc["certificates"][0].pop("z"),
+    "certificate_without_f_p": lambda doc: doc["certificates"][0].pop("f_p"),
+    "row_without_alpha": lambda doc: doc["transcript"][0].pop("alpha"),
+    "row_without_rho": lambda doc: doc["transcript"][0].pop("rho"),
+    "row_without_eta": lambda doc: doc["transcript"][0].pop("eta"),
+    "z_not_a_number": lambda doc: doc["certificates"][0].update(z="half"),
+    "z_nan": lambda doc: doc["certificates"][0].update(z=float("nan")),
+}
 
 
 class TestCheckCert:
@@ -298,6 +324,14 @@ class TestCheckCert:
         err = self.rejected(doc, out, planted_file, capsys)
         assert "certificate check failed: flow_pair_not_in_edge" in err
 
+    @pytest.mark.parametrize("tamper", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_entry_rejected(self, tmp_path, capsys, tamper):
+        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        doc = json.loads(open(out).read())
+        tamper(doc)
+        err = self.rejected(doc, out, inp, capsys)
+        assert "certificate check failed: certificate_malformed" in err
+
     def test_wrong_instance_rejected(self, tmp_path, capsys):
         inp, out = self.make_report(tmp_path)
         other = tmp_path / "other.dhg"
@@ -331,11 +365,14 @@ class TestCheckCert:
         assert ok and failing is None
 
     def test_retired_config_keys_ignored(self, tmp_path, capsys):
-        # reports written before c_D and c_T were retired still verify
+        # reports written before these keys were retired still verify
         inp, out = self.make_report(tmp_path)
         doc = json.loads(open(out).read())
-        assert "c_D" not in doc["config"]["oracle"] and "c_T" not in doc["config"]["oracle"]
-        doc["config"]["oracle"].update(c_D=8.0, c_T=6.0)
+        retired = dict(c_D=8.0, c_T=6.0, tol_norm=1e-6, c_A2=None, mu=1.0, rng_seed=3)
+        assert not set(retired) & set(doc["config"]["oracle"])
+        assert "eta_override" not in doc["config"]
+        doc["config"]["oracle"].update(retired)
+        doc["config"]["eta_override"] = None
         assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
 
     def test_expansion_mode_report_verifiable(self, planted_file, tmp_path, capsys):

@@ -121,9 +121,6 @@ class TestRunAlgorithm1:
         cfg = SolverConfig(t_cap=50, oracle=OracleConfig(c_rho=4.0))
         run = run_algorithm1(h, 0.01, "in", cfg, np.random.default_rng(0))
         assert run.eta == pytest.approx(math.sqrt(math.log(2) / run.t_horizon))
-        cfg2 = SolverConfig(t_cap=50, eta_override=0.123, oracle=OracleConfig(c_rho=4.0))
-        run2 = run_algorithm1(h, 0.01, "in", cfg2, np.random.default_rng(0))
-        assert run2.eta == 0.123
 
     def test_m_norm_within_one(self):
         # the update norm is width / rho; at alpha 0.003 the run cuts at

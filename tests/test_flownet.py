@@ -9,11 +9,8 @@ from hyperspars._core import _maxflow_py
 from hyperspars.flownet import (
     FlowAssignment,
     build_flow_instance,
-    capacity_duality_check,
     decompose,
-    decomposition_matrix_identity_gap,
     demand_matrix,
-    demand_norm_bound,
     flow_matrix,
     lift_flow,
     flow_tolerance,
@@ -24,6 +21,7 @@ from hyperspars.hypergraph import parse_dhg, reduce_to_digraph
 from hyperspars.sdpcore import mat_A, spectral_norm
 
 from conftest import make_h, normalized_state, random_hypergraph
+from witnesses import capacity_duality_check, decomposition_matrix_identity_gap, demand_norm_bound
 
 
 def brute_min_cut(n_nodes, arcs, s, t):

@@ -12,23 +12,21 @@ from hyperspars.hypergraph import (
     DhgParseError,
     DirectedHypergraph,
     Hyperedge,
-    digraph_cut_weight,
     evaluate_cut,
     expansion,
     out_cut,
     parse_dhg,
     reduce_to_digraph,
-    restrict_subset,
     reverse,
     serialize_dhg,
     sparsity,
-    transform_subset,
     weighted_degrees,
 )
 
 from hyperspars.sdpcore import mat_K
 
 from conftest import make_h, random_hypergraph
+from witnesses import digraph_cut_weight, restrict_subset, transform_subset
 
 TOY = "dhg 2 1\nv 1 1\nv 2 1\ne 3 T 1 H 2\n"
 

@@ -51,10 +51,8 @@ def expanderish():
 class TestConfig:
     def test_beta_consistency(self):
         cfg = OracleConfig()
-        assert cfg.beta == pytest.approx(
-            32 * cfg.c_path / (9 * cfg.mu * cfg.s_viol * cfg.c_frac)
-        )
-        assert cfg.eta_stretch == pytest.approx(cfg.mu * cfg.s_viol / (4 * cfg.c_path))
+        assert cfg.beta == pytest.approx(32 * cfg.c_path / (9 * cfg.s_viol * cfg.c_frac))
+        assert cfg.eta_stretch == pytest.approx(cfg.s_viol / (4 * cfg.c_path))
 
     def test_n_dirs_default(self):
         cfg = OracleConfig()
@@ -80,7 +78,7 @@ def ball(st, i, radius):
 class TestBall:
     def test_radius_zero_collects_coincident(self, rng):
         v = np.array([[0.0], [0.0], [1.0]])
-        st = GramState(v @ v.T, v)
+        st = GramState(v)
         assert ball(st, 0, 0.0) == {0, 1}
 
     def test_radius_beyond_diameter_is_everything(self, rng):
@@ -109,7 +107,7 @@ class TestDispatch:
     def test_unnormalized_rejected(self):
         h, s_star, _ = planted()
         st = integral_state(h, s_star)
-        bad = GramState(st.x * 0.5, st.vectors * math.sqrt(0.5))
+        bad = GramState(st.vectors * math.sqrt(0.5))
         with pytest.raises(ValueError, match="not normalized"):
             run_oracle(1.0, bad, h, OracleConfig(), np.random.default_rng(0))
 
@@ -240,9 +238,10 @@ def direction_split(st, h, s, i0, cfg, rng):
     total = float(h.total_weight)
     vhat = (total / 3.0) * (st.vectors - st.vectors[i0])
     members = np.array(sorted(s), dtype=int)
+    dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
     for _ in range(cfg.n_dirs_for(h.n)):
         u = _random_direction(rng, vhat.shape[1])
-        got = _direction_split_once(vhat, omega, members, u, cfg, total)
+        got = _direction_split_once(vhat, omega, members, dist0, u, cfg, total)
         if got is not None:
             return got
     return None
@@ -258,9 +257,9 @@ class TestDirectionSplit:
         base[:3, 0] = -0.4
         base[3:, 0] = 0.4
         base += rng.normal(0, 0.02, size=base.shape)
-        norm = math.sqrt(GramState(base @ base.T, base).k_dot(h.vertex_weights))
+        norm = math.sqrt(GramState(base).k_dot(h.vertex_weights))
         vectors = base / norm
-        st = GramState(vectors @ vectors.T, vectors)
+        st = GramState(vectors)
         s, i0 = frozenset(range(6)), 0
         got = direction_split(st, h, s, i0, OracleConfig(), rng)
         assert got is not None
@@ -279,7 +278,7 @@ class TestDirectionSplit:
     def test_coincident_vectors_fail(self, rng):
         h = make_h(4, [({0}, {1}, 1)])
         vectors = np.ones((4, 2))
-        st = GramState(vectors @ vectors.T, vectors)
+        st = GramState(vectors)
         assert direction_split(st, h, frozenset(range(4)), 0, OracleConfig(n_dirs=4), rng) is None
 
 
@@ -317,7 +316,7 @@ class TestFindViolatedPath:
         cfg = OracleConfig()
         total = float(h.total_weight)
         positions = np.array([[k / 14.0, 0.0] for k in range(7)])
-        st = GramState(positions @ positions.T, positions)
+        st = GramState(positions)
         assert st.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-9)
         vhat = (total / 3.0) * (positions - positions[0])
         path = find_violated_path(vhat, np.ones(7), {}, np.array([1.0, 0.0]), cfg, h)
@@ -352,7 +351,7 @@ class TestCase2:
         cfg = OracleConfig()
         total = float(h.total_weight)
         positions = np.array([[k / 14.0] for k in range(7)])
-        st = GramState(positions @ positions.T, positions)
+        st = GramState(positions)
         path = [0, 3, 6]
         tris = path_triangles(path)
         tri_sum = sum(float(np.tensordot(mat_T(7, t), st.x)) for t in tris)

@@ -14,11 +14,11 @@ from hyperspars.sdpcore import (
     mat_A,
     mat_K,
     mat_T,
-    mat_exp,
     min_eigenvalue,
     spectral_norm,
-    variance_form,
 )
+
+from witnesses import mat_exp, variance_form
 
 
 def random_gram(rng, n, dim=None):
