@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the max-flow kernel.
+"""Benchmark the selected max-flow kernel against the Python reference.
 
 The workload mirrors the solver's hot path: flow instances built on reduced
-digraphs of random hypergraphs, solved repeatedly as the oracle would.
+digraphs of random hypergraphs, solved repeatedly as the oracle would.  Both
+kernels solve the same instances, their outputs must be identical, and the
+time per solve is printed for each.
 
     python benchmarks/bench_maxflow.py [--sizes 8,16,32] [--repeats 200]
 """
@@ -14,7 +16,8 @@ import time
 
 import numpy as np
 
-from hyperspars._core import max_flow_arrays
+from hyperspars import _core
+from hyperspars._core import _maxflow_py
 from hyperspars.flownet import build_flow_instance, flow_tolerance
 from hyperspars.hypergraph import reduce_to_digraph
 from hyperspars.reference import GeneratorSpec, generate
@@ -45,17 +48,21 @@ def build_instances(n, count, seed):
     return instances
 
 
-def time_kernel(instances, repeats):
-    # the tolerance flownet.max_flow passes for each instance
-    eps = [flow_tolerance(inst) for inst in instances]
+def kernel_args(instances):
+    # the arguments flownet.max_flow passes, tolerance included
+    return [
+        (inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t,
+         flow_tolerance(inst))
+        for inst in instances
+    ]
+
+
+def time_kernel(kernel, args, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for inst, tol in zip(instances, eps):
-            max_flow_arrays(
-                inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap,
-                inst.s, inst.t, tol,
-            )
+        for a in args:
+            kernel(*a)
         times.append(time.perf_counter() - start)
     return min(times), statistics.median(times)
 
@@ -69,13 +76,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    print(f"{'n':>5} {'arcs':>6} | {'best':>10} | {'median':>10}")
+    kernels = {"selected": _core.max_flow_arrays, "python": _maxflow_py.max_flow_arrays}
+    print(f"selected kernel: {_core._impl.__name__} (compiled {_core.HAVE_COMPILED})")
+    print(f"{'n':>5} {'arcs':>6} | {'kernel':>8} | {'best':>10} | {'median':>10}")
     for n in sizes:
-        instances = build_instances(n, args.instances, args.seed)
-        arcs = statistics.mean(len(i.arc_from) for i in instances)
-        best, median = time_kernel(instances, args.repeats)
-        per_solve = [t / len(instances) * 1e6 for t in (best, median)]
-        print(f"{n:>5} {arcs:>6.0f} | " + " | ".join(f"{t:>8.1f}us" for t in per_solve))
+        args_n = kernel_args(build_instances(n, args.instances, args.seed))
+        results = {name: [kernel(*a) for a in args_n] for name, kernel in kernels.items()}
+        # repr spells each float out exactly, so equal reprs are equal bits
+        reference = repr(results["python"])
+        if any(repr(res) != reference for res in results.values()):
+            print(f"n={n}: the kernels' outputs differ", file=sys.stderr)
+            return 1
+        arcs = statistics.mean(len(a[1]) for a in args_n)
+        for name, kernel in kernels.items():
+            best, median = time_kernel(kernel, args_n, args.repeats)
+            per_solve = [t / len(args_n) * 1e6 for t in (best, median)]
+            print(f"{n:>5} {arcs:>6.0f} | {name:>8} | "
+                  + " | ".join(f"{t:>8.1f}us" for t in per_solve))
     return 0
 
 

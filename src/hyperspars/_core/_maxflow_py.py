@@ -1,12 +1,16 @@
 """The max-flow kernel: Dinic with capacity scaling, in pure Python.
 
 Arc-array input; returns the flow value, per-arc flows, and the residual
-reachability mask whose boundary is a minimum cut.
+reachability mask whose boundary is a minimum cut.  This is the reference
+that ``_maxflow.c`` ports line for line, and the kernel that runs where no
+C compiler is available.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 
 def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
@@ -17,12 +21,21 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
     on input arc ``a`` and ``reachable[k]`` flags residual reachability from
     ``s`` (so ``reachable`` induces a minimum cut).
     """
+    # numpy arrays, as flownet passes them, become lists of Python scalars:
+    # the loops below index those far faster than numpy scalars
+    arc_from = np.asarray(arc_from, dtype=np.int64).tolist()
+    arc_to = np.asarray(arc_to, dtype=np.int64).tolist()
+    cap = np.asarray(cap, dtype=np.float64).tolist()
     na = len(arc_from)
     # residual arc pairs: 2a forward, 2a+1 backward
     to = [0] * (2 * na)
     res = [0.0] * (2 * na)
     adj = [[] for _ in range(n_nodes)]
     maxcap = 0.0
+    # the terminal totals, added left to right as the C port adds them;
+    # sum() compensates its float additions from Python 3.12 on
+    src_out = 0.0
+    snk_in = 0.0
     for a in range(na):
         u = arc_from[a]
         v = arc_to[a]
@@ -34,6 +47,10 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
         adj[v].append(2 * a + 1)
         if c > maxcap:
             maxcap = c
+        if u == s:
+            src_out += c
+        if v == t:
+            snk_in += c
 
     if maxcap <= eps or s == t:
         reach = _residual_reach(n_nodes, adj, to, res, s, eps)
@@ -45,8 +62,6 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
 
     # no augmenting path carries more than the terminal capacities, so the
     # scaling loop can start there instead of at the largest arc
-    src_out = sum(cap[a] for a in range(na) if arc_from[a] == s)
-    snk_in = sum(cap[a] for a in range(na) if arc_to[a] == t)
     start = max(min(maxcap, src_out, snk_in), eps)
 
     # capacity-scaling outer loop; the final delta == eps pass makes the

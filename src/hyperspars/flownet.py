@@ -2,8 +2,12 @@
 and decomposing them into triangle terms plus an endpoint demand matrix.
 
 The max-flow kernel is ``_core.max_flow_arrays``, Dinic with capacity
-scaling in pure Python.  Flows are floating point with a 1e-9 conservation
-tolerance; the exact rational layer stops at the hypergraph module.
+scaling, compiled from C where a C compiler exists and in pure Python
+otherwise, with the same results either way.  A flow instance holds numpy
+arc arrays, the reduced digraph's cached arrays with the terminal arcs
+appended, so no flow rebuilds its arcs from tuples.  Flows are floating
+point with a 1e-9 conservation tolerance; the exact rational layer stops at
+the hypergraph module.
 """
 
 from __future__ import annotations
@@ -37,19 +41,20 @@ __all__ = [
 CONSERVATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowInstance:
     """s-t max-flow instance over a reduced digraph.
 
     Arc layout: the reduced digraph's arcs first (hyperedge arcs carry
     capacity w_e / 2, gadget arcs carry the big weight), then one source arc
     per entry of ``source_caps``, then one sink arc per ``sink_caps`` entry.
+    The arc arrays are read-only: int32 node indices, float64 capacities.
     """
 
     rd: ReducedDigraph
-    arc_from: tuple[int, ...]
-    arc_to: tuple[int, ...]
-    cap: tuple[float, ...]
+    arc_from: np.ndarray
+    arc_to: np.ndarray
+    cap: np.ndarray
     source_caps: tuple[tuple[int, float], ...]
     sink_caps: tuple[tuple[int, float], ...]
 
@@ -93,12 +98,18 @@ def build_flow_instance(
     snk = tuple(sorted((int(j), float(c)) for j, c in sink_caps.items()))
     return FlowInstance(
         rd,
-        arc_from + (n_nodes,) * len(src) + tuple(j for j, _ in snk),
-        arc_to + tuple(i for i, _ in src) + (n_nodes + 1,) * len(snk),
-        cap + tuple(c for _, c in src) + tuple(c for _, c in snk),
+        _append(arc_from, [n_nodes] * len(src) + [j for j, _ in snk]),
+        _append(arc_to, [i for i, _ in src] + [n_nodes + 1] * len(snk)),
+        _append(cap, [c for _, c in src] + [c for _, c in snk]),
         src,
         snk,
     )
+
+
+def _append(base: np.ndarray, extra: list) -> np.ndarray:
+    out = np.concatenate((base, np.array(extra, dtype=base.dtype)))
+    out.flags.writeable = False
+    return out
 
 
 def flow_tolerance(instance: FlowInstance) -> float:
@@ -124,7 +135,7 @@ def max_flow(instance: FlowInstance) -> MaxFlowResult:
         instance.t,
         flow_tolerance(instance),
     )
-    return MaxFlowResult(float(value), tuple(flow), tuple(bool(r) for r in reach))
+    return MaxFlowResult(float(value), tuple(flow), tuple(reach))
 
 
 @dataclass(frozen=True)

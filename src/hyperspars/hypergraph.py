@@ -208,20 +208,23 @@ class ReducedDigraph:
         return self.base.vertex_weights[node] if node < self.base.n else 0
 
     @cached_property
-    def flow_arcs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
+    def flow_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Parallel (from, to, capacity) arrays of the arcs as a flow network.
 
-        Edge arcs carry capacity ``float(w_e) / 2`` and gadget arcs
-        ``float(big_weight)``.  Computed on first use and shared by every
-        flow instance built on this digraph.
+        Read-only int32 node indices and float64 capacities: edge arcs carry
+        ``float(w_e) / 2`` and gadget arcs ``float(big_weight)``.  Computed
+        on first use and shared by every flow instance built on this digraph.
         """
         big = float(self.big_weight)
         edge_arc = set(self.edge_arc_index)
-        arc_from = tuple(u for u, _, _ in self.arcs)
-        arc_to = tuple(v for _, v, _ in self.arcs)
-        cap = tuple(
-            float(w) / 2.0 if k in edge_arc else big for k, (_, _, w) in enumerate(self.arcs)
+        arc_from = np.array([u for u, _, _ in self.arcs], dtype=np.int32)
+        arc_to = np.array([v for _, v, _ in self.arcs], dtype=np.int32)
+        cap = np.array(
+            [float(w) / 2.0 if k in edge_arc else big for k, (_, _, w) in enumerate(self.arcs)],
+            dtype=np.float64,
         )
+        for arr in (arc_from, arc_to, cap):
+            arr.flags.writeable = False
         return arc_from, arc_to, cap
 
     __getstate__ = _fields_state

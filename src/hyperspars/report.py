@@ -189,6 +189,31 @@ def _cert_from_entry(entry: dict) -> DualCertificate:
         raise _Malformed(str(exc)) from None
 
 
+# the JSON type of each top-level section that check-cert reads; an absent
+# section reads as empty
+_SECTIONS = {"instance": dict, "config": dict, "certificates": list, "transcript": list}
+
+
+def _well_formed(doc) -> bool:
+    """Whether ``doc`` has the top-level shape of a solve report."""
+    if not isinstance(doc, dict):
+        return False
+    if any(not isinstance(doc.get(key, kind()), kind) for key, kind in _SECTIONS.items()):
+        return False
+    rows = [*doc.get("certificates", []), *doc.get("transcript", [])]
+    if not all(isinstance(row, dict) for row in rows):
+        return False
+    cut = doc.get("cut")
+    if cut is not None and not (
+        isinstance(cut, dict)
+        and isinstance(cut.get("vertices"), list)
+        and all(isinstance(name, str) for name in cut["vertices"])
+    ):
+        return False
+    bound = doc.get("lower_bound")
+    return bound is None or (isinstance(bound, (int, float)) and not isinstance(bound, bool))
+
+
 def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     """Re-verify a solve report from its certificates alone.
 
@@ -196,8 +221,11 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     certificate_check at every step, re-checks the regret inequality of
     every certified run, and validates the top-level cut and lower-bound
     claims against the transcript.  Returns (ok, first failing bullet or
-    None); an unreadable entry fails as ``certificate_malformed``.
+    None).  A report whose sections or config cannot be read fails as
+    ``report_malformed``, an unreadable entry as ``certificate_malformed``.
     """
+    if not _well_formed(doc):
+        return False, "report_malformed"
     try:
         return _verify(doc, h)
     except _Malformed:
@@ -214,7 +242,10 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
                 return False, "instance_mismatch"
         else:
             return False, "instance_mismatch"
-    cfg = solver_config_from_dict(doc.get("config", {}))
+    try:
+        cfg = solver_config_from_dict(doc.get("config", {}))
+    except (TypeError, ValueError):
+        return False, "report_malformed"
     k = h.k_matrix
     n = h.n
 
@@ -235,6 +266,10 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     for entry in doc.get("certificates", []):
         probe, side, t = _run_fields(entry, "t")
         by_run.setdefault((probe, side), []).append((t, entry))
+    # the replay below walks the transcript, so a certificate of a run the
+    # transcript does not list would never be checked
+    if not by_run.keys() <= {_run_fields(tr) for tr in doc.get("transcript", [])}:
+        return False, "certificate_orphan"
 
     # the lower bound must be backed by a probe on which every side of the
     # configured policy certified

@@ -224,6 +224,17 @@ MALFORMED = {
 }
 
 
+# report structure check-cert cannot read; each must fail as report_malformed
+MALFORMED_REPORT = {
+    "report_is_a_list": lambda doc: [doc],
+    "certificates_null": lambda doc: dict(doc, certificates=None),
+    "transcript_null": lambda doc: dict(doc, transcript=None),
+    "config_search_ratio_1": lambda doc: dict(doc, config=dict(doc["config"], search_ratio=1)),
+    "cut_vertices_not_a_list": lambda doc: dict(doc, cut={"vertices": 5}),
+    "lower_bound_a_string": lambda doc: dict(doc, lower_bound="1/2"),
+}
+
+
 class TestCheckCert:
     def make_report(self, tmp_path, source=TOY, extra=()):
         inp = tmp_path / "in.dhg"
@@ -331,6 +342,21 @@ class TestCheckCert:
         tamper(doc)
         err = self.rejected(doc, out, inp, capsys)
         assert "certificate check failed: certificate_malformed" in err
+
+    @pytest.mark.parametrize("tamper", MALFORMED_REPORT.values(), ids=MALFORMED_REPORT.keys())
+    def test_malformed_report_rejected(self, tmp_path, capsys, tamper):
+        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        doc = tamper(json.loads(open(out).read()))
+        err = self.rejected(doc, out, inp, capsys)
+        assert "certificate check failed: report_malformed" in err
+
+    def test_orphan_certificate_rejected(self, tmp_path, capsys):
+        # the replay walks the transcript, which has no probe 99
+        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        doc = json.loads(open(out).read())
+        doc["certificates"].append(dict(doc["certificates"][0], probe=99, z=-5.0))
+        err = self.rejected(doc, out, inp, capsys)
+        assert "certificate check failed: certificate_orphan" in err
 
     def test_wrong_instance_rejected(self, tmp_path, capsys):
         inp, out = self.make_report(tmp_path)

@@ -1,10 +1,20 @@
 """Max-flow / min-cut, flow lifting, decomposition, demand matrices."""
 
 import itertools
+import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperspars
+from hyperspars import _core
 from hyperspars._core import _maxflow_py
 from hyperspars.flownet import (
     FlowAssignment,
@@ -43,6 +53,18 @@ def run_kernel(kernel, n_nodes, arcs, s, t):
     return kernel(n_nodes, frm, to, cap, s, t, 1e-12)
 
 
+def random_arc_lists(rng, count):
+    """(n_nodes, arcs) pairs: random arcs with half-integer capacities."""
+    for _ in range(count):
+        n_nodes = int(rng.integers(4, 13))
+        n_arcs = int(rng.integers(3, 3 * n_nodes))
+        arcs = []
+        for _ in range(n_arcs):
+            u, v = rng.choice(n_nodes, size=2, replace=False)
+            arcs.append((int(u), int(v), float(rng.integers(0, 8)) / 2.0))
+        yield n_nodes, arcs
+
+
 class TestMaxFlowKernels:
     def test_single_arc(self):
         val, flow, reach = run_kernel(_maxflow_py.max_flow_arrays, 2, [(0, 1, 5.0)], 0, 1)
@@ -63,13 +85,7 @@ class TestMaxFlowKernels:
 
     def test_random_instances_match_exhaustive_cut(self, rng):
         kernel = _maxflow_py.max_flow_arrays
-        for _ in range(120):
-            n_nodes = int(rng.integers(4, 13))
-            n_arcs = int(rng.integers(3, 3 * n_nodes))
-            arcs = []
-            for _ in range(n_arcs):
-                u, v = rng.choice(n_nodes, size=2, replace=False)
-                arcs.append((int(u), int(v), float(rng.integers(0, 8)) / 2.0))
+        for n_nodes, arcs in random_arc_lists(rng, 120):
             val, flow, reach = run_kernel(kernel, n_nodes, arcs, 0, n_nodes - 1)
             expected = brute_min_cut(n_nodes, arcs, 0, n_nodes - 1)
             assert val == pytest.approx(expected, abs=1e-9 * max(1.0, expected))
@@ -208,6 +224,107 @@ class TestFlowTolerance:
         assert res.value == 0.0
         assert not any(res.arc_flow)
         assert res.reachable[inst.s] and not res.reachable[inst.t]
+
+
+def bits(result):
+    """A kernel result with every float spelled out to the last bit."""
+    value, flow, reach = result
+    return value.hex(), [f.hex() for f in flow], [bool(r) for r in reach]
+
+
+def instance_args(inst):
+    """The arguments ``flownet.max_flow`` passes to the kernel."""
+    return (
+        inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t,
+        flow_tolerance(inst),
+    )
+
+
+def assert_kernels_agree(*args):
+    got = _core.max_flow_arrays(*args)
+    assert type(got[0]) is float and type(got[1]) is list and type(got[2]) is list
+    assert bits(got) == bits(_maxflow_py.max_flow_arrays(*args))
+
+
+class TestCompiledKernel:
+    """The selected kernel against the Python reference, bit for bit.
+
+    Where a C compiler exists the selected kernel is the compiled one, and
+    ``test_compiled_where_a_compiler_exists`` makes sure of that.
+    """
+
+    def test_compiled_where_a_compiler_exists(self):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "")[:1]
+        on_path = [c for c in (*cc, "cc") if shutil.which(c)]
+        assert _core.HAVE_COMPILED or not on_path
+        assert _core.HAVE_COMPILED == (_core._impl is not _maxflow_py)
+        assert _core.max_flow_arrays is _core._impl.max_flow_arrays
+
+    def test_random_instances(self, rng):
+        for n_nodes, arcs in random_arc_lists(rng, 120):
+            frm, to, cap = (list(col) for col in zip(*arcs))
+            assert_kernels_agree(n_nodes, frm, to, cap, 0, n_nodes - 1, 1e-12)
+
+    def test_reduced_digraph_instances(self, rng):
+        for inst in reduced_flow_instances(rng, 60):
+            assert_kernels_agree(*instance_args(inst))
+
+    @pytest.mark.parametrize("caps", [({}, {}), ({0: 0.0}, {2: 0.0})])
+    def test_no_terminal_capacity(self, caps):
+        _, rd = simple_instance()
+        assert_kernels_agree(*instance_args(build_flow_instance(rd, *caps)))
+
+    def test_source_is_sink(self):
+        _, rd = simple_instance()
+        n, frm, to, cap, s, _, eps = instance_args(build_flow_instance(rd, {0: 1.0}, {2: 1.0}))
+        assert_kernels_agree(n, frm, to, cap, s, s, eps)
+
+    def test_capacities_within_eps(self):
+        arcs = [(0, 1, 1e-13), (1, 2, 5e-13), (0, 2, 1e-12)]
+        frm, to, cap = (list(col) for col in zip(*arcs))
+        assert_kernels_agree(3, frm, to, cap, 0, 2, 1e-12)
+
+    def test_wide_weight_ratio(self):
+        rd = reduce_to_digraph(parse_dhg(TestFlowTolerance.WIDE))
+        inst = build_flow_instance(rd, {0: 1e-6}, {1: 1e-6, 2: 1e-6})
+        assert_kernels_agree(*instance_args(inst))
+        assert max_flow(inst).value == pytest.approx(5e-8, rel=1e-9)
+
+    def test_out_of_range_node_raises(self):
+        with pytest.raises((ValueError, IndexError)):
+            _core.max_flow_arrays(2, [0], [2], [1.0], 0, 1, 1e-12)
+
+    def test_without_a_compiler_the_python_kernel_runs(self, rng, tmp_path):
+        # a copy of the package without its cached build, imported where
+        # no compiler can be found and the temp dir holds no build either
+        src = tmp_path / "src"
+        shutil.copytree(
+            Path(hyperspars.__file__).parent,
+            src / "hyperspars",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (tmp_path / "tmp").mkdir()
+        instances = [
+            [n, frm.tolist(), to.tolist(), cap.tolist(), s, t, eps]
+            for n, frm, to, cap, s, t, eps in map(instance_args, reduced_flow_instances(rng, 20))
+        ]
+        script = (
+            "import json, shutil, sys\n"
+            "shutil.which = lambda *args, **kwargs: None\n"
+            "from hyperspars import _core\n"
+            "flows = [_core.max_flow_arrays(*args) for args in json.load(sys.stdin)]\n"
+            "print(json.dumps([_core.__file__, _core._impl.__name__, _core.HAVE_COMPILED, flows]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp_path / "tmp"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], input=json.dumps(instances),
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        origin, module, compiled, flows = json.loads(proc.stdout)
+        assert Path(origin).is_relative_to(src)
+        assert (module, compiled) == ("hyperspars._core._maxflow_py", False)
+        assert not list(tmp_path.rglob("*.so"))
+        assert [bits(f) for f in flows] == [bits(_core.max_flow_arrays(*a)) for a in instances]
 
 
 def simple_instance():

@@ -234,8 +234,10 @@ class TestCachedDerivedData:
         h = make_h(2, [({0}, {1}, 3)])
         rd = reduce_to_digraph(h)
         arc_from, arc_to, cap = rd.flow_arcs
-        assert list(zip(arc_from, arc_to)) == [(u, v) for u, v, _ in rd.arcs]
-        assert cap == (1.5, 6.0, 6.0)
+        assert list(zip(arc_from.tolist(), arc_to.tolist())) == [(u, v) for u, v, _ in rd.arcs]
+        assert cap.tolist() == [1.5, 6.0, 6.0]
+        assert (arc_from.dtype, arc_to.dtype, cap.dtype) == (np.int32, np.int32, np.float64)
+        assert not any(a.flags.writeable for a in rd.flow_arcs)
         assert rd.flow_arcs is rd.flow_arcs
 
 
