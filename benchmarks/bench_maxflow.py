@@ -57,6 +57,13 @@ def kernel_args(instances):
     ]
 
 
+def bits(result):
+    """A kernel result with every float spelled out to the last bit; the
+    compiled kernel returns arrays, the Python one lists."""
+    value, flow, reach = result
+    return value.hex(), [float(f).hex() for f in flow], [bool(r) for r in reach]
+
+
 def time_kernel(kernel, args, repeats):
     times = []
     for _ in range(repeats):
@@ -81,10 +88,10 @@ def main(argv=None):
     print(f"{'n':>5} {'arcs':>6} | {'kernel':>8} | {'best':>10} | {'median':>10}")
     for n in sizes:
         args_n = kernel_args(build_instances(n, args.instances, args.seed))
-        results = {name: [kernel(*a) for a in args_n] for name, kernel in kernels.items()}
-        # repr spells each float out exactly, so equal reprs are equal bits
-        reference = repr(results["python"])
-        if any(repr(res) != reference for res in results.values()):
+        results = {
+            name: [bits(kernel(*a)) for a in args_n] for name, kernel in kernels.items()
+        }
+        if any(res != results["python"] for res in results.values()):
             print(f"n={n}: the kernels' outputs differ", file=sys.stderr)
             return 1
         arcs = statistics.mean(len(a[1]) for a in args_n)

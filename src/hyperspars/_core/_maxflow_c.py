@@ -159,6 +159,6 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
         raise MemoryError("the max-flow kernel ran out of memory")
     return (
         value.value,
-        np.frombuffer(flow, dtype=np.float64).tolist(),
-        np.frombuffer(reach, dtype=np.bool_).tolist(),
+        np.frombuffer(flow, dtype=np.float64),
+        np.frombuffer(reach, dtype=np.bool_),
     )

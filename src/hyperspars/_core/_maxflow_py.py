@@ -17,7 +17,8 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
     """Maximum s-t flow via Dinic with capacity scaling.
 
     Parameters are parallel arrays describing the arcs (from, to, capacity).
-    Returns ``(value, flow, reachable)`` where ``flow[a]`` is the flow pushed
+    Returns ``(value, flow, reachable)``, the last two as float64 and bool
+    arrays, where ``flow[a]`` is the flow pushed
     on input arc ``a`` and ``reachable[k]`` flags residual reachability from
     ``s`` (so ``reachable`` induces a minimum cut).
     """
@@ -54,7 +55,7 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
 
     if maxcap <= eps or s == t:
         reach = _residual_reach(n_nodes, adj, to, res, s, eps)
-        return 0.0, [0.0] * na, reach
+        return 0.0, np.zeros(na), np.asarray(reach, dtype=np.bool_)
 
     level = [0] * n_nodes
     it = [0] * n_nodes
@@ -98,7 +99,7 @@ def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
 
     flow = [res[2 * a + 1] for a in range(na)]
     reach = _residual_reach(n_nodes, adj, to, res, s, eps)
-    return value, flow, reach
+    return value, np.asarray(flow, dtype=np.float64), np.asarray(reach, dtype=np.bool_)
 
 
 def _bfs(n_nodes, adj, to, res, level, s, delta):

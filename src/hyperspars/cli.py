@@ -27,7 +27,6 @@ from .hypergraph import (
     parse_dhg,
     reduce_to_digraph,
     serialize_dhg,
-    weighted_degrees,
 )
 from .oracle import OracleConfig, OracleInvariantError
 from .report import dumps_report, solve_report, verify_report
@@ -73,25 +72,22 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _expansion_estimate(h: DirectedHypergraph, cut_subset) -> dict:
-    """Exact expansion of the light side of a cut (and its complement)."""
-    deg = weighted_degrees(h)
-    total = sum(deg, Fraction(0))
-    best = None
-    for side in (set(cut_subset), set(range(h.n)) - set(cut_subset)):
-        if not side or len(side) == h.n:
-            continue
-        ws = sum((deg[v] for v in side), Fraction(0))
-        if ws == 0 or 2 * ws > total:
-            continue
+    """Exact expansion of the light side of a cut, by weighted degree;
+    where both sides weigh the same, their expansions are equal."""
+    deg = h.incidence.degrees
+    side = set(cut_subset)
+    if 2 * deg[list(side)].sum() > deg.sum():
+        side = set(range(h.n)) - side
+    try:
         phi_p, phi_m, phi = expansion(h, side)
-        if best is None or phi < best["phi"]:
-            best = {
-                "vertices": sorted(h.names[v] for v in side),
-                "phi": phi,
-                "phi_plus": phi_p,
-                "phi_minus": phi_m,
-            }
-    return best or {}
+    except ValueError:  # the light side has weighted degree 0
+        return {}
+    return {
+        "vertices": sorted(h.names[v] for v in side),
+        "phi": str(phi),
+        "phi_plus": str(phi_p),
+        "phi_minus": str(phi_m),
+    }
 
 
 def cmd_solve(args) -> int:
@@ -130,10 +126,7 @@ def cmd_solve(args) -> int:
         return 1
 
     if mode == "expansion" and result.best_cut is not None:
-        extra["expansion"] = {
-            k: (str(v) if isinstance(v, Fraction) else v)
-            for k, v in _expansion_estimate(h, result.best_cut.subset).items()
-        }
+        extra["expansion"] = _expansion_estimate(h, result.best_cut.subset)
         extra["scaled_weights"] = list(h_solve.vertex_weights)
 
     doc = solve_report(h_solve, cfg, result, seed, mode=mode, extra=extra)
@@ -177,10 +170,24 @@ def _write_output(path: str | None, content: str) -> None:
         sys.stdout.write(content)
 
 
+def _reported_sparsity(path: str) -> float | None:
+    """The ``sparsity`` of the solve report at ``path``; None if it has none."""
+    with open(path, "r", encoding="utf-8") as fh:
+        solved = json.load(fh)
+    if not isinstance(solved, dict):
+        raise ValueError(f"{path}: a solve report must be a JSON object")
+    value = solved.get("sparsity")
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: sparsity {value!r} is not a number") from None
+
+
 def cmd_exact(args) -> int:
     try:
         h = _load_hypergraph(args.input)
-    except (DhgParseError, OSError) as exc:
+        reported = _reported_sparsity(args.compare) if args.compare else None
+    except (DhgParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -200,14 +207,8 @@ def cmd_exact(args) -> int:
         doc["expansion_subset"] = sorted(h.names[v] for v in e_star)
     except ValueError as exc:
         doc["expansion_error"] = str(exc)
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            solved = json.load(fh)
-        if solved.get("sparsity") is not None:
-            if theta > 0:
-                doc["solve_ratio"] = float(solved["sparsity"]) / float(theta)
-            else:
-                doc["solve_ratio"] = None if solved["sparsity"] else 1.0
+    if reported is not None:
+        doc["solve_ratio"] = reported / float(theta) if theta > 0 else (None if reported else 1.0)
     if args.json:
         _write_output(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:

@@ -79,11 +79,11 @@ class FlowInstance:
         return sum(c for _, c in self.sink_caps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxFlowResult:
     value: float
-    arc_flow: tuple[float, ...]
-    reachable: tuple[bool, ...]
+    arc_flow: np.ndarray
+    reachable: np.ndarray
 
 
 def build_flow_instance(
@@ -125,7 +125,8 @@ def flow_tolerance(instance: FlowInstance) -> float:
 
 
 def max_flow(instance: FlowInstance) -> MaxFlowResult:
-    """Maximum s-t flow; the reachability mask induces a minimum cut."""
+    """Maximum s-t flow, in read-only arrays; the reachability mask induces
+    a minimum cut."""
     value, flow, reach = max_flow_arrays(
         instance.num_nodes,
         instance.arc_from,
@@ -135,7 +136,8 @@ def max_flow(instance: FlowInstance) -> MaxFlowResult:
         instance.t,
         flow_tolerance(instance),
     )
-    return MaxFlowResult(float(value), tuple(flow), tuple(reach))
+    flow.flags.writeable = reach.flags.writeable = False
+    return MaxFlowResult(float(value), flow, reach)
 
 
 @dataclass(frozen=True)
@@ -169,14 +171,16 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
     """
     rd = instance.rd
     h = rd.base
+    # Python floats, as the assignment and the reports hold
+    arc_flow = result.arc_flow.tolist()
     values: list[tuple[int, int, int, float]] = []
     for e_idx, e in enumerate(h.edges):
         k = rd.edge_arc_index[e_idx]
-        mid = result.arc_flow[k]
+        mid = arc_flow[k]
         tails = sorted(e.tail)
         heads = sorted(e.head)
-        in_flows = [result.arc_flow[k + 1 + a] for a in range(len(tails))]
-        out_flows = [result.arc_flow[k + 1 + len(tails) + b] for b in range(len(heads))]
+        in_flows = arc_flow[k + 1 : k + 1 + len(tails)]
+        out_flows = arc_flow[k + 1 + len(tails) : k + 1 + len(tails) + len(heads)]
         tol = CONSERVATION_TOL * max(1.0, abs(mid))
         if abs(sum(in_flows) - mid) > tol or abs(sum(out_flows) - mid) > tol:
             raise ArithmeticError(

@@ -5,14 +5,15 @@ A directed hyperedge is a pair of non-empty vertex sets (tail, head); an
 edge leaves a subset S when some tail vertex is inside S and some head
 vertex is outside.  Edge weights stay exact rationals throughout this
 module; the numeric solver converts to floats at its own boundary, apart
-from two arrays built here once and cached: the float arc arrays of a
-reduced digraph, for the flow network, and the solver's K matrix of a
-hypergraph.
+from arrays built here once and cached: a hypergraph's incidence, which
+answers every cut question exactly, and its K matrix for the solver, and
+the float arc arrays of a reduced digraph, for the flow network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -129,12 +130,19 @@ class DirectedHypergraph:
     # fields, so equality, hashing and pickles ignore them.
 
     @cached_property
-    def _weighted_degrees(self) -> tuple[Fraction, ...]:
-        deg = [Fraction(0)] * self.n
-        for e in self.edges:
-            for v in e.tail | e.head:
-                deg[v] += e.weight
-        return tuple(deg)
+    def incidence(self) -> "Incidence":
+        """The edges as read-only arrays that every cut question reads."""
+        tail = np.zeros((self.m, self.n))
+        head = np.zeros((self.m, self.n))
+        for k, e in enumerate(self.edges):
+            tail[k, list(e.tail)] = 1.0
+            head[k, list(e.head)] = 1.0
+        weights, denom = _common_numerators([e.weight for e in self.edges])
+        deg = [Fraction(sum(weights[col].tolist())) for col in (tail + head).T > 0]
+        degrees, _ = _common_numerators(deg)  # integers, already over denom
+        for arr in (tail, head, weights, degrees):
+            arr.flags.writeable = False
+        return Incidence(tail, head, weights, degrees, denom)
 
     @cached_property
     def _reversed(self) -> "DirectedHypergraph":
@@ -143,10 +151,9 @@ class DirectedHypergraph:
             self.vertex_weights,
             tuple(Hyperedge(e.head, e.tail, e.weight) for e in self.edges),
         )
-        # share what does not depend on edge direction
-        rev.__dict__.update(
-            _reversed=self, _weighted_degrees=self._weighted_degrees, k_matrix=self.k_matrix
-        )
+        # share the arrays, with tail and head swapped
+        inc = replace(self.incidence, tail=self.incidence.head, head=self.incidence.tail)
+        rev.__dict__.update(_reversed=self, incidence=inc, k_matrix=self.k_matrix)
         return rev
 
     @cached_property
@@ -162,6 +169,46 @@ class DirectedHypergraph:
         return k
 
     __getstate__ = _fields_state
+
+
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """A hypergraph's edges as read-only arrays: m x n float64 0/1 ``tail``
+    and ``head`` matrices, and each edge's weight and each vertex's weighted
+    degree as numerators over ``denom``, in ``_common_numerators``' dtype."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    weights: np.ndarray
+    degrees: np.ndarray
+    denom: int
+
+    def crossing(self, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the edges that leave and that enter the subset whose
+        0/1 indicator is ``inside`` (or each subset, one per row)."""
+        outside = 1 - inside
+        leave = (inside @ self.tail.T > 0) & (outside @ self.head.T > 0)
+        enter = (outside @ self.tail.T > 0) & (inside @ self.head.T > 0)
+        return leave, enter
+
+    @cached_property
+    def closure_lists(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """Per vertex, the positive-weight edges out of it; per edge, its heads."""
+        positive = self.weights > 0
+        out_edges = tuple(np.flatnonzero(col & positive).tolist() for col in self.tail.T > 0)
+        return out_edges, tuple(np.flatnonzero(row).tolist() for row in self.head > 0)
+
+
+def _common_numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
+    """Numerators over the least common denominator.
+
+    int64 when twice their total fits, so every subset sum and its double
+    stays exact; otherwise Python ints (object dtype), exact at any size.
+    """
+    denom = math.lcm(*(v.denominator for v in values)) if values else 1
+    nums = [int(v * denom) for v in values]
+    fits = 2 * sum(nums) <= np.iinfo(np.int64).max
+    return np.array(nums, dtype=np.int64 if fits else object), denom
 
 
 @dataclass(frozen=True)
@@ -330,51 +377,23 @@ def serialize_dhg(h: DirectedHypergraph) -> str:
 
 def out_cut(h: DirectedHypergraph, subset: frozenset[int] | set[int]) -> list[int]:
     """Indices of edges in the out-going cut of ``subset``."""
-    return [
-        k
-        for k, e in enumerate(h.edges)
-        if not e.tail.isdisjoint(subset) and not e.head.issubset(subset)
-    ]
+    return np.flatnonzero(_crossing(h, subset)[0]).tolist()
 
 
-def _check_proper(h: DirectedHypergraph, subset) -> frozenset[int]:
-    s = frozenset(subset)
-    if not s or len(s) == h.n:
-        raise ValueError("subset must be non-empty and proper")
-    if any(not 0 <= v < h.n for v in s):
-        raise ValueError("subset contains out-of-range vertices")
-    return s
-
-
-def _out_weight(h: DirectedHypergraph, subset) -> Fraction:
-    return sum((h.edges[k].weight for k in out_cut(h, subset)), Fraction(0))
-
-
-def _sparsity_of(h: DirectedHypergraph, s: frozenset[int], cut_w: Fraction) -> Fraction:
-    ws = h.weight_of(s)
-    return cut_w / (ws * (h.total_weight - ws))
+def _crossing(h: DirectedHypergraph, subset) -> tuple[np.ndarray, np.ndarray]:
+    x = np.zeros(h.n)
+    x[list(subset)] = 1.0
+    return h.incidence.crossing(x)
 
 
 def sparsity(h: DirectedHypergraph, subset) -> Fraction:
     """Directed sparsity: out-going cut weight over the weight product."""
-    s = _check_proper(h, subset)
-    return _sparsity_of(h, s, _out_weight(h, s))
+    return evaluate_cut(h, subset).sparsity
 
 
 def weighted_degrees(h: DirectedHypergraph) -> list[Fraction]:
     """Weighted degree of each vertex: total weight of incident edges."""
-    return list(h._weighted_degrees)
-
-
-def _expansions(
-    h: DirectedHypergraph, s: frozenset[int], w_out: Fraction
-) -> tuple[Fraction, Fraction]:
-    deg = h._weighted_degrees
-    ws = sum((deg[i] for i in s), Fraction(0))
-    if ws == 0:
-        raise ValueError("undefined expansion: subset has zero weighted degree")
-    w_in = _out_weight(h, frozenset(range(h.n)) - s)
-    return w_out / ws, w_in / ws
+    return [Fraction(d, h.incidence.denom) for d in h.incidence.degrees.tolist()]
 
 
 def expansion(h: DirectedHypergraph, subset) -> tuple[Fraction, Fraction, Fraction]:
@@ -383,20 +402,26 @@ def expansion(h: DirectedHypergraph, subset) -> tuple[Fraction, Fraction, Fracti
     File-supplied vertex weights are ignored here: expansion is defined
     against recomputed weighted degrees.
     """
-    s = _check_proper(h, subset)
-    phi_plus, phi_minus = _expansions(h, s, _out_weight(h, s))
-    return phi_plus, phi_minus, min(phi_plus, phi_minus)
+    cut = evaluate_cut(h, subset)
+    if not h.incidence.degrees[list(cut.subset)].any():
+        raise ValueError("undefined expansion: subset has zero weighted degree")
+    return cut.phi_plus, cut.phi_minus, min(cut.phi_plus, cut.phi_minus)
 
 
 def evaluate_cut(h: DirectedHypergraph, subset) -> Cut:
     """Bundle sparsity and both expansions of a proper subset."""
-    s = _check_proper(h, subset)
-    w_out = _out_weight(h, s)
-    try:
-        phi_p, phi_m = _expansions(h, s, w_out)
-    except ValueError:
-        phi_p = phi_m = Fraction(0)
-    return Cut(s, _sparsity_of(h, s, w_out), phi_p, phi_m)
+    s = frozenset(subset)
+    if not s or len(s) == h.n:
+        raise ValueError("subset must be non-empty and proper")
+    if any(not 0 <= v < h.n for v in s):
+        raise ValueError("subset contains out-of-range vertices")
+    inc = h.incidence
+    w_out, w_in = (int(inc.weights[mask].sum()) for mask in _crossing(h, s))
+    ws = h.weight_of(s)
+    # numerators over one denominator, which cancels in the expansions
+    deg = int(inc.degrees[list(s)].sum())
+    phi = (Fraction(w_out, deg), Fraction(w_in, deg)) if deg else (Fraction(0), Fraction(0))
+    return Cut(s, Fraction(w_out, inc.denom * ws * (h.total_weight - ws)), *phi)
 
 
 def reduce_to_digraph(h: DirectedHypergraph) -> ReducedDigraph:
@@ -453,14 +478,18 @@ def out_closure(h: DirectedHypergraph, seeds: Iterable[int]) -> frozenset[int]:
 
     Propagates heads of positive-weight edges whose tail is touched; the
     result S satisfies w(out-cut(S)) = 0, so a proper closure witnesses a
-    zero-sparsity cut.
+    zero-sparsity cut.  Each edge is fired at most once.
     """
+    out_edges, heads = h.incidence.closure_lists
     s = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for e in h.edges:
-            if e.weight > 0 and not e.tail.isdisjoint(s) and not e.head <= s:
-                s |= e.head
-                changed = True
+    stack = list(s)
+    fired = [False] * h.m
+    while stack:
+        for k in out_edges[stack.pop()]:
+            if not fired[k]:
+                fired[k] = True
+                for v in heads[k]:
+                    if v not in s:
+                        s.add(v)
+                        stack.append(v)
     return frozenset(s)

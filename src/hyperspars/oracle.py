@@ -14,7 +14,8 @@ run; a breach raises instead of returning a silently wrong outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -109,6 +110,17 @@ class OracleConfig:
     c_path: float = 4.0
     dual_scale: float = 1.25
     n_dirs: int | None = None
+
+    def __post_init__(self):
+        # the constants may come from a file: 0 divides by zero, < 0 aborts every probe
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "n_dirs" and value is None:
+                continue
+            kinds, what = ((int,), "integer") if f.name == "n_dirs" else ((int, float), "number")
+            ok = isinstance(value, kinds) and not isinstance(value, bool)
+            if not (ok and 0 < value <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be a finite positive {what}, not {value!r}")
 
     @property
     def beta(self) -> float:
@@ -361,7 +373,7 @@ def case1(
     }
 
     if res.value < total_cap * (1.0 - 1e-9):
-        subset = [v for v in range(h.n) if res.reachable[v]]
+        subset = np.flatnonzero(res.reachable[: h.n]).tolist()
         return _cut_outcome(alpha, h, subset, cfg, "1A", extra)
 
     fa = lift_flow(res, inst)
@@ -521,7 +533,7 @@ def case2(
         if res.value < threshold:
             # keep scanning directions for the sparsest Case-A cut; any
             # single one already satisfies the contract
-            subset = [v for v in range(h.n) if res.reachable[v]]
+            subset = np.flatnonzero(res.reachable[: h.n]).tolist()
             inside = float(omega[subset].sum())
             extra["side_weights"] = (inside, total - inside)
             outcome = _cut_outcome(alpha, h, subset, cfg, "2A", extra)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph, Hyperedge, weighted_degrees
+from .hypergraph import DirectedHypergraph, Hyperedge, expansion, sparsity
 
 __all__ = [
     "GeneratorSpec",
@@ -27,26 +27,32 @@ BRUTE_FORCE_MAX_N = 24
 _CHUNK = 1 << 16
 
 
-def _edge_masks(h: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray]:
-    tails = np.array([sum(1 << v for v in e.tail) for e in h.edges], dtype=np.int64)
-    heads = np.array([sum(1 << v for v in e.head) for e in h.edges], dtype=np.int64)
-    return tails, heads
-
-
-def _common_numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
-    """Numerators over the least common denominator.
-
-    int64 when twice their total fits, so every subset sum and its double
-    stays exact; otherwise Python ints (object dtype), exact at any size.
-    """
-    denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    nums = [int(v * denom) for v in values]
-    fits = 2 * sum(nums) <= np.iinfo(np.int64).max
-    return np.array(nums, dtype=np.int64 if fits else object), denom
-
-
 def _subset_members(mask: int, n: int) -> frozenset[int]:
     return frozenset(v for v in range(n) if mask >> v & 1)
+
+
+def _scan(h: DirectedHypergraph, chunk_values, exact) -> tuple[frozenset[int], Fraction] | None:
+    """The subset of least ``exact`` value (the smallest mask on ties), or
+    None.  ``chunk_values(masks, bits)`` gets subsets as bitmasks and 0/1
+    rows and returns the masks it scores with their float values; those
+    within rounding of the least are rescored by ``exact``."""
+    if h.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force guarded at n <= {BRUTE_FORCE_MAX_N}")
+    if h.n < 2:
+        raise ValueError("no proper subsets exist")
+    best = math.inf
+    candidates: list[int] = []
+    full = (1 << h.n) - 1
+    for lo in range(1, full, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, full), dtype=np.int64)
+        masks, val = chunk_values(masks, (masks[:, None] >> np.arange(h.n)) & 1)
+        if len(val) and float(val.min()) < best * (1 + 1e-9) + 1e-15:
+            best = min(best, float(val.min()))
+            candidates.extend(masks[val <= best * (1 + 1e-9) + 1e-15].tolist())
+    if not candidates:
+        return None
+    subset = min((_subset_members(mask, h.n) for mask in sorted(candidates)), key=exact)
+    return subset, exact(subset)
 
 
 def brute_force_sparsest(h: DirectedHypergraph) -> tuple[frozenset[int], Fraction]:
@@ -55,107 +61,33 @@ def brute_force_sparsest(h: DirectedHypergraph) -> tuple[frozenset[int], Fractio
     Ties break toward the smallest characteristic bitmask with vertices in
     index order.
     """
-    n = h.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force guarded at n <= {BRUTE_FORCE_MAX_N}")
-    if n < 2:
-        raise ValueError("no proper subsets exist")
-    tails, heads = _edge_masks(h)
-    nums, _ = _common_numerators([e.weight for e in h.edges])
+    inc = h.incidence
     omega = np.array(h.vertex_weights, dtype=np.int64)
     total = int(omega.sum())
 
-    best_mask = -1
-    best_float = math.inf
-    candidates: list[int] = []
-    full = (1 << n) - 1
-    for lo in range(1, full, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, full), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)) & 1
+    def chunk_values(masks, bits):
         ws = bits @ omega
-        crossing = ((masks[:, None] & tails) != 0) & ((~masks[:, None] & heads) != 0)
-        cut = crossing @ nums
-        val = cut / (ws * (total - ws))
-        lo_val = float(val.min())
-        if lo_val < best_float * (1 + 1e-9) + 1e-15:
-            best_float = min(best_float, lo_val)
-            band = val <= best_float * (1 + 1e-9) + 1e-15
-            candidates.extend(int(m) for m in masks[band])
+        leave, _ = inc.crossing(bits)
+        return masks, leave @ inc.weights / (ws * (total - ws))
 
-    best_val: Fraction | None = None
-    for mask in sorted(candidates):
-        s = _subset_members(mask, n)
-        cut_w = Fraction(0)
-        for e in h.edges:
-            if not e.tail.isdisjoint(s) and any(v not in s for v in e.head):
-                cut_w += e.weight
-        ws = h.weight_of(s)
-        v = cut_w / (ws * (total - ws))
-        if best_val is None or v < best_val:
-            best_val = v
-            best_mask = mask
-    assert best_val is not None
-    return _subset_members(best_mask, n), best_val
+    return _scan(h, chunk_values, lambda s: sparsity(h, s))
 
 
 def brute_force_expansion(h: DirectedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Exact edge expansion: min over light-side subsets of min(phi+, phi-)."""
-    n = h.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force guarded at n <= {BRUTE_FORCE_MAX_N}")
-    if n < 2:
-        raise ValueError("no proper subsets exist")
-    tails, heads = _edge_masks(h)
-    deg = weighted_degrees(h)
-    all_vals = [e.weight for e in h.edges] + deg
-    nums, denom = _common_numerators(all_vals)
-    w_nums = nums[: h.m]
-    deg_nums = nums[h.m :]
-    total = int(deg_nums.sum())
+    inc = h.incidence
+    total = int(inc.degrees.sum())
 
-    best_float = math.inf
-    candidates: list[int] = []
-    full = (1 << n) - 1
-    for lo in range(1, full, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, full), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)) & 1
-        ws = bits @ deg_nums
+    def chunk_values(masks, bits):
+        ws = bits @ inc.degrees
         ok = (2 * ws <= total) & (ws > 0)
-        if not ok.any():
-            continue
-        masks = masks[ok]
-        bits = bits[ok]
-        ws = ws[ok]
-        out_cross = ((masks[:, None] & tails) != 0) & ((~masks[:, None] & heads) != 0)
-        in_cross = ((~masks[:, None] & tails) != 0) & ((masks[:, None] & heads) != 0)
-        phi = np.minimum(out_cross @ w_nums, in_cross @ w_nums) / ws
-        lo_val = float(phi.min())
-        if lo_val < best_float * (1 + 1e-9) + 1e-15:
-            best_float = min(best_float, lo_val)
-            band = phi <= best_float * (1 + 1e-9) + 1e-15
-            candidates.extend(int(m) for m in masks[band])
+        leave, enter = inc.crossing(bits[ok])
+        return masks[ok], np.minimum(leave @ inc.weights, enter @ inc.weights) / ws[ok]
 
-    if not candidates:
+    found = _scan(h, chunk_values, lambda s: expansion(h, s)[2])
+    if found is None:
         raise ValueError("no subset with positive weighted degree and light side")
-    best_val: Fraction | None = None
-    best_mask = -1
-    for mask in sorted(candidates):
-        s = _subset_members(mask, n)
-        ws = sum((deg[i] for i in s), Fraction(0))
-        comp = frozenset(range(n)) - s
-        w_out = Fraction(0)
-        w_in = Fraction(0)
-        for e in h.edges:
-            if not e.tail.isdisjoint(s) and any(v not in s for v in e.head):
-                w_out += e.weight
-            if not e.tail.isdisjoint(comp) and any(v in s for v in e.head):
-                w_in += e.weight
-        v = min(w_out, w_in) / ws
-        if best_val is None or v < best_val:
-            best_val = v
-            best_mask = mask
-    assert best_val is not None
-    return _subset_members(best_mask, n), best_val
+    return found
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hyperspars import oracle
@@ -92,8 +93,8 @@ class TestSolve:
 
         def lossy(inst):
             res = real(inst)
-            reach = tuple(k == inst.s for k in range(inst.num_nodes))
-            return MaxFlowResult(0.0, (0.0,) * len(res.arc_flow), reach)
+            reach = np.arange(inst.num_nodes) == inst.s
+            return MaxFlowResult(0.0, np.zeros_like(res.arc_flow), reach)
 
         monkeypatch.setattr(oracle, "max_flow", lossy)
         assert main(["solve", toy_file, "--seed", "0"]) == 1
@@ -108,6 +109,19 @@ class TestSolve:
         out = str(tmp_path / "r.json")
         assert run_solve(toy_file, out, ("--constants", str(constants))) == 1
         assert f"unknown constant {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "constants",
+        [{"c_rho": "x"}, {"c_rho": 0}, {"c_rho": -1}, {"n_dirs": 0}],
+        ids=["string", "zero", "negative", "n_dirs_zero"],
+    )
+    def test_bad_constant_value_exit_1(self, toy_file, tmp_path, capsys, constants):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps(constants))
+        assert run_solve(toy_file, str(tmp_path / "r.json"), ("--constants", str(path))) == 1
+        err = capsys.readouterr().err
+        (key,) = constants
+        assert err.startswith(f"error: {key} must be") and "Traceback" not in err
 
     def test_wide_weight_ratio(self, tmp_path, capsys):
         # an edge-weight ratio of 1e14; the cut is the brute-force optimum
@@ -230,6 +244,9 @@ MALFORMED_REPORT = {
     "certificates_null": lambda doc: dict(doc, certificates=None),
     "transcript_null": lambda doc: dict(doc, transcript=None),
     "config_search_ratio_1": lambda doc: dict(doc, config=dict(doc["config"], search_ratio=1)),
+    "config_c_rho_0": lambda doc: dict(
+        doc, config=dict(doc["config"], oracle=dict(doc["config"]["oracle"], c_rho=0))
+    ),
     "cut_vertices_not_a_list": lambda doc: dict(doc, cut={"vertices": 5}),
     "lower_bound_a_string": lambda doc: dict(doc, lower_bound="1/2"),
 }
@@ -426,6 +443,19 @@ class TestExact:
         assert main(["exact", planted_file, "--compare", out, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["solve_ratio"] >= 1.0
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]", '{"sparsity": "abc"}'],
+        ids=["missing", "invalid_json", "list", "sparsity_not_a_number"],
+    )
+    def test_bad_compare_report_exit_1(self, planted_file, tmp_path, capsys, content):
+        report = tmp_path / "r.json"
+        if content is not None:
+            report.write_text(content)
+        assert main(["exact", planted_file, "--compare", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_size_guard_exit_1(self, tmp_path, capsys):
         lines = ["dhg 25 1"] + [f"v v{k} 1" for k in range(25)] + ["e 1 T v0 H v1"]

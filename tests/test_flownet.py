@@ -69,8 +69,8 @@ class TestMaxFlowKernels:
     def test_single_arc(self):
         val, flow, reach = run_kernel(_maxflow_py.max_flow_arrays, 2, [(0, 1, 5.0)], 0, 1)
         assert val == 5.0
-        assert flow == [5.0]
-        assert reach == [True, False]
+        assert flow.tolist() == [5.0]
+        assert reach.tolist() == [True, False]
 
     def test_diamond_two_paths(self):
         arcs = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
@@ -81,7 +81,7 @@ class TestMaxFlowKernels:
         arcs = [(0, 1, 4.0), (1, 2, 1.5), (2, 3, 4.0)]
         val, flow, reach = run_kernel(_maxflow_py.max_flow_arrays, 4, arcs, 0, 3)
         assert val == pytest.approx(1.5)
-        assert reach == [True, True, False, False]
+        assert reach.tolist() == [True, True, False, False]
 
     def test_random_instances_match_exhaustive_cut(self, rng):
         kernel = _maxflow_py.max_flow_arrays
@@ -229,7 +229,7 @@ class TestFlowTolerance:
 def bits(result):
     """A kernel result with every float spelled out to the last bit."""
     value, flow, reach = result
-    return value.hex(), [f.hex() for f in flow], [bool(r) for r in reach]
+    return value.hex(), [float(f).hex() for f in flow], [bool(r) for r in reach]
 
 
 def instance_args(inst):
@@ -242,7 +242,7 @@ def instance_args(inst):
 
 def assert_kernels_agree(*args):
     got = _core.max_flow_arrays(*args)
-    assert type(got[0]) is float and type(got[1]) is list and type(got[2]) is list
+    assert type(got[0]) is float and got[1].dtype == np.float64 and got[2].dtype == np.bool_
     assert bits(got) == bits(_maxflow_py.max_flow_arrays(*args))
 
 
@@ -313,6 +313,7 @@ class TestCompiledKernel:
             "shutil.which = lambda *args, **kwargs: None\n"
             "from hyperspars import _core\n"
             "flows = [_core.max_flow_arrays(*args) for args in json.load(sys.stdin)]\n"
+            "flows = [(value, flow.tolist(), reach.tolist()) for value, flow, reach in flows]\n"
             "print(json.dumps([_core.__file__, _core._impl.__name__, _core.HAVE_COMPILED, flows]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp_path / "tmp"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperspars.hypergraph import (
@@ -14,6 +14,7 @@ from hyperspars.hypergraph import (
     Hyperedge,
     evaluate_cut,
     expansion,
+    out_closure,
     out_cut,
     parse_dhg,
     reduce_to_digraph,
@@ -26,7 +27,16 @@ from hyperspars.hypergraph import (
 from hyperspars.sdpcore import mat_K
 
 from conftest import make_h, random_hypergraph
-from witnesses import digraph_cut_weight, restrict_subset, transform_subset
+from witnesses import (
+    digraph_cut_weight,
+    restrict_subset,
+    scan_expansion,
+    scan_out_closure,
+    scan_out_cut,
+    scan_sparsity,
+    scan_weighted_degrees,
+    transform_subset,
+)
 
 TOY = "dhg 2 1\nv 1 1\nv 2 1\ne 3 T 1 H 2\n"
 
@@ -185,6 +195,53 @@ class TestEvaluateCut:
         assert (cut.sparsity, cut.phi_plus, cut.phi_minus) == (0, 0, 0)
 
 
+@st.composite
+def hypergraphs(draw):
+    """Small DHGs with tails and heads drawn independently, so they may
+    overlap, and weights that include 0 and values past int64."""
+    n = draw(st.integers(2, 6))
+    vertices = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    weight = st.one_of(
+        st.fractions(min_value=0, max_value=8, max_denominator=4),
+        st.sampled_from([Fraction(0), Fraction(5 * 10**18), Fraction(1, 1000003)]),
+    )
+    edges = draw(st.lists(st.tuples(vertices, vertices, weight), max_size=6))
+    omega = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    return make_h(n, edges, weights=omega)
+
+
+def expansion_or_error(evaluate, h, s):
+    try:
+        return evaluate(h, s)
+    except ValueError:
+        return "undefined"
+
+
+class TestIncidenceAgainstScan:
+    """Every cut question answered from the incidence equals the frozenset
+    scan with exact Fraction sums that ``witnesses`` keeps."""
+
+    @given(hypergraphs())
+    @example(make_h(3, []))
+    @example(make_h(3, [({0}, {1}, 0), ({1}, {2}, 0), ({2}, {0}, 1)]))
+    @example(make_h(3, [({0, 1}, {1, 2}, 2), ({2}, {2, 0}, Fraction(1, 3))]))
+    @example(make_h(4, [({k}, {(k + 1) % 4}, Fraction(1, 1000003 + 30 * k)) for k in range(4)]))
+    @example(make_h(2, [({0}, {1}, 5 * 10**18), ({1}, {0}, 5 * 10**18)]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_witness(self, h):
+        for g in (h, reverse(h)):
+            assert weighted_degrees(g) == list(scan_weighted_degrees(g))
+            for mask in range(2**g.n):
+                s = frozenset(v for v in range(g.n) if mask >> v & 1)
+                assert out_cut(g, s) == scan_out_cut(g, s)
+                assert out_closure(g, s) == scan_out_closure(g, s)
+                if 0 < len(s) < g.n:
+                    assert sparsity(g, s) == scan_sparsity(g, s)
+                    assert expansion_or_error(expansion, g, s) == expansion_or_error(
+                        scan_expansion, g, s
+                    )
+
+
 class TestCachedDerivedData:
     def test_weighted_degrees_fresh_list(self):
         h = make_h(3, [({0, 1}, {2}, 2), ({2}, {0}, Fraction(1, 3))])
@@ -221,6 +278,18 @@ class TestCachedDerivedData:
         assert h == twin and hash(h) == hash(twin)
         assert pickle.dumps(h) == before == pickle.dumps(twin)
         assert pickle.loads(pickle.dumps(hr)) == hr
+
+    def test_reverse_shares_incidence_swapped(self, rng):
+        h = random_hypergraph(rng, n=6, m=5)
+        inc, rev = h.incidence, reverse(h).incidence
+        assert inc is h.incidence and rev.tail is inc.head and rev.head is inc.tail
+        assert rev.weights is inc.weights and rev.degrees is inc.degrees
+        assert rev.denom == inc.denom
+        assert reverse(reverse(h)).incidence is inc
+        for arr in (inc.tail, inc.head, inc.weights, inc.degrees):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            inc.tail[0, 0] = 1.0
 
     def test_k_matrix_cached_read_only(self):
         h = make_h(3, [({0}, {1}, 1)], weights=[1, 2, 3])

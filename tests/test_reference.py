@@ -6,10 +6,15 @@ import pytest
 
 import numpy as np
 
-from hyperspars.hypergraph import expansion, serialize_dhg, sparsity, weighted_degrees
+from hyperspars.hypergraph import (
+    _common_numerators,
+    expansion,
+    serialize_dhg,
+    sparsity,
+    weighted_degrees,
+)
 from hyperspars.reference import (
     GeneratorSpec,
-    _common_numerators,
     brute_force_expansion,
     brute_force_sparsest,
     generate,

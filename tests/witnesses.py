@@ -3,8 +3,10 @@
 They state properties of the solver's building blocks in executable form:
 the matrix exponential and variance form behind the multiplicative-weights
 analysis, the demand-norm and capacity-duality bounds and the flow
-decomposition identity of the flow layer, and the subset lift and
-projection between a hypergraph and its reduced digraph.
+decomposition identity of the flow layer, the subset lift and projection
+between a hypergraph and its reduced digraph, and a cut evaluator that
+scans the edges' frozensets with exact ``Fraction`` sums, independent of
+the incidence arrays the package answers cut questions from.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hyperspars.flownet import (
     flow_matrix,
     triangle_matrix_sum,
 )
-from hyperspars.hypergraph import DirectedHypergraph, ReducedDigraph, out_cut
+from hyperspars.hypergraph import DirectedHypergraph, ReducedDigraph
 from hyperspars.sdpcore import GramState
 
 DEFAULT_DEMAND_NORM_CONST = 8.0
@@ -131,6 +133,59 @@ def restrict_subset(rd: ReducedDigraph, subset: Iterable[int]) -> tuple[frozense
     dig = digraph_cut_weight(rd, s)
     if dig >= rd.big_weight:
         return restricted, False
-    crossing = [k for k in out_cut(rd.base, restricted)]
+    crossing = [k for k in scan_out_cut(rd.base, restricted)]
     hyp = sum((rd.base.edges[k].weight for k in crossing), Fraction(0))
     return restricted, hyp == dig
+
+
+def scan_out_cut(h: DirectedHypergraph, subset) -> list[int]:
+    """Indices of edges in the out-going cut of ``subset``."""
+    return [
+        k
+        for k, e in enumerate(h.edges)
+        if not e.tail.isdisjoint(subset) and not e.head.issubset(subset)
+    ]
+
+
+def scan_out_weight(h: DirectedHypergraph, subset) -> Fraction:
+    return sum((h.edges[k].weight for k in scan_out_cut(h, subset)), Fraction(0))
+
+
+def scan_weighted_degrees(h: DirectedHypergraph) -> tuple[Fraction, ...]:
+    deg = [Fraction(0)] * h.n
+    for e in h.edges:
+        for v in e.tail | e.head:
+            deg[v] += e.weight
+    return tuple(deg)
+
+
+def scan_sparsity(h: DirectedHypergraph, subset) -> Fraction:
+    s = frozenset(subset)
+    ws = h.weight_of(s)
+    return scan_out_weight(h, s) / (ws * (h.total_weight - ws))
+
+
+def scan_expansion(h: DirectedHypergraph, subset) -> tuple[Fraction, Fraction, Fraction]:
+    """(phi_plus, phi_minus, phi); ValueError where ``subset`` has zero
+    weighted degree."""
+    s = frozenset(subset)
+    deg = scan_weighted_degrees(h)
+    ws = sum((deg[i] for i in s), Fraction(0))
+    if ws == 0:
+        raise ValueError("undefined expansion: subset has zero weighted degree")
+    phi_plus = scan_out_weight(h, s) / ws
+    phi_minus = scan_out_weight(h, frozenset(range(h.n)) - s) / ws
+    return phi_plus, phi_minus, min(phi_plus, phi_minus)
+
+
+def scan_out_closure(h: DirectedHypergraph, seeds: Iterable[int]) -> frozenset[int]:
+    """Smallest superset of ``seeds`` with zero-weight out-going cut."""
+    s = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for e in h.edges:
+            if e.weight > 0 and not e.tail.isdisjoint(s) and not e.head <= s:
+                s |= e.head
+                changed = True
+    return frozenset(s)
