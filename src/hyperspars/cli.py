@@ -23,13 +23,12 @@ from .hypergraph import (
     DhgParseError,
     DirectedHypergraph,
     degree_scaled,
-    expansion,
     parse_dhg,
     reduce_to_digraph,
     serialize_dhg,
 )
 from .oracle import OracleConfig, OracleInvariantError
-from .report import dumps_report, solve_report, verify_report
+from .report import dumps_report, expansion_estimate, solve_report, verify_report
 
 __all__ = ["main"]
 
@@ -71,25 +70,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(**kwargs)
 
 
-def _expansion_estimate(h: DirectedHypergraph, cut_subset) -> dict:
-    """Exact expansion of the light side of a cut, by weighted degree;
-    where both sides weigh the same, their expansions are equal."""
-    deg = h.incidence.degrees
-    side = set(cut_subset)
-    if 2 * deg[list(side)].sum() > deg.sum():
-        side = set(range(h.n)) - side
-    try:
-        phi_p, phi_m, phi = expansion(h, side)
-    except ValueError:  # the light side has weighted degree 0
-        return {}
-    return {
-        "vertices": sorted(h.names[v] for v in side),
-        "phi": str(phi),
-        "phi_plus": str(phi_p),
-        "phi_minus": str(phi_m),
-    }
-
-
 def cmd_solve(args) -> int:
     try:
         h = _load_hypergraph(args.input)
@@ -126,7 +106,7 @@ def cmd_solve(args) -> int:
         return 1
 
     if mode == "expansion" and result.best_cut is not None:
-        extra["expansion"] = _expansion_estimate(h, result.best_cut.subset)
+        extra["expansion"] = expansion_estimate(h, result.best_cut.subset)
         extra["scaled_weights"] = list(h_solve.vertex_weights)
 
     doc = solve_report(h_solve, cfg, result, seed, mode=mode, extra=extra)

@@ -319,18 +319,35 @@ def _singleton_baseline(h: DirectedHypergraph) -> Cut:
     A zero out-cut exists iff some vertex's out-closure is proper; checking
     those up front means a sparsity-0 cut is never missed by the bracketed
     search (whose floor assumes positive sparsity).
+
+    The candidates are, for v = 0 .. n-1 in turn, {v}, V - {v} and v's
+    out-closure when proper; the first of least sparsity wins.  All 3n are
+    scored exactly in one pass, from out-cut weights taken in closed form
+    and the closures that span V, and only the winner is built as a Cut.
     """
-    best: Cut | None = None
-    for v in range(h.n):
-        candidates = [{v}, set(range(h.n)) - {v}, out_closure(h, {v})]
-        for subset in candidates:
-            if not subset or len(subset) == h.n:
-                continue
-            cut = evaluate_cut(h, subset)
-            if best is None or cut.sparsity < best.sparsity:
-                best = cut
-    assert best is not None
-    return best
+    if h.n < 2:
+        raise ValueError("no proper subsets exist")
+    inc = h.incidence
+    single, complement = inc.singleton_out_weights()
+    full = inc.full_closures()
+    total = h.total_weight
+    # each candidate's sparsity is num / den over the edge-weight
+    # denominator; {v} and V - {v} share den, and a proper closure has num 0
+    best_num, best_den, best = 0, 1, None
+    for v, w in enumerate(h.vertex_weights):
+        den = w * (total - w)
+        candidates = [(single[v], den, "single"), (complement[v], den, "complement")]
+        if v not in full:
+            candidates.append((0, 1, "closure"))
+        for num, d, kind in candidates:
+            if best is None or num * best_den < best_num * d:
+                best_num, best_den, best = num, d, (v, kind)
+        if best_num == 0:
+            break  # nothing later can be sparser
+    v, kind = best
+    if kind == "closure":
+        return evaluate_cut(h, out_closure(h, {v}))
+    return evaluate_cut(h, {v} if kind == "single" else set(range(h.n)) - {v})
 
 
 def binary_search(

@@ -170,15 +170,14 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
     marginals and is order-independent.
     """
     rd = instance.rd
-    h = rd.base
     # Python floats, as the assignment and the reports hold
     arc_flow = result.arc_flow.tolist()
     values: list[tuple[int, int, int, float]] = []
-    for e_idx, e in enumerate(h.edges):
+    # each edge's tails and heads sorted, the order of its gadget arcs
+    inc = rd.base.incidence
+    for e_idx, (tails, heads) in enumerate(zip(inc.tail.lists, inc.head.lists)):
         k = rd.edge_arc_index[e_idx]
         mid = arc_flow[k]
-        tails = sorted(e.tail)
-        heads = sorted(e.head)
         in_flows = arc_flow[k + 1 : k + 1 + len(tails)]
         out_flows = arc_flow[k + 1 + len(tails) : k + 1 + len(tails) + len(heads)]
         tol = CONSERVATION_TOL * max(1.0, abs(mid))

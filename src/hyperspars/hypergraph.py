@@ -32,6 +32,8 @@ __all__ = [
     "serialize_dhg",
     "sparsity",
     "expansion",
+    "evaluate_cut",
+    "evaluate_cuts",
     "weighted_degrees",
     "reduce_to_digraph",
     "reverse",
@@ -132,15 +134,18 @@ class DirectedHypergraph:
     @cached_property
     def incidence(self) -> "Incidence":
         """The edges as read-only arrays that every cut question reads."""
-        tail = np.zeros((self.m, self.n))
-        head = np.zeros((self.m, self.n))
-        for k, e in enumerate(self.edges):
-            tail[k, list(e.tail)] = 1.0
-            head[k, list(e.head)] = 1.0
+        tail = VertexLists.of([e.tail for e in self.edges])
+        head = VertexLists.of([e.head for e in self.edges])
         weights, denom = _common_numerators([e.weight for e in self.edges])
-        deg = [Fraction(sum(weights[col].tolist())) for col in (tail + head).T > 0]
-        degrees, _ = _common_numerators(deg)  # integers, already over denom
-        for arr in (tail, head, weights, degrees):
+        # each edge counts once toward each vertex of its tail and head
+        keys = np.sort(np.concatenate([
+            tail.edge * self.n + tail.index, head.edge * self.n + head.index
+        ]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        deg = np.zeros(self.n, dtype=weights.dtype)
+        np.add.at(deg, keys % self.n, weights[keys // self.n])
+        degrees = _exact_array(deg.tolist())  # integers, already over denom
+        for arr in (weights, degrees):
             arr.flags.writeable = False
         return Incidence(tail, head, weights, degrees, denom)
 
@@ -172,43 +177,186 @@ class DirectedHypergraph:
 
 
 @dataclass(frozen=True, eq=False)
-class Incidence:
-    """A hypergraph's edges as read-only arrays: m x n float64 0/1 ``tail``
-    and ``head`` matrices, and each edge's weight and each vertex's weighted
-    degree as numerators over ``denom``, in ``_common_numerators``' dtype."""
+class VertexLists:
+    """One vertex set per edge, sorted, in CSR form: edge k's vertices are
+    ``index[ptr[k]:ptr[k + 1]]``.  Read-only intp arrays."""
 
-    tail: np.ndarray
-    head: np.ndarray
+    index: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def of(cls, sets: list[frozenset[int]]) -> "VertexLists":
+        ptr = np.zeros(len(sets) + 1, dtype=np.intp)
+        np.cumsum([len(s) for s in sets], out=ptr[1:])
+        index = np.fromiter(
+            (v for s in sets for v in sorted(s)), dtype=np.intp, count=int(ptr[-1])
+        )
+        for arr in (index, ptr):
+            arr.flags.writeable = False
+        return cls(index, ptr)
+
+    @cached_property
+    def edge(self) -> np.ndarray:
+        """The edge of each entry of ``index``."""
+        edge = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        edge.flags.writeable = False
+        return edge
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of vertices of each edge."""
+        sizes = np.diff(self.ptr)
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def lists(self) -> tuple[list[int], ...]:
+        """Each edge's vertices as a list of ints, in ``index`` order."""
+        index, ptr = self.index.tolist(), self.ptr.tolist()
+        return tuple(index[a:b] for a, b in zip(ptr, ptr[1:]))
+
+    def count(self, inside: np.ndarray) -> np.ndarray:
+        """The number of each edge's vertices where the boolean indicator
+        ``inside`` holds (or for each indicator, one per row)."""
+        if not len(self.index):
+            return np.zeros(inside.shape[:-1] + (0,), dtype=np.intp)
+        # gathered and summed down the columns of inside.T, which is faster
+        # than along the rows of inside
+        return np.add.reduceat(inside.T[self.index], self.ptr[:-1], dtype=np.intp).T
+
+
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """A hypergraph's edges as read-only arrays: the ``tail`` and ``head``
+    vertex lists, and each edge's weight and each vertex's weighted degree
+    as numerators over ``denom``, in ``_common_numerators``' dtype."""
+
+    tail: VertexLists
+    head: VertexLists
     weights: np.ndarray
     degrees: np.ndarray
     denom: int
 
+    @property
+    def n(self) -> int:
+        return len(self.degrees)
+
     def crossing(self, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the edges that leave and that enter the subset whose
         0/1 indicator is ``inside`` (or each subset, one per row)."""
-        outside = 1 - inside
-        leave = (inside @ self.tail.T > 0) & (outside @ self.head.T > 0)
-        enter = (outside @ self.tail.T > 0) & (inside @ self.head.T > 0)
+        x = np.asarray(inside, dtype=bool)
+        tail, head = self.tail.count(x), self.head.count(x)
+        leave = (tail > 0) & (head < self.head.sizes)
+        enter = (tail < self.tail.sizes) & (head > 0)
         return leave, enter
 
     @cached_property
     def closure_lists(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
         """Per vertex, the positive-weight edges out of it; per edge, its heads."""
-        positive = self.weights > 0
-        out_edges = tuple(np.flatnonzero(col & positive).tolist() for col in self.tail.T > 0)
-        return out_edges, tuple(np.flatnonzero(row).tolist() for row in self.head > 0)
+        keep = (self.weights > 0)[self.tail.edge]
+        vertex, edge = self.tail.index[keep], self.tail.edge[keep]
+        edges = edge[np.argsort(vertex, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(vertex, minlength=self.n)).tolist()
+        out_edges = tuple(edges[a:b] for a, b in zip([0, *ends], ends))
+        return out_edges, self.head.lists
+
+    def singleton_out_weights(self) -> tuple[list[int], list[int]]:
+        """Out-cut weight numerators of each {v} and of each V - {v}.
+
+        {v} is left by the edges with v in the tail and a head other than
+        v; V - {v} by the edges with v in the head and a tail other than v.
+        """
+        return self._charged(self.tail, self.head), self._charged(self.head, self.tail)
+
+    def _charged(self, mine: VertexLists, other: VertexLists) -> list[int]:
+        # per vertex v: the weight of the edges with v in ``mine`` whose
+        # ``other`` list is not exactly [v]
+        sole = np.where(other.sizes == 1, other.index[other.ptr[:-1]], -1)
+        keep = sole[mine.edge] != mine.index
+        total = np.zeros(self.n, dtype=self.weights.dtype)
+        np.add.at(total, mine.index[keep], self.weights[mine.edge[keep]])
+        return total.tolist()
+
+    def full_closures(self) -> frozenset[int]:
+        """The vertices whose out-closure (see ``out_closure``) is every
+        vertex.
+
+        Closures follow vertex -> positive-weight edge -> head.  In the
+        condensation of that graph a vertex reaches every vertex iff its
+        component is the only source component, so one pass of Tarjan's
+        algorithm over the vertices and edges decides every closure.
+        """
+        out_edges, heads = self.closure_lists
+        n = self.n
+        # node v < n is a vertex, node n + k is edge k
+        comp, count = _strong_components([[n + k for k in ks] for ks in out_edges] + list(heads), n)
+        comp = np.array(comp)
+        keep_t = (self.weights > 0)[self.tail.edge]
+        keep_h = (self.weights > 0)[self.head.edge]
+        src = np.concatenate([self.tail.index[keep_t], n + self.head.edge[keep_h]])
+        dst = np.concatenate([n + self.tail.edge[keep_t], self.head.index[keep_h]])
+        entered = np.zeros(count, dtype=bool)
+        entered[comp[dst][comp[src] != comp[dst]]] = True
+        sources = np.flatnonzero(~entered)
+        if len(sources) != 1:
+            return frozenset()
+        return frozenset(np.flatnonzero(comp[:n] == sources[0]).tolist())
+
+
+def _strong_components(succ: list[list[int]], roots: int) -> tuple[list[int], int]:
+    """Tarjan's strongly connected components, without recursion, of the
+    nodes reachable from nodes 0 .. roots - 1 of the graph with successor
+    lists ``succ``: each node's component number (-1 where unreached) and
+    the number of components."""
+    order = [-1] * len(succ)
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)
+    stack: list[int] = []
+    found = count = 0
+    for root in range(roots):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, successors = work[-1]
+            for y in successors:
+                if order[y] < 0:
+                    order[y] = low[y] = found
+                    found += 1
+                    stack.append(y)
+                    work.append((y, iter(succ[y])))
+                    break
+                if comp[y] < 0:  # visited and still on the stack
+                    low[x] = min(low[x], order[y])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == order[x]:
+                    while True:
+                        y = stack.pop()
+                        comp[y] = count
+                        if y == x:
+                            break
+                    count += 1
+    return comp, count
 
 
 def _common_numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
-    """Numerators over the least common denominator.
-
-    int64 when twice their total fits, so every subset sum and its double
-    stays exact; otherwise Python ints (object dtype), exact at any size.
-    """
+    """Numerators over the least common denominator, as ``_exact_array``."""
     denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    nums = [int(v * denom) for v in values]
+    return _exact_array([int(v * denom) for v in values]), denom
+
+
+def _exact_array(nums: list[int]) -> np.ndarray:
+    """int64 when twice their total fits, so every subset sum and its double
+    stays exact; otherwise Python ints (object dtype), exact at any size."""
     fits = 2 * sum(nums) <= np.iinfo(np.int64).max
-    return np.array(nums, dtype=np.int64 if fits else object), denom
+    return np.array(nums, dtype=np.int64 if fits else object)
 
 
 @dataclass(frozen=True)
@@ -364,26 +512,33 @@ def parse_dhg(text: str | bytes) -> DirectedHypergraph:
 
 def serialize_dhg(h: DirectedHypergraph) -> str:
     """Canonical text form: vertices sorted by name, edges in input order."""
-    order = sorted(range(h.n), key=lambda i: h.names[i])
+    names = h.names
+    order = sorted(range(h.n), key=lambda i: names[i])
     out = [f"dhg {h.n} {h.m}"]
-    for i in order:
-        out.append(f"v {h.names[i]} {h.vertex_weights[i]}")
+    out += [f"v {names[i]} {h.vertex_weights[i]}" for i in order]
     for e in h.edges:
-        tail = " ".join(sorted(h.names[i] for i in e.tail))
-        head = " ".join(sorted(h.names[i] for i in e.head))
+        tail = " ".join(sorted([names[i] for i in e.tail]))
+        head = " ".join(sorted([names[i] for i in e.head]))
         out.append(f"e {e.weight} T {tail} H {head}")
     return "\n".join(out) + "\n"
 
 
 def out_cut(h: DirectedHypergraph, subset: frozenset[int] | set[int]) -> list[int]:
     """Indices of edges in the out-going cut of ``subset``."""
-    return np.flatnonzero(_crossing(h, subset)[0]).tolist()
+    return np.flatnonzero(h.incidence.crossing(_indicators(h, [subset])[0])[0]).tolist()
 
 
-def _crossing(h: DirectedHypergraph, subset) -> tuple[np.ndarray, np.ndarray]:
-    x = np.zeros(h.n)
-    x[list(subset)] = 1.0
-    return h.incidence.crossing(x)
+def _indicators(h: DirectedHypergraph, subsets: list) -> np.ndarray:
+    """One boolean row per subset, true at its vertices; ValueError where
+    a vertex is out of range."""
+    inside = np.zeros((len(subsets), h.n), dtype=bool)
+    for row, s in zip(inside, subsets):
+        try:
+            # unsigned, so a negative vertex overflows rather than wrapping
+            row[np.fromiter(s, dtype=np.uintp, count=len(s))] = True
+        except (OverflowError, IndexError):
+            raise ValueError("subset contains out-of-range vertices") from None
+    return inside
 
 
 def sparsity(h: DirectedHypergraph, subset) -> Fraction:
@@ -410,18 +565,30 @@ def expansion(h: DirectedHypergraph, subset) -> tuple[Fraction, Fraction, Fracti
 
 def evaluate_cut(h: DirectedHypergraph, subset) -> Cut:
     """Bundle sparsity and both expansions of a proper subset."""
-    s = frozenset(subset)
-    if not s or len(s) == h.n:
+    return evaluate_cuts(h, [subset])[0]
+
+
+def evaluate_cuts(h: DirectedHypergraph, subsets) -> list[Cut]:
+    """``evaluate_cut`` of each subset, in one pass over the incidence."""
+    sets = [frozenset(s) for s in subsets]
+    if any(not 0 < len(s) < h.n for s in sets):
         raise ValueError("subset must be non-empty and proper")
-    if any(not 0 <= v < h.n for v in s):
-        raise ValueError("subset contains out-of-range vertices")
     inc = h.incidence
-    w_out, w_in = (int(inc.weights[mask].sum()) for mask in _crossing(h, s))
-    ws = h.weight_of(s)
+    total = h.total_weight
+    inside = _indicators(h, sets)
+    leave, enter = inc.crossing(inside)
+    cuts = []
     # numerators over one denominator, which cancels in the expansions
-    deg = int(inc.degrees[list(s)].sum())
-    phi = (Fraction(w_out, deg), Fraction(w_in, deg)) if deg else (Fraction(0), Fraction(0))
-    return Cut(s, Fraction(w_out, inc.denom * ws * (h.total_weight - ws)), *phi)
+    for s, w_out, w_in, deg, ws in zip(
+        sets,
+        (leave @ inc.weights).tolist(),
+        (enter @ inc.weights).tolist(),
+        (inside @ inc.degrees).tolist(),
+        (inside @ np.array(h.vertex_weights)).tolist(),
+    ):
+        phi = (Fraction(w_out, deg), Fraction(w_in, deg)) if deg else (Fraction(0), Fraction(0))
+        cuts.append(Cut(s, Fraction(w_out, inc.denom * ws * (total - ws)), *phi))
+    return cuts
 
 
 def reduce_to_digraph(h: DirectedHypergraph) -> ReducedDigraph:

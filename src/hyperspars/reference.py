@@ -13,7 +13,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph, Hyperedge, expansion, sparsity
+from .hypergraph import (
+    DirectedHypergraph,
+    Hyperedge,
+    VertexLists,
+    expansion,
+    reverse,
+    sparsity,
+)
 
 __all__ = [
     "GeneratorSpec",
@@ -55,20 +62,45 @@ def _scan(h: DirectedHypergraph, chunk_values, exact) -> tuple[frozenset[int], F
     return subset, exact(subset)
 
 
+def _edge_bits(lists: VertexLists) -> np.ndarray:
+    """Each edge's vertex set as an int64 bitmask."""
+    if not len(lists.index):
+        return np.zeros(0, dtype=np.int64)
+    return np.bitwise_or.reduceat(np.left_shift(1, lists.index, dtype=np.int64), lists.ptr[:-1])
+
+
+def _out_weights(h: DirectedHypergraph):
+    """The out-cut weight numerators of subsets given as bitmasks, as a
+    function of an int64 array of masks.  An edge leaves a subset when its
+    tail bitmask meets the subset and its head bitmask meets the rest."""
+    inc = h.incidence
+    edges = list(zip(_edge_bits(inc.tail).tolist(), _edge_bits(inc.head).tolist(),
+                     inc.weights.tolist()))
+
+    def out_weights(masks):
+        outside = ~masks
+        total = np.zeros(len(masks), dtype=inc.weights.dtype)
+        for tail, head, w in edges:
+            leave = ((masks & tail) != 0) & ((outside & head) != 0)
+            np.add(total, w, out=total, where=leave)
+        return total
+
+    return out_weights
+
+
 def brute_force_sparsest(h: DirectedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Exact minimum directed sparsity over all proper subsets.
 
     Ties break toward the smallest characteristic bitmask with vertices in
     index order.
     """
-    inc = h.incidence
+    out_weights = _out_weights(h)
     omega = np.array(h.vertex_weights, dtype=np.int64)
     total = int(omega.sum())
 
     def chunk_values(masks, bits):
         ws = bits @ omega
-        leave, _ = inc.crossing(bits)
-        return masks, leave @ inc.weights / (ws * (total - ws))
+        return masks, out_weights(masks) / (ws * (total - ws))
 
     return _scan(h, chunk_values, lambda s: sparsity(h, s))
 
@@ -76,13 +108,15 @@ def brute_force_sparsest(h: DirectedHypergraph) -> tuple[frozenset[int], Fractio
 def brute_force_expansion(h: DirectedHypergraph) -> tuple[frozenset[int], Fraction]:
     """Exact edge expansion: min over light-side subsets of min(phi+, phi-)."""
     inc = h.incidence
+    # the weight entering S is the weight leaving S in the reversal
+    out_weights, in_weights = _out_weights(h), _out_weights(reverse(h))
     total = int(inc.degrees.sum())
 
     def chunk_values(masks, bits):
         ws = bits @ inc.degrees
         ok = (2 * ws <= total) & (ws > 0)
-        leave, enter = inc.crossing(bits[ok])
-        return masks[ok], np.minimum(leave @ inc.weights, enter @ inc.weights) / ws[ok]
+        masks = masks[ok]
+        return masks, np.minimum(out_weights(masks), in_weights(masks)) / ws[ok]
 
     found = _scan(h, chunk_values, lambda s: expansion(h, s)[2])
     if found is None:

@@ -22,19 +22,22 @@ from .hypergraph import (
     Cut,
     DirectedHypergraph,
     degree_scaled,
+    evaluate_cuts,
+    expansion,
     reverse,
     serialize_dhg,
     sparsity,
 )
 from .oracle import DualCertificate, OracleConfig, certificate_check
 
-# mat_K is not called here any more, but perfbench/tracing.py wraps it in
-# this module's namespace, so the name stays
+# mat_K and sparsity are not called here any more, but perfbench/tracing.py
+# wraps them in this module's namespace, so the names stay
 from .sdpcore import TriangleId, mat_K, min_eigenvalue
 
 __all__ = [
     "solve_report",
     "dumps_report",
+    "expansion_estimate",
     "verify_report",
     "solver_config_from_dict",
 ]
@@ -43,12 +46,34 @@ __all__ = [
 def _cut_dict(h: DirectedHypergraph, cut: Cut | None) -> dict | None:
     if cut is None:
         return None
+    return {"vertices": sorted(h.names[v] for v in cut.subset), **_cut_values(cut)}
+
+
+def _cut_values(cut: Cut) -> dict:
     return {
-        "vertices": sorted(h.names[v] for v in cut.subset),
         "sparsity": str(cut.sparsity),
         "sparsity_float": float(cut.sparsity),
         "phi_plus": float(cut.phi_plus),
         "phi_minus": float(cut.phi_minus),
+    }
+
+
+def expansion_estimate(h: DirectedHypergraph, cut_subset) -> dict:
+    """Exact expansion of the light side of a cut, by weighted degree;
+    where both sides weigh the same, their expansions are equal."""
+    deg = h.incidence.degrees
+    side = set(cut_subset)
+    if 2 * deg[list(side)].sum() > deg.sum():
+        side = set(range(h.n)) - side
+    try:
+        phi_p, phi_m, phi = expansion(h, side)
+    except ValueError:  # the light side has weighted degree 0
+        return {}
+    return {
+        "vertices": sorted(h.names[v] for v in side),
+        "phi": str(phi),
+        "phi_plus": str(phi_p),
+        "phi_minus": str(phi_m),
     }
 
 
@@ -203,11 +228,11 @@ def _well_formed(doc) -> bool:
     rows = [*doc.get("certificates", []), *doc.get("transcript", [])]
     if not all(isinstance(row, dict) for row in rows):
         return False
-    cut = doc.get("cut")
-    if cut is not None and not (
-        isinstance(cut, dict)
-        and isinstance(cut.get("vertices"), list)
-        and all(isinstance(name, str) for name in cut["vertices"])
+    # the names themselves are looked up in _check_cuts
+    cuts = [doc.get("cut"), *(tr.get("cut") for tr in doc.get("transcript", []))]
+    if not all(
+        cut is None or (isinstance(cut, dict) and isinstance(cut.get("vertices"), list))
+        for cut in cuts
     ):
         return False
     bound = doc.get("lower_bound")
@@ -232,7 +257,52 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
         return False, "certificate_malformed"
 
 
+def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> str | None:
+    """The first failing claim about a cut, or None.
+
+    Every reported cut, the top-level one and each run's, must be a proper
+    subset whose sparsity (exact and as a float) and expansions match the
+    instance ``h`` the report was solved on; each distinct subset is
+    evaluated once.  The top-level ``sparsity`` must be the best cut's, and
+    an expansion-mode report's ``expansion`` block must be recomputed from
+    the ``given`` instance.
+    """
+    top = doc.get("cut")
+    claims = [top, *(tr.get("cut") for tr in doc.get("transcript", []))]
+    claims = [claim for claim in claims if claim is not None]
+    name_index = {name: v for v, name in enumerate(h.names)}
+    by_names: dict[tuple, frozenset[int]] = {}
+    subsets = []
+    for claim in claims:
+        try:
+            names = tuple(claim["vertices"])
+            if names not in by_names:
+                by_names[names] = frozenset(map(name_index.__getitem__, names))
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            return "cut_unknown_vertex"
+        subset = by_names[names]
+        if not subset or len(subset) == h.n:
+            return "cut_improper"
+        subsets.append(subset)
+    distinct = list(dict.fromkeys(subsets))
+    values = {s: _cut_values(cut) for s, cut in zip(distinct, evaluate_cuts(h, distinct))}
+    for claim, subset in zip(claims, subsets):
+        for key, value in values[subset].items():
+            if claim.get(key) != value:
+                return f"cut_{key}_mismatch"
+
+    best = values[subsets[0]]["sparsity_float"] if top is not None else None
+    if doc.get("sparsity") != best:
+        return "sparsity_mismatch"
+    if doc.get("config", {}).get("mode") == "expansion":
+        expected = expansion_estimate(given, subsets[0]) if top is not None else None
+        if doc.get("expansion") != expected:
+            return "expansion_mismatch"
+    return None
+
+
 def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
+    given = h
     base = serialize_dhg(h)
     if doc.get("instance", {}).get("dhg") != base:
         # expansion-mode reports are solved on the degree-scaled instance
@@ -249,18 +319,9 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     k = h.k_matrix
     n = h.n
 
-    cut_claim = doc.get("cut")
-    if cut_claim is not None:
-        name_index = {name: v for v, name in enumerate(h.names)}
-        try:
-            subset = frozenset(name_index[x] for x in cut_claim["vertices"])
-        except KeyError:
-            return False, "cut_unknown_vertex"
-        if not subset or len(subset) == n:
-            return False, "cut_improper"
-        actual = sparsity(h, subset)
-        if str(actual) != cut_claim.get("sparsity"):
-            return False, "cut_sparsity_mismatch"
+    failing = _check_cuts(doc, h, given)
+    if failing is not None:
+        return False, failing
 
     by_run: dict[tuple[int, str], list[tuple[float, dict]]] = {}
     for entry in doc.get("certificates", []):

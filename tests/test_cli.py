@@ -252,6 +252,43 @@ MALFORMED_REPORT = {
 }
 
 
+def _run_cut(doc):
+    return next(tr["cut"] for tr in doc["transcript"] if tr["cut"])
+
+
+# a reported cut number the instance does not give, and the check that
+# must name it
+CUT_TAMPERS = {
+    "run_cut_unknown_vertex": (
+        lambda doc: _run_cut(doc).update(vertices=["nope"], sparsity="1/1000000"),
+        "cut_unknown_vertex",
+    ),
+    "run_cut_sparsity": (
+        lambda doc: _run_cut(doc).update(sparsity="1/1000000"), "cut_sparsity_mismatch"
+    ),
+    "run_cut_phi_minus": (
+        lambda doc: _run_cut(doc).update(phi_minus=1e-9), "cut_phi_minus_mismatch"
+    ),
+    "top_sparsity": (lambda doc: doc.update(sparsity=1e-9), "sparsity_mismatch"),
+    "cut_sparsity_float": (
+        lambda doc: doc["cut"].update(sparsity_float=1e-9), "cut_sparsity_float_mismatch"
+    ),
+    "cut_phi_plus": (lambda doc: doc["cut"].update(phi_plus=1e-9), "cut_phi_plus_mismatch"),
+    "cut_phi_minus": (lambda doc: doc["cut"].update(phi_minus=1e-9), "cut_phi_minus_mismatch"),
+}
+
+
+@pytest.fixture(scope="module")
+def expander_report(tmp_path_factory):
+    """An expander-like n=12 instance and its seeded search report."""
+    root = tmp_path_factory.mktemp("expander")
+    inp, out = str(root / "in.dhg"), str(root / "report.json")
+    args = ["--model", "expander-like", "--kappa", "2", "--n", "12", "--m", "24"]
+    assert main(["gen", *args, "--seed", "3", "-o", inp]) == 0
+    assert main(["solve", inp, "--seed", "1", "--json", "-o", out]) == 0
+    return inp, open(out).read()
+
+
 class TestCheckCert:
     def make_report(self, tmp_path, source=TOY, extra=()):
         inp = tmp_path / "in.dhg"
@@ -417,6 +454,34 @@ class TestCheckCert:
         doc["config"]["oracle"].update(retired)
         doc["config"]["eta_override"] = None
         assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
+
+    @pytest.mark.parametrize("tamper, check", CUT_TAMPERS.values(), ids=CUT_TAMPERS.keys())
+    def test_cut_number_tampered_rejected(self, expander_report, tmp_path, capsys, tamper, check):
+        inp, text = expander_report
+        doc = json.loads(text)
+        assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
+        tamper(doc)
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert f"certificate check failed: {check}" in err
+
+    def test_run_cut_of_every_vertex_rejected(self, expander_report, tmp_path, capsys):
+        inp, text = expander_report
+        doc = json.loads(text)
+        _run_cut(doc)["vertices"] = sorted(parse_dhg(open(inp).read()).names)
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert "certificate check failed: cut_improper" in err
+
+    @pytest.mark.parametrize("key", ["phi", "vertices"])
+    def test_expansion_block_tampered_rejected(self, planted_file, tmp_path, capsys, key):
+        out = str(tmp_path / "r.json")
+        assert main(
+            ["solve", planted_file, "--mode", "expansion", "--seed", "7",
+             "--t-cap", "40", "--json", "-o", out]
+        ) == 0
+        doc = json.loads(open(out).read())
+        doc["expansion"][key] = "0" if key == "phi" else ["a"]
+        err = self.rejected(doc, out, planted_file, capsys)
+        assert "certificate check failed: expansion_mismatch" in err
 
     def test_expansion_mode_report_verifiable(self, planted_file, tmp_path, capsys):
         # expansion reports embed the degree-scaled instance; check-cert

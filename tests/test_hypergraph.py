@@ -13,6 +13,7 @@ from hyperspars.hypergraph import (
     DirectedHypergraph,
     Hyperedge,
     evaluate_cut,
+    evaluate_cuts,
     expansion,
     out_closure,
     out_cut,
@@ -24,6 +25,7 @@ from hyperspars.hypergraph import (
     weighted_degrees,
 )
 
+from hyperspars.driver import _singleton_baseline
 from hyperspars.sdpcore import mat_K
 
 from conftest import make_h, random_hypergraph
@@ -33,6 +35,7 @@ from witnesses import (
     scan_expansion,
     scan_out_closure,
     scan_out_cut,
+    scan_singleton_baseline,
     scan_sparsity,
     scan_weighted_degrees,
     transform_subset,
@@ -194,6 +197,15 @@ class TestEvaluateCut:
         cut = evaluate_cut(h, {2})
         assert (cut.sparsity, cut.phi_plus, cut.phi_minus) == (0, 0, 0)
 
+    @pytest.mark.parametrize("subset", [set(), {0, 1, 2}, {-1}, {0, -3}, {3}])
+    def test_improper_or_out_of_range_subset_rejected(self, subset):
+        # -1 must not wrap around to the last vertex
+        h = make_h(3, [({0}, {1}, 1)])
+        with pytest.raises(ValueError):
+            evaluate_cut(h, subset)
+        with pytest.raises(ValueError):
+            evaluate_cuts(h, [{0}, subset])
+
 
 @st.composite
 def hypergraphs(draw):
@@ -242,6 +254,47 @@ class TestIncidenceAgainstScan:
                     )
 
 
+# components {0, 1} -> {2, 3}: the closures of 2 and 3 are both {2, 3},
+# proper, and the first zero-sparsity candidate is closure(2); the
+# zero-weight edge 3 -> 0 is no closure edge
+DAG_LIKE = make_h(
+    4,
+    [({0}, {1}, 1), ({1}, {0}, 2), ({1}, {2}, 1), ({2}, {3}, 3), ({3}, {2}, 1), ({3}, {0}, 0)],
+    weights=[1, 2, 1, 3],
+)
+# 5e18 over the denominator 1000003 overflows int64
+WIDE_WEIGHTS = make_h(3, [({0}, {1}, 5 * 10**18), ({1}, {0, 2}, Fraction(1, 1000003))])
+
+
+class TestBatchedBaseline:
+    """The baseline scored in one pass equals one evaluation per candidate."""
+
+    @given(hypergraphs())
+    @example(make_h(2, [({0}, {1}, 1)]))
+    @example(make_h(4, []))
+    @example(make_h(3, [({0}, {1}, 0), ({1}, {2}, 0), ({2}, {0}, 1)]))
+    @example(make_h(3, [({0, 1}, {1, 2}, 2), ({2}, {2, 0}, Fraction(1, 3)), ({1}, {1}, 4)]))
+    @example(WIDE_WEIGHTS)
+    @example(DAG_LIKE)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_scan(self, h):
+        for g in (h, reverse(h)):
+            assert _singleton_baseline(g) == scan_singleton_baseline(g)
+
+    def test_examples_cover_wide_weights_and_tie_break(self):
+        assert WIDE_WEIGHTS.incidence.weights.dtype == object
+        assert DAG_LIKE.incidence.full_closures() == {0, 1}
+        assert _singleton_baseline(DAG_LIKE) == evaluate_cut(DAG_LIKE, {2, 3})
+
+    @given(hypergraphs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_evaluate_cuts_is_evaluate_cut_per_subset(self, h):
+        subsets = [
+            {v for v in range(h.n) if mask >> v & 1} for mask in range(1, 2**h.n - 1)
+        ]
+        assert evaluate_cuts(h, subsets) == [evaluate_cut(h, s) for s in subsets]
+
+
 class TestCachedDerivedData:
     def test_weighted_degrees_fresh_list(self):
         h = make_h(3, [({0, 1}, {2}, 2), ({2}, {0}, Fraction(1, 3))])
@@ -286,10 +339,11 @@ class TestCachedDerivedData:
         assert rev.weights is inc.weights and rev.degrees is inc.degrees
         assert rev.denom == inc.denom
         assert reverse(reverse(h)).incidence is inc
-        for arr in (inc.tail, inc.head, inc.weights, inc.degrees):
+        arrays = (inc.tail.index, inc.tail.ptr, inc.head.index, inc.head.ptr)
+        for arr in (*arrays, inc.weights, inc.degrees):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            inc.tail[0, 0] = 1.0
+            inc.tail.index[0] = 1
 
     def test_k_matrix_cached_read_only(self):
         h = make_h(3, [({0}, {1}, 1)], weights=[1, 2, 3])

@@ -4,9 +4,10 @@ They state properties of the solver's building blocks in executable form:
 the matrix exponential and variance form behind the multiplicative-weights
 analysis, the demand-norm and capacity-duality bounds and the flow
 decomposition identity of the flow layer, the subset lift and projection
-between a hypergraph and its reduced digraph, and a cut evaluator that
+between a hypergraph and its reduced digraph, a cut evaluator that
 scans the edges' frozensets with exact ``Fraction`` sums, independent of
-the incidence arrays the package answers cut questions from.
+the incidence arrays the package answers cut questions from, and the
+singleton/closure baseline as one cut evaluation per candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from hyperspars.flownet import (
     flow_matrix,
     triangle_matrix_sum,
 )
-from hyperspars.hypergraph import DirectedHypergraph, ReducedDigraph
+from hyperspars.hypergraph import (
+    Cut,
+    DirectedHypergraph,
+    ReducedDigraph,
+    evaluate_cut,
+    out_closure,
+)
 from hyperspars.sdpcore import GramState
 
 DEFAULT_DEMAND_NORM_CONST = 8.0
@@ -189,3 +196,19 @@ def scan_out_closure(h: DirectedHypergraph, seeds: Iterable[int]) -> frozenset[i
                 s |= e.head
                 changed = True
     return frozenset(s)
+
+
+def scan_singleton_baseline(h: DirectedHypergraph) -> Cut:
+    """Best of the singleton cuts and zero-cut closures, evaluating each of
+    the 3n candidates in turn; the first of least sparsity wins."""
+    best: Cut | None = None
+    for v in range(h.n):
+        candidates = [{v}, set(range(h.n)) - {v}, out_closure(h, {v})]
+        for subset in candidates:
+            if not subset or len(subset) == h.n:
+                continue
+            cut = evaluate_cut(h, subset)
+            if best is None or cut.sparsity < best.sparsity:
+                best = cut
+    assert best is not None
+    return best
