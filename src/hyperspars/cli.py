@@ -45,12 +45,18 @@ def _load_hypergraph(path: str) -> DirectedHypergraph:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("HYPERSPARS_SEED")
-    if env is not None:
-        return int(env)
-    raise SystemExit("error: --seed (or HYPERSPARS_SEED) is required")
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("HYPERSPARS_SEED")
+        if env is None:
+            raise SystemExit("error: --seed (or HYPERSPARS_SEED) is required")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise SystemExit(f"error: HYPERSPARS_SEED must be an integer, not {env!r}") from None
+    if seed < 0:
+        raise SystemExit(f"error: the seed must be a non-negative integer, not {seed}")
+    return seed
 
 
 def _solver_config(args) -> SolverConfig:

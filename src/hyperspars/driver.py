@@ -22,6 +22,7 @@ is documented here for comparison and deliberately not implemented.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.search_ratio <= 1.0:
             raise ValueError("search_ratio must exceed 1")
+        for name in ("alpha_lo", "alpha_hi"):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (number and 0 < value <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite positive number, not {value!r}")
         if self.alpha_lo is not None and self.alpha_hi is not None:
             if self.alpha_lo > self.alpha_hi:
                 raise ValueError("alpha_lo must not exceed alpha_hi")
@@ -123,13 +129,15 @@ class AlgorithmRun:
 
 
 def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfig) -> int:
-    """T = ceil(16 kappa^2 rho^2 n^2 ln n / (alpha^2 w^4))."""
-    rho = cfg.rho(alpha, h)
+    """T = ceil(16 kappa^2 (rho / alpha)^2 n^2 ln n / w^4).
+
+    rho is linear in alpha, so T does not depend on alpha; taking the ratio
+    first keeps an extreme alpha from overflowing or underflowing.
+    """
+    ratio = cfg.rho(alpha, h) / alpha
     n = h.n
     w4 = float(h.total_weight) ** 4
-    return math.ceil(
-        16.0 * h.kappa**2 * rho**2 * n**2 * math.log(n) / (alpha**2 * w4)
-    )
+    return math.ceil(16.0 * h.kappa**2 * ratio**2 * n**2 * math.log(n) / w4)
 
 
 def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> tuple[GramState, float]:
@@ -183,8 +191,8 @@ def run_algorithm1(
     cfg = cfg or SolverConfig()
     if side not in ("in", "out"):
         raise ValueError("side must be 'in' or 'out'")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha <= sys.float_info.max:
+        raise ValueError(f"alpha must be a finite positive number, not {alpha!r}")
     if h.n < 2:
         raise ValueError("solver needs at least two vertices")
     if rng is None:
@@ -232,10 +240,9 @@ def run_algorithm1(
             run.outcome = "cut"
             return run
 
-        cert = outcome.dual
-        assert cert is not None
-        run.records.append(IterationRecord(t, outcome.case, cert.width, log_kdw))
-        run.certificates.append(cert)
+        assert outcome.dual is not None
+        run.records.append(IterationRecord(t, outcome.case, outcome.width, log_kdw))
+        run.certificates.append(outcome.dual)
         run.iterations = t
         # the oracle's check bounds width / rho, the update's norm, by 1
         m_sum += -(1.0 / rho) * outcome.residual

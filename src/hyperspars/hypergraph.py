@@ -114,11 +114,14 @@ class DirectedHypergraph:
     def r(self) -> int:
         return max((len(e.tail) + len(e.head) for e in self.edges), default=0)
 
-    @property
+    # cached like the derived data below: every oracle call and every
+    # transcript row that check-cert checks reads them
+
+    @cached_property
     def kappa(self) -> int:
         return max(self.vertex_weights)
 
-    @property
+    @cached_property
     def total_weight(self) -> int:
         return sum(self.vertex_weights)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,9 +46,6 @@ __all__ = [
     "DualCertificate",
     "OracleOutcome",
     "run_oracle",
-    "case1",
-    "preprocess_wellspread",
-    "case2",
     "find_violated_path",
     "certificate_check",
     "log2_skew",
@@ -155,14 +152,12 @@ class DualCertificate:
     """Dual variables (z, f_p) plus the flow matrix, as checkable data.
 
     ``flow`` is the capacity-respecting hypergraph flow backing F, or None
-    when F = 0 (violated-path case).  ``width`` is the observed spectral
-    norm of sum f_p T_p + z K - F.
+    when F = 0 (violated-path case).
     """
 
     z: float
     triangle_weights: dict[TriangleId, float]
     flow: FlowAssignment | None
-    width: float
 
     def flow_matrix_dense(self, n: int) -> np.ndarray:
         if self.flow is None:
@@ -172,22 +167,35 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class OracleOutcome:
-    """Tagged union: a Cut or a DualCertificate, plus run diagnostics."""
+    """Tagged union: a Cut or a DualCertificate, plus run diagnostics.
+
+    A dual outcome also carries the residual sum f_p T_p + z K - F and its
+    spectral norm, the width, as certificate_check formed them.
+    """
 
     kind: str  # "cut" | "dual"
     cut: Cut | None = None
     dual: DualCertificate | None = None
+    residual: np.ndarray | None = None
+    width: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def case(self) -> str:
         return self.diagnostics.get("case", "?")
 
-    @property
-    def residual(self) -> np.ndarray:
-        """sum f_p T_p + z K - F of a dual outcome, as certificate_check
-        formed it to measure the width."""
-        return self.diagnostics["report"]["residual"]
+
+class _Call(NamedTuple):
+    """One oracle call: its inputs and the data run_oracle derives from
+    them once for whichever case runs."""
+
+    alpha: float
+    state: GramState
+    h: DirectedHypergraph
+    cfg: OracleConfig
+    rd: ReducedDigraph
+    omega: np.ndarray
+    total: float
 
 
 def _ball_weights(d2: np.ndarray, omega: np.ndarray, radius2: float) -> np.ndarray:
@@ -204,6 +212,8 @@ def run_oracle(
 ) -> OracleOutcome:
     """Dispatch on vector concentration and run the matching case.
 
+    This is the one place the per-call data (vertex weights, squared
+    distances, small-ball weights) is derived; each case takes it as given.
     Cuts are searched on the side of vertex 0 that contains it; the side
     that excludes it is the same search on ``reverse(h)``, with the cut
     complemented.
@@ -230,27 +240,27 @@ def run_oracle(
     d2 = state.pairwise_dist2()
     radius2 = 1.0 / (8.0 * total * total)
     ball_w = _ball_weights(d2, omega, radius2)
-    if ball_w.max() >= cfg.c_ball * total:
-        return case1(alpha, state, h, cfg, ball_w=ball_w, rd=rd)
-    return case2(alpha, state, h, cfg, rng=rng, rd=rd)
+    i0 = int(np.argmax(ball_w))
+    call = _Call(alpha, state, h, cfg, rd, omega, total)
+    if ball_w[i0] >= cfg.c_ball * total:
+        return _case1(call, i0, d2[i0] <= radius2)
+    return _case2(call, d2, rng)
 
 
-def _cut_outcome(
-    alpha: float,
-    h: DirectedHypergraph,
-    subset: Iterable[int],
-    cfg: OracleConfig,
-    case: str,
-    extra: dict,
-) -> OracleOutcome:
-    members = frozenset(subset)
+def _cut_outcome(call: _Call, res: flownet.MaxFlowResult, case: str, extra: dict) -> OracleOutcome:
+    """The cut a short max-flow leaves: the vertices its residual graph
+    reaches from the source."""
+    h = call.h
+    members = frozenset(np.flatnonzero(res.reachable[: h.n]).tolist())
+    inside = float(sum(h.vertex_weights[v] for v in members))
+    extra = dict(extra, side_weights=(inside, h.total_weight - inside))
     if not members or len(members) == h.n:
         raise OracleInvariantError(
             f"case {case} produced an improper cut ({len(members)} of {h.n})",
             dict(extra, case=case),
         )
     cut = evaluate_cut(h, members)
-    bound = cfg.ratio_bound(alpha, h, case)
+    bound = call.cfg.ratio_bound(call.alpha, h, case)
     diag = dict(extra, case=case, ratio_bound=bound)
     if float(cut.sparsity) > bound * (1 + 1e-9):
         raise OracleInvariantError(
@@ -261,22 +271,21 @@ def _cut_outcome(
     return OracleOutcome("cut", cut=cut, diagnostics=diag)
 
 
-def _dual_outcome(
-    alpha: float,
-    state: GramState,
-    h: DirectedHypergraph,
-    cfg: OracleConfig,
-    triangles: dict[TriangleId, float],
-    flow: FlowAssignment | None,
-    case: str,
-    extra: dict,
-) -> OracleOutcome:
-    rho = cfg.rho(alpha, h)
+def _saturated_flow(
+    res: flownet.MaxFlowResult, inst: flownet.FlowInstance, state: GramState
+) -> tuple[FlowAssignment, flownet.FlowDecomposition, float]:
+    """A saturating max-flow lifted to the hypergraph, its path
+    decomposition, and D . X, the value of its demand on the state."""
+    fa = lift_flow(res, inst)
+    dec = decompose(fa, [i for i, _ in inst.source_caps], [j for j, _ in inst.sink_caps])
+    d_dot_x = sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
+    return fa, dec, d_dot_x
+
+
+def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) -> OracleOutcome:
+    rho = call.cfg.rho(call.alpha, call.h)
     diag = dict(extra, case=case, rho=rho)
-    # the check measures the width; the certificate records it afterwards
-    ok, report = certificate_check(
-        DualCertificate(alpha, triangles, flow, 0.0), alpha, state, h, rho
-    )
+    ok, report = certificate_check(cert, call.alpha, call.state, call.h, rho)
     if not ok:
         if report["first_failure"] == "width_bound":
             # the dual data itself is valid, it is just too wide for the
@@ -289,17 +298,15 @@ def _dual_outcome(
             f"case {case} certificate failed: {report['first_failure']}",
             dict(diag, report=report),
         )
-    cert = DualCertificate(alpha, triangles, flow, report["width"])
-    return OracleOutcome("dual", dual=cert, diagnostics=dict(diag, report=report))
+    return OracleOutcome(
+        "dual", dual=cert, residual=report["residual"], width=report["width"], diagnostics=diag
+    )
 
 
 def _scaled_flow_dual(
-    alpha: float,
-    state: GramState,
-    h: DirectedHypergraph,
-    cfg: OracleConfig,
+    call: _Call,
     fa: FlowAssignment,
-    dec,
+    dec: flownet.FlowDecomposition,
     d_dot_x: float,
     case: str,
     extra: dict,
@@ -307,38 +314,25 @@ def _scaled_flow_dual(
     """Dual outcome from a saturating flow, scaled down to what the demand
     bound needs: D . X barely above alpha keeps the certificate width small
     without touching any other bullet (scaling preserves them all)."""
-    extra = dict(extra, d_dot_x=d_dot_x)
+    alpha = call.alpha
     scale = 1.0
     if d_dot_x > alpha:
-        scale = min(1.0, cfg.dual_scale * alpha / d_dot_x)
+        scale = min(1.0, call.cfg.dual_scale * alpha / d_dot_x)
     if scale < 1.0:
         fa = FlowAssignment(tuple((e, i, j, f * scale) for e, i, j, f in fa))
         triangles = {tri: f * scale for tri, f in dec.triangle_weights.items()}
     else:
         triangles = dict(dec.triangle_weights)
-    extra["flow_scale"] = scale
-    return _dual_outcome(alpha, state, h, cfg, triangles, fa, case, extra)
+    extra = dict(extra, d_dot_x=d_dot_x, flow_scale=scale)
+    return _dual_outcome(call, DualCertificate(alpha, triangles, fa), case, extra)
 
 
-def case1(
-    alpha: float,
-    state: GramState,
-    h: DirectedHypergraph,
-    cfg: OracleConfig,
-    ball_w: np.ndarray | None = None,
-    rd: ReducedDigraph | None = None,
-) -> OracleOutcome:
-    """Concentrated-vectors case: one max-flow decides cut versus dual."""
-    omega = np.array(h.vertex_weights, dtype=float)
-    total = float(h.total_weight)
-    d2 = state.pairwise_dist2()
-    radius2 = 1.0 / (8.0 * total * total)
-    if ball_w is None:
-        ball_w = _ball_weights(d2, omega, radius2)
-    i0 = int(np.argmax(ball_w))
-    if ball_w[i0] < cfg.c_ball * total:
-        raise ValueError("case1 precondition: no concentrated ball")
-    in_ball = d2[i0] <= radius2
+def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
+    """Concentrated-vectors case: one max-flow decides cut versus dual.
+
+    ``in_ball`` marks the heavy small ball around ``i0`` that the dispatch
+    found."""
+    alpha, state, _, cfg, rd, omega, total = call
     left = [int(v) for v in np.flatnonzero(in_ball)]
     right = [int(v) for v in np.flatnonzero(~in_ball)]
     if not right:
@@ -360,7 +354,6 @@ def case1(
     else:
         sources, sinks = right_caps, left_caps
 
-    rd = rd or reduce_to_digraph(h)
     inst = build_flow_instance(rd, sources, sinks)
     res = max_flow(inst)
     total_cap = inst.total_source_cap
@@ -373,31 +366,20 @@ def case1(
     }
 
     if res.value < total_cap * (1.0 - 1e-9):
-        subset = np.flatnonzero(res.reachable[: h.n]).tolist()
-        return _cut_outcome(alpha, h, subset, cfg, "1A", extra)
+        return _cut_outcome(call, res, "1A", extra)
 
-    fa = lift_flow(res, inst)
-    dec = decompose(fa, sources.keys(), sinks.keys())
+    fa, dec, d_dot_x = _saturated_flow(res, inst, state)
     extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
-    d_dot_x = sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
-    return _scaled_flow_dual(alpha, state, h, cfg, fa, dec, d_dot_x, "1B", extra)
+    return _scaled_flow_dual(call, fa, dec, d_dot_x, "1B", extra)
 
 
-def preprocess_wellspread(
-    state: GramState, h: DirectedHypergraph, cfg: OracleConfig | None = None
-) -> tuple[frozenset[int], int]:
-    """Locate the heavy medium-radius ball S = B(i0, 3/w) of the spread case.
+def _medium_ball(omega: np.ndarray, d2: np.ndarray, total: float) -> tuple[np.ndarray, int]:
+    """Locate the heavy medium-radius ball S = B(i0, 3/w) of the spread case;
+    returns S's members, sorted, and i0.
 
     Guarantees (checked): weight(S) >= w/2, all of S within squared distance
     9/w^2 of i0, and pairwise spread over S at least 1/128.
     """
-    cfg = cfg or OracleConfig()
-    omega = np.array(h.vertex_weights, dtype=float)
-    total = float(h.total_weight)
-    d2 = state.pairwise_dist2()
-    small2 = 1.0 / (8.0 * total * total)
-    if _ball_weights(d2, omega, small2).max() >= cfg.c_ball * total:
-        raise ValueError("preprocess requires the well-spread case")
     radius2 = 9.0 / (total * total)
     ball_w = _ball_weights(d2, omega, radius2)
     i0 = int(np.argmax(ball_w))
@@ -406,16 +388,11 @@ def preprocess_wellspread(
             "no heavy medium ball; state violates K.X = 1"
         )
     members = np.flatnonzero(d2[i0] <= radius2)
-    s = frozenset(int(v) for v in members)
     sub = d2[np.ix_(members, members)]
     spread = 0.5 * float(omega[members] @ sub @ omega[members])
     if spread < 1.0 / 128.0 - 1e-9:
         raise InconsistentStateError(f"spread {spread:.6g} below guaranteed 1/128")
-    return s, i0
-
-
-def _rescaled(state: GramState, total: float, i0: int) -> np.ndarray:
-    return (total / 3.0) * (state.vectors - state.vectors[i0])
+    return members, i0
 
 
 def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -486,24 +463,12 @@ def _random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
             return u / norm
 
 
-def case2(
-    alpha: float,
-    state: GramState,
-    h: DirectedHypergraph,
-    cfg: OracleConfig,
-    rng: np.random.Generator | None = None,
-    rd: ReducedDigraph | None = None,
-) -> OracleOutcome:
+def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
     """Well-spread case: sampled direction, flow, then cut / dual / path."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    omega = np.array(h.vertex_weights, dtype=float)
-    total = float(h.total_weight)
-    s, i0 = preprocess_wellspread(state, h, cfg)
-    vhat = _rescaled(state, total, i0)
-    members = np.array(sorted(s), dtype=int)
+    alpha, state, h, cfg, rd, omega, total = call
+    members, i0 = _medium_ball(omega, d2, total)
+    vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
     dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
-    rd = rd or reduce_to_digraph(h)
 
     sqlog = math.sqrt(log2_weight(h))
     cap_coeff = cfg.beta * total * sqlog * alpha
@@ -533,10 +498,7 @@ def case2(
         if res.value < threshold:
             # keep scanning directions for the sparsest Case-A cut; any
             # single one already satisfies the contract
-            subset = np.flatnonzero(res.reachable[: h.n]).tolist()
-            inside = float(omega[subset].sum())
-            extra["side_weights"] = (inside, total - inside)
-            outcome = _cut_outcome(alpha, h, subset, cfg, "2A", extra)
+            outcome = _cut_outcome(call, res, "2A", extra)
             if best_cut is None or outcome.cut.sparsity < best_cut.cut.sparsity:
                 best_cut = outcome
             continue
@@ -544,13 +506,11 @@ def case2(
         if best_cut is not None:
             return best_cut
 
-        fa = lift_flow(res, inst)
-        dec = decompose(fa, sources.keys(), sinks.keys())
-        d_dot_x = sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
+        fa, dec, d_dot_x = _saturated_flow(res, inst, state)
         extra["d_dot_x"] = d_dot_x
         extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
         if d_dot_x >= alpha * (1 - 1e-9):
-            return _scaled_flow_dual(alpha, state, h, cfg, fa, dec, d_dot_x, "2B", extra)
+            return _scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
 
         # at least half the flow sits on short rescaled pairs (Markov over
         # the demand given d_dot_x < alpha and flow >= threshold), which is
@@ -574,9 +534,9 @@ def case2(
             continue
         triangles = path_triangles(path)
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
-        weights = {tri: f_val for tri in triangles}
         extra["path"] = path
-        return _dual_outcome(alpha, state, h, cfg, weights, None, "2C", extra)
+        cert = DualCertificate(alpha, {tri: f_val for tri in triangles}, None)
+        return _dual_outcome(call, cert, "2C", extra)
 
     if best_cut is not None:
         return best_cut

@@ -140,8 +140,6 @@ def solve_report(
                     {
                         "probe": p_idx,
                         "side": side,
-                        "alpha": run.alpha,
-                        "rho": run.rho,
                         "t": t,
                         "z": cert.z,
                         "f_p": _triangles_list(cert.triangle_weights),
@@ -209,7 +207,7 @@ def _cert_from_entry(entry: dict) -> DualCertificate:
         fa = None
         if flow is not None:
             fa = FlowAssignment(tuple((int(e), int(i), int(j), _finite(f)) for e, i, j, f in flow))
-        return DualCertificate(_finite(entry["z"]), triangles, fa, 0.0)
+        return DualCertificate(_finite(entry["z"]), triangles, fa)
     except (KeyError, TypeError, ValueError) as exc:
         raise _Malformed(str(exc)) from None
 
@@ -263,9 +261,10 @@ def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> 
     Every reported cut, the top-level one and each run's, must be a proper
     subset whose sparsity (exact and as a float) and expansions match the
     instance ``h`` the report was solved on; each distinct subset is
-    evaluated once.  The top-level ``sparsity`` must be the best cut's, and
-    an expansion-mode report's ``expansion`` block must be recomputed from
-    the ``given`` instance.
+    evaluated once.  The top-level ``sparsity`` must be the best cut's, the
+    ``outcome`` must say whether there is a cut, ``approx_ratio`` must be
+    the sparsity over the lower bound, and an expansion-mode report's
+    ``expansion`` block must be recomputed from the ``given`` instance.
     """
     top = doc.get("cut")
     claims = [top, *(tr.get("cut") for tr in doc.get("transcript", []))]
@@ -294,10 +293,102 @@ def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> 
     best = values[subsets[0]]["sparsity_float"] if top is not None else None
     if doc.get("sparsity") != best:
         return "sparsity_mismatch"
+    if doc.get("outcome") != ("cut" if top is not None else "no-cut"):
+        return "outcome_mismatch"
+    bound = doc.get("lower_bound")
+    if doc.get("approx_ratio") != (best / bound if top is not None and bound else None):
+        return "approx_ratio_mismatch"
     if doc.get("config", {}).get("mode") == "expansion":
         expected = expansion_estimate(given, subsets[0]) if top is not None else None
         if doc.get("expansion") != expected:
             return "expansion_mismatch"
+    return None
+
+
+_CUT_CASES = ("1A", "2A")
+_DUAL_CASES = ("1B", "2B", "2C")
+
+
+def _close(claim, value: float, abs_tol: float = 0.0) -> bool:
+    """Whether a reported number matches the replay's: the replay sums
+    certificate entries in the report's order, so it may differ from the
+    solver in the last bits."""
+    if not isinstance(claim, (int, float)) or isinstance(claim, bool):
+        return False
+    return math.isclose(claim, value, rel_tol=1e-9, abs_tol=abs_tol)
+
+
+def _replay_run(
+    tr: dict, entries: list[tuple[float, dict]], h: DirectedHypergraph, cfg: SolverConfig
+) -> str | None:
+    """Replay one run's certificates, as (t, entry) sorted by t, and check
+    its transcript row; returns the first failing check, or None.
+
+    The row's numbers must follow from the config (rho, t_theory, t_horizon,
+    eta), its records must number 1..iterations with one dual record per
+    certificate and a cut record only last, and only in a run whose outcome
+    is "cut"; each dual record's width and log(K . W) must be the replay's.
+    mw_check must be the replayed lambda_min of a run that reached t_theory,
+    and null otherwise.
+    """
+    _, side, alpha, rho, eta = _run_fields(tr, "alpha", "rho", "eta")
+    records = tr.get("records")
+    if not alpha > 0 or not isinstance(records, list):
+        raise _Malformed("a run needs a positive alpha and a list of records")
+    if not all(isinstance(r, list) and len(r) == 4 for r in records):
+        raise _Malformed("a record is [t, case, width, log_k_dot_w]")
+    if not math.isclose(rho, cfg.oracle.rho(alpha, h), rel_tol=1e-9):
+        return "rho_mismatch"
+    t_theory = theoretical_iterations(alpha, h, cfg.oracle)
+    t_horizon = min(t_theory, cfg.t_cap)
+    if tr.get("t_theory") != t_theory:
+        return "t_theory_mismatch"
+    if tr.get("t_horizon") != t_horizon:
+        return "t_horizon_mismatch"
+    if not _close(eta, math.sqrt(math.log(h.n) / t_horizon)):
+        return "eta_mismatch"
+    if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
+        return "certificate_sequence_gap"
+    if [r[0] for r in records] != list(range(1, len(records) + 1)):
+        return "record_sequence_gap"
+    if tr.get("iterations") != len(records) or len(records) > t_horizon:
+        return "iterations_mismatch"
+    outcome = tr.get("outcome")
+    is_cut = outcome == "cut"
+    if outcome not in ("cut", "certified", "aborted") or is_cut != (tr.get("cut") is not None):
+        return "run_outcome_mismatch"
+    duals = records[:-1] if is_cut else records
+    if is_cut and (not records or records[-1][1] not in _CUT_CASES or records[-1][2] != 0.0):
+        return "record_case_mismatch"
+    if len(duals) != len(entries) or any(r[1] not in _DUAL_CASES for r in duals):
+        return "record_case_mismatch"
+
+    h_run = reverse(h) if side == "out" else h
+    m_sum = np.zeros((h.n, h.n))
+    for (_, case, width, log_kdw), (_, entry) in zip(duals, entries):
+        state, replayed_log_kdw = mw_state(m_sum, eta, h.vertex_weights)
+        cert = _cert_from_entry(entry)
+        if (case == "2C") != (cert.flow is None):
+            return "record_case_mismatch"
+        ok, rep = certificate_check(cert, alpha, state, h_run, rho)
+        if not ok:
+            return str(rep["first_failure"])
+        if not _close(width, rep["width"]):
+            return "record_width_mismatch"
+        if not _close(log_kdw, replayed_log_kdw, abs_tol=1e-9):
+            return "record_log_k_dot_w_mismatch"
+        m_sum += -(1.0 / rho) * rep["residual"]
+
+    reached = len(entries) == t_theory
+    if not reached:
+        if tr.get("mw_check") is not None:
+            return "mw_check_mismatch"
+        return "iteration_count_mismatch" if outcome == "certified" else None
+    check = min_eigenvalue((rho / t_theory) * m_sum + (alpha / 2.0) * h.k_matrix)
+    if not _close(tr.get("mw_check"), check, abs_tol=1e-9 * max(1.0, rho)):
+        return "mw_check_mismatch"
+    if outcome == "certified" and check < -1e-6 * max(1.0, rho):
+        return "regret_inequality"
     return None
 
 
@@ -316,8 +407,6 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
         cfg = solver_config_from_dict(doc.get("config", {}))
     except (TypeError, ValueError):
         return False, "report_malformed"
-    k = h.k_matrix
-    n = h.n
 
     failing = _check_cuts(doc, h, given)
     if failing is not None:
@@ -354,29 +443,8 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
             return False, "lower_bound_unsupported"
 
     for tr in doc.get("transcript", []):
-        probe, side, alpha, rho, eta = _run_fields(tr, "alpha", "rho", "eta")
-        entries = sorted(by_run.get((probe, side), []), key=lambda te: te[0])
-        h_run = reverse(h) if side == "out" else h
-        expected_rho = cfg.oracle.rho(alpha, h)
-        if not math.isclose(rho, expected_rho, rel_tol=1e-9):
-            return False, "rho_mismatch"
-        if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
-            return False, "certificate_sequence_gap"
-
-        m_sum = np.zeros((n, n))
-        for _, entry in entries:
-            state, _ = mw_state(m_sum, eta, h.vertex_weights)
-            cert = _cert_from_entry(entry)
-            ok, rep = certificate_check(cert, alpha, state, h_run, rho)
-            if not ok:
-                return False, str(rep["first_failure"])
-            m_sum += -(1.0 / rho) * rep["residual"]
-
-        if tr.get("outcome") == "certified":
-            t_theory = theoretical_iterations(alpha, h, cfg.oracle)
-            if tr.get("t_theory") != t_theory or len(entries) != t_theory:
-                return False, "iteration_count_mismatch"
-            check = min_eigenvalue((rho / t_theory) * m_sum + (alpha / 2.0) * k)
-            if check < -1e-6 * max(1.0, rho):
-                return False, "regret_inequality"
+        entries = sorted(by_run.get(_run_fields(tr), []), key=lambda te: te[0])
+        failing = _replay_run(tr, entries, h, cfg)
+        if failing is not None:
+            return False, failing
     return True, None

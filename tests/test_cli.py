@@ -72,6 +72,43 @@ class TestSolve:
         assert main(["solve", toy_file, "--json", "-o", out, "--t-cap", "20"]) == 0
         assert json.loads(open(out).read())["config"]["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "seed, env",
+        [("-5", None), (None, "abc"), (None, "-5")],
+        ids=["negative", "env_not_an_integer", "env_negative"],
+    )
+    def test_bad_seed_rejected(self, toy_file, monkeypatch, seed, env):
+        monkeypatch.delenv("HYPERSPARS_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("HYPERSPARS_SEED", env)
+        extra = ["--seed", seed] if seed is not None else []
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", toy_file, *extra])
+        # a string exit code is printed to stderr and exits with status 1
+        assert str(exc.value.code).startswith("error: ")
+
+    @pytest.mark.parametrize("search", [True, False], ids=["search", "no_search"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_bad_alpha_exit_1(self, toy_file, tmp_path, capsys, alpha, search):
+        out = tmp_path / "r.json"
+        extra = [] if search else ["--no-search"]
+        assert run_solve(toy_file, str(out), ("--alpha", alpha, *extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be a finite positive number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e-200", "1e200"])
+    def test_extreme_alpha_finishes(self, tmp_path, capsys, alpha):
+        # the iteration count does not depend on alpha, and must not
+        # overflow computing it
+        inp = tmp_path / "cycle.dhg"
+        inp.write_text(THREE_CYCLE)
+        out = str(tmp_path / "r.json")
+        code = main(["solve", str(inp), "--seed", "1", "--alpha", alpha, "--no-search",
+                     "--t-cap", "5", "--json", "-o", out])
+        assert code in (0, 2)
+        assert main(["check-cert", out, str(inp)]) == 0
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dhg"
         bad.write_text("dhg 2 1\nv a 1\nv b 1\ne 1 T a H\n")
@@ -235,6 +272,9 @@ MALFORMED = {
     "row_without_eta": lambda doc: doc["transcript"][0].pop("eta"),
     "z_not_a_number": lambda doc: doc["certificates"][0].update(z="half"),
     "z_nan": lambda doc: doc["certificates"][0].update(z=float("nan")),
+    "row_alpha_zero": lambda doc: doc["transcript"][0].update(alpha=0.0),
+    "records_not_a_list": lambda doc: doc["transcript"][0].update(records=None),
+    "record_too_short": lambda doc: doc["transcript"][0]["records"][0].pop(),
 }
 
 
@@ -244,6 +284,9 @@ MALFORMED_REPORT = {
     "certificates_null": lambda doc: dict(doc, certificates=None),
     "transcript_null": lambda doc: dict(doc, transcript=None),
     "config_search_ratio_1": lambda doc: dict(doc, config=dict(doc["config"], search_ratio=1)),
+    "config_alpha_lo_nan": lambda doc: dict(doc, config=dict(doc["config"], alpha_lo=float("nan"))),
+    "config_alpha_lo_negative": lambda doc: dict(doc, config=dict(doc["config"], alpha_lo=-1.0)),
+    "config_alpha_hi_bool": lambda doc: dict(doc, config=dict(doc["config"], alpha_hi=True)),
     "config_c_rho_0": lambda doc: dict(
         doc, config=dict(doc["config"], oracle=dict(doc["config"]["oracle"], c_rho=0))
     ),
@@ -275,6 +318,68 @@ CUT_TAMPERS = {
     ),
     "cut_phi_plus": (lambda doc: doc["cut"].update(phi_plus=1e-9), "cut_phi_plus_mismatch"),
     "cut_phi_minus": (lambda doc: doc["cut"].update(phi_minus=1e-9), "cut_phi_minus_mismatch"),
+}
+
+
+def _row(doc):
+    return doc["transcript"][0]
+
+
+def _shift_record(k, column, delta):
+    def tamper(doc):
+        _row(doc)["records"][k][column] += delta
+
+    return tamper
+
+
+def _set_record(k, column, value):
+    return lambda doc: _row(doc)["records"][k].__setitem__(column, value)
+
+
+# transcript claims that the config or the replay contradicts, on a dual run
+# that t_cap truncated, and the check that must name each
+RUN_TAMPERS = {
+    "t_theory": (lambda doc: _row(doc).update(t_theory=7), "t_theory_mismatch"),
+    "t_horizon": (lambda doc: _row(doc).update(t_horizon=1), "t_horizon_mismatch"),
+    "eta": (lambda doc: _row(doc).update(eta=5.0), "eta_mismatch"),
+    "record_t": (_set_record(3, 0, 5), "record_sequence_gap"),
+    "iterations": (lambda doc: _row(doc).update(iterations=5), "iterations_mismatch"),
+    "records_empty": (lambda doc: _row(doc).update(records=[]), "iterations_mismatch"),
+    "record_case": (_set_record(3, 1, "2C"), "record_case_mismatch"),
+    "record_width": (_set_record(3, 2, 0.0), "record_width_mismatch"),
+    "record_log_k_dot_w": (_shift_record(3, 3, 1.0), "record_log_k_dot_w_mismatch"),
+    "mw_check_before_t_theory": (
+        lambda doc: _row(doc).update(mw_check=1e9), "mw_check_mismatch"
+    ),
+    "certified_before_t_theory": (
+        lambda doc: _row(doc).update(outcome="certified"), "iteration_count_mismatch"
+    ),
+}
+
+
+def _cut_row(doc):
+    return next(tr for tr in doc["transcript"] if tr["outcome"] == "cut")
+
+
+# claims of a search report that its cuts and runs contradict
+SEARCH_TAMPERS = {
+    "outcome_no_cut": (lambda doc: doc.update(outcome="no-cut"), "outcome_mismatch"),
+    "approx_ratio": (lambda doc: doc.update(approx_ratio=3.0), "approx_ratio_mismatch"),
+    "cut_run_aborted": (
+        lambda doc: _cut_row(doc).update(outcome="aborted"), "run_outcome_mismatch"
+    ),
+    "cut_run_unknown_outcome": (
+        lambda doc: _cut_row(doc).update(outcome="won", cut=None), "run_outcome_mismatch"
+    ),
+    "cut_run_t_theory": (lambda doc: _cut_row(doc).update(t_theory=7), "t_theory_mismatch"),
+    "cut_run_eta": (lambda doc: _cut_row(doc).update(eta=5.0), "eta_mismatch"),
+    "cut_run_fake_duals": (
+        lambda doc: _cut_row(doc).update(records=[[t, "2B", 1.0, 0.0] for t in (1, 2, 3)]),
+        "iterations_mismatch",
+    ),
+    "cut_record_as_dual": (
+        lambda doc: _cut_row(doc)["records"][-1].__setitem__(1, "2B"), "record_case_mismatch"
+    ),
 }
 
 
@@ -404,6 +509,31 @@ class TestCheckCert:
         err = self.rejected(doc, out, inp, capsys)
         assert "certificate check failed: report_malformed" in err
 
+    @pytest.mark.parametrize("tamper, check", RUN_TAMPERS.values(), ids=RUN_TAMPERS.keys())
+    def test_run_claim_tampered_rejected(self, tmp_path, capsys, tamper, check):
+        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        doc = json.loads(open(out).read())
+        assert _row(doc)["mw_check"] is None and len(_row(doc)["records"]) == 20
+        tamper(doc)
+        assert f"certificate check failed: {check}" in self.rejected(doc, out, inp, capsys)
+
+    def test_mw_check_of_certified_run_tampered_rejected(self, tmp_path, capsys):
+        inp, out = self.make_report(tmp_path)
+        doc = json.loads(open(out).read())
+        assert _row(doc)["outcome"] == "certified"
+        _row(doc)["mw_check"] += 1e-3
+        assert "certificate check failed: mw_check_mismatch" in self.rejected(doc, out, inp, capsys)
+
+    def test_certificate_alpha_and_rho_ignored(self, tmp_path, capsys):
+        # reports written before the per-certificate alpha and rho were
+        # dropped still verify; the keys are not read
+        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        doc = json.loads(open(out).read())
+        assert not {"alpha", "rho"} & set(doc["certificates"][0])
+        for cert in doc["certificates"]:
+            cert.update(alpha=-1.0, rho=0.0)
+        assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (True, None)
+
     def test_orphan_certificate_rejected(self, tmp_path, capsys):
         # the replay walks the transcript, which has no probe 99
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
@@ -460,6 +590,16 @@ class TestCheckCert:
         inp, text = expander_report
         doc = json.loads(text)
         assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
+        tamper(doc)
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert f"certificate check failed: {check}" in err
+
+    @pytest.mark.parametrize("tamper, check", SEARCH_TAMPERS.values(), ids=SEARCH_TAMPERS.keys())
+    def test_search_claim_tampered_rejected(
+        self, expander_report, tmp_path, capsys, tamper, check
+    ):
+        inp, text = expander_report
+        doc = json.loads(text)
         tamper(doc)
         err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
         assert f"certificate check failed: {check}" in err

@@ -69,6 +69,14 @@ class TestTheoreticalIterations:
         cfg = OracleConfig()
         assert theoretical_iterations(0.01, h, cfg) == theoretical_iterations(1.7, h, cfg)
 
+    def test_alpha_invariant_at_extremes(self):
+        # rho^2 / alpha^2 overflowed at 1e200 and divided by zero at 1e-200
+        h = parse_dhg(TWO_CYCLE)
+        cfg = OracleConfig()
+        expected = theoretical_iterations(0.01, h, cfg)
+        assert theoretical_iterations(1e-200, h, cfg) == expected
+        assert theoretical_iterations(1e200, h, cfg) == expected
+
 
 class TestRunAlgorithm1:
     def test_planted_cut_found(self):

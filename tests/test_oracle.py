@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hyperspars import oracle
 from hyperspars.flownet import FlowAssignment
 from hyperspars.oracle import (
     DualCertificate,
@@ -13,13 +14,12 @@ from hyperspars.oracle import (
     OracleFailure,
     _ball_weights,
     _direction_split_once,
+    _medium_ball,
     _random_direction,
-    case1,
     certificate_check,
     find_violated_path,
     path_triangles,
     path_violation,
-    preprocess_wellspread,
     run_oracle,
 )
 from hyperspars.hypergraph import reverse, sparsity
@@ -124,8 +124,8 @@ class TestDispatch:
         assert out.case.startswith("2")
 
     def test_exactly_one_case_predicate(self, rng):
-        # ball test is a total predicate: preprocessing requires exactly
-        # the complement of the case-1 condition
+        # ball test is a total predicate: concentrated states run Case 1,
+        # and on every other state the medium ball exists around its centre
         for _ in range(20):
             h = random_hypergraph(rng, max_n=7)
             st = normalized_state(rng, h)
@@ -135,11 +135,28 @@ class TestDispatch:
             ballw = (d2 <= 1.0 / (8 * total * total)) @ omega
             concentrated = ballw.max() >= total / 4.0
             if concentrated:
-                with pytest.raises(ValueError):
-                    preprocess_wellspread(st, h)
+                try:
+                    case = run_oracle(0.5, st, h, OracleConfig(), rng).case
+                except OracleFailure as exc:  # a certificate wider than rho
+                    case = exc.diagnostics["case"]
+                assert case.startswith("1")
             else:
-                s, i0 = preprocess_wellspread(st, h)
-                assert i0 in s
+                members, i0 = _medium_ball(omega, d2, total)
+                assert i0 in members
+
+    def test_case2_call_weighs_each_ball_once(self, rng, monkeypatch):
+        # the small ball in the dispatch, the medium ball in Case 2
+        h, _ = expanderish()
+        st = normalized_state(rng, h, dim=6)
+        radii = []
+        real = oracle._ball_weights
+        monkeypatch.setattr(
+            oracle, "_ball_weights", lambda d2, w, r2: radii.append(r2) or real(d2, w, r2)
+        )
+        out = run_oracle(0.5, st, h, OracleConfig(), rng)
+        assert out.case.startswith("2")
+        total = float(h.total_weight)
+        assert radii == [1.0 / (8.0 * total * total), 9.0 / (total * total)]
 
 
 class TestCase1:
@@ -195,12 +212,6 @@ class TestCase1:
         assert lhs <= f_dot + 1e-7
         assert d_dot >= alpha - 1e-9
 
-    def test_precondition_checked(self, rng):
-        h, _ = expanderish()
-        st = normalized_state(rng, h, dim=6)  # well spread
-        with pytest.raises(ValueError, match="concentrated"):
-            case1(0.5, st, h, OracleConfig())
-
 
 class TestPreprocess:
     def test_bullets_on_simplex_like_state(self, rng):
@@ -212,8 +223,7 @@ class TestPreprocess:
             d2 = st.pairwise_dist2()
             if ((d2 <= 1 / (8 * total * total)) @ omega).max() >= total / 4:
                 continue
-            s, i0 = preprocess_wellspread(st, h)
-            members = sorted(s)
+            members, i0 = _medium_ball(omega, d2, total)
             assert sum(h.vertex_weights[v] for v in members) >= total / 2
             assert all(st.dist2(i0, i) <= 9 / total**2 + 1e-12 for i in members)
             spread = sum(
@@ -223,12 +233,6 @@ class TestPreprocess:
                 if i < j
             )
             assert spread >= 1.0 / 128.0 - 1e-9
-
-    def test_concentrated_input_rejected(self):
-        h, s_star, _ = planted()
-        st = integral_state(h, s_star)
-        with pytest.raises(ValueError):
-            preprocess_wellspread(st, h)
 
 
 def direction_split(st, h, s, i0, cfg, rng):
@@ -358,7 +362,7 @@ class TestCase2:
         assert tri_sum <= -9.0 * cfg.s_viol / total**2
         alpha = 0.31
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
-        cert = DualCertificate(alpha, {t: f_val for t in tris}, None, 0.0)
+        cert = DualCertificate(alpha, {t: f_val for t in tris}, None)
         k = mat_K(h.vertex_weights)
         ok, report = certificate_check(cert, alpha, st, h, cfg.rho(alpha, h))
         assert ok, report
@@ -382,32 +386,38 @@ class TestCertificateCheck:
         alpha = 0.002
         out = run_oracle(alpha, st, h, OracleConfig(), np.random.default_rng(0))
         assert out.kind == "dual"
-        return h, st, alpha, out.dual
+        return h, st, alpha, out
 
     def test_valid_certificate_passes(self):
-        h, st, alpha, cert = self.setup_cert()
-        ok, _ = certificate_check(cert, alpha, st, h, OracleConfig().rho(alpha, h))
+        h, st, alpha, out = self.setup_cert()
+        ok, report = certificate_check(out.dual, alpha, st, h, OracleConfig().rho(alpha, h))
         assert ok
+        # the outcome carries the residual and width of the oracle's own check
+        assert report["width"] == out.width
+        assert np.array_equal(report["residual"], out.residual)
 
     def test_z_below_alpha_fails(self):
-        h, st, alpha, cert = self.setup_cert()
-        low = DualCertificate(alpha / 2, cert.triangle_weights, cert.flow, cert.width)
+        h, st, alpha, out = self.setup_cert()
+        cert = out.dual
+        low = DualCertificate(alpha / 2, cert.triangle_weights, cert.flow)
         ok, report = certificate_check(low, alpha, st, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "z_below_alpha"
 
     def test_negative_triangle_weight_fails(self):
-        h, st, alpha, cert = self.setup_cert()
+        h, st, alpha, out = self.setup_cert()
+        cert = out.dual
         tris = dict(cert.triangle_weights)
         if not tris:
             tris[TriangleId.make(0, 2, 1)] = 0.0
         key = next(iter(tris))
         tris[key] = -abs(tris[key]) - 1e-6
-        bad = DualCertificate(cert.z, tris, cert.flow, cert.width)
+        bad = DualCertificate(cert.z, tris, cert.flow)
         ok, report = certificate_check(bad, alpha, st, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "negative_triangle_weight"
 
     def test_over_capacity_flow_fails(self):
-        h, st, alpha, cert = self.setup_cert()
+        h, st, alpha, out = self.setup_cert()
+        cert = out.dual
         totals = cert.flow.per_edge_totals()
         factor = 3.0 * max(
             float(h.edges[e].weight) / 2.0 / tot for e, tot in totals.items() if tot > 0
@@ -415,13 +425,13 @@ class TestCertificateCheck:
         inflated = FlowAssignment(
             tuple((e, i, j, f * factor) for e, i, j, f in cert.flow)
         )
-        bad = DualCertificate(cert.z, cert.triangle_weights, inflated, cert.width)
+        bad = DualCertificate(cert.z, cert.triangle_weights, inflated)
         ok, report = certificate_check(bad, alpha, st, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] in ("flow_capacity", "dual_dot_bound")
 
     def test_width_budget_fails_when_rho_too_small(self):
-        h, st, alpha, cert = self.setup_cert()
-        ok, report = certificate_check(cert, alpha, st, h, cert.width / 2.0)
+        h, st, alpha, out = self.setup_cert()
+        ok, report = certificate_check(out.dual, alpha, st, h, out.width / 2.0)
         assert not ok and report["first_failure"] == "width_bound"
 
 
