@@ -9,6 +9,10 @@ size follows the algorithm's sqrt(ln n / T) with T the run's horizon, which
 coincides with the theoretical assignment exactly when no truncation
 happened (the only case in which certification is claimed).
 
+A run keeps one certificate, the average of its steps'.  With R-bar its
+residual, (rho / T) sum M = -R-bar, so the regret check of a run that
+reached T reads only the average, as ``check-cert`` does.
+
 Note on the iteration count: the certified-run analysis leans on the
 weighted complete-graph Laplacian K, whose nonzero eigenvalues are at least
 total^2 / (kappa n); this gives T = ceil(16 kappa^2 rho^2 n^2 ln n /
@@ -35,7 +39,15 @@ from .hypergraph import (
     reduce_to_digraph,
     reverse,
 )
-from .oracle import DualCertificate, OracleConfig, OracleFailure, run_oracle
+from .oracle import (
+    DualCertificate,
+    OracleConfig,
+    OracleFailure,
+    OracleInvariantError,
+    average_certificate,
+    certificate_check,
+    run_oracle,
+)
 
 # mat_K and spectral_norm are not called here any more, but
 # perfbench/tracing.py wraps them in this module's namespace, so the names stay
@@ -102,7 +114,6 @@ class IterationRecord:
     t: int
     case: str
     width: float
-    log_k_dot_w: float
 
 
 @dataclass
@@ -118,10 +129,10 @@ class AlgorithmRun:
     eta: float
     rho: float
     records: list[IterationRecord] = field(default_factory=list)
-    certificates: list[DualCertificate] = field(default_factory=list)
+    certificate: DualCertificate | None = None  # the average; None without dual steps
     cut: Cut | None = None
     reason: str = ""
-    mw_check: float | None = None  # lambda_min(Z + (alpha/2) K) when certified
+    mw_check: float | None = None  # lambda_min((alpha/2) K - R-bar) when T was reached
 
     @property
     def lower_bound(self) -> float | None:
@@ -140,14 +151,13 @@ def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfi
     return math.ceil(16.0 * h.kappa**2 * ratio**2 * n**2 * math.log(n) / w4)
 
 
-def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> tuple[GramState, float]:
+def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> GramState:
     """Primal iterate X = exp(-eta sum M) / (K . exp(-eta sum M)), with K the
     weighted complete-graph Laplacian of ``vertex_weights``.
 
     The embedding is centered before use: every consumed quantity is
     translation-invariant, and centering keeps the numerically huge
     all-ones component of W out of the floating-point evaluations.
-    Returns the state and log(K . W).
     """
     lam, u = np.linalg.eigh(-eta * m_sum)
     shift = float(lam[-1])
@@ -167,8 +177,7 @@ def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> tuple[GramState, 
     vectors = vectors - vectors.mean(axis=0)
     kv = k_dot_dist2(squared_distances(vectors), vertex_weights)
     vectors = vectors / math.sqrt(kv)
-    state = GramState(vectors)
-    return state, shift + math.log(kdw_scaled)
+    return GramState(vectors)
 
 
 def run_algorithm1(
@@ -185,8 +194,8 @@ def run_algorithm1(
 
     Each iteration makes two eigendecompositions: the primal update in
     mw_state and the width in certificate_check, whose residual is also
-    the update added to the running sum.  An OracleInvariantError is a
-    defect and propagates to the caller.
+    the update added to the running sum; the regret check makes two more.
+    An OracleInvariantError is a defect and propagates to the caller.
     """
     cfg = cfg or SolverConfig()
     if side not in ("in", "out"):
@@ -201,7 +210,6 @@ def run_algorithm1(
     h_run = h if side == "in" else reverse(h)
     rd = reduce_to_digraph(h_run)
     n = h.n
-    k = h.k_matrix
     rho = cfg.oracle.rho(alpha, h)
     t_theory = theoretical_iterations(alpha, h, cfg.oracle)
     t_horizon = min(t_theory, cfg.t_cap)
@@ -218,16 +226,17 @@ def run_algorithm1(
         rho=rho,
     )
 
+    certificates: list[DualCertificate] = []
     m_sum = np.zeros((n, n))
     for t in range(1, t_horizon + 1):
-        state, log_kdw = mw_state(m_sum, eta, h.vertex_weights)
+        state = mw_state(m_sum, eta, h.vertex_weights)
 
         try:
             outcome = run_oracle(alpha, state, h_run, cfg.oracle, rng, rd)
         except OracleFailure as exc:
-            run.iterations = t - 1
             run.reason = f"oracle: {exc}"
-            return run
+            break
+        run.iterations = t
 
         if outcome.kind == "cut":
             assert outcome.cut is not None
@@ -235,24 +244,28 @@ def run_algorithm1(
             if side == "out":
                 subset = frozenset(range(n)) - subset
             run.cut = evaluate_cut(h, subset)
-            run.records.append(IterationRecord(t, outcome.case, 0.0, log_kdw))
-            run.iterations = t
+            run.records.append(IterationRecord(t, outcome.case, 0.0))
             run.outcome = "cut"
-            return run
+            break
 
         assert outcome.dual is not None
-        run.records.append(IterationRecord(t, outcome.case, outcome.width, log_kdw))
-        run.certificates.append(outcome.dual)
-        run.iterations = t
+        run.records.append(IterationRecord(t, outcome.case, outcome.width))
+        certificates.append(outcome.dual)
         # the oracle's check bounds width / rho, the update's norm, by 1
         m_sum += -(1.0 / rho) * outcome.residual
 
+    run.certificate = average_certificate(certificates)
+    if run.outcome == "cut" or run.reason:
+        return run
     if t_horizon < t_theory:
         run.reason = f"t_cap truncated run at {t_horizon} < {t_theory}"
         return run
 
-    z_bar = (rho / t_theory) * m_sum
-    check = min_eigenvalue(z_bar + (alpha / 2.0) * k)
+    # (rho / T) sum M is minus the average residual
+    ok, report = certificate_check(run.certificate, alpha, h_run, rho)
+    if not ok:
+        raise OracleInvariantError(f"average certificate: {report['first_failure']}", report)
+    check = min_eigenvalue((alpha / 2.0) * h.k_matrix - report["residual"])
     run.mw_check = check
     if check < -1e-6 * max(1.0, rho):
         run.reason = f"regret check failed: lambda_min {check:.3e}"
@@ -397,6 +410,8 @@ def binary_search(
 
     while hi > lo * cfg.search_ratio and len(probes) < cfg.max_probes:
         alpha = math.sqrt(lo * hi)
+        if not sys.float_info.min <= lo * hi <= sys.float_info.max:
+            alpha = math.sqrt(lo) * math.sqrt(hi)  # the product left the normal range
         probe = run_both_sides(h, alpha, cfg, rng)
         probes.append(probe)
         if probe.found_cut:

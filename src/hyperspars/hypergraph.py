@@ -169,6 +169,19 @@ class DirectedHypergraph:
         return _reduce(self)
 
     @cached_property
+    def text(self) -> str:
+        """The canonical text form that ``serialize_dhg`` returns."""
+        names = self.names
+        order = sorted(range(self.n), key=lambda i: names[i])
+        out = [f"dhg {self.n} {self.m}"]
+        out += [f"v {names[i]} {self.vertex_weights[i]}" for i in order]
+        for e in self.edges:
+            tail = " ".join(sorted([names[i] for i in e.tail]))
+            head = " ".join(sorted([names[i] for i in e.head]))
+            out.append(f"e {e.weight} T {tail} H {head}")
+        return "\n".join(out) + "\n"
+
+    @cached_property
     def k_matrix(self) -> np.ndarray:
         """The solver's K matrix (``sdpcore.mat_K`` of the vertex weights),
         read-only."""
@@ -514,16 +527,9 @@ def parse_dhg(text: str | bytes) -> DirectedHypergraph:
 
 
 def serialize_dhg(h: DirectedHypergraph) -> str:
-    """Canonical text form: vertices sorted by name, edges in input order."""
-    names = h.names
-    order = sorted(range(h.n), key=lambda i: names[i])
-    out = [f"dhg {h.n} {h.m}"]
-    out += [f"v {names[i]} {h.vertex_weights[i]}" for i in order]
-    for e in h.edges:
-        tail = " ".join(sorted([names[i] for i in e.tail]))
-        head = " ".join(sorted([names[i] for i in e.head]))
-        out.append(f"e {e.weight} T {tail} H {head}")
-    return "\n".join(out) + "\n"
+    """Canonical text form: vertices sorted by name, edges in input order;
+    built once per hypergraph and cached on it."""
+    return h.text
 
 
 def out_cut(h: DirectedHypergraph, subset: frozenset[int] | set[int]) -> list[int]:

@@ -44,6 +44,7 @@ __all__ = [
     "OracleInvariantError",
     "InconsistentStateError",
     "DualCertificate",
+    "average_certificate",
     "OracleOutcome",
     "run_oracle",
     "find_violated_path",
@@ -163,6 +164,32 @@ class DualCertificate:
         if self.flow is None:
             return np.zeros((n, n))
         return flownet.flow_matrix(self.flow, n)
+
+
+def average_certificate(certs: list[DualCertificate]) -> DualCertificate | None:
+    """The mean of a run's certificates (None for none): z, the triangle
+    weights and the flow entries by (e, i, j), each summed exactly rounded
+    and divided by the count; a certificate without flow counts as F = 0.
+    The residual is linear in the certificate, so the mean's is the mean
+    residual."""
+    if not certs:
+        return None
+    triangles: dict[TriangleId, list[float]] = {}
+    flows: dict[tuple[int, int, int], list[float]] = {}
+    for cert in certs:
+        for tri, f in cert.triangle_weights.items():
+            triangles.setdefault(tri, []).append(f)
+        for e, i, j, f in cert.flow or ():
+            flows.setdefault((e, i, j), []).append(f)
+
+    def mean(values) -> float:
+        return math.fsum(values) / len(certs)
+
+    fa = None
+    if any(cert.flow is not None for cert in certs):
+        fa = FlowAssignment(tuple((*key, mean(fs)) for key, fs in sorted(flows.items())))
+    triangle_mean = {tri: mean(fs) for tri, fs in triangles.items()}
+    return DualCertificate(mean(cert.z for cert in certs), triangle_mean, fa)
 
 
 @dataclass(frozen=True)
@@ -285,7 +312,11 @@ def _saturated_flow(
 def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) -> OracleOutcome:
     rho = call.cfg.rho(call.alpha, call.h)
     diag = dict(extra, case=case, rho=rho)
-    ok, report = certificate_check(cert, call.alpha, call.state, call.h, rho)
+    ok, report = certificate_check(cert, call.alpha, call.h, rho)
+    # the one bullet that reads the state: (sum f_p T_p + z K) . X <= F . X + 1e-7
+    if report["first_failure"] in (None, "width_bound"):
+        if float(np.vdot(report["residual"], call.state.x)) > 1e-7:
+            ok, report["first_failure"] = False, "dual_dot_bound"
     if not ok:
         if report["first_failure"] == "width_bound":
             # the dual data itself is valid, it is just too wide for the
@@ -681,7 +712,6 @@ def _best_chain(
 def certificate_check(
     cert: DualCertificate,
     alpha: float,
-    state: GramState,
     h: DirectedHypergraph,
     rho: float,
 ) -> tuple[bool, dict]:
@@ -689,9 +719,10 @@ def certificate_check(
 
     Bullets: z >= alpha; f_p >= 0; every triangle vertex lies in [0, n);
     every flow entry (e, i, j, f) names an edge e of h with i in its tail
-    and j in its head; (sum f_p T_p + z K) . X <= F . X + 1e-7; F
-    annihilates the ones vector; F is zero or backed by a capacity-
-    respecting flow; the residual width is at most rho.  This is the one
+    and j in its head; F annihilates the ones vector; F is zero or backed
+    by a capacity-respecting flow; the residual width is at most rho.  All
+    are convex, so a run's average certificate passes where each one does;
+    the bullet that reads a state X is the oracle's own.  This is the one
     place the residual R = sum f_p T_p + z K - F and its width are formed:
     once reached, they are in the report as ``residual`` and ``width``.
     """
@@ -725,12 +756,6 @@ def certificate_check(
 
     f_mat = cert.flow_matrix_dense(n)
     t_mat = flownet.triangle_matrix_sum(cert.triangle_weights, n)
-    lhs = float(np.vdot(t_mat, state.x)) + cert.z * float(np.vdot(k, state.x))
-    rhs = float(np.vdot(f_mat, state.x))
-    report["lhs_dot"] = lhs
-    report["rhs_dot"] = rhs
-    if lhs > rhs + 1e-7:
-        return fail("dual_dot_bound")
 
     ones_gap = float(np.max(np.abs(f_mat.sum(axis=1))))
     report["ones_gap"] = ones_gap
@@ -756,4 +781,3 @@ def certificate_check(
         return fail("width_bound")
 
     return True, report
-

@@ -1,20 +1,19 @@
 """Report serialization and independent certificate re-verification.
 
-The JSON report carries, per run, every dual certificate the oracle
-emitted (z, sparse triangle weights, sparse flow values).  That is enough
-to replay the whole multiplicative-weights trajectory deterministically, so
-the verifier never trusts any matrix from the solver: it rebuilds X step by
-step from the certificates themselves and re-checks every bullet plus the
-final regret inequality of certified runs.
+The JSON report carries, per run, its step count per case and the average
+of its dual certificates (z, sparse triangle weights, sparse flow values).
+The bound alpha / 2 rests on that average alone: its residual R-bar is the
+mean step residual, the regret check is lambda_min((alpha / 2) K - R-bar),
+and the structure it needs is convex, so it survives averaging.  The
+verifier trusts no matrix from the solver and replays nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, fields
-
-import numpy as np
 
 from .driver import SolveResult, SolverConfig, mw_state, theoretical_iterations
 from .flownet import FlowAssignment
@@ -30,8 +29,8 @@ from .hypergraph import (
 )
 from .oracle import DualCertificate, OracleConfig, certificate_check
 
-# mat_K and sparsity are not called here any more, but perfbench/tracing.py
-# wraps them in this module's namespace, so the names stay
+# mat_K, mw_state and sparsity are not called here any more, but
+# perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .sdpcore import TriangleId, mat_K, min_eigenvalue
 
 __all__ = [
@@ -102,6 +101,9 @@ def _flow_list(fa: FlowAssignment | None) -> list[list] | None:
     return [list(item) for item in sorted(fa.values)]
 
 
+REPORT_VERSION = 2  # the layout solve_report writes, and the only one check-cert reads
+
+
 def solve_report(
     h: DirectedHypergraph,
     cfg: SolverConfig,
@@ -129,18 +131,15 @@ def solve_report(
                     "rho": run.rho,
                     "mw_check": run.mw_check,
                     "cut": _cut_dict(h, run.cut),
-                    "records": [
-                        [r.t, r.case, r.width, r.log_k_dot_w]
-                        for r in run.records
-                    ],
+                    "cases": dict(Counter(r.case for r in run.records)),
                 }
             )
-            for t, cert in enumerate(run.certificates, start=1):
+            cert = run.certificate
+            if cert is not None:
                 certificates.append(
                     {
                         "probe": p_idx,
                         "side": side,
-                        "t": t,
                         "z": cert.z,
                         "f_p": _triangles_list(cert.triangle_weights),
                         "flow": _flow_list(cert.flow),
@@ -148,6 +147,7 @@ def solve_report(
                 )
 
     doc = {
+        "report_version": REPORT_VERSION,
         "instance": {
             "dhg": serialize_dhg(h),
             "n": h.n,
@@ -240,15 +240,17 @@ def _well_formed(doc) -> bool:
 def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     """Re-verify a solve report from its certificates alone.
 
-    Replays each run's multiplicative-weights trajectory, re-running
-    certificate_check at every step, re-checks the regret inequality of
-    every certified run, and validates the top-level cut and lower-bound
-    claims against the transcript.  Returns (ok, first failing bullet or
-    None).  A report whose sections or config cannot be read fails as
-    ``report_malformed``, an unreadable entry as ``certificate_malformed``.
+    Checks each run's row and its averaged certificate, and the regret
+    inequality of every certified run, and validates the top-level cut and
+    lower-bound claims against the transcript.  Returns (ok, first failing
+    bullet or None).  A report whose sections or config cannot be read
+    fails as ``report_malformed``, an unreadable entry as
+    ``certificate_malformed``, another layout as ``report_version_mismatch``.
     """
     if not _well_formed(doc):
         return False, "report_malformed"
+    if doc.get("report_version") != REPORT_VERSION:
+        return False, "report_version_mismatch"
     try:
         return _verify(doc, h)
     except _Malformed:
@@ -310,33 +312,34 @@ _DUAL_CASES = ("1B", "2B", "2C")
 
 
 def _close(claim, value: float, abs_tol: float = 0.0) -> bool:
-    """Whether a reported number matches the replay's: the replay sums
-    certificate entries in the report's order, so it may differ from the
-    solver in the last bits."""
+    """Whether a reported number matches the recomputed one: the check
+    sums certificate entries in the report's order, so it may differ from
+    the solver in the last bits."""
     if not isinstance(claim, (int, float)) or isinstance(claim, bool):
         return False
     return math.isclose(claim, value, rel_tol=1e-9, abs_tol=abs_tol)
 
 
-def _replay_run(
-    tr: dict, entries: list[tuple[float, dict]], h: DirectedHypergraph, cfg: SolverConfig
+def _check_run(
+    tr: dict, entries: list[dict], h: DirectedHypergraph, cfg: SolverConfig
 ) -> str | None:
-    """Replay one run's certificates, as (t, entry) sorted by t, and check
-    its transcript row; returns the first failing check, or None.
+    """Check one transcript row and its certificate entries; returns the
+    first failing check, or None.
 
     The row's numbers must follow from the config (rho, t_theory, t_horizon,
-    eta), its records must number 1..iterations with one dual record per
-    certificate and a cut record only last, and only in a run whose outcome
-    is "cut"; each dual record's width and log(K . W) must be the replay's.
-    mw_check must be the replayed lambda_min of a run that reached t_theory,
-    and null otherwise.
+    eta); its case counts must sum to ``iterations``, with one cut step
+    (1A, 2A) only in a run whose outcome is "cut".  A run with dual steps
+    has exactly one certificate, the average of its steps', with a flow
+    unless every dual step was 2C; it must pass certificate_check.
+    mw_check must be lambda_min((alpha / 2) K - R-bar), R-bar the average's
+    residual, for a run that reached t_theory, and null otherwise.
     """
     _, side, alpha, rho, eta = _run_fields(tr, "alpha", "rho", "eta")
-    records = tr.get("records")
-    if not alpha > 0 or not isinstance(records, list):
-        raise _Malformed("a run needs a positive alpha and a list of records")
-    if not all(isinstance(r, list) and len(r) == 4 for r in records):
-        raise _Malformed("a record is [t, case, width, log_k_dot_w]")
+    cases = tr.get("cases")
+    if not alpha > 0 or not isinstance(cases, dict):
+        raise _Malformed("a run needs a positive alpha and its case counts")
+    if not all(type(count) is int and count >= 0 for count in cases.values()):
+        raise _Malformed("a case count is a non-negative integer")
     if not math.isclose(rho, cfg.oracle.rho(alpha, h), rel_tol=1e-9):
         return "rho_mismatch"
     t_theory = theoretical_iterations(alpha, h, cfg.oracle)
@@ -347,44 +350,33 @@ def _replay_run(
         return "t_horizon_mismatch"
     if not _close(eta, math.sqrt(math.log(h.n) / t_horizon)):
         return "eta_mismatch"
-    if [t for t, _ in entries] != list(range(1, len(entries) + 1)):
-        return "certificate_sequence_gap"
-    if [r[0] for r in records] != list(range(1, len(records) + 1)):
-        return "record_sequence_gap"
-    if tr.get("iterations") != len(records) or len(records) > t_horizon:
+    steps = sum(cases.values())
+    if tr.get("iterations") != steps or steps > t_horizon:
         return "iterations_mismatch"
     outcome = tr.get("outcome")
     is_cut = outcome == "cut"
     if outcome not in ("cut", "certified", "aborted") or is_cut != (tr.get("cut") is not None):
         return "run_outcome_mismatch"
-    duals = records[:-1] if is_cut else records
-    if is_cut and (not records or records[-1][1] not in _CUT_CASES or records[-1][2] != 0.0):
+    if not cases.keys() <= {*_CUT_CASES, *_DUAL_CASES}:
         return "record_case_mismatch"
-    if len(duals) != len(entries) or any(r[1] not in _DUAL_CASES for r in duals):
+    if sum(cases.get(case, 0) for case in _CUT_CASES) != is_cut:
         return "record_case_mismatch"
-
-    h_run = reverse(h) if side == "out" else h
-    m_sum = np.zeros((h.n, h.n))
-    for (_, case, width, log_kdw), (_, entry) in zip(duals, entries):
-        state, replayed_log_kdw = mw_state(m_sum, eta, h.vertex_weights)
-        cert = _cert_from_entry(entry)
-        if (case == "2C") != (cert.flow is None):
+    duals = steps - is_cut
+    if len(entries) != (duals > 0):
+        return "certificate_count_mismatch"
+    if entries:
+        cert = _cert_from_entry(entries[0])
+        if (cert.flow is None) != (cases.get("2C", 0) == duals):
             return "record_case_mismatch"
-        ok, rep = certificate_check(cert, alpha, state, h_run, rho)
+        ok, rep = certificate_check(cert, alpha, reverse(h) if side == "out" else h, rho)
         if not ok:
             return str(rep["first_failure"])
-        if not _close(width, rep["width"]):
-            return "record_width_mismatch"
-        if not _close(log_kdw, replayed_log_kdw, abs_tol=1e-9):
-            return "record_log_k_dot_w_mismatch"
-        m_sum += -(1.0 / rho) * rep["residual"]
 
-    reached = len(entries) == t_theory
-    if not reached:
+    if duals != t_theory:
         if tr.get("mw_check") is not None:
             return "mw_check_mismatch"
         return "iteration_count_mismatch" if outcome == "certified" else None
-    check = min_eigenvalue((rho / t_theory) * m_sum + (alpha / 2.0) * h.k_matrix)
+    check = min_eigenvalue((alpha / 2.0) * h.k_matrix - rep["residual"])
     if not _close(tr.get("mw_check"), check, abs_tol=1e-9 * max(1.0, rho)):
         return "mw_check_mismatch"
     if outcome == "certified" and check < -1e-6 * max(1.0, rho):
@@ -412,11 +404,10 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     if failing is not None:
         return False, failing
 
-    by_run: dict[tuple[int, str], list[tuple[float, dict]]] = {}
+    by_run: dict[tuple[int, str], list[dict]] = {}
     for entry in doc.get("certificates", []):
-        probe, side, t = _run_fields(entry, "t")
-        by_run.setdefault((probe, side), []).append((t, entry))
-    # the replay below walks the transcript, so a certificate of a run the
+        by_run.setdefault(_run_fields(entry), []).append(entry)
+    # the checks below walk the transcript, so a certificate of a run the
     # transcript does not list would never be checked
     if not by_run.keys() <= {_run_fields(tr) for tr in doc.get("transcript", [])}:
         return False, "certificate_orphan"
@@ -443,8 +434,7 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
             return False, "lower_bound_unsupported"
 
     for tr in doc.get("transcript", []):
-        entries = sorted(by_run.get(_run_fields(tr), []), key=lambda te: te[0])
-        failing = _replay_run(tr, entries, h, cfg)
+        failing = _check_run(tr, by_run.get(_run_fields(tr), []), h, cfg)
         if failing is not None:
             return False, failing
     return True, None

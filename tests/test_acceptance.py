@@ -340,7 +340,7 @@ def test_criterion_07_oracle_contract():
             assert recomputed == out.cut.sparsity
             assert float(recomputed) <= bound * (1 + 1e-9)
         else:
-            ok, rep = certificate_check(out.dual, alpha, st, h_run, cfg.rho(alpha, h))
+            ok, rep = certificate_check(out.dual, alpha, h_run, cfg.rho(alpha, h))
             assert ok, rep
     assert sum(cases.values()) + loud_failures == 300
     return f"cases {cases}, loud failures {loud_failures}"

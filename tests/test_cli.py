@@ -98,6 +98,18 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", ["1e-200", "1e200"])
+    def test_extreme_alpha_search_finishes(self, tmp_path, capsys, alpha):
+        # the probe sqrt(lo * hi) underflowed to 0 at 1e-200 and overflowed
+        # to inf at 1e200
+        inp = tmp_path / "cycle.dhg"
+        inp.write_text(THREE_CYCLE)
+        out = str(tmp_path / "r.json")
+        code = main(["solve", str(inp), "--seed", "1", "--alpha", alpha, "--t-cap", "5",
+                     "--json", "-o", out])
+        assert code == 0
+        assert main(["check-cert", out, str(inp)]) == 0
+
+    @pytest.mark.parametrize("alpha", ["1e-200", "1e200"])
     def test_extreme_alpha_finishes(self, tmp_path, capsys, alpha):
         # the iteration count does not depend on alpha, and must not
         # overflow computing it
@@ -222,7 +234,7 @@ class TestSolve:
 
     def test_side_out_flag(self, planted_file, tmp_path, capsys):
         # the search ends in cuts; the fixed tiny alpha yields certificates,
-        # which check-cert replays against the reversed instance
+        # which check-cert checks against the reversed instance
         for extra in (("--t-cap", "40"), ("--t-cap", "5", "--alpha", "1e-6", "--no-search")):
             out = str(tmp_path / "r.json")
             code = main(
@@ -236,7 +248,9 @@ class TestSolve:
             assert all(c["side"] == "out" for c in doc["certificates"])
             assert doc["lower_bound"] is None
             assert main(["check-cert", out, planted_file]) == 0
-        assert len(doc["certificates"]) == 5
+        # one averaged certificate for the run's five dual steps
+        assert len(doc["certificates"]) == 1
+        assert sum(doc["transcript"][0]["cases"].values()) == 5
 
     def test_text_output(self, planted_file, tmp_path, capsys):
         assert main(["solve", planted_file, "--seed", "7", "--t-cap", "40"]) == 0
@@ -273,8 +287,9 @@ MALFORMED = {
     "z_not_a_number": lambda doc: doc["certificates"][0].update(z="half"),
     "z_nan": lambda doc: doc["certificates"][0].update(z=float("nan")),
     "row_alpha_zero": lambda doc: doc["transcript"][0].update(alpha=0.0),
-    "records_not_a_list": lambda doc: doc["transcript"][0].update(records=None),
-    "record_too_short": lambda doc: doc["transcript"][0]["records"][0].pop(),
+    "cases_not_a_dict": lambda doc: doc["transcript"][0].update(cases=[["1B", 20]]),
+    "case_count_negative": lambda doc: doc["transcript"][0].update(cases={"1B": -1}),
+    "case_count_not_an_int": lambda doc: doc["transcript"][0].update(cases={"1B": 20.0}),
 }
 
 
@@ -325,29 +340,36 @@ def _row(doc):
     return doc["transcript"][0]
 
 
-def _shift_record(k, column, delta):
-    def tamper(doc):
-        _row(doc)["records"][k][column] += delta
-
-    return tamper
+def _set_cases(**cases):
+    return lambda doc: _row(doc).update(cases=cases)
 
 
-def _set_record(k, column, value):
-    return lambda doc: _row(doc)["records"][k].__setitem__(column, value)
-
-
-# transcript claims that the config or the replay contradicts, on a dual run
-# that t_cap truncated, and the check that must name each
+# transcript claims that the config or the certificate contradicts, on a
+# run of 20 Case 1B steps that t_cap truncated, and the check that must
+# name each
 RUN_TAMPERS = {
     "t_theory": (lambda doc: _row(doc).update(t_theory=7), "t_theory_mismatch"),
     "t_horizon": (lambda doc: _row(doc).update(t_horizon=1), "t_horizon_mismatch"),
     "eta": (lambda doc: _row(doc).update(eta=5.0), "eta_mismatch"),
-    "record_t": (_set_record(3, 0, 5), "record_sequence_gap"),
     "iterations": (lambda doc: _row(doc).update(iterations=5), "iterations_mismatch"),
-    "records_empty": (lambda doc: _row(doc).update(records=[]), "iterations_mismatch"),
-    "record_case": (_set_record(3, 1, "2C"), "record_case_mismatch"),
-    "record_width": (_set_record(3, 2, 0.0), "record_width_mismatch"),
-    "record_log_k_dot_w": (_shift_record(3, 3, 1.0), "record_log_k_dot_w_mismatch"),
+    "records_empty": (_set_cases(), "iterations_mismatch"),
+    "cases_sum_short": (_set_cases(**{"1B": 19}), "iterations_mismatch"),
+    "cases_beyond_t_horizon": (
+        lambda doc: _row(doc).update(cases={"1B": 21}, iterations=21), "iterations_mismatch"
+    ),
+    # only 2C steps, yet the average has a flow
+    "record_case": (_set_cases(**{"2C": 20}), "record_case_mismatch"),
+    "cases_unknown": (_set_cases(**{"3B": 20}), "record_case_mismatch"),
+    "cases_cut_step_in_dual_run": (
+        _set_cases(**{"1B": 19, "1A": 1}), "record_case_mismatch"
+    ),
+    "second_certificate": (
+        lambda doc: doc["certificates"].append(dict(doc["certificates"][0])),
+        "certificate_count_mismatch",
+    ),
+    "certificate_removed": (
+        lambda doc: doc.update(certificates=[]), "certificate_count_mismatch"
+    ),
     "mw_check_before_t_theory": (
         lambda doc: _row(doc).update(mw_check=1e9), "mw_check_mismatch"
     ),
@@ -374,13 +396,50 @@ SEARCH_TAMPERS = {
     "cut_run_t_theory": (lambda doc: _cut_row(doc).update(t_theory=7), "t_theory_mismatch"),
     "cut_run_eta": (lambda doc: _cut_row(doc).update(eta=5.0), "eta_mismatch"),
     "cut_run_fake_duals": (
-        lambda doc: _cut_row(doc).update(records=[[t, "2B", 1.0, 0.0] for t in (1, 2, 3)]),
-        "iterations_mismatch",
+        lambda doc: _cut_row(doc).update(cases={"2B": 3}), "iterations_mismatch"
     ),
     "cut_record_as_dual": (
-        lambda doc: _cut_row(doc)["records"][-1].__setitem__(1, "2B"), "record_case_mismatch"
+        lambda doc: _cut_row(doc).update(cases={"2B": 1}), "record_case_mismatch"
+    ),
+    "cut_run_certificate": (
+        lambda doc: doc["certificates"].append(
+            {"probe": _cut_row(doc)["probe"], "side": _cut_row(doc)["side"],
+             "z": 1.0, "f_p": [], "flow": None}
+        ),
+        "certificate_count_mismatch",
     ),
 }
+
+
+@pytest.fixture(scope="module")
+def certified_cycle_report(tmp_path_factory):
+    """The unit 3-cycle and a report whose two runs certify after 251
+    Case 1B steps each; the averaged certificates carry triangles and flow."""
+    root = tmp_path_factory.mktemp("certified")
+    inp, out = root / "in.dhg", str(root / "report.json")
+    inp.write_text(THREE_CYCLE)
+    constants = root / "constants.json"
+    constants.write_text(json.dumps({"c_rho": 1.0}))
+    assert main(["solve", str(inp), "--seed", "3", "--alpha", "0.0094", "--no-search",
+                 "--constants", str(constants), "--json", "-o", out]) == 2
+    doc = json.loads(open(out).read())
+    assert [tr["outcome"] for tr in doc["transcript"]] == ["certified"] * 2
+    assert all(cert["f_p"] and cert["flow"] for cert in doc["certificates"])
+    return str(inp), open(out).read()
+
+
+def _per_step_layout(doc):
+    """The report in the layout written before reports carried one averaged
+    certificate per run: per-step records and one certificate per step."""
+    del doc["report_version"]
+    per_step = []
+    for tr in doc["transcript"]:
+        cases = [case for case, count in sorted(tr.pop("cases").items()) for _ in range(count)]
+        tr["records"] = [[t, case, 0.0, 0.0] for t, case in enumerate(cases, start=1)]
+        run = (tr["probe"], tr["side"])
+        cert = next(c for c in doc["certificates"] if (c["probe"], c["side"]) == run)
+        per_step += [dict(cert, t=t) for t in range(1, tr["iterations"] + 1)]
+    doc["certificates"] = per_step
 
 
 @pytest.fixture(scope="module")
@@ -513,7 +572,7 @@ class TestCheckCert:
     def test_run_claim_tampered_rejected(self, tmp_path, capsys, tamper, check):
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
         doc = json.loads(open(out).read())
-        assert _row(doc)["mw_check"] is None and len(_row(doc)["records"]) == 20
+        assert _row(doc)["mw_check"] is None and _row(doc)["cases"] == {"1B": 20}
         tamper(doc)
         assert f"certificate check failed: {check}" in self.rejected(doc, out, inp, capsys)
 
@@ -525,8 +584,8 @@ class TestCheckCert:
         assert "certificate check failed: mw_check_mismatch" in self.rejected(doc, out, inp, capsys)
 
     def test_certificate_alpha_and_rho_ignored(self, tmp_path, capsys):
-        # reports written before the per-certificate alpha and rho were
-        # dropped still verify; the keys are not read
+        # a certificate entry's alpha and rho, which reports once repeated
+        # on every certificate, are not read: the row's are
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
         doc = json.loads(open(out).read())
         assert not {"alpha", "rho"} & set(doc["certificates"][0])
@@ -534,8 +593,55 @@ class TestCheckCert:
             cert.update(alpha=-1.0, rho=0.0)
         assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (True, None)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [_per_step_layout, lambda doc: doc.pop("report_version"),
+         lambda doc: doc.update(report_version=1), lambda doc: doc.update(report_version=3),
+         lambda doc: doc.update(report_version="2")],
+        ids=["per_step_layout", "missing", "1", "3", "string"],
+    )
+    def test_other_report_version_rejected(self, certified_cycle_report, tmp_path, capsys, edit):
+        inp, text = certified_cycle_report
+        doc = json.loads(text)
+        assert doc["report_version"] == 2
+        edit(doc)
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert "certificate check failed: report_version_mismatch" in err
+
+    def test_certified_report_accepted(self, certified_cycle_report, tmp_path, capsys):
+        inp, text = certified_cycle_report
+        doc = json.loads(text)
+        assert [tr["cases"] for tr in doc["transcript"]] == [{"1B": 251}] * 2
+        assert len(doc["certificates"]) == 2 and doc["lower_bound"] == 0.0047
+        assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (True, None)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_scaled_average_triangles_rejected(
+        self, certified_cycle_report, tmp_path, capsys, side
+    ):
+        # still a valid certificate structure, but not the run's average:
+        # the regret check recomputed from it differs from the row's
+        inp, text = certified_cycle_report
+        doc = json.loads(text)
+        for row in doc["certificates"][side]["f_p"]:
+            row[3] *= 1.5
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert ("certificate check failed: mw_check_mismatch" in err
+                or "certificate check failed: regret_inequality" in err)
+
+    def test_average_flow_over_capacity_rejected(self, certified_cycle_report, tmp_path, capsys):
+        inp, text = certified_cycle_report
+        doc = json.loads(text)
+        flow = doc["certificates"][0]["flow"]
+        # every edge of the cycle has weight 1, so capacity 1/2
+        factor = 0.75 / max(f for *_, f in flow)
+        for row in flow:
+            row[3] *= factor
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert "certificate check failed: flow_capacity" in err
+
     def test_orphan_certificate_rejected(self, tmp_path, capsys):
-        # the replay walks the transcript, which has no probe 99
+        # the checks walk the transcript, which has no probe 99
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
         doc = json.loads(open(out).read())
         doc["certificates"].append(dict(doc["certificates"][0], probe=99, z=-5.0))

@@ -6,6 +6,8 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspars import driver
 from hyperspars.driver import (
@@ -17,7 +19,12 @@ from hyperspars.driver import (
     theoretical_iterations,
 )
 from hyperspars.hypergraph import Hyperedge, parse_dhg, reverse, sparsity
-from hyperspars.oracle import OracleConfig, OracleFailure, OracleInvariantError
+from hyperspars.oracle import (
+    OracleConfig,
+    OracleFailure,
+    OracleInvariantError,
+    certificate_check,
+)
 from hyperspars.report import solve_report, verify_report
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import mat_K, min_eigenvalue
@@ -35,7 +42,7 @@ class TestMwState:
         # pairwise distances match the uncentered I / Tr(K) exactly
         h = parse_dhg(TWO_CYCLE)
         k = mat_K(h.vertex_weights)
-        state, _ = mw_state(np.zeros((2, 2)), 0.5, h.vertex_weights)
+        state = mw_state(np.zeros((2, 2)), 0.5, h.vertex_weights)
         assert state.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-12)
         assert float(np.tensordot(k, state.x)) == pytest.approx(1.0, abs=1e-10)
         trace_k = float(np.trace(k))
@@ -48,7 +55,7 @@ class TestMwState:
             m = rng.standard_normal((6, 6))
             m = (m + m.T) / 2
             m -= np.outer(np.ones(6), m.mean(axis=0))  # not ones-kernel; fine
-            state, _ = mw_state(m_sum, 0.2, h.vertex_weights)
+            state = mw_state(m_sum, 0.2, h.vertex_weights)
             assert state.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-8)
             m_sum += m / max(1.0, np.abs(np.linalg.eigvalsh(m)).max())
 
@@ -101,16 +108,16 @@ class TestRunAlgorithm1:
         assert run.outcome == "certified"
         assert run.lower_bound == pytest.approx(alpha / 2)
         assert run.iterations == run.t_theory
-        # independent recompute of the regret inequality from certificates
+        # independent recompute of the regret inequality from the run's
+        # averaged certificate
         k = mat_K(h.vertex_weights)
-        m_sum = np.zeros((2, 2))
-        for cert in run.certificates:
-            res = triangle_matrix_sum(cert.triangle_weights, 2)
-            res += cert.z * k
-            res -= cert.flow_matrix_dense(2)
-            m_sum += -(1.0 / run.rho) * res
-        check = min_eigenvalue((run.rho / run.t_theory) * m_sum + (alpha / 2) * k)
+        cert = run.certificate
+        residual = triangle_matrix_sum(cert.triangle_weights, 2)
+        residual += cert.z * k
+        residual -= cert.flow_matrix_dense(2)
+        check = min_eigenvalue((alpha / 2) * k - residual)
         assert check >= -1e-6
+        assert check == pytest.approx(run.mw_check, abs=1e-12)
         # soundness: the certified bound never exceeds the true optimum
         _, theta = brute_force_sparsest(h)
         assert alpha / 2 <= float(theta)
@@ -122,7 +129,8 @@ class TestRunAlgorithm1:
         assert run.outcome == "aborted"
         assert "t_cap" in run.reason
         assert run.lower_bound is None
-        assert len(run.certificates) == 10
+        assert run.iterations == len(run.records) == 10
+        assert run.certificate is not None and run.mw_check is None
 
     def test_eta_assignment(self):
         h = parse_dhg(TWO_CYCLE)
@@ -162,13 +170,13 @@ class TestOneRoute:
             out = run_algorithm1(h, alpha, "out", cfg, np.random.default_rng(0))
             rev = run_algorithm1(reverse(h), alpha, "in", cfg, np.random.default_rng(0))
             assert out.records == rev.records
-            assert out.certificates == rev.certificates
+            assert out.certificate == rev.certificate
             assert (out.outcome, out.iterations) == (rev.outcome, rev.iterations)
             if out.cut is not None:
                 assert out.cut.subset == frozenset(range(h.n)) - rev.cut.subset
                 assert out.cut.sparsity == rev.cut.sparsity == sparsity(h, out.cut.subset)
-            outcomes.append((out.outcome, len(out.certificates)))
-        assert outcomes == [("cut", 0), ("aborted", 12)]
+            outcomes.append((out.outcome, out.iterations, out.certificate is not None))
+        assert outcomes == [("cut", 1, False), ("aborted", 12, True)]
 
 
 class TestRunBothSides:
@@ -322,6 +330,76 @@ class TestPinnedOutputs:
         assert run_summary(res) == cut + certified + cut
 
 
+def record_outcomes(monkeypatch):
+    """Keep every outcome the driver's oracle returns, in order."""
+    outcomes = []
+
+    def recording(*args, _real=driver.run_oracle, **kwargs):
+        outcomes.append(_real(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(driver, "run_oracle", recording)
+    return outcomes
+
+
+@st.composite
+def positive_dhgs(draw):
+    """Small DHGs with positive edge weights and tails and heads drawn
+    independently."""
+    n = draw(st.integers(2, 5))
+    vertices = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n)
+    weight = st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=4)
+    edges = draw(st.lists(st.tuples(vertices, vertices, weight), min_size=1, max_size=6))
+    omega = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    return make_h(n, edges, weights=omega)
+
+
+class TestAveragedCertificate:
+    """A run keeps the average of its certificates, and the regret check
+    reads only that average."""
+
+    def residual(self, run, h):
+        """The average's residual; the average must pass certificate_check."""
+        h_run = reverse(h) if run.side == "out" else h
+        ok, rep = certificate_check(run.certificate, run.alpha, h_run, run.rho)
+        assert ok, rep["first_failure"]
+        return rep["residual"]
+
+    @pytest.mark.parametrize("instance", ["unit_cycle", "expander_n12"])
+    def test_residual_is_mean_of_step_residuals(self, monkeypatch, instance):
+        if instance == "unit_cycle":
+            h = parse_dhg(THREE_CYCLE)
+            cfg, alpha = SolverConfig(oracle=OracleConfig(c_rho=1.0)), 0.0094
+        else:
+            h = generate(GeneratorSpec(n=12, m=24, kappa=2, model="expander-like", seed=3))
+            base = float(binary_search(h, SolverConfig(max_probes=0)).best_cut.sparsity)
+            cfg, alpha = SolverConfig(t_cap=30), 1e-6 * base
+        outcomes = record_outcomes(monkeypatch)
+        for side in ("in", "out"):
+            outcomes.clear()
+            run = run_algorithm1(h, alpha, side, cfg, np.random.default_rng(0))
+            assert run.iterations == len(outcomes) > 1
+            assert all(out.kind == "dual" for out in outcomes)
+            mean = np.mean([out.residual for out in outcomes], axis=0)
+            got = self.residual(run, h)
+            assert np.abs(got - mean).max() <= 1e-12 * np.abs(mean).max()
+        if instance == "unit_cycle":
+            assert run.outcome == "certified" and run.iterations == run.t_theory == 251
+            # the regret check is lambda_min((alpha/2) K - R-bar)
+            assert run.mw_check == min_eigenvalue((alpha / 2) * h.k_matrix - got)
+
+    @given(positive_dhgs(), st.sampled_from([1e-4, 1e-2, 1.0]))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_average_passes_certificate_check(self, h, scale):
+        cfg = SolverConfig(t_cap=6)
+        probe = run_both_sides(h, scale * h.m / float(h.total_weight) ** 2, cfg)
+        for run in probe.runs.values():
+            duals = [r for r in run.records if r.case in ("1B", "2B", "2C")]
+            assert (run.certificate is None) == (not duals)
+            if run.certificate is not None:
+                self.residual(run, h)
+
+
 class TestOracleErrors:
     def _raising_oracle(self, monkeypatch, exc):
         def oracle(*args, **kwargs):
@@ -374,10 +452,11 @@ class TestPerIterationWork:
         assert eig["n"] <= 2 * iterations
 
         doc = solve_report(h, cfg, driver.SolveResult(None, None, [probe], 0.0, 0.0), 0)
-        assert len(doc["certificates"]) == iterations
+        # one averaged certificate per run, checked with one width each
+        assert len(doc["certificates"]) == 2
         eig["n"] = 0
         assert verify_report(doc, h) == (True, None)
-        assert eig["n"] <= 2 * len(doc["certificates"])
+        assert eig["n"] == len(doc["certificates"])
 
     def test_verify_reverses_the_instance_once(self, monkeypatch):
         h = generate(GeneratorSpec(n=8, m=16, kappa=2, model="expander-like", seed=2))

@@ -316,6 +316,17 @@ class TestCachedDerivedData:
         assert (pickle.dumps(h), pickle.dumps(rd)) == before
         assert pickle.loads(pickle.dumps(rd)) == rd
 
+    def test_serialization_cached(self, rng):
+        h = random_hypergraph(rng, n=6, m=5)
+        before = pickle.dumps(h)
+        text = serialize_dhg(h)
+        assert serialize_dhg(h) is text
+        # the property's function, run again, builds the same text afresh
+        assert text == DirectedHypergraph.text.func(h)
+        assert pickle.dumps(h) == before
+        assert serialize_dhg(pickle.loads(before)) == text
+        assert serialize_dhg(reverse(h)) == DirectedHypergraph.text.func(reverse(h)) != text
+
     def test_reverse_and_reduction_built_once(self, rng):
         h = random_hypergraph(rng, n=6, m=5)
         twin = DirectedHypergraph(h.names, h.vertex_weights, h.edges)

@@ -12,10 +12,12 @@ from hyperspars.oracle import (
     DualCertificate,
     OracleConfig,
     OracleFailure,
+    OracleInvariantError,
     _ball_weights,
     _direction_split_once,
     _medium_ball,
     _random_direction,
+    average_certificate,
     certificate_check,
     find_violated_path,
     path_triangles,
@@ -191,7 +193,7 @@ class TestCase1:
         out = run_oracle(alpha, st, h, cfg, np.random.default_rng(0))
         assert out.kind == "dual"
         assert out.case == "1B"
-        ok, report = certificate_check(out.dual, alpha, st, h, cfg.rho(alpha, h))
+        ok, report = certificate_check(out.dual, alpha, h, cfg.rho(alpha, h))
         assert ok, report
 
     def test_dual_dot_reduces_to_demand_bound(self):
@@ -345,7 +347,7 @@ class TestCase2:
             if out.kind == "cut":
                 assert float(out.cut.sparsity) <= cfg.ratio_bound(alpha, h, out.case) * (1 + 1e-9)
             else:
-                ok, rep = certificate_check(out.dual, alpha, st, h, cfg.rho(alpha, h))
+                ok, rep = certificate_check(out.dual, alpha, h, cfg.rho(alpha, h))
                 assert ok, rep
 
     def test_case_c_certificate_on_planted_chain(self):
@@ -364,7 +366,7 @@ class TestCase2:
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
         cert = DualCertificate(alpha, {t: f_val for t in tris}, None)
         k = mat_K(h.vertex_weights)
-        ok, report = certificate_check(cert, alpha, st, h, cfg.rho(alpha, h))
+        ok, report = certificate_check(cert, alpha, h, cfg.rho(alpha, h))
         assert ok, report
         # F = 0 here, so the residual is sum f_p T_p + z K
         residual = sum(f_val * mat_T(7, t) for t in tris) + alpha * k
@@ -390,7 +392,7 @@ class TestCertificateCheck:
 
     def test_valid_certificate_passes(self):
         h, st, alpha, out = self.setup_cert()
-        ok, report = certificate_check(out.dual, alpha, st, h, OracleConfig().rho(alpha, h))
+        ok, report = certificate_check(out.dual, alpha, h, OracleConfig().rho(alpha, h))
         assert ok
         # the outcome carries the residual and width of the oracle's own check
         assert report["width"] == out.width
@@ -400,7 +402,7 @@ class TestCertificateCheck:
         h, st, alpha, out = self.setup_cert()
         cert = out.dual
         low = DualCertificate(alpha / 2, cert.triangle_weights, cert.flow)
-        ok, report = certificate_check(low, alpha, st, h, OracleConfig().rho(alpha, h))
+        ok, report = certificate_check(low, alpha, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "z_below_alpha"
 
     def test_negative_triangle_weight_fails(self):
@@ -412,7 +414,7 @@ class TestCertificateCheck:
         key = next(iter(tris))
         tris[key] = -abs(tris[key]) - 1e-6
         bad = DualCertificate(cert.z, tris, cert.flow)
-        ok, report = certificate_check(bad, alpha, st, h, OracleConfig().rho(alpha, h))
+        ok, report = certificate_check(bad, alpha, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "negative_triangle_weight"
 
     def test_over_capacity_flow_fails(self):
@@ -426,13 +428,51 @@ class TestCertificateCheck:
             tuple((e, i, j, f * factor) for e, i, j, f in cert.flow)
         )
         bad = DualCertificate(cert.z, cert.triangle_weights, inflated)
-        ok, report = certificate_check(bad, alpha, st, h, OracleConfig().rho(alpha, h))
-        assert not ok and report["first_failure"] in ("flow_capacity", "dual_dot_bound")
+        ok, report = certificate_check(bad, alpha, h, OracleConfig().rho(alpha, h))
+        assert not ok and report["first_failure"] == "flow_capacity"
 
     def test_width_budget_fails_when_rho_too_small(self):
         h, st, alpha, out = self.setup_cert()
-        ok, report = certificate_check(out.dual, alpha, st, h, out.width / 2.0)
+        ok, report = certificate_check(out.dual, alpha, h, out.width / 2.0)
         assert not ok and report["first_failure"] == "width_bound"
+
+    def test_dual_dot_bound_is_a_per_step_invariant(self):
+        # z K alone gives R . X = z K . X = alpha > 1e-7: a structurally
+        # valid certificate that the state contradicts
+        h, st, alpha, out = self.setup_cert()
+        cert = DualCertificate(alpha, {}, None)
+        assert certificate_check(cert, alpha, h, OracleConfig().rho(alpha, h))[0]
+        omega = np.array(h.vertex_weights, dtype=float)
+        call = oracle._Call(alpha, st, h, OracleConfig(), None, omega, float(omega.sum()))
+        with pytest.raises(OracleInvariantError, match="dual_dot_bound"):
+            oracle._dual_outcome(call, cert, "2C", {})
+
+
+class TestAverageCertificate:
+    def test_sums_by_key_and_divides_by_count(self):
+        a, b, c = TriangleId.make(0, 2, 1), TriangleId.make(1, 3, 2), TriangleId.make(0, 3, 1)
+        first = FlowAssignment(((0, 0, 1, 3.0), (1, 2, 3, 1.0)))
+        third = FlowAssignment(((1, 2, 3, 5.0), (0, 1, 0, 3.0)))
+        certs = [
+            DualCertificate(1.0, {a: 2.0, b: 4.0}, first),
+            DualCertificate(2.0, {a: 1.0}, None),
+            DualCertificate(3.0, {c: 6.0}, third),
+        ]
+        avg = average_certificate(certs)
+        assert avg.z == 2.0
+        assert avg.triangle_weights == {a: 1.0, b: 4.0 / 3.0, c: 2.0}
+        assert avg.flow.values == ((0, 0, 1, 1.0), (0, 1, 0, 1.0), (1, 2, 3, 2.0))
+
+    def test_without_flow_or_certificates(self):
+        tri = TriangleId.make(0, 2, 1)
+        assert average_certificate([]) is None
+        avg = average_certificate([DualCertificate(0.5, {tri: 1.0}, None)] * 3)
+        assert avg == DualCertificate(0.5, {tri: 1.0}, None)
+
+    def test_mean_of_equal_values_is_exact(self):
+        # an exactly rounded sum: 4012 steps at alpha = 0.0094 average to it
+        avg = average_certificate([DualCertificate(0.0094, {}, None)] * 4012)
+        assert avg.z == 0.0094
 
 
 class TestZeroOutSide:
@@ -458,7 +498,7 @@ class TestZeroOutSide:
         out = run_oracle(alpha, st, reverse(h), OracleConfig(), rng)
         assert out.kind == "dual"
         ok, report = certificate_check(
-            out.dual, alpha, st, reverse(h), OracleConfig().rho(alpha, h)
+            out.dual, alpha, reverse(h), OracleConfig().rho(alpha, h)
         )
         assert ok, report
 
@@ -491,6 +531,6 @@ class TestOracleContractSweep:
                     lo_side = min(out.diagnostics["side_weights"])
                     assert lo_side >= cfg.c_frac * h.total_weight / 4 - 1e-9
             else:
-                ok, rep = certificate_check(out.dual, alpha, st, h_run, cfg.rho(alpha, h))
+                ok, rep = certificate_check(out.dual, alpha, h_run, cfg.rho(alpha, h))
                 assert ok, rep
         assert cases.get("fail", 0) == 0
