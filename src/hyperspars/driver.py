@@ -109,7 +109,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration; the update norm of a dual step is width / rho."""
+    """One iteration; the update norm of a dual step is at most width / rho."""
 
     t: int
     case: str
@@ -192,9 +192,12 @@ def run_algorithm1(
     The side "in" searches cuts that contain vertex 0; "out" runs the same
     search on the reversed hypergraph and complements its cut.
 
-    Each iteration makes two eigendecompositions: the primal update in
-    mw_state and the width in certificate_check, whose residual is also
-    the update added to the running sum; the regret check makes two more.
+    Each iteration makes one eigendecomposition, the primal update in
+    mw_state: certificate_check bounds the width by the residual's largest
+    absolute row sum and takes the exact norm only when that bound exceeds
+    rho.  The residual is also the update added to the running sum.  A run
+    that reaches T adds the regret check's one, plus one for the average's
+    width when its bound exceeds rho.
     An OracleInvariantError is a defect and propagates to the caller.
     """
     cfg = cfg or SolverConfig()
@@ -251,7 +254,7 @@ def run_algorithm1(
         assert outcome.dual is not None
         run.records.append(IterationRecord(t, outcome.case, outcome.width))
         certificates.append(outcome.dual)
-        # the oracle's check bounds width / rho, the update's norm, by 1
+        # the oracle's check bounds the update's norm by width / rho <= 1
         m_sum += -(1.0 / rho) * outcome.residual
 
     run.certificate = average_certificate(certificates)

@@ -21,7 +21,7 @@ import numpy as np
 # perfbench/tracing.py wraps max_flow_arrays in this module's namespace
 from ._core import max_flow_arrays
 from .hypergraph import ReducedDigraph
-from .sdpcore import TriangleId, add_mat_A, add_mat_T
+from .sdpcore import TriangleId
 
 __all__ = [
     "FlowInstance",
@@ -167,19 +167,23 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
 
     Inflow at the tail gadget node is paired with outflow at the head node
     proportionally (inflow share times outflow share), which conserves all
-    marginals and is order-independent.
+    marginals and is order-independent.  Only edges with an arc of nonzero
+    flow are visited: an edge whose arcs all carry 0 conserves trivially and
+    lifts to nothing.
     """
     rd = instance.rd
-    # Python floats, as the assignment and the reports hold
-    arc_flow = result.arc_flow.tolist()
+    edge_flow = result.arc_flow[: len(rd.arc_edge)]
+    # ascending arcs give ascending edges, each edge once
+    carrying = dict.fromkeys(rd.arc_edge[np.flatnonzero(edge_flow)].tolist())
     values: list[tuple[int, int, int, float]] = []
     # each edge's tails and heads sorted, the order of its gadget arcs
     inc = rd.base.incidence
-    for e_idx, (tails, heads) in enumerate(zip(inc.tail.lists, inc.head.lists)):
+    for e_idx in carrying:
+        tails, heads = inc.tail.lists[e_idx], inc.head.lists[e_idx]
         k = rd.edge_arc_index[e_idx]
-        mid = arc_flow[k]
-        in_flows = arc_flow[k + 1 : k + 1 + len(tails)]
-        out_flows = arc_flow[k + 1 + len(tails) : k + 1 + len(tails) + len(heads)]
+        # Python floats, as the assignment and the reports hold
+        mid, *gadget = edge_flow[k : k + 1 + len(tails) + len(heads)].tolist()
+        in_flows, out_flows = gadget[: len(tails)], gadget[len(tails) :]
         tol = CONSERVATION_TOL * max(1.0, abs(mid))
         if abs(sum(in_flows) - mid) > tol or abs(sum(out_flows) - mid) > tol:
             raise ArithmeticError(
@@ -198,12 +202,40 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
     return FlowAssignment(tuple(values))
 
 
+def _sq_diff_sum(terms: list[tuple[int, int, float]], n: int) -> np.ndarray:
+    """sum over (p, q, c) in ``terms`` of c (e_p - e_q)(e_p - e_q)^T, as one
+    scatter; terms with p == q are zero and skipped.
+
+    Each cell receives its additions in the order of ``terms``, as the
+    in-place ``add_mat_A``/``add_mat_T`` calls make them (a subtraction is
+    the addition of the negated value), so the sum is the same to the bit.
+    """
+    cells: list[int] = []
+    weights: list[float] = []
+    for p, q, c in terms:
+        if p == q:
+            continue
+        if not (0 <= p < n and 0 <= q < n):
+            raise IndexError(f"vertex pair ({p}, {q}) out of range for n = {n}")
+        cells += (p * (n + 1), q * (n + 1), p * n + q, q * n + p)
+        weights += (c, c, -c, -c)
+    # without terms bincount would count in int64
+    m = np.bincount(cells, weights, n * n) if cells else np.zeros(n * n)
+    return m.reshape(n, n)
+
+
+def _mat_A_terms(entries) -> list[tuple[int, int, float]]:
+    """The squared differences that add_mat_A(i, j, f) adds, in its order,
+    for each (i, j, f) of ``entries``."""
+    terms: list[tuple[int, int, float]] = []
+    for i, j, f in entries:
+        terms += ((i, j, f), (i, 0, -f), (j, 0, f))
+    return terms
+
+
 def flow_matrix(fa: FlowAssignment, n: int) -> np.ndarray:
     """F = sum over (e, i, j) of f * mat_A(i, j); annihilates the ones vector."""
-    m = np.zeros((n, n))
-    for _, i, j, f in fa:
-        add_mat_A(m, i, j, f)
-    return m
+    return _sq_diff_sum(_mat_A_terms((i, j, f) for _, i, j, f in fa), n)
 
 
 def pair_flow(fa: FlowAssignment) -> dict[tuple[int, int], float]:
@@ -327,17 +359,15 @@ def decompose(fa: FlowAssignment, sources, sinks) -> FlowDecomposition:
 
 def demand_matrix(demand: Mapping[tuple[int, int], float], n: int) -> np.ndarray:
     """D = sum of d_ij * mat_A(i, j)."""
-    m = np.zeros((n, n))
-    for (i, j), f in demand.items():
-        add_mat_A(m, i, j, f)
-    return m
+    return _sq_diff_sum(_mat_A_terms((i, j, f) for (i, j), f in demand.items()), n)
 
 
 def triangle_matrix_sum(
     triangles: Mapping[TriangleId, float], n: int
 ) -> np.ndarray:
-    """sum of f_p * mat_T(p) accumulated densely."""
-    m = np.zeros((n, n))
-    for tri, f in triangles.items():
-        add_mat_T(m, tri, f)
-    return m
+    """sum of f_p * mat_T(p), with the three squared differences that
+    ``add_mat_T`` adds per triangle, in its order."""
+    terms: list[tuple[int, int, float]] = []
+    for (a, b, mid), f in triangles.items():
+        terms += ((a, mid, f), (mid, b, f), (a, b, -f))
+    return _sq_diff_sum(terms, n)

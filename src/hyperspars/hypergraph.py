@@ -438,6 +438,16 @@ class ReducedDigraph:
             arr.flags.writeable = False
         return arc_from, arc_to, cap
 
+    @cached_property
+    def arc_edge(self) -> np.ndarray:
+        """The hyperedge of each arc, read-only intp: edge e's arcs (its
+        edge arc, then its tail and head gadget arcs) are consecutive from
+        ``edge_arc_index[e]``."""
+        sizes = np.diff([*self.edge_arc_index, len(self.arcs)])
+        arc_edge = np.repeat(np.arange(self.base.m), sizes)
+        arc_edge.flags.writeable = False
+        return arc_edge
+
     __getstate__ = _fields_state
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspars import driver
+from hyperspars import driver, oracle
 from hyperspars.driver import (
     SolverConfig,
     binary_search,
@@ -440,23 +440,53 @@ def count_calls(monkeypatch, owner, names):
 class TestPerIterationWork:
     """Each multiplicative-weights step builds its matrices once."""
 
-    def test_two_eigendecompositions_per_iteration_and_certificate(self, monkeypatch):
+    def probe(self, cfg):
         h = generate(GeneratorSpec(n=32, m=64, kappa=2, model="expander-like", seed=1))
         base = binary_search(h, SolverConfig(max_probes=0)).best_cut.sparsity
+        return h, run_both_sides(h, 1e-6 * float(base), cfg, np.random.default_rng(0))
+
+    def test_one_eigh_per_iteration_and_none_for_the_certificate(self, monkeypatch):
+        eigh = count_calls(monkeypatch, np.linalg, ("eigh",))
+        eigvalsh = count_calls(monkeypatch, np.linalg, ("eigvalsh",))
         cfg = SolverConfig(t_cap=8)
-        eig = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
-        probe = run_both_sides(h, 1e-6 * float(base), cfg, np.random.default_rng(0))
+        h, probe = self.probe(cfg)
         iterations = sum(run.iterations for run in probe.runs.values())
         assert iterations == 16
         assert {r.case for run in probe.runs.values() for r in run.records} == {"2B"}
-        assert eig["n"] <= 2 * iterations
+        # mw_state's eigh; the row-sum bound settles every width
+        assert (eigh["n"], eigvalsh["n"]) == (16, 0)
 
         doc = solve_report(h, cfg, driver.SolveResult(None, None, [probe], 0.0, 0.0), 0)
-        # one averaged certificate per run, checked with one width each
+        # one averaged certificate per run, its width settled by the bound
         assert len(doc["certificates"]) == 2
-        eig["n"] = 0
+        eigh["n"] = eigvalsh["n"] = 0
         assert verify_report(doc, h) == (True, None)
-        assert eig["n"] == len(doc["certificates"])
+        assert (eigh["n"], eigvalsh["n"]) == (0, 0)
+
+    @pytest.mark.parametrize("c_rho", [0.5, 0.85])
+    def test_one_eigvalsh_per_check_whose_bound_exceeds_rho(self, monkeypatch, c_rho):
+        # a small c_rho puts rho below the row-sum bound: at 0.5 at the one
+        # check of each side, whose exact norm then exceeds rho too; at
+        # 0.85 at some of the 16 checks, which all pass
+        eigvalsh = count_calls(monkeypatch, np.linalg, ("eigvalsh",))
+        checks = {"all": 0, "wide": 0}
+
+        def check(cert, alpha, h, rho, _real=oracle.certificate_check):
+            ok, report = _real(cert, alpha, h, rho)
+            checks["all"] += 1
+            checks["wide"] += float(np.abs(report["residual"]).sum(axis=1).max()) > rho
+            return ok, report
+
+        monkeypatch.setattr(oracle, "certificate_check", check)
+        _, probe = self.probe(SolverConfig(t_cap=8, oracle=OracleConfig(c_rho=c_rho)))
+        iterations = sum(run.iterations for run in probe.runs.values())
+        assert eigvalsh["n"] == checks["wide"]
+        if c_rho == 0.5:
+            assert iterations == 0 and checks == {"all": 2, "wide": 2}
+            assert all("exceeds rho" in run.reason for run in probe.runs.values())
+        else:
+            assert iterations == checks["all"] == 16
+            assert 0 < checks["wide"] < 16
 
     def test_verify_reverses_the_instance_once(self, monkeypatch):
         h = generate(GeneratorSpec(n=8, m=16, kappa=2, model="expander-like", seed=2))

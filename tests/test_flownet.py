@@ -18,6 +18,7 @@ from hyperspars import _core
 from hyperspars._core import _maxflow_py
 from hyperspars.flownet import (
     FlowAssignment,
+    MaxFlowResult,
     build_flow_instance,
     decompose,
     demand_matrix,
@@ -28,10 +29,21 @@ from hyperspars.flownet import (
     triangle_matrix_sum,
 )
 from hyperspars.hypergraph import parse_dhg, reduce_to_digraph
-from hyperspars.sdpcore import mat_A, spectral_norm
+from hyperspars.reference import GeneratorSpec, generate
+from hyperspars.sdpcore import TriangleId, mat_A, spectral_norm
 
 from conftest import make_h, normalized_state, random_hypergraph
-from witnesses import capacity_duality_check, decomposition_matrix_identity_gap, demand_norm_bound
+from witnesses import (
+    capacity_duality_check,
+    decomposition_matrix_identity_gap,
+    demand_norm_bound,
+    loop_demand_matrix,
+    loop_flow_matrix,
+    loop_lift_flow,
+    loop_triangle_matrix_sum,
+)
+
+THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
 
 
 def brute_min_cut(n_nodes, arcs, s, t):
@@ -407,6 +419,91 @@ class TestLiftFlow:
             fa = lift_flow(res, inst)
             for e_idx, tot in fa.per_edge_totals().items():
                 assert tot <= float(h.edges[e_idx].weight) / 2.0 + 1e-9
+
+
+    def test_conservation_checked_where_the_edge_arc_carries_nothing(self):
+        # e1's edge arc carries 0 while its tail arc from vertex 0 carries
+        # 0.5: the edge has an arc with flow, so its check still runs
+        h, rd = simple_instance()
+        inst = build_flow_instance(rd, {0: 1.0}, {2: 1.0})
+        flow = np.zeros(len(inst.cap))
+        flow[rd.edge_arc_index[1] + 1] = 0.5
+        res = MaxFlowResult(0.5, flow, np.zeros(inst.num_nodes, dtype=bool))
+        with pytest.raises(ArithmeticError, match="violated at edge 1: in=0.5 mid=0 out=0"):
+            lift_flow(res, inst)
+        with pytest.raises(ArithmeticError, match="violated at edge 1"):
+            loop_lift_flow(res, inst)
+
+
+def random_entries(rng, n, count):
+    """(i, j, f) with i and j drawn from [0, n), so vertex 0 and i == j
+    occur, and f of mixed sign over 16 decades, so the order of the
+    additions shows in the last bits."""
+    i = rng.integers(0, n, count).tolist()
+    j = rng.integers(0, n, count).tolist()
+    f = (rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)).tolist()
+    return list(zip(i, j, f))
+
+
+class TestMatchesLoopReferences:
+    """F, D and sum f_p T_p built by one scatter, and the lift over the
+    flow-carrying edges, equal the per-entry loops to the bit."""
+
+    def test_empty_inputs_are_float_zeros(self):
+        for got in (
+            flow_matrix(FlowAssignment(()), 4),
+            demand_matrix({}, 4),
+            triangle_matrix_sum({}, 4),
+        ):
+            assert got.dtype == np.float64 and np.array_equal(got, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_random_entries(self, rng, n):
+        for _ in range(25):
+            entries = random_entries(rng, n, int(rng.integers(0, 40)))
+            fa = FlowAssignment(tuple((e, i, j, f) for e, (i, j, f) in enumerate(entries)))
+            demand = {(i, j): f for i, j, f in entries}
+            # distinct triangles as make() builds them, plus repeated
+            # vertices that TriangleId itself admits
+            triangles = {
+                TriangleId(i, j, mid): f
+                for (i, j, f), mid in zip(entries, rng.integers(0, n, len(entries)).tolist())
+            }
+            for got, want in (
+                (flow_matrix(fa, n), loop_flow_matrix(fa, n)),
+                (demand_matrix(demand, n), loop_demand_matrix(demand, n)),
+                (triangle_matrix_sum(triangles, n), loop_triangle_matrix_sum(triangles, n)),
+            ):
+                assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("instance", ["unit_cycle", "expander_n128"])
+    def test_lifted_flows(self, rng, instance):
+        if instance == "unit_cycle":
+            h = parse_dhg(THREE_CYCLE)
+        else:
+            h = generate(GeneratorSpec(n=128, m=256, kappa=2, model="expander-like", seed=3))
+        rd = reduce_to_digraph(h)
+        n = h.n
+        for _ in range(6):
+            order = rng.permutation(n).tolist()
+            k = int(rng.integers(1, n))
+            sources = {v: float(rng.uniform(0.1, 2.0)) for v in order[:k]}
+            sinks = {v: float(rng.uniform(0.1, 2.0)) for v in order[k:]}
+            inst = build_flow_instance(rd, sources, sinks)
+            res = max_flow(inst)
+            fa = lift_flow(res, inst)
+            assert len(fa) and fa == loop_lift_flow(res, inst)
+            assert np.array_equal(flow_matrix(fa, n), loop_flow_matrix(fa, n))
+            dec = decompose(fa, sources, sinks)
+            tri = dec.triangle_weights
+            assert np.array_equal(triangle_matrix_sum(tri, n), loop_triangle_matrix_sum(tri, n))
+            assert np.array_equal(demand_matrix(dec.demand, n), loop_demand_matrix(dec.demand, n))
+
+    def test_out_of_range_vertex_raises(self):
+        with pytest.raises(IndexError):
+            flow_matrix(FlowAssignment(((0, 1, 3, 1.0),)), 3)
+        with pytest.raises(IndexError):
+            triangle_matrix_sum({TriangleId(-1, 1, 2): 1.0}, 3)
 
 
 class TestFlowMatrix:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspars import oracle
 from hyperspars.flownet import FlowAssignment
@@ -371,7 +373,14 @@ class TestCase2:
         # F = 0 here, so the residual is sum f_p T_p + z K
         residual = sum(f_val * mat_T(7, t) for t in tris) + alpha * k
         assert np.allclose(report["residual"], residual, rtol=0, atol=1e-9 * np.abs(residual).max())
-        assert report["width"] == pytest.approx(spectral_norm(residual), rel=1e-12)
+        # the width bounds the norm; under this rho the row-sum bound settles it
+        exact = spectral_norm(residual)
+        assert exact <= report["width"]
+        # a rho the row-sum bound exceeds takes the exact norm
+        tight = 1.001 * exact
+        assert np.abs(residual).sum(axis=1).max() > tight
+        ok, tight_report = certificate_check(cert, alpha, h, tight)
+        assert ok and tight_report["width"] == pytest.approx(exact, rel=1e-12)
         lhs = float(np.tensordot(report["residual"] + cert.flow_matrix_dense(7), st.x))
         assert lhs <= 0.0 + 1e-9
         # width components: ||sum T_p|| small (at most 6), ||K|| within the
@@ -433,7 +442,7 @@ class TestCertificateCheck:
 
     def test_width_budget_fails_when_rho_too_small(self):
         h, st, alpha, out = self.setup_cert()
-        ok, report = certificate_check(out.dual, alpha, h, out.width / 2.0)
+        ok, report = certificate_check(out.dual, alpha, h, spectral_norm(out.residual) / 2.0)
         assert not ok and report["first_failure"] == "width_bound"
 
     def test_dual_dot_bound_is_a_per_step_invariant(self):
@@ -446,6 +455,85 @@ class TestCertificateCheck:
         call = oracle._Call(alpha, st, h, OracleConfig(), None, omega, float(omega.sum()))
         with pytest.raises(OracleInvariantError, match="dual_dot_bound"):
             oracle._dual_outcome(call, cert, "2C", {})
+
+
+def random_certificate(rng, h, alpha):
+    """A certificate that passes every bullet but the width: z >= alpha,
+    nonnegative triangle weights, and flow on (tail, head) pairs within
+    each edge's capacity, at a scale drawn over six decades."""
+    scale = float(10.0 ** rng.uniform(-3, 3))
+    triangles = {}
+    if h.n >= 3:
+        for _ in range(int(rng.integers(0, 6))):
+            a, b, mid = rng.choice(h.n, 3, replace=False).tolist()
+            triangles[TriangleId.make(a, b, mid)] = scale * float(rng.exponential())
+    entries = []
+    for e_idx, e in enumerate(h.edges):
+        if e.weight == 0 or rng.random() < 0.3:
+            continue
+        pairs = [(i, j) for i in sorted(e.tail) for j in sorted(e.head)]
+        cap = float(e.weight) / 2.0 * float(rng.uniform(0.0, 0.99))
+        shares = rng.dirichlet(np.ones(len(pairs))) * cap
+        entries += [(e_idx, i, j, float(f)) for (i, j), f in zip(pairs, shares)]
+    z = alpha * (1.0 + float(rng.exponential()))
+    return DualCertificate(z, triangles, FlowAssignment(tuple(entries)) if entries else None)
+
+
+class TestWidthBound:
+    """certificate_check settles the width by the residual's largest
+    absolute row sum where that is at most rho, and by the exact norm
+    otherwise; its decisions are those of a check by the exact norm."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.999, 1.001, 2.0, "row_sum"]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_same_decision_as_the_exact_norm(self, seed, factor):
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, max_n=8, max_m=6)
+        alpha = float(10.0 ** rng.uniform(-4, 0))
+        cert = random_certificate(rng, h, alpha)
+        ok, report = certificate_check(cert, alpha, h, math.inf)
+        assert ok, report["first_failure"]
+        residual = report["residual"]
+        exact = spectral_norm(residual)
+        bound = float(np.abs(residual).sum(axis=1).max())
+        rho = bound if factor == "row_sum" else factor * exact
+
+        ok, report = certificate_check(cert, alpha, h, rho)
+        # the reference: the exact norm against rho with the 1e-6 slack
+        exact_ok = exact <= rho * (1 + 1e-6)
+        assert ok == exact_ok
+        assert report["first_failure"] == (None if exact_ok else "width_bound")
+        # an upper bound on the norm, up to the rounding of two computations
+        assert report["width"] >= exact * (1 - 1e-12)
+        if bound > rho:
+            assert report["width"] == pytest.approx(exact, rel=1e-12)
+
+    def test_a_nan_bound_takes_the_exact_path(self, monkeypatch):
+        # finite inputs whose residual overflows: z K is -inf off the
+        # diagonal where the two triangles' sum is +inf, so a cell is NaN
+        h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
+        tris = {TriangleId.make(0, 1, 2): 1e308, TriangleId.make(0, 1, 3): 1e308}
+        cert = DualCertificate(1e308, tris, None)
+        exact = []
+
+        def norm(residual):
+            exact.append(residual)
+            return math.inf
+
+        monkeypatch.setattr(oracle, "spectral_norm", norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, report = certificate_check(cert, 1.0, h, 1.0)
+        assert np.isnan(exact[0]).any()
+        assert not ok and report["first_failure"] == "width_bound"
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_row_sum_bounds_the_norm_of_a_symmetric_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
+        r = a + a.T
+        assert spectral_norm(r) <= np.abs(r).sum(axis=1).max() * (1 + 1e-12)
 
 
 class TestAverageCertificate:

@@ -6,8 +6,11 @@ analysis, the demand-norm and capacity-duality bounds and the flow
 decomposition identity of the flow layer, the subset lift and projection
 between a hypergraph and its reduced digraph, a cut evaluator that
 scans the edges' frozensets with exact ``Fraction`` sums, independent of
-the incidence arrays the package answers cut questions from, and the
-singleton/closure baseline as one cut evaluation per candidate.
+the incidence arrays the package answers cut questions from, the
+singleton/closure baseline as one cut evaluation per candidate, and the
+loops the flow layer replaced: dense F, D and sum f_p T_p accumulated one
+``add_mat_A``/``add_mat_T`` call per entry, and the lift that visits every
+hyperedge.
 """
 
 from __future__ import annotations
@@ -18,8 +21,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from hyperspars.flownet import (
+    CONSERVATION_TOL,
     FlowAssignment,
     FlowDecomposition,
+    FlowInstance,
+    MaxFlowResult,
     demand_matrix,
     flow_matrix,
     triangle_matrix_sum,
@@ -31,7 +37,7 @@ from hyperspars.hypergraph import (
     evaluate_cut,
     out_closure,
 )
-from hyperspars.sdpcore import GramState
+from hyperspars.sdpcore import GramState, TriangleId, add_mat_A, add_mat_T
 
 DEFAULT_DEMAND_NORM_CONST = 8.0
 
@@ -212,3 +218,54 @@ def scan_singleton_baseline(h: DirectedHypergraph) -> Cut:
                 best = cut
     assert best is not None
     return best
+
+
+def loop_flow_matrix(fa: FlowAssignment, n: int) -> np.ndarray:
+    """F = sum of f * mat_A(i, j), one in-place add_mat_A per entry."""
+    m = np.zeros((n, n))
+    for _, i, j, f in fa:
+        add_mat_A(m, i, j, f)
+    return m
+
+
+def loop_demand_matrix(demand: Mapping[tuple[int, int], float], n: int) -> np.ndarray:
+    """D = sum of d_ij * mat_A(i, j), one in-place add_mat_A per pair."""
+    m = np.zeros((n, n))
+    for (i, j), f in demand.items():
+        add_mat_A(m, i, j, f)
+    return m
+
+
+def loop_triangle_matrix_sum(triangles: Mapping[TriangleId, float], n: int) -> np.ndarray:
+    """sum of f_p * mat_T(p), one in-place add_mat_T per triangle."""
+    m = np.zeros((n, n))
+    for tri, f in triangles.items():
+        add_mat_T(m, tri, f)
+    return m
+
+
+def loop_lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
+    """The hypergraph flow of a digraph flow, checking gadget conservation
+    at every hyperedge, flow-carrying or not."""
+    rd = instance.rd
+    arc_flow = result.arc_flow.tolist()
+    values: list[tuple[int, int, int, float]] = []
+    inc = rd.base.incidence
+    for e_idx, (tails, heads) in enumerate(zip(inc.tail.lists, inc.head.lists)):
+        k = rd.edge_arc_index[e_idx]
+        mid = arc_flow[k]
+        in_flows = arc_flow[k + 1 : k + 1 + len(tails)]
+        out_flows = arc_flow[k + 1 + len(tails) : k + 1 + len(tails) + len(heads)]
+        tol = CONSERVATION_TOL * max(1.0, abs(mid))
+        if abs(sum(in_flows) - mid) > tol or abs(sum(out_flows) - mid) > tol:
+            raise ArithmeticError(f"gadget conservation violated at edge {e_idx}")
+        if mid <= tol:
+            continue
+        for i, fi in zip(tails, in_flows):
+            if fi <= 0.0:
+                continue
+            for j, fj in zip(heads, out_flows):
+                if fj <= 0.0:
+                    continue
+                values.append((e_idx, i, j, fi * fj / mid))
+    return FlowAssignment(tuple(values))
