@@ -22,15 +22,16 @@ import numpy as np
 
 from . import flownet
 from .flownet import FlowAssignment, build_flow_instance, decompose, lift_flow, max_flow
+# evaluate_cut and mat_K are not called here any more, but
+# perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .hypergraph import (
     Cut,
     DirectedHypergraph,
     ReducedDigraph,
     evaluate_cut,
+    evaluate_cuts,
     reduce_to_digraph,
 )
-# mat_K is not called here any more, but perfbench/tracing.py wraps it in
-# this module's namespace, so the name stays
 from .sdpcore import (
     GramState,
     TriangleId,
@@ -275,28 +276,48 @@ def run_oracle(
     return _case2(call, d2, rng)
 
 
-def _cut_outcome(call: _Call, res: flownet.MaxFlowResult, case: str, extra: dict) -> OracleOutcome:
-    """The cut a short max-flow leaves: the vertices its residual graph
-    reaches from the source."""
+def _cut_outcomes(
+    call: _Call, found: list[tuple[np.ndarray, dict]], case: str
+) -> list[OracleOutcome]:
+    """The cuts short max-flows leave, scored in one pass: for each flow's
+    reachability mask and diagnostics in ``found``, the vertices its
+    residual graph reaches from the source.
+
+    The cuts are checked in order, each for properness and then against
+    the ratio bound, so the first breach raises as it would if each cut
+    were checked as its flow ran."""
     h = call.h
-    members = frozenset(np.flatnonzero(res.reachable[: h.n]).tolist())
-    inside = float(sum(h.vertex_weights[v] for v in members))
-    extra = dict(extra, side_weights=(inside, h.total_weight - inside))
-    if not members or len(members) == h.n:
+    masks = np.array([reachable[: h.n] for reachable, _ in found])
+    # integer weights: every order of summing them is exact
+    weights = (masks @ call.omega).tolist()
+    subsets, extras = [], []
+    improper = None
+    for mask, inside, (_, extra) in zip(masks, weights, found):
+        members = frozenset(np.flatnonzero(mask).tolist())
+        extra = dict(extra, side_weights=(inside, h.total_weight - inside))
+        if not members or len(members) == h.n:
+            improper = (len(members), extra)
+            break
+        subsets.append(members)
+        extras.append(extra)
+    bound = call.cfg.ratio_bound(call.alpha, h, case)
+    outcomes = []
+    for cut, extra in zip(evaluate_cuts(h, subsets), extras):
+        diag = dict(extra, case=case, ratio_bound=bound)
+        if float(cut.sparsity) > bound * (1 + 1e-9):
+            raise OracleInvariantError(
+                f"case {case} cut sparsity {float(cut.sparsity):.6g} exceeds "
+                f"ratio bound {bound:.6g}",
+                dict(diag, sparsity=float(cut.sparsity)),
+            )
+        outcomes.append(OracleOutcome("cut", cut=cut, diagnostics=diag))
+    if improper is not None:
+        size, extra = improper
         raise OracleInvariantError(
-            f"case {case} produced an improper cut ({len(members)} of {h.n})",
+            f"case {case} produced an improper cut ({size} of {h.n})",
             dict(extra, case=case),
         )
-    cut = evaluate_cut(h, members)
-    bound = call.cfg.ratio_bound(call.alpha, h, case)
-    diag = dict(extra, case=case, ratio_bound=bound)
-    if float(cut.sparsity) > bound * (1 + 1e-9):
-        raise OracleInvariantError(
-            f"case {case} cut sparsity {float(cut.sparsity):.6g} exceeds "
-            f"ratio bound {bound:.6g}",
-            dict(diag, sparsity=float(cut.sparsity)),
-        )
-    return OracleOutcome("cut", cut=cut, diagnostics=diag)
+    return outcomes
 
 
 def _saturated_flow(
@@ -398,7 +419,7 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     }
 
     if res.value < total_cap * (1.0 - 1e-9):
-        return _cut_outcome(call, res, "1A", extra)
+        return _cut_outcomes(call, [(res.reachable, extra)], "1A")[0]
 
     fa, dec, d_dot_x = _saturated_flow(res, inst, state)
     extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
@@ -427,80 +448,118 @@ def _medium_ball(omega: np.ndarray, d2: np.ndarray, total: float) -> tuple[np.nd
     return members, i0
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    half = cum[-1] / 2.0
-    idx = int(np.searchsorted(cum, half))
-    return float(values[order[min(idx, len(order) - 1)]])
-
-
-def _direction_split_once(
-    vhat: np.ndarray,
+def _direction_splits(
+    vm: np.ndarray,
     omega: np.ndarray,
     members: np.ndarray,
     dist0: np.ndarray,
-    u: np.ndarray,
+    dirs: list[np.ndarray],
     cfg: OracleConfig,
     total: float,
-) -> tuple[np.ndarray, list[int], list[int]] | None:
-    """One direction attempt: sweep for stretched L0/R0, then median split.
+):
+    """Split the medium ball S along each direction of ``dirs``; yields
+    (direction, L, R), or None where the direction gives no split, in order.
 
-    Returns (direction, L, R) or None.  Every (i, j) in L x R satisfies the
-    projection stretch along the returned direction and
-    d(i, j) >= |v_i - v_j|^2.  ``dist0`` holds the norms |vhat_i - vhat_0|.
+    ``vm`` holds the rescaled vectors of S's ``members`` and ``dist0`` the
+    norms |vhat_i - vhat_0|.  Along a direction, L0 and R0 are the shortest
+    prefix and suffix of S in projection order that each weigh at least
+    c_frac w, and they must lie sigma / sqrt(w) apart; the weighted median
+    of |vhat_i - vhat_0| over L0 then trims them to L and R.  Every (i, j)
+    in L x R satisfies the projection stretch along the returned direction
+    and d(i, j) >= |v_i - v_j|^2.  All directions are split at once, one
+    row of each (directions x |S|) array per direction; the vertex lists
+    are read out as the scan asks for them.
     """
-    proj = vhat[members] @ u
-    order = np.argsort(proj, kind="stable")
+    size = len(members)
+    rows = np.arange(len(dirs))[:, None]
+    # one product per direction: a single (|S| x k) product rounds differently
+    proj = np.array([vm @ u for u in dirs])
+    order = np.argsort(proj, axis=1, kind="stable")
     sorted_members = members[order]
-    sorted_proj = proj[order]
     w_sorted = omega[sorted_members]
     target = cfg.c_frac * total
+    # the number of prefix (suffix) sums below target, which on these
+    # nondecreasing sums is searchsorted's left insertion point
+    k_lo = (np.cumsum(w_sorted, axis=1) < target).sum(axis=1, keepdims=True)
+    k_hi = (np.cumsum(w_sorted[:, ::-1], axis=1) < target).sum(axis=1, keepdims=True)
+    first_r0 = size - k_hi - 1
+    lo = order[rows, np.minimum(k_lo, size - 1)]
+    hi = order[rows, np.maximum(first_r0, 0)]
     stretch = cfg.sigma / math.sqrt(total)
+    split = (k_lo < size) & (k_hi < size) & ~(proj[rows, hi] - proj[rows, lo] < stretch)
 
-    cum = np.cumsum(w_sorted)
-    k_lo = int(np.searchsorted(cum, target))
-    if k_lo >= len(sorted_members):
-        return None
-    cum_rev = np.cumsum(w_sorted[::-1])
-    k_hi = int(np.searchsorted(cum_rev, target))
-    if k_hi >= len(sorted_members):
-        return None
-    l0 = sorted_members[: k_lo + 1]
-    r0 = sorted_members[len(sorted_members) - k_hi - 1 :]
-    if sorted_proj[len(sorted_members) - k_hi - 1] - sorted_proj[k_lo] < stretch:
-        return None
+    # the weighted median of dist0 over L0: L0's entries stably sorted
+    # first, the rest after them with weight 0
+    cols = np.arange(size)
+    in_l0 = cols <= k_lo
+    in_r0 = cols >= first_r0
+    dist = dist0[sorted_members]
+    by_dist = np.argsort(np.where(in_l0, dist, np.inf), axis=1, kind="stable")
+    cum = np.cumsum(np.where(in_l0, w_sorted, 0.0)[rows, by_dist], axis=1)
+    at = np.minimum((cum < cum[:, -1:] / 2.0).sum(axis=1, keepdims=True), k_lo)
+    r_med = dist[rows, by_dist[rows, np.minimum(at, size - 1)]]
+    near, far = dist <= r_med, dist >= r_med
+    l_near, l_far = in_l0 & near, in_l0 & far
+    r_near, r_far = in_r0 & near, in_r0 & far
+    # integer weights: these sums are exact in any order
+    forward = (r_far * w_sorted).sum(axis=1) >= (r_near * w_sorted).sum(axis=1)
+    forward &= r_far.any(axis=1) & l_near.any(axis=1)
+    backward = r_near.any(axis=1) & l_far.any(axis=1)
+    split = split[:, 0] & (forward | backward)
+    for u, row, ok, fwd, *sides in zip(
+        dirs, sorted_members, split.tolist(), forward.tolist(), l_near, r_far, r_near, l_far
+    ):
+        if not ok:
+            yield None
+        elif fwd:
+            yield u, row[sides[0]].tolist(), row[sides[1]].tolist()
+        else:
+            yield -u, row[sides[2]].tolist(), row[sides[3]].tolist()
 
-    r_med = _weighted_median(dist0[l0], omega[l0])
-    l0_minus = l0[dist0[l0] <= r_med]
-    l0_plus = l0[dist0[l0] >= r_med]
-    r0_minus = r0[dist0[r0] <= r_med]
-    r0_plus = r0[dist0[r0] >= r_med]
-    w_r0_plus = omega[r0_plus].sum()
-    w_r0_minus = omega[r0_minus].sum()
-    if w_r0_plus >= w_r0_minus and len(r0_plus) and len(l0_minus):
-        left, right, u_eff = l0_minus, r0_plus, u
-    elif len(r0_minus) and len(l0_plus):
-        left, right, u_eff = r0_minus, l0_plus, -u
-    else:
-        return None
-    return u_eff, [int(v) for v in left], [int(v) for v in right]
 
+def _unit_directions(
+    rng: np.random.Generator, dim: int, count: int
+) -> tuple[list[np.ndarray], list[int]]:
+    """``count`` random unit directions, and for each the number of rows of
+    ``dim`` normals drawn up to and including it.
 
-def _random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        u = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(u))
-        if norm > 1e-12:
-            return u / norm
+    The normals come in one draw, which the generator fills as it would
+    ``count`` draws of ``dim``; a row too short to normalize is skipped,
+    and another drawn in its place."""
+    dirs: list[np.ndarray] = []
+    drawn: list[int] = []
+    rows = 0
+    while len(dirs) < count:
+        for z in rng.standard_normal((count - len(dirs), dim)):
+            rows += 1
+            norm = float(np.linalg.norm(z))
+            if norm > 1e-12:
+                dirs.append(z / norm)
+                drawn.append(rows)
+    return dirs, drawn
 
 
 def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
-    """Well-spread case: sampled direction, flow, then cut / dual / path."""
+    """Well-spread case: sampled directions, each split and run as one
+    max-flow, then cut / dual / path.
+
+    A flow below the threshold leaves a 2A cut; the scan goes on for a
+    sparser one until a flow reaches the threshold, and returns the first
+    cut of least sparsity.  Before the first 2A cut, such a flow gives a 2B
+    certificate or a 2C path, or the scan moves on; after it, a direction
+    can only add a cut or end the scan.  So directions are drawn and split
+    one at a time until the first 2A cut, and the rest are drawn and split
+    as one batch, and all the cuts are scored in one pass when the scan
+    ends.  The outcome and, unless a cut breaks its contract, the
+    generator's state are those of drawing, splitting and scoring one
+    direction at a time.
+    """
     alpha, state, h, cfg, rd, omega, total = call
     members, i0 = _medium_ball(omega, d2, total)
     vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
     dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
+    vm = vhat[members]
+    dim = vhat.shape[1]
 
     sqlog = math.sqrt(log2_weight(h))
     cap_coeff = cfg.beta * total * sqlog * alpha
@@ -508,71 +567,79 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
 
     attempts = cfg.n_dirs_for(h.n)
     last_reason = "no stretched direction found"
-    best_cut: OracleOutcome | None = None
-    for _ in range(attempts):
-        u = _random_direction(rng, vhat.shape[1])
-        got = _direction_split_once(vhat, omega, members, dist0, u, cfg, total)
-        if got is None:
-            continue
-        u_eff, left, right = got
-        sources = {i: cap_coeff * omega[i] for i in left}
-        sinks = {j: cap_coeff * omega[j] for j in right}
-        inst = build_flow_instance(rd, sources, sinks)
-        res = max_flow(inst)
-        extra = {
-            "i0": i0,
-            "flow_value": res.value,
-            "threshold": threshold,
-            "left_size": len(left),
-            "right_size": len(right),
-        }
+    found: list[tuple[np.ndarray, dict]] = []  # each 2A flow's reach mask and diagnostics
+    scanned = 0
+    while scanned < attempts:
+        saved = rng.bit_generator.state
+        dirs, drawn = _unit_directions(rng, dim, attempts - scanned if found else 1)
+        splits = _direction_splits(vm, omega, members, dist0, dirs, cfg, total)
+        for rows, got in zip(drawn, splits):
+            scanned += 1
+            if got is None:
+                continue
+            u_eff, left, right = got
+            sources = {i: cap_coeff * omega[i] for i in left}
+            sinks = {j: cap_coeff * omega[j] for j in right}
+            inst = build_flow_instance(rd, sources, sinks)
+            res = max_flow(inst)
+            extra = {
+                "i0": i0,
+                "flow_value": res.value,
+                "threshold": threshold,
+                "left_size": len(left),
+                "right_size": len(right),
+            }
 
-        if res.value < threshold:
-            # keep scanning directions for the sparsest Case-A cut; any
-            # single one already satisfies the contract
-            outcome = _cut_outcome(call, res, "2A", extra)
-            if best_cut is None or outcome.cut.sparsity < best_cut.cut.sparsity:
-                best_cut = outcome
-            continue
+            if res.value < threshold:
+                found.append((res.reachable, extra))
+                continue
 
-        if best_cut is not None:
-            return best_cut
+            if found:
+                # leave the generator where one draw per direction would
+                rng.bit_generator.state = saved
+                rng.standard_normal((rows, dim))
+                return _sparsest_cut(call, found)
 
-        fa, dec, d_dot_x = _saturated_flow(res, inst, state)
-        extra["d_dot_x"] = d_dot_x
-        extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
-        if d_dot_x >= alpha * (1 - 1e-9):
-            return _scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
+            fa, dec, d_dot_x = _saturated_flow(res, inst, state)
+            extra["d_dot_x"] = d_dot_x
+            extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
+            if d_dot_x >= alpha * (1 - 1e-9):
+                return _scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
 
-        # at least half the flow sits on short rescaled pairs (Markov over
-        # the demand given d_dot_x < alpha and flow >= threshold), which is
-        # exactly the stretched-pair supply the path search feeds on
-        eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
-        filtered = sum(
-            f
-            for (i, j), f in dec.demand.items()
-            if float((vhat[i] - vhat[j]) @ (vhat[i] - vhat[j])) <= eta_cut * (1 + 1e-9)
-        )
-        extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
-        if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
-            raise OracleInvariantError(
-                "short-pair flow mass below half despite small demand value",
-                dict(extra, case="2C"),
+            # at least half the flow sits on short rescaled pairs (Markov over
+            # the demand given d_dot_x < alpha and flow >= threshold), which is
+            # exactly the stretched-pair supply the path search feeds on
+            eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
+            filtered = sum(
+                f
+                for (i, j), f in dec.demand.items()
+                if float((vhat[i] - vhat[j]) @ (vhat[i] - vhat[j])) <= eta_cut * (1 + 1e-9)
             )
+            extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
+            if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
+                raise OracleInvariantError(
+                    "short-pair flow mass below half despite small demand value",
+                    dict(extra, case="2C"),
+                )
 
-        path = find_violated_path(vhat, omega, dec.demand, u_eff, cfg, h)
-        if path is None:
-            last_reason = "no violated path for this direction"
-            continue
-        triangles = path_triangles(path)
-        f_val = total * total * alpha / (9.0 * cfg.s_viol)
-        extra["path"] = path
-        cert = DualCertificate(alpha, {tri: f_val for tri in triangles}, None)
-        return _dual_outcome(call, cert, "2C", extra)
+            path = find_violated_path(vhat, omega, dec.demand, u_eff, cfg, h)
+            if path is None:
+                last_reason = "no violated path for this direction"
+                continue
+            triangles = path_triangles(path)
+            f_val = total * total * alpha / (9.0 * cfg.s_viol)
+            extra["path"] = path
+            cert = DualCertificate(alpha, {tri: f_val for tri in triangles}, None)
+            return _dual_outcome(call, cert, "2C", extra)
 
-    if best_cut is not None:
-        return best_cut
+    if found:
+        return _sparsest_cut(call, found)
     raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
+
+
+def _sparsest_cut(call: _Call, found: list[tuple[np.ndarray, dict]]) -> OracleOutcome:
+    """The first of the least sparse 2A cuts (each one meets the contract)."""
+    return min(_cut_outcomes(call, found, "2A"), key=lambda out: out.cut.sparsity)
 
 
 def path_triangles(path: list[int]) -> list[TriangleId]:
@@ -721,15 +788,17 @@ def certificate_check(
     Bullets: z >= alpha; f_p >= 0; every triangle vertex lies in [0, n);
     every flow entry (e, i, j, f) names an edge e of h with i in its tail
     and j in its head; F annihilates the ones vector; F is zero or backed
-    by a capacity-respecting flow; the residual's spectral norm is at most
-    rho.  All are convex, so a run's average certificate passes where each
-    one does; the bullet that reads a state X is the oracle's own.  This is
+    by a capacity-respecting flow; the residual's cells are finite and its
+    spectral norm is at most rho.  All are convex, so a run's average
+    certificate passes where each one does; the bullet that reads a state X
+    is the oracle's own.  This is
     the one place the residual R = sum f_p T_p + z K - F and its width are
     formed: once reached, they are in the report as ``residual`` and
     ``width``.  The width is an upper bound on ||R||: R's largest absolute
     row sum when that is at most rho, which settles the bullet without an
     eigendecomposition, and otherwise the exact norm, tested against rho
-    with a relative slack of 1e-6.
+    with a relative slack of 1e-6.  Cells are tested for finiteness only
+    when the row-sum bound is not finite.
     """
     n = h.n
     k = h.k_matrix
@@ -779,10 +848,12 @@ def certificate_check(
 
     residual = t_mat + cert.z * k - f_mat
     # the largest absolute row sum bounds the norm of the symmetric R; the
-    # exact norm is needed only where that bound does not settle the check
-    # (a NaN bound settles nothing, so it too takes the exact path)
+    # exact norm is needed only where that bound does not settle the check,
+    # and exists only where every cell is finite
     width = float(np.abs(residual).sum(axis=1).max())
     if not width <= rho:
+        if not math.isfinite(width) and not np.isfinite(residual).all():
+            return fail("residual_not_finite")
         width = spectral_norm(residual)
     report["residual"] = residual
     report["width"] = width

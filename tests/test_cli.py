@@ -480,6 +480,21 @@ class TestCheckCert:
         assert main(["check-cert", out, inp]) == 3
         assert "z_below_alpha" in capsys.readouterr().err
 
+    def test_overflowing_certificate_rejected_by_name(self, tmp_path, capsys):
+        # finite values whose residual overflows to inf and NaN cells
+        inp = tmp_path / "in.dhg"
+        inp.write_text(THREE_CYCLE)
+        out = str(tmp_path / "report.json")
+        main(["solve", str(inp), "--seed", "1", "--alpha", "0.01", "--no-search",
+              "--t-cap", "5", "--json", "-o", out])
+        doc = json.loads(open(out).read())
+        doc["certificates"][0]["z"] = 1e308
+        doc["certificates"][0]["f_p"] = [[0, 1, 2, 1e308]]
+        open(out, "w").write(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check-cert", out, str(inp)]) == 3
+        assert "residual_not_finite" in capsys.readouterr().err
+
     def test_flipped_triangle_rejected(self, tmp_path, capsys):
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
         doc = json.loads(open(out).read())

@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspars import oracle
-from hyperspars.flownet import FlowAssignment
+from hyperspars.flownet import FlowAssignment, MaxFlowResult
 from hyperspars.oracle import (
     DualCertificate,
     OracleConfig,
     OracleFailure,
     OracleInvariantError,
     _ball_weights,
-    _direction_split_once,
+    _direction_splits,
     _medium_ball,
-    _random_direction,
+    _unit_directions,
     average_certificate,
     certificate_check,
     find_violated_path,
@@ -30,6 +30,7 @@ from hyperspars.hypergraph import reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import GramState, TriangleId, mat_K, mat_T, spectral_norm
 
+import witnesses
 from conftest import integral_state, make_h, normalized_state, random_hypergraph
 
 
@@ -240,19 +241,16 @@ class TestPreprocess:
 
 
 def direction_split(st, h, s, i0, cfg, rng):
-    """Case 2's direction loop: sample up to n_dirs directions until
-    _direction_split_once returns a split; None when none does."""
+    """Case 2's directions: the first split of n_dirs sampled directions;
+    None when none gives one."""
     omega = np.array(h.vertex_weights, dtype=float)
     total = float(h.total_weight)
     vhat = (total / 3.0) * (st.vectors - st.vectors[i0])
     members = np.array(sorted(s), dtype=int)
     dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
-    for _ in range(cfg.n_dirs_for(h.n)):
-        u = _random_direction(rng, vhat.shape[1])
-        got = _direction_split_once(vhat, omega, members, dist0, u, cfg, total)
-        if got is not None:
-            return got
-    return None
+    dirs, _ = _unit_directions(rng, vhat.shape[1], cfg.n_dirs_for(h.n))
+    splits = _direction_splits(vhat[members], omega, members, dist0, dirs, cfg, total)
+    return next((got for got in splits if got is not None), None)
 
 
 class TestDirectionSplit:
@@ -390,6 +388,188 @@ class TestCase2:
         assert spectral_norm(k) <= h.kappa * total**2 / h.n + 1e-9
 
 
+def spread_instance(seed=3, dim=16, sigma=None):
+    """An n=16 expander-like instance and a spread state: Case 2 on every
+    call, each of its 32 directions a 2A cut at alpha 0.1 and default
+    constants."""
+    h = generate(GeneratorSpec(n=16, m=32, model="expander-like", seed=seed))
+    state = normalized_state(np.random.default_rng(seed), h, dim=dim)
+    cfg = OracleConfig() if sigma is None else OracleConfig(sigma=sigma)
+    return h, state, cfg
+
+
+def outcome_summary(out):
+    """Everything an outcome reports: case, cut or certificate, diagnostics."""
+    if out.kind == "cut":
+        data = (out.cut.subset, out.cut.sparsity, out.cut.phi_plus, out.cut.phi_minus)
+    else:
+        cert = out.dual
+        data = (cert.z, sorted(cert.triangle_weights.items()), cert.flow, out.width)
+    return out.kind, out.case, data, out.diagnostics
+
+
+def scan_both_ways(monkeypatch, h, state, alpha, cfg, seed, script=None):
+    """run_oracle from one seed with the batched Case 2 and with the
+    one-direction-at-a-time reference; per side, the outcome (or error),
+    the generator's final state and the terminal capacities of every
+    max-flow run.  ``script`` maps a max-flow's 1-based index to a function
+    of the real result that replaces it."""
+    script = script or {}
+    sides = []
+    for case2 in (oracle._case2, witnesses.scan_case2):
+        flows = []
+
+        def scripted(inst, real=oracle.max_flow):
+            flows.append((inst.source_caps, inst.sink_caps))
+            return script.get(len(flows), lambda r: r)(real(inst))
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "max_flow", scripted)
+            m.setattr(oracle, "_case2", case2)
+            rng = np.random.default_rng(seed)
+            try:
+                got = outcome_summary(run_oracle(alpha, state, h, cfg, rng))
+            except (OracleFailure, OracleInvariantError) as exc:
+                got = (type(exc).__name__, str(exc), exc.diagnostics)
+        sides.append((got, rng.bit_generator.state, flows))
+    return sides
+
+
+def saturated(res):
+    # a flow at or above any threshold: the scan cannot read it as 2A
+    return MaxFlowResult(math.inf, res.arc_flow, res.reachable)
+
+
+def source_only(res):
+    # below the threshold with nothing reachable: an improper cut
+    return MaxFlowResult(0.0, res.arc_flow, np.zeros_like(res.reachable))
+
+
+class TestBatchedScan:
+    """Case 2 splits and scores the directions after its first 2A cut as
+    one batch; outcome and generator state must be the reference's."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 40),
+        st.sampled_from([1, 2, 5, None]),
+        st.sampled_from([{}, {"sigma": 0.8}, {"c_frac": 0.1}, {"c_frac": 0.25}]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_outcome_and_generator_as_the_reference(self, seed, n, n_dirs, constants):
+        # a wide stretch requirement leaves directions without a split; a
+        # large c_frac makes L0 and R0 hold more than one vertex
+        g = np.random.default_rng(seed)
+        h = random_hypergraph(g, n=n, m=int(g.integers(1, 2 * n + 1)), max_side=4)
+        state = normalized_state(g, h, dim=int(g.integers(1, n + 1)))
+        alpha = float(10.0 ** g.uniform(-5, 0.5))
+        cfg = OracleConfig(n_dirs=n_dirs, **constants)
+        with pytest.MonkeyPatch.context() as mp:
+            batched, reference = scan_both_ways(mp, h, state, alpha, cfg, seed)
+        assert batched == reference
+
+    def test_stop_at_direction_one_with_2b(self, monkeypatch):
+        h, state, cfg = spread_instance(seed=1, dim=3)
+        batched, reference = scan_both_ways(monkeypatch, h, state, 1e-4, cfg, 0)
+        assert batched == reference
+        assert batched[0][1] == "2B" and len(batched[2]) == 1
+
+    @pytest.mark.parametrize("stop", [2, 5, 31])
+    def test_stop_after_the_first_2a(self, monkeypatch, stop):
+        # direction 2 ends the scan right after the first 2A cut; 5 and 31
+        # end it inside the batch of the 31 directions after it
+        h, state, cfg = spread_instance()
+        script = {stop: saturated}
+        batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0, script)
+        assert batched == reference
+        assert batched[0][1] == "2A" and len(batched[2]) == stop
+
+    def test_no_stop(self, monkeypatch):
+        h, state, cfg = spread_instance()
+        batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0)
+        assert batched == reference
+        assert batched[0][1] == "2A" and len(batched[2]) == cfg.n_dirs_for(h.n) == 32
+
+    def test_no_split_before_the_first_2a(self, monkeypatch):
+        # a wide stretch requirement: the first direction (and some later
+        # ones, inside the batch) give no split
+        h, state, cfg = spread_instance(dim=3, sigma=0.8)
+        splits = []
+        real = witnesses.direction_split_once
+        monkeypatch.setattr(
+            witnesses, "direction_split_once", lambda *a: splits.append(real(*a)) or splits[-1]
+        )
+        batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 2)
+        assert batched == reference
+        assert splits[0] is None and splits[1] is not None
+        assert batched[0][1] == "2A" and len(batched[2]) == 32 - splits.count(None) < 32
+
+    @pytest.mark.parametrize("target", [1, 2, 3, 4])
+    def test_prefix_weight_equal_to_the_target(self, monkeypatch, target):
+        # unit weights and c_frac w a whole number: a prefix of every sweep
+        # weighs exactly the target, as the first vertex does on any n=128
+        # unit-weight instance, and an even target puts the median on a
+        # prefix sum too
+        h, state, _ = spread_instance()
+        cfg = OracleConfig(c_frac=target / 16.0)
+        assert cfg.c_frac * h.total_weight == target and set(h.vertex_weights) == {1}
+        for alpha in (0.1, 1e-3):
+            batched, reference = scan_both_ways(monkeypatch, h, state, alpha, cfg, 0)
+            assert batched == reference
+            assert batched[0][1].startswith("2")
+
+    @pytest.mark.parametrize("bad", [1, 2, 9])
+    def test_improper_cut_raises_as_the_reference(self, monkeypatch, bad):
+        h, state, cfg = spread_instance()
+        script = {bad: source_only}
+        batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0, script)
+        assert batched[0] == reference[0]
+        assert batched[0][0] == "OracleInvariantError" and "improper cut" in batched[0][1]
+
+    def test_ratio_breach_by_a_losing_cut_raises(self, monkeypatch):
+        h, state, cfg = spread_instance()
+        sparsities = []
+        real = witnesses.single_cut_outcome
+        monkeypatch.setattr(
+            witnesses,
+            "single_cut_outcome",
+            lambda *a: sparsities.append(float(real(*a).cut.sparsity)) or real(*a),
+        )
+        assert scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0)[1][0][1] == "2A"
+        # a bound the sparsest cut meets and some other cut breaks
+        bound = (min(sparsities) + max(sparsities)) / 2.0
+        first_breach = next(i for i, s in enumerate(sparsities) if s > bound * (1 + 1e-9))
+        assert min(sparsities) <= bound
+        monkeypatch.setattr(OracleConfig, "ratio_bound", lambda self, alpha, h, case: bound)
+        # an improper cut after the breach does not take its place
+        for script in ({}, {first_breach + 2: source_only}):
+            batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0, script)
+            assert batched[0] == reference[0]
+            assert batched[0][0] == "OracleInvariantError"
+            assert "exceeds ratio bound" in batched[0][1]
+            assert batched[0][2]["sparsity"] == sparsities[first_breach]
+
+    def test_ties_keep_the_first_cut(self, monkeypatch):
+        # directions 1 and 2 leave the same cut at different flow values,
+        # direction 3 ends the scan
+        h, state, cfg = spread_instance()
+        first = []
+
+        def remember(res):
+            first.append(res)
+            return res
+
+        def same_cut(res):
+            return MaxFlowResult(first[0].value / 2.0, res.arc_flow, first[0].reachable)
+
+        script = {1: remember, 2: same_cut, 3: saturated}
+        batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0, script)
+        assert batched == reference
+        (_, case, _, diagnostics), _, flows = batched
+        assert case == "2A" and len(flows) == 3
+        assert diagnostics["flow_value"] == first[0].value != first[0].value / 2.0
+
+
 class TestCertificateCheck:
     def setup_cert(self):
         h, theta = expanderish()
@@ -508,12 +688,23 @@ class TestWidthBound:
         if bound > rho:
             assert report["width"] == pytest.approx(exact, rel=1e-12)
 
-    def test_a_nan_bound_takes_the_exact_path(self, monkeypatch):
+    def test_a_non_finite_residual_fails_by_name(self, monkeypatch):
         # finite inputs whose residual overflows: z K is -inf off the
         # diagonal where the two triangles' sum is +inf, so a cell is NaN
         h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
         tris = {TriangleId.make(0, 1, 2): 1e308, TriangleId.make(0, 1, 3): 1e308}
         cert = DualCertificate(1e308, tris, None)
+        exact = []
+        monkeypatch.setattr(oracle, "spectral_norm", exact.append)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, report = certificate_check(cert, 1.0, h, 1.0)
+        assert not ok and report["first_failure"] == "residual_not_finite"
+        assert exact == []
+
+    def test_an_infinite_bound_over_finite_cells_takes_the_exact_path(self, monkeypatch):
+        # every cell of z K is finite, but each row sum overflows
+        h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
+        cert = DualCertificate(1e307, {}, None)
         exact = []
 
         def norm(residual):
@@ -521,9 +712,10 @@ class TestWidthBound:
             return math.inf
 
         monkeypatch.setattr(oracle, "spectral_norm", norm)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             ok, report = certificate_check(cert, 1.0, h, 1.0)
-        assert np.isnan(exact[0]).any()
+            assert np.abs(exact[0]).sum(axis=1).max() == math.inf
+        assert np.isfinite(exact[0]).all()
         assert not ok and report["first_failure"] == "width_bound"
 
     @given(st.integers(0, 2**32 - 1))

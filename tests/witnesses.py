@@ -9,17 +9,20 @@ scans the edges' frozensets with exact ``Fraction`` sums, independent of
 the incidence arrays the package answers cut questions from, the
 singleton/closure baseline as one cut evaluation per candidate, and the
 loops the flow layer replaced: dense F, D and sum f_p T_p accumulated one
-``add_mat_A``/``add_mat_T`` call per entry, and the lift that visits every
-hyperedge.
+``add_mat_A``/``add_mat_T`` call per entry, the lift that visits every
+hyperedge, and the oracle's Case 2 scan as it ran one direction at a time:
+one draw, one split and one exact cut evaluation per direction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from hyperspars import oracle
 from hyperspars.flownet import (
     CONSERVATION_TOL,
     FlowAssignment,
@@ -36,6 +39,14 @@ from hyperspars.hypergraph import (
     ReducedDigraph,
     evaluate_cut,
     out_closure,
+)
+from hyperspars.oracle import (
+    DualCertificate,
+    OracleConfig,
+    OracleFailure,
+    OracleInvariantError,
+    OracleOutcome,
+    log2_weight,
 )
 from hyperspars.sdpcore import GramState, TriangleId, add_mat_A, add_mat_T
 
@@ -269,3 +280,174 @@ def loop_lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignm
                     continue
                 values.append((e_idx, i, j, fi * fj / mid))
     return FlowAssignment(tuple(values))
+
+
+def random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """One random unit direction, redrawn while too short to normalize."""
+    while True:
+        u = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(u))
+        if norm > 1e-12:
+            return u / norm
+
+
+def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    half = cum[-1] / 2.0
+    idx = int(np.searchsorted(cum, half))
+    return float(values[order[min(idx, len(order) - 1)]])
+
+
+def direction_split_once(
+    vhat: np.ndarray,
+    omega: np.ndarray,
+    members: np.ndarray,
+    dist0: np.ndarray,
+    u: np.ndarray,
+    cfg: OracleConfig,
+    total: float,
+) -> tuple[np.ndarray, list[int], list[int]] | None:
+    """One direction attempt: sweep for stretched L0/R0, then median split.
+
+    Returns (direction, L, R) or None.  Every (i, j) in L x R satisfies the
+    projection stretch along the returned direction and
+    d(i, j) >= |v_i - v_j|^2.  ``dist0`` holds the norms |vhat_i - vhat_0|.
+    """
+    proj = vhat[members] @ u
+    order = np.argsort(proj, kind="stable")
+    sorted_members = members[order]
+    sorted_proj = proj[order]
+    w_sorted = omega[sorted_members]
+    target = cfg.c_frac * total
+    stretch = cfg.sigma / math.sqrt(total)
+
+    cum = np.cumsum(w_sorted)
+    k_lo = int(np.searchsorted(cum, target))
+    if k_lo >= len(sorted_members):
+        return None
+    cum_rev = np.cumsum(w_sorted[::-1])
+    k_hi = int(np.searchsorted(cum_rev, target))
+    if k_hi >= len(sorted_members):
+        return None
+    l0 = sorted_members[: k_lo + 1]
+    r0 = sorted_members[len(sorted_members) - k_hi - 1 :]
+    if sorted_proj[len(sorted_members) - k_hi - 1] - sorted_proj[k_lo] < stretch:
+        return None
+
+    r_med = weighted_median(dist0[l0], omega[l0])
+    l0_minus = l0[dist0[l0] <= r_med]
+    l0_plus = l0[dist0[l0] >= r_med]
+    r0_minus = r0[dist0[r0] <= r_med]
+    r0_plus = r0[dist0[r0] >= r_med]
+    w_r0_plus = omega[r0_plus].sum()
+    w_r0_minus = omega[r0_minus].sum()
+    if w_r0_plus >= w_r0_minus and len(r0_plus) and len(l0_minus):
+        left, right, u_eff = l0_minus, r0_plus, u
+    elif len(r0_minus) and len(l0_plus):
+        left, right, u_eff = r0_minus, l0_plus, -u
+    else:
+        return None
+    return u_eff, [int(v) for v in left], [int(v) for v in right]
+
+
+def single_cut_outcome(call, res: MaxFlowResult, case: str, extra: dict) -> OracleOutcome:
+    """The cut a short max-flow leaves, evaluated and checked on its own."""
+    h = call.h
+    members = frozenset(np.flatnonzero(res.reachable[: h.n]).tolist())
+    inside = float(sum(h.vertex_weights[v] for v in members))
+    extra = dict(extra, side_weights=(inside, h.total_weight - inside))
+    if not members or len(members) == h.n:
+        raise OracleInvariantError(
+            f"case {case} produced an improper cut ({len(members)} of {h.n})",
+            dict(extra, case=case),
+        )
+    cut = evaluate_cut(h, members)
+    bound = call.cfg.ratio_bound(call.alpha, h, case)
+    diag = dict(extra, case=case, ratio_bound=bound)
+    if float(cut.sparsity) > bound * (1 + 1e-9):
+        raise OracleInvariantError(
+            f"case {case} cut sparsity {float(cut.sparsity):.6g} exceeds "
+            f"ratio bound {bound:.6g}",
+            dict(diag, sparsity=float(cut.sparsity)),
+        )
+    return OracleOutcome("cut", cut=cut, diagnostics=diag)
+
+
+def scan_case2(call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
+    """The oracle's well-spread case, one direction at a time: draw, split,
+    flow and, for a 2A cut, evaluate and check it before the next draw.
+    A stand-in for ``oracle._case2``; it looks up ``build_flow_instance``
+    and ``max_flow`` on the oracle module, so a test that replaces them
+    there replaces them here too."""
+    alpha, state, h, cfg, rd, omega, total = call
+    members, i0 = oracle._medium_ball(omega, d2, total)
+    vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
+    dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
+
+    sqlog = math.sqrt(log2_weight(h))
+    cap_coeff = cfg.beta * total * sqlog * alpha
+    threshold = (cfg.c_frac * cfg.beta / 4.0) * total * total * sqlog * alpha
+
+    attempts = cfg.n_dirs_for(h.n)
+    last_reason = "no stretched direction found"
+    best_cut: OracleOutcome | None = None
+    for _ in range(attempts):
+        u = random_direction(rng, vhat.shape[1])
+        got = direction_split_once(vhat, omega, members, dist0, u, cfg, total)
+        if got is None:
+            continue
+        u_eff, left, right = got
+        sources = {i: cap_coeff * omega[i] for i in left}
+        sinks = {j: cap_coeff * omega[j] for j in right}
+        inst = oracle.build_flow_instance(rd, sources, sinks)
+        res = oracle.max_flow(inst)
+        extra = {
+            "i0": i0,
+            "flow_value": res.value,
+            "threshold": threshold,
+            "left_size": len(left),
+            "right_size": len(right),
+        }
+
+        if res.value < threshold:
+            outcome = single_cut_outcome(call, res, "2A", extra)
+            if best_cut is None or outcome.cut.sparsity < best_cut.cut.sparsity:
+                best_cut = outcome
+            continue
+
+        if best_cut is not None:
+            return best_cut
+
+        fa, dec, d_dot_x = oracle._saturated_flow(res, inst, state)
+        extra["d_dot_x"] = d_dot_x
+        extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
+        if d_dot_x >= alpha * (1 - 1e-9):
+            return oracle._scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
+
+        eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
+        filtered = sum(
+            f
+            for (i, j), f in dec.demand.items()
+            if float((vhat[i] - vhat[j]) @ (vhat[i] - vhat[j])) <= eta_cut * (1 + 1e-9)
+        )
+        extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
+        if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
+            raise OracleInvariantError(
+                "short-pair flow mass below half despite small demand value",
+                dict(extra, case="2C"),
+            )
+
+        path = oracle.find_violated_path(vhat, omega, dec.demand, u_eff, cfg, h)
+        if path is None:
+            last_reason = "no violated path for this direction"
+            continue
+        triangles = oracle.path_triangles(path)
+        f_val = total * total * alpha / (9.0 * cfg.s_viol)
+        extra["path"] = path
+        cert = DualCertificate(alpha, {tri: f_val for tri in triangles}, None)
+        return oracle._dual_outcome(call, cert, "2C", extra)
+
+    if best_cut is not None:
+        return best_cut
+    raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
