@@ -40,6 +40,7 @@ from .hypergraph import (
     reverse,
 )
 from .oracle import (
+    Case1Flow,
     DualCertificate,
     OracleConfig,
     OracleFailure,
@@ -53,6 +54,7 @@ from .oracle import (
 # perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .sdpcore import (
     GramState,
+    center_rows,
     k_dot_dist2,
     mat_K,
     min_eigenvalue,
@@ -174,7 +176,7 @@ def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> GramState:
     if not kdw_scaled > 0.0:
         raise ArithmeticError("K . W underflowed to zero; state degenerate")
     vectors = u * np.sqrt(w_lam / kdw_scaled)
-    vectors = vectors - vectors.mean(axis=0)
+    vectors = center_rows(vectors)
     kv = k_dot_dist2(squared_distances(vectors), vertex_weights)
     vectors = vectors / math.sqrt(kv)
     return GramState(vectors)
@@ -198,6 +200,9 @@ def run_algorithm1(
     rho.  The residual is also the update added to the running sum.  A run
     that reaches T adds the regret check's one, plus one for the average's
     width when its bound exceeds rho.
+    The run keeps its last Case 1 max-flow, with its lift and
+    decomposition, and the oracle reuses it while the terminal caps stay
+    the same; the flow is dropped with the run.
     An OracleInvariantError is a defect and propagates to the caller.
     """
     cfg = cfg or SolverConfig()
@@ -231,11 +236,12 @@ def run_algorithm1(
 
     certificates: list[DualCertificate] = []
     m_sum = np.zeros((n, n))
+    case1_flow = Case1Flow()
     for t in range(1, t_horizon + 1):
         state = mw_state(m_sum, eta, h.vertex_weights)
 
         try:
-            outcome = run_oracle(alpha, state, h_run, cfg.oracle, rng, rd)
+            outcome = run_oracle(alpha, state, h_run, cfg.oracle, rng, rd, case1_flow)
         except OracleFailure as exc:
             run.reason = f"oracle: {exc}"
             break

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "FlowAssignment",
     "FlowDecomposition",
     "build_flow_instance",
+    "terminal_caps",
     "flow_tolerance",
     "max_flow",
     "lift_flow",
@@ -70,11 +72,11 @@ class FlowInstance:
     def num_nodes(self) -> int:
         return self.rd.num_vertices + 2
 
-    @property
+    @cached_property
     def total_source_cap(self) -> float:
         return sum(c for _, c in self.source_caps)
 
-    @property
+    @cached_property
     def total_sink_cap(self) -> float:
         return sum(c for _, c in self.sink_caps)
 
@@ -94,8 +96,7 @@ def build_flow_instance(
     """Attach a source over ``source_caps`` and a sink over ``sink_caps``."""
     n_nodes = rd.num_vertices
     arc_from, arc_to, cap = rd.flow_arcs
-    src = tuple(sorted((int(i), float(c)) for i, c in source_caps.items()))
-    snk = tuple(sorted((int(j), float(c)) for j, c in sink_caps.items()))
+    src, snk = terminal_caps(source_caps), terminal_caps(sink_caps)
     return FlowInstance(
         rd,
         _append(arc_from, [n_nodes] * len(src) + [j for j, _ in snk]),
@@ -104,6 +105,12 @@ def build_flow_instance(
         src,
         snk,
     )
+
+
+def terminal_caps(caps: Mapping[int, float]) -> tuple[tuple[int, float], ...]:
+    """The (vertex, capacity) pairs of ``caps`` in vertex order, as a flow
+    instance keeps them in ``source_caps`` and ``sink_caps``."""
+    return tuple(sorted((int(i), float(c)) for i, c in caps.items()))
 
 
 def _append(base: np.ndarray, extra: list) -> np.ndarray:

@@ -401,7 +401,7 @@ class ReducedDigraph:
     # arc index ranges per hyperedge: (edge arc, tail arcs slice, head arcs slice)
     edge_arc_index: tuple[int, ...] = field(repr=False, default=())
 
-    @property
+    @cached_property
     def num_vertices(self) -> int:
         return self.base.n + 2 * self.base.m
 

@@ -21,7 +21,14 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import flownet
-from .flownet import FlowAssignment, build_flow_instance, decompose, lift_flow, max_flow
+from .flownet import (
+    FlowAssignment,
+    build_flow_instance,
+    decompose,
+    lift_flow,
+    max_flow,
+    terminal_caps,
+)
 # evaluate_cut and mat_K are not called here any more, but
 # perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .hypergraph import (
@@ -47,6 +54,7 @@ __all__ = [
     "DualCertificate",
     "average_certificate",
     "OracleOutcome",
+    "Case1Flow",
     "run_oracle",
     "find_violated_path",
     "certificate_check",
@@ -227,6 +235,22 @@ class _Call(NamedTuple):
     total: float
 
 
+@dataclass
+class Case1Flow:
+    """A run's last Case 1 max-flow, kept for the steps after it.
+
+    A step whose reduced digraph and sorted terminal caps equal ``inst``'s
+    would build the same instance and get the same flow, so it takes
+    ``res`` instead; ``lifted`` holds the flow's lift and path
+    decomposition once a step found it saturating.  One instance per run:
+    a step with other caps replaces it.
+    """
+
+    inst: flownet.FlowInstance | None = None
+    res: flownet.MaxFlowResult | None = None
+    lifted: tuple[FlowAssignment, flownet.FlowDecomposition] | None = None
+
+
 def _ball_weights(d2: np.ndarray, omega: np.ndarray, radius2: float) -> np.ndarray:
     return (d2 <= radius2) @ omega
 
@@ -238,11 +262,14 @@ def run_oracle(
     cfg: OracleConfig | None = None,
     rng: np.random.Generator | None = None,
     rd: ReducedDigraph | None = None,
+    case1_flow: Case1Flow | None = None,
 ) -> OracleOutcome:
     """Dispatch on vector concentration and run the matching case.
 
     This is the one place the per-call data (vertex weights, squared
     distances, small-ball weights) is derived; each case takes it as given.
+    ``case1_flow`` carries Case 1's max-flow from one call of a run to the
+    next; without it, Case 1 builds its flow afresh.
     Cuts are searched on the side of vertex 0 that contains it; the side
     that excludes it is the same search on ``reverse(h)``, with the cut
     complemented.
@@ -272,7 +299,9 @@ def run_oracle(
     i0 = int(np.argmax(ball_w))
     call = _Call(alpha, state, h, cfg, rd, omega, total)
     if ball_w[i0] >= cfg.c_ball * total:
-        return _case1(call, i0, d2[i0] <= radius2)
+        if case1_flow is None:
+            case1_flow = Case1Flow()
+        return _case1(call, i0, d2[i0] <= radius2, case1_flow)
     return _case2(call, d2, rng)
 
 
@@ -320,15 +349,18 @@ def _cut_outcomes(
     return outcomes
 
 
-def _saturated_flow(
-    res: flownet.MaxFlowResult, inst: flownet.FlowInstance, state: GramState
-) -> tuple[FlowAssignment, flownet.FlowDecomposition, float]:
-    """A saturating max-flow lifted to the hypergraph, its path
-    decomposition, and D . X, the value of its demand on the state."""
+def _lift(
+    res: flownet.MaxFlowResult, inst: flownet.FlowInstance
+) -> tuple[FlowAssignment, flownet.FlowDecomposition]:
+    """A saturating max-flow lifted to the hypergraph, and its path
+    decomposition."""
     fa = lift_flow(res, inst)
-    dec = decompose(fa, [i for i, _ in inst.source_caps], [j for j, _ in inst.sink_caps])
-    d_dot_x = sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
-    return fa, dec, d_dot_x
+    return fa, decompose(fa, [i for i, _ in inst.source_caps], [j for j, _ in inst.sink_caps])
+
+
+def _demand_dot(dec: flownet.FlowDecomposition, state: GramState) -> float:
+    """D . X, the value of a decomposition's demand on the state."""
+    return sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
 
 
 def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) -> OracleOutcome:
@@ -380,14 +412,19 @@ def _scaled_flow_dual(
     return _dual_outcome(call, DualCertificate(alpha, triangles, fa), case, extra)
 
 
-def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
+def _case1(call: _Call, i0: int, in_ball: np.ndarray, slot: Case1Flow) -> OracleOutcome:
     """Concentrated-vectors case: one max-flow decides cut versus dual.
 
     ``in_ball`` marks the heavy small ball around ``i0`` that the dispatch
-    found."""
+    found.  The flow depends on the state only through the terminal caps,
+    which the ball, the direction and alpha set, so it is reused from
+    ``slot`` when the caps are those of the slot's instance, and built,
+    solved and stored there otherwise; a saturating flow is lifted and
+    decomposed once per instance.  D . X, the scaling and the certificate
+    check run on every call."""
     alpha, state, _, cfg, rd, omega, total = call
-    left = [int(v) for v in np.flatnonzero(in_ball)]
-    right = [int(v) for v in np.flatnonzero(~in_ball)]
+    left = in_ball.nonzero()[0].tolist()
+    right = (~in_ball).nonzero()[0].tolist()
     if not right:
         raise InconsistentStateError("ball covers all weight despite K.X = 1")
     w_l = float(omega[left].sum())
@@ -407,8 +444,12 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     else:
         sources, sinks = right_caps, left_caps
 
-    inst = build_flow_instance(rd, sources, sinks)
-    res = max_flow(inst)
+    inst = slot.inst
+    key = (terminal_caps(sources), terminal_caps(sinks))
+    if inst is None or inst.rd is not rd or (inst.source_caps, inst.sink_caps) != key:
+        inst = build_flow_instance(rd, sources, sinks)
+        slot.inst, slot.res, slot.lifted = inst, max_flow(inst), None
+    res = slot.res
     total_cap = inst.total_source_cap
     extra = {
         "i0": i0,
@@ -421,7 +462,10 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     if res.value < total_cap * (1.0 - 1e-9):
         return _cut_outcomes(call, [(res.reachable, extra)], "1A")[0]
 
-    fa, dec, d_dot_x = _saturated_flow(res, inst, state)
+    if slot.lifted is None:
+        slot.lifted = _lift(res, inst)
+    fa, dec = slot.lifted
+    d_dot_x = _demand_dot(dec, state)
     extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
     return _scaled_flow_dual(call, fa, dec, d_dot_x, "1B", extra)
 
@@ -600,7 +644,8 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
                 rng.standard_normal((rows, dim))
                 return _sparsest_cut(call, found)
 
-            fa, dec, d_dot_x = _saturated_flow(res, inst, state)
+            fa, dec = _lift(res, inst)
+            d_dot_x = _demand_dot(dec, state)
             extra["d_dot_x"] = d_dot_x
             extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
             if d_dot_x >= alpha * (1 - 1e-9):
@@ -846,11 +891,13 @@ def certificate_check(
         if any(f < 0 for _, _, _, f in cert.flow):
             return fail("negative_flow")
 
-    residual = t_mat + cert.z * k - f_mat
     # the largest absolute row sum bounds the norm of the symmetric R; the
     # exact norm is needed only where that bound does not settle the check,
-    # and exists only where every cell is finite
-    width = float(np.abs(residual).sum(axis=1).max())
+    # and exists only where every cell is finite (an overflow to inf or NaN
+    # is named below, so numpy need not warn of it)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = t_mat + cert.z * k - f_mat
+        width = float(np.abs(residual).sum(axis=1).max())
     if not width <= rho:
         if not math.isfinite(width) and not np.isfinite(residual).all():
             return fail("residual_not_finite")

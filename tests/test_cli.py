@@ -1,6 +1,7 @@
 """CLI commands, exit codes, JSON schema, determinism, re-verification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -491,9 +492,11 @@ class TestCheckCert:
         doc["certificates"][0]["z"] = 1e308
         doc["certificates"][0]["f_p"] = [[0, 1, 2, 1e308]]
         open(out, "w").write(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["check-cert", out, str(inp)]) == 3
         assert "residual_not_finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_flipped_triangle_rejected(self, tmp_path, capsys):
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspars import oracle
+from hyperspars import driver, oracle
+from hyperspars.driver import SolverConfig, binary_search
 from hyperspars.flownet import FlowAssignment, MaxFlowResult
 from hyperspars.oracle import (
     DualCertificate,
@@ -26,7 +27,7 @@ from hyperspars.oracle import (
     path_violation,
     run_oracle,
 )
-from hyperspars.hypergraph import reverse, sparsity
+from hyperspars.hypergraph import reduce_to_digraph, reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import GramState, TriangleId, mat_K, mat_T, spectral_norm
 
@@ -443,6 +444,80 @@ def saturated(res):
 def source_only(res):
     # below the threshold with nothing reachable: an improper cut
     return MaxFlowResult(0.0, res.arc_flow, np.zeros_like(res.reachable))
+
+
+def assert_same_outcome(got, want):
+    """Bit for bit: every float compared with ==, the residuals with
+    np.array_equal."""
+    assert outcome_summary(got) == outcome_summary(want)
+    assert got.dual == want.dual
+    assert (got.residual is None) == (want.residual is None)
+    if got.residual is not None:
+        assert np.array_equal(got.residual, want.residual)
+
+
+class TestCase1FlowReuse:
+    """A run keeps its last Case 1 max-flow and reuses it while the
+    terminal caps stay the same; every outcome is the one a fresh flow
+    gives."""
+
+    def test_certify_run_outcomes_match_fresh_flows(self, monkeypatch):
+        # the 3-vertex unit cycle searched as the certify benchmark does,
+        # at c_rho = 1: a cut probe, 2 x 251 Case 1B steps, a cut probe
+        h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
+        cfg = SolverConfig(
+            alpha_lo=0.0025, alpha_hi=0.5, search_ratio=2.0, oracle=OracleConfig(c_rho=1.0)
+        )
+        flows = []  # per slot, the instances it held, one entry per step
+        real_oracle, real_max_flow = oracle.run_oracle, oracle.max_flow
+
+        def checked(alpha, state, h_run, ocfg, rng, rd, slot):
+            got = real_oracle(alpha, state, h_run, ocfg, rng, rd, slot)
+            if not flows or flows[-1][0] is not slot:
+                flows.append((slot, []))
+            flows[-1][1].append(slot.inst)
+            fresh = real_oracle(alpha, state, h_run, ocfg, np.random.default_rng(0), rd)
+            assert_same_outcome(got, fresh)
+            return got
+
+        solved = []
+        monkeypatch.setattr(driver, "run_oracle", checked)
+        monkeypatch.setattr(oracle, "max_flow", lambda inst: solved.append(inst) or real_max_flow(inst))
+        res = binary_search(h, cfg)
+        assert res.lower_bound is not None
+        steps = [len(insts) for _, insts in flows]
+        assert steps == [1, 1, 251, 251, 1, 1]
+        # one cap key per run, so one flow per run; the rest are the
+        # fresh reference flows
+        assert [len({id(inst) for inst in insts}) for _, insts in flows] == [1] * 6
+        assert len(solved) == 6 + sum(steps)
+
+    def test_new_caps_or_digraph_rebuild_the_flow(self):
+        h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
+        cfg, rng = OracleConfig(), np.random.default_rng(0)
+        slot = oracle.Case1Flow()
+
+        def step(alpha, state, h_run, rd):
+            got = run_oracle(alpha, state, h_run, cfg, rng, rd, slot)
+            assert got.case == "1B"
+            assert_same_outcome(got, run_oracle(alpha, state, h_run, cfg, rng, rd))
+            return slot.inst
+
+        rd = reduce_to_digraph(h)
+        ball01, ball12 = integral_state(h, {0, 1}), integral_state(h, {1, 2})
+        first = step(0.01, ball01, h, rd)
+        assert step(0.01, ball01, h, rd) is first
+        other_alpha = step(0.02, ball01, h, rd)
+        assert other_alpha is not first
+        other_ball = step(0.02, ball12, h, rd)
+        assert other_ball is not other_alpha
+        assert other_ball.source_caps != other_alpha.source_caps
+        assert step(0.02, ball12, h, rd) is other_ball
+        # the same caps on another digraph build their own instance
+        h_out = reverse(h)
+        other_digraph = step(0.02, ball12, h_out, reduce_to_digraph(h_out))
+        assert other_digraph is not other_ball
+        assert other_digraph.source_caps == other_ball.source_caps
 
 
 class TestBatchedScan:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from hyperspars import driver
 from hyperspars.sdpcore import (
     GramState,
     NotPsdError,
     TriangleId,
+    center_rows,
     cholesky_embed,
     directed_distance,
     mat_A,
@@ -16,9 +18,10 @@ from hyperspars.sdpcore import (
     mat_T,
     min_eigenvalue,
     spectral_norm,
+    squared_distances,
 )
 
-from witnesses import mat_exp, variance_form
+from witnesses import fill_diagonal_squared_distances, mean_centered, mat_exp, variance_form
 
 
 def random_gram(rng, n, dim=None):
@@ -323,3 +326,31 @@ class TestGramState:
         st = GramState.from_matrix(x)
         w = [1, 2, 1, 1, 2, 1]
         assert st.k_dot(w) == pytest.approx(float(np.tensordot(mat_K(w), x)), rel=1e-9)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestWrapperFreeNumpy:
+    """center_rows, squared_distances and mw_state give the bits of the
+    np.mean and np.fill_diagonal formulas they replace."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33])
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e12])
+    def test_centering_and_distances(self, rng, n, offset):
+        for dim in (1, n):
+            common = offset * rng.standard_normal(dim)
+            v = rng.standard_normal((n, dim)) + common
+            assert same_bits(center_rows(v), mean_centered(v))
+            assert same_bits(squared_distances(v), fill_diagonal_squared_distances(v))
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_mw_state(self, monkeypatch, rng, n):
+        weights = [int(w) for w in rng.integers(1, 4, size=n)]
+        m = rng.standard_normal((n, n))
+        m_sum = 40.0 * (m + m.T)
+        got = driver.mw_state(m_sum, 0.3, weights).vectors
+        monkeypatch.setattr(driver, "center_rows", mean_centered)
+        monkeypatch.setattr(driver, "squared_distances", fill_diagonal_squared_distances)
+        assert same_bits(got, driver.mw_state(m_sum, 0.3, weights).vectors)

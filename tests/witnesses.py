@@ -10,8 +10,10 @@ the incidence arrays the package answers cut questions from, the
 singleton/closure baseline as one cut evaluation per candidate, and the
 loops the flow layer replaced: dense F, D and sum f_p T_p accumulated one
 ``add_mat_A``/``add_mat_T`` call per entry, the lift that visits every
-hyperedge, and the oracle's Case 2 scan as it ran one direction at a time:
-one draw, one split and one exact cut evaluation per direction.
+hyperedge, the oracle's Case 2 scan as it ran one direction at a time:
+one draw, one split and one exact cut evaluation per direction, and the
+row centering and squared distances as ``np.mean`` and ``np.fill_diagonal``
+compute them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,21 @@ def mat_exp(m: np.ndarray) -> np.ndarray:
     lam, u = np.linalg.eigh((m + m.T) / 2.0)
     out = (u * np.exp(lam)) @ u.T
     return (out + out.T) / 2.0
+
+
+def mean_centered(vectors: np.ndarray) -> np.ndarray:
+    """The rows minus their mean row, by ``np.mean``."""
+    return vectors - vectors.mean(axis=0)
+
+
+def fill_diagonal_squared_distances(vectors: np.ndarray) -> np.ndarray:
+    """Squared distances between rows, as ``sdpcore.squared_distances``
+    forms them, with ``np.mean`` and ``np.fill_diagonal``."""
+    centered = mean_centered(vectors)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (centered @ centered.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
 
 
 def variance_form(u, delta) -> float:
@@ -419,7 +436,8 @@ def scan_case2(call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
         if best_cut is not None:
             return best_cut
 
-        fa, dec, d_dot_x = oracle._saturated_flow(res, inst, state)
+        fa, dec = oracle._lift(res, inst)
+        d_dot_x = oracle._demand_dot(dec, state)
         extra["d_dot_x"] = d_dot_x
         extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
         if d_dot_x >= alpha * (1 - 1e-9):
