@@ -4,6 +4,11 @@ Exit codes follow the solve contract (0 cut found, 2 no cut, 1 input
 error); check-cert exits 3 on the first failing certificate bullet.
 Randomized commands require --seed (or the HYPERSPARS_SEED environment
 variable) so every run is reproducible.
+
+Every probe of solve runs both sides of vertex 0.  ``solve --json`` writes
+a version-3 report that holds only what check-cert re-derives from the
+instance file: the instance block, the config, every cut and the bound,
+and per run its numbers and averaged certificate.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ def _solver_config(args) -> SolverConfig:
         unknown = sorted(set(constants) - {f.name for f in fields(OracleConfig)})
         if unknown:
             raise ValueError(f"{args.constants}: unknown constant {', '.join(unknown)}")
-    kwargs = {"oracle": OracleConfig(**constants), "side_policy": args.side}
+    kwargs = {"oracle": OracleConfig(**constants)}
     if args.t_cap is not None:
         kwargs["t_cap"] = args.t_cap
     return SolverConfig(**kwargs)
@@ -113,7 +118,6 @@ def cmd_solve(args) -> int:
 
     if mode == "expansion" and result.best_cut is not None:
         extra["expansion"] = expansion_estimate(h, result.best_cut.subset)
-        extra["scaled_weights"] = list(h_solve.vertex_weights)
 
     doc = solve_report(h_solve, cfg, result, seed, mode=mode, extra=extra)
     out = dumps_report(doc) if args.json else _format_solve_text(h_solve, result, extra)
@@ -290,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="single run at --alpha instead of binary search")
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--t-cap", type=int, default=None)
-    solve.add_argument("--side", choices=["both", "in", "out"], default="both")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--constants", default=None,
                        help="JSON file overriding oracle constants")

@@ -83,13 +83,16 @@ class SolverConfig:
     alpha_lo: float | None = None
     alpha_hi: float | None = None
     search_ratio: float = 1.5
-    side_policy: str = "both"  # both | in | out
     max_probes: int = 48
     oracle: OracleConfig = field(default_factory=OracleConfig)
 
     def __post_init__(self):
-        if self.search_ratio <= 1.0:
-            raise ValueError("search_ratio must exceed 1")
+        for name, least in (("t_cap", 1), ("max_probes", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+        if not 1.0 < self.search_ratio < math.inf:
+            raise ValueError(f"search_ratio must be finite and above 1, not {self.search_ratio!r}")
         for name in ("alpha_lo", "alpha_hi"):
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -98,15 +101,6 @@ class SolverConfig:
         if self.alpha_lo is not None and self.alpha_hi is not None:
             if self.alpha_lo > self.alpha_hi:
                 raise ValueError("alpha_lo must not exceed alpha_hi")
-        if self.side_policy not in ("both", "in", "out"):
-            raise ValueError("side_policy must be both, in, or out")
-        if self.t_cap < 1:
-            raise ValueError("t_cap must be positive")
-
-    def sides(self) -> tuple[str, ...]:
-        if self.side_policy == "both":
-            return ("in", "out")
-        return (self.side_policy,)
 
 
 @dataclass(frozen=True)
@@ -315,14 +309,12 @@ def run_both_sides(
     cfg: SolverConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProbeResult:
-    """Run every side of the side policy at one alpha; a lower bound needs
-    all sides to certify, a cut from any side counts."""
+    """Run both sides of vertex 0 at one alpha; a lower bound needs both
+    to certify, a cut from either side counts."""
     cfg = cfg or SolverConfig()
     if rng is None:
         rng = np.random.default_rng(0)
-    runs = {}
-    for side in cfg.sides():
-        runs[side] = run_algorithm1(h, alpha, side, cfg, rng)
+    runs = {side: run_algorithm1(h, alpha, side, cfg, rng) for side in ("in", "out")}
     return ProbeResult(alpha, runs)
 
 

@@ -159,9 +159,6 @@ class FlowAssignment:
     def __len__(self) -> int:
         return len(self.values)
 
-    def total(self) -> float:
-        return sum(f for _, _, _, f in self.values)
-
     def per_edge_totals(self) -> dict[int, float]:
         totals: dict[int, float] = {}
         for e, _, _, f in self.values:

@@ -110,12 +110,13 @@ class DirectedHypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    # cached like the derived data below: every oracle call and every
+    # transcript row that check-cert checks reads them, and check-cert
+    # compares the report's instance block with them
+
+    @cached_property
     def r(self) -> int:
         return max((len(e.tail) + len(e.head) for e in self.edges), default=0)
-
-    # cached like the derived data below: every oracle call and every
-    # transcript row that check-cert checks reads them
 
     @cached_property
     def kappa(self) -> int:
@@ -124,9 +125,6 @@ class DirectedHypergraph:
     @cached_property
     def total_weight(self) -> int:
         return sum(self.vertex_weights)
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
 
     def weight_of(self, subset: Iterable[int]) -> int:
         return sum(self.vertex_weights[i] for i in subset)

@@ -1,7 +1,8 @@
 """Report serialization and independent certificate re-verification.
 
-The JSON report carries, per run, its step count per case and the average
-of its dual certificates (z, sparse triangle weights, sparse flow values).
+The JSON report holds only what check-cert re-derives: the instance, the
+config, every cut, and per run its step count and the average of its dual
+certificates (z, sparse triangle weights, sparse flow values).
 The bound alpha / 2 rests on that average alone: its residual R-bar is the
 mean step residual, the regret check is lambda_min((alpha / 2) K - R-bar),
 and the structure it needs is convex, so it survives averaging.  The
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, fields
 
 from .driver import SolveResult, SolverConfig, mw_state, theoretical_iterations
@@ -101,7 +101,19 @@ def _flow_list(fa: FlowAssignment | None) -> list[list] | None:
     return [list(item) for item in sorted(fa.values)]
 
 
-REPORT_VERSION = 2  # the layout solve_report writes, and the only one check-cert reads
+REPORT_VERSION = 3  # the layout solve_report writes, and the only one check-cert reads
+
+
+def _instance(h: DirectedHypergraph) -> dict:
+    """The report's ``instance`` block, which check-cert compares whole."""
+    return {
+        "dhg": serialize_dhg(h),
+        "n": h.n,
+        "m": h.m,
+        "r": h.r,
+        "kappa": h.kappa,
+        "total_weight": h.total_weight,
+    }
 
 
 def solve_report(
@@ -131,7 +143,6 @@ def solve_report(
                     "rho": run.rho,
                     "mw_check": run.mw_check,
                     "cut": _cut_dict(h, run.cut),
-                    "cases": dict(Counter(r.case for r in run.records)),
                 }
             )
             cert = run.certificate
@@ -148,21 +159,13 @@ def solve_report(
 
     doc = {
         "report_version": REPORT_VERSION,
-        "instance": {
-            "dhg": serialize_dhg(h),
-            "n": h.n,
-            "m": h.m,
-            "r": h.r,
-            "kappa": h.kappa,
-            "total_weight": h.total_weight,
-        },
+        "instance": _instance(h),
         "config": dict(asdict(cfg), seed=seed, mode=mode),
         "outcome": "cut" if result.best_cut is not None else "no-cut",
         "cut": _cut_dict(h, result.best_cut),
         "sparsity": float(result.best_cut.sparsity) if result.best_cut else None,
         "lower_bound": result.lower_bound,
         "approx_ratio": result.ratio,
-        "alpha_range": [result.alpha_lo, result.alpha_hi],
         "transcript": transcript,
         "certificates": certificates,
     }
@@ -307,10 +310,6 @@ def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> 
     return None
 
 
-_CUT_CASES = ("1A", "2A")
-_DUAL_CASES = ("1B", "2B", "2C")
-
-
 def _close(claim, value: float, abs_tol: float = 0.0) -> bool:
     """Whether a reported number matches the recomputed one: the check
     sums certificate entries in the report's order, so it may differ from
@@ -321,25 +320,23 @@ def _close(claim, value: float, abs_tol: float = 0.0) -> bool:
 
 
 def _check_run(
-    tr: dict, entries: list[dict], h: DirectedHypergraph, cfg: SolverConfig
+    tr: dict, run: tuple, entries: list[dict], h: DirectedHypergraph, cfg: SolverConfig
 ) -> str | None:
-    """Check one transcript row and its certificate entries; returns the
-    first failing check, or None.
+    """Check one transcript row, whose ``_run_fields`` are ``run``, and its
+    certificate entries; returns the first failing check, or None.
 
     The row's numbers must follow from the config (rho, t_theory, t_horizon,
-    eta); its case counts must sum to ``iterations``, with one cut step
-    (1A, 2A) only in a run whose outcome is "cut".  A run with dual steps
-    has exactly one certificate, the average of its steps', with a flow
-    unless every dual step was 2C; it must pass certificate_check.
-    mw_check must be lambda_min((alpha / 2) K - R-bar), R-bar the average's
-    residual, for a run that reached t_theory, and null otherwise.
+    eta); ``iterations`` is at most t_horizon, and a run whose outcome is
+    "cut" ends on its one cut step.  A run with dual steps has exactly one
+    certificate, the average of its steps', which must pass
+    certificate_check.  mw_check must be lambda_min((alpha / 2) K - R-bar),
+    R-bar the average's residual, for a run that reached t_theory, and null
+    otherwise.
     """
-    _, side, alpha, rho, eta = _run_fields(tr, "alpha", "rho", "eta")
-    cases = tr.get("cases")
-    if not alpha > 0 or not isinstance(cases, dict):
-        raise _Malformed("a run needs a positive alpha and its case counts")
-    if not all(type(count) is int and count >= 0 for count in cases.values()):
-        raise _Malformed("a case count is a non-negative integer")
+    _, side, alpha, rho, eta = run
+    steps = tr.get("iterations")
+    if not alpha > 0 or type(steps) is not int or steps < 0:
+        raise _Malformed("a run needs a positive alpha and a non-negative iteration count")
     if not math.isclose(rho, cfg.oracle.rho(alpha, h), rel_tol=1e-9):
         return "rho_mismatch"
     t_theory = theoretical_iterations(alpha, h, cfg.oracle)
@@ -350,24 +347,17 @@ def _check_run(
         return "t_horizon_mismatch"
     if not _close(eta, math.sqrt(math.log(h.n) / t_horizon)):
         return "eta_mismatch"
-    steps = sum(cases.values())
-    if tr.get("iterations") != steps or steps > t_horizon:
-        return "iterations_mismatch"
     outcome = tr.get("outcome")
     is_cut = outcome == "cut"
+    if steps > t_horizon or (is_cut and steps == 0):
+        return "iterations_mismatch"
     if outcome not in ("cut", "certified", "aborted") or is_cut != (tr.get("cut") is not None):
         return "run_outcome_mismatch"
-    if not cases.keys() <= {*_CUT_CASES, *_DUAL_CASES}:
-        return "record_case_mismatch"
-    if sum(cases.get(case, 0) for case in _CUT_CASES) != is_cut:
-        return "record_case_mismatch"
     duals = steps - is_cut
     if len(entries) != (duals > 0):
         return "certificate_count_mismatch"
     if entries:
         cert = _cert_from_entry(entries[0])
-        if (cert.flow is None) != (cases.get("2C", 0) == duals):
-            return "record_case_mismatch"
         ok, rep = certificate_check(cert, alpha, reverse(h) if side == "out" else h, rho)
         if not ok:
             return str(rep["first_failure"])
@@ -386,15 +376,14 @@ def _check_run(
 
 def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     given = h
-    base = serialize_dhg(h)
-    if doc.get("instance", {}).get("dhg") != base:
+    if doc.get("config", {}).get("mode") == "expansion":
         # expansion-mode reports are solved on the degree-scaled instance
-        if doc.get("config", {}).get("mode") == "expansion":
+        try:
             h = degree_scaled(h)
-            if doc.get("instance", {}).get("dhg") != serialize_dhg(h):
-                return False, "instance_mismatch"
-        else:
+        except ValueError:  # every degree is 0, so solve rejects the instance
             return False, "instance_mismatch"
+    if doc.get("instance") != _instance(h):
+        return False, "instance_mismatch"
     try:
         cfg = solver_config_from_dict(doc.get("config", {}))
     except (TypeError, ValueError):
@@ -404,25 +393,22 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     if failing is not None:
         return False, failing
 
+    rows = [(tr, _run_fields(tr, "alpha", "rho", "eta")) for tr in doc.get("transcript", [])]
     by_run: dict[tuple[int, str], list[dict]] = {}
     for entry in doc.get("certificates", []):
         by_run.setdefault(_run_fields(entry), []).append(entry)
     # the checks below walk the transcript, so a certificate of a run the
     # transcript does not list would never be checked
-    if not by_run.keys() <= {_run_fields(tr) for tr in doc.get("transcript", [])}:
+    if not by_run.keys() <= {run[:2] for _, run in rows}:
         return False, "certificate_orphan"
 
-    # the lower bound must be backed by a probe on which every side of the
-    # configured policy certified
+    # the lower bound must be backed by a probe on which both sides certified
     claimed_bound = doc.get("lower_bound")
     if claimed_bound is not None:
-        if cfg.side_policy != "both":
-            return False, "lower_bound_single_side"
         certified_by_probe: dict[int, set[str]] = {}
         alpha_by_probe: dict[int, float] = {}
-        for tr in doc.get("transcript", []):
+        for tr, (probe, side, alpha, _, _) in rows:
             if tr.get("outcome") == "certified":
-                probe, side, alpha = _run_fields(tr, "alpha")
                 certified_by_probe.setdefault(probe, set()).add(side)
                 alpha_by_probe[probe] = alpha
         supported = [
@@ -433,8 +419,8 @@ def _verify(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
         if not supported or claimed_bound > max(supported) * (1 + 1e-12):
             return False, "lower_bound_unsupported"
 
-    for tr in doc.get("transcript", []):
-        failing = _check_run(tr, by_run.get(_run_fields(tr), []), h, cfg)
+    for tr, run in rows:
+        failing = _check_run(tr, run, by_run.get(run[:2], []), h, cfg)
         if failing is not None:
             return False, failing
     return True, None

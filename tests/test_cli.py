@@ -224,34 +224,30 @@ class TestSolve:
         ) == 0
 
     def test_side_flag(self, planted_file, tmp_path, capsys):
-        out = str(tmp_path / "r.json")
-        assert main(
-            ["solve", planted_file, "--seed", "7", "--t-cap", "40", "--side", "in",
-             "--json", "-o", out]
-        ) == 0
-        doc = json.loads(open(out).read())
-        assert all(t["side"] == "in" for t in doc["transcript"])
-        assert doc["lower_bound"] is None  # single-side runs never certify globally
+        # every probe runs both sides of vertex 0; the flag that chose them
+        # is retired, and argparse rejects it
+        for side in ("both", "in", "out"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", planted_file, "--seed", "7", "--side", side])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --side" in capsys.readouterr().err
 
-    def test_side_out_flag(self, planted_file, tmp_path, capsys):
+    def test_every_probe_runs_both_sides(self, planted_file, tmp_path, capsys):
         # the search ends in cuts; the fixed tiny alpha yields certificates,
-        # which check-cert checks against the reversed instance
+        # and check-cert checks the "out" run's against the reversed instance
         for extra in (("--t-cap", "40"), ("--t-cap", "5", "--alpha", "1e-6", "--no-search")):
             out = str(tmp_path / "r.json")
-            code = main(
-                ["solve", planted_file, "--seed", "7", "--side", "out", "--json", "-o", out,
-                 *extra]
-            )
+            code = main(["solve", planted_file, "--seed", "7", "--json", "-o", out, *extra])
             assert code in (0, 2)
             doc = json.loads(open(out).read())
-            assert doc["transcript"]
-            assert all(t["side"] == "out" for t in doc["transcript"])
-            assert all(c["side"] == "out" for c in doc["certificates"])
-            assert doc["lower_bound"] is None
+            sides: dict[int, list[str]] = {}
+            for tr in doc["transcript"]:
+                sides.setdefault(tr["probe"], []).append(tr["side"])
+            assert sides and all(s == ["in", "out"] for s in sides.values())
             assert main(["check-cert", out, planted_file]) == 0
-        # one averaged certificate for the run's five dual steps
-        assert len(doc["certificates"]) == 1
-        assert sum(doc["transcript"][0]["cases"].values()) == 5
+        # one averaged certificate for each run's five dual steps
+        assert [c["side"] for c in doc["certificates"]] == ["in", "out"]
+        assert [tr["iterations"] for tr in doc["transcript"]] == [5, 5]
 
     def test_text_output(self, planted_file, tmp_path, capsys):
         assert main(["solve", planted_file, "--seed", "7", "--t-cap", "40"]) == 0
@@ -288,9 +284,10 @@ MALFORMED = {
     "z_not_a_number": lambda doc: doc["certificates"][0].update(z="half"),
     "z_nan": lambda doc: doc["certificates"][0].update(z=float("nan")),
     "row_alpha_zero": lambda doc: doc["transcript"][0].update(alpha=0.0),
-    "cases_not_a_dict": lambda doc: doc["transcript"][0].update(cases=[["1B", 20]]),
-    "case_count_negative": lambda doc: doc["transcript"][0].update(cases={"1B": -1}),
-    "case_count_not_an_int": lambda doc: doc["transcript"][0].update(cases={"1B": 20.0}),
+    "iterations_negative": lambda doc: doc["transcript"][0].update(iterations=-1),
+    "iterations_not_an_int": lambda doc: doc["transcript"][0].update(iterations=20.0),
+    "iterations_bool": lambda doc: doc["transcript"][0].update(iterations=True),
+    "row_without_iterations": lambda doc: doc["transcript"][0].pop("iterations"),
 }
 
 
@@ -303,6 +300,12 @@ MALFORMED_REPORT = {
     "config_alpha_lo_nan": lambda doc: dict(doc, config=dict(doc["config"], alpha_lo=float("nan"))),
     "config_alpha_lo_negative": lambda doc: dict(doc, config=dict(doc["config"], alpha_lo=-1.0)),
     "config_alpha_hi_bool": lambda doc: dict(doc, config=dict(doc["config"], alpha_hi=True)),
+    "config_t_cap_fraction": lambda doc: dict(doc, config=dict(doc["config"], t_cap=2.5)),
+    "config_t_cap_bool": lambda doc: dict(doc, config=dict(doc["config"], t_cap=True)),
+    "config_max_probes_negative": lambda doc: dict(doc, config=dict(doc["config"], max_probes=-1)),
+    "config_search_ratio_nan": lambda doc: dict(
+        doc, config=dict(doc["config"], search_ratio=float("nan"))
+    ),
     "config_c_rho_0": lambda doc: dict(
         doc, config=dict(doc["config"], oracle=dict(doc["config"]["oracle"], c_rho=0))
     ),
@@ -341,10 +344,6 @@ def _row(doc):
     return doc["transcript"][0]
 
 
-def _set_cases(**cases):
-    return lambda doc: _row(doc).update(cases=cases)
-
-
 # transcript claims that the config or the certificate contradicts, on a
 # run of 20 Case 1B steps that t_cap truncated, and the check that must
 # name each
@@ -352,17 +351,14 @@ RUN_TAMPERS = {
     "t_theory": (lambda doc: _row(doc).update(t_theory=7), "t_theory_mismatch"),
     "t_horizon": (lambda doc: _row(doc).update(t_horizon=1), "t_horizon_mismatch"),
     "eta": (lambda doc: _row(doc).update(eta=5.0), "eta_mismatch"),
-    "iterations": (lambda doc: _row(doc).update(iterations=5), "iterations_mismatch"),
-    "records_empty": (_set_cases(), "iterations_mismatch"),
-    "cases_sum_short": (_set_cases(**{"1B": 19}), "iterations_mismatch"),
-    "cases_beyond_t_horizon": (
-        lambda doc: _row(doc).update(cases={"1B": 21}, iterations=21), "iterations_mismatch"
+    # the truncated run claims the theoretical count
+    "iterations": (
+        lambda doc: _row(doc).update(iterations=_row(doc)["t_theory"]), "iterations_mismatch"
     ),
-    # only 2C steps, yet the average has a flow
-    "record_case": (_set_cases(**{"2C": 20}), "record_case_mismatch"),
-    "cases_unknown": (_set_cases(**{"3B": 20}), "record_case_mismatch"),
-    "cases_cut_step_in_dual_run": (
-        _set_cases(**{"1B": 19, "1A": 1}), "record_case_mismatch"
+    # a run without steps has no certificate
+    "records_empty": (lambda doc: _row(doc).update(iterations=0), "certificate_count_mismatch"),
+    "cases_beyond_t_horizon": (
+        lambda doc: _row(doc).update(iterations=21), "iterations_mismatch"
     ),
     "second_certificate": (
         lambda doc: doc["certificates"].append(dict(doc["certificates"][0])),
@@ -396,11 +392,13 @@ SEARCH_TAMPERS = {
     ),
     "cut_run_t_theory": (lambda doc: _cut_row(doc).update(t_theory=7), "t_theory_mismatch"),
     "cut_run_eta": (lambda doc: _cut_row(doc).update(eta=5.0), "eta_mismatch"),
+    # two dual steps before the cut, yet no certificate
     "cut_run_fake_duals": (
-        lambda doc: _cut_row(doc).update(cases={"2B": 3}), "iterations_mismatch"
+        lambda doc: _cut_row(doc).update(iterations=3), "certificate_count_mismatch"
     ),
-    "cut_record_as_dual": (
-        lambda doc: _cut_row(doc).update(cases={"2B": 1}), "record_case_mismatch"
+    # a cut run ends on its cut step
+    "cut_run_no_steps": (
+        lambda doc: _cut_row(doc).update(iterations=0), "iterations_mismatch"
     ),
     "cut_run_certificate": (
         lambda doc: doc["certificates"].append(
@@ -435,12 +433,45 @@ def _per_step_layout(doc):
     del doc["report_version"]
     per_step = []
     for tr in doc["transcript"]:
-        cases = [case for case, count in sorted(tr.pop("cases").items()) for _ in range(count)]
-        tr["records"] = [[t, case, 0.0, 0.0] for t, case in enumerate(cases, start=1)]
+        tr["records"] = [[t, "1B", 0.0, 0.0] for t in range(1, tr["iterations"] + 1)]
         run = (tr["probe"], tr["side"])
         cert = next(c for c in doc["certificates"] if (c["probe"], c["side"]) == run)
         per_step += [dict(cert, t=t) for t in range(1, tr["iterations"] + 1)]
     doc["certificates"] = per_step
+
+
+def _v2_layout(doc):
+    """The report in the layout of version 2, which also printed each run's
+    step count per case, the search's final alpha bracket and the side policy."""
+    doc["report_version"] = 2
+    doc["alpha_range"] = [0.0094, 0.0094]
+    doc["config"]["side_policy"] = "both"
+    for tr in doc["transcript"]:
+        tr["cases"] = {"1B": tr["iterations"]}
+
+
+@pytest.fixture(scope="module")
+def expansion_report(tmp_path_factory):
+    """The planted instance and its seeded expansion-mode search report."""
+    root = tmp_path_factory.mktemp("expansion")
+    inp, out = root / "in.dhg", str(root / "report.json")
+    inp.write_text(PLANTED)
+    assert main(["solve", str(inp), "--mode", "expansion", "--seed", "7", "--t-cap", "40",
+                 "--json", "-o", out]) == 0
+    return str(inp), open(out).read()
+
+
+ROW_KEYS = {
+    "probe", "alpha", "side", "outcome", "reason", "iterations", "t_theory", "t_horizon",
+    "eta", "rho", "mw_check", "cut",
+}
+
+# every field of the instance block, each set to a value no instance of
+# these reports has
+INSTANCE_TAMPERS = [
+    ("n", 99), ("m", 99), ("r", 99), ("kappa", 99), ("total_weight", 99),
+    ("dhg", "dhg 1 0\nv a 1\n"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -561,11 +592,12 @@ class TestCheckCert:
         # the flow of an "out" run pairs tail and head of the reversed
         # instance; relabelled "in", its entries are not pairs of h
         out = str(tmp_path / "r.json")
-        main(["solve", planted_file, "--seed", "7", "--side", "out", "--t-cap", "5",
+        main(["solve", planted_file, "--seed", "7", "--t-cap", "5",
               "--alpha", "1e-6", "--no-search", "--json", "-o", out])
         doc = json.loads(open(out).read())
+        for key in ("transcript", "certificates"):
+            doc[key] = [entry for entry in doc[key] if entry["side"] == "out"]
         assert any(cert["flow"] for cert in doc["certificates"])
-        doc["config"]["side_policy"] = "in"
         for entry in doc["transcript"] + doc["certificates"]:
             entry["side"] = "in"
         err = self.rejected(doc, out, planted_file, capsys)
@@ -590,7 +622,7 @@ class TestCheckCert:
     def test_run_claim_tampered_rejected(self, tmp_path, capsys, tamper, check):
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
         doc = json.loads(open(out).read())
-        assert _row(doc)["mw_check"] is None and _row(doc)["cases"] == {"1B": 20}
+        assert _row(doc)["mw_check"] is None and _row(doc)["iterations"] == 20
         tamper(doc)
         assert f"certificate check failed: {check}" in self.rejected(doc, out, inp, capsys)
 
@@ -614,14 +646,14 @@ class TestCheckCert:
     @pytest.mark.parametrize(
         "edit",
         [_per_step_layout, lambda doc: doc.pop("report_version"),
-         lambda doc: doc.update(report_version=1), lambda doc: doc.update(report_version=3),
-         lambda doc: doc.update(report_version="2")],
-        ids=["per_step_layout", "missing", "1", "3", "string"],
+         lambda doc: doc.update(report_version=1), _v2_layout,
+         lambda doc: doc.update(report_version="3")],
+        ids=["per_step_layout", "missing", "1", "2", "string"],
     )
     def test_other_report_version_rejected(self, certified_cycle_report, tmp_path, capsys, edit):
         inp, text = certified_cycle_report
         doc = json.loads(text)
-        assert doc["report_version"] == 2
+        assert doc["report_version"] == 3
         edit(doc)
         err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
         assert "certificate check failed: report_version_mismatch" in err
@@ -629,9 +661,36 @@ class TestCheckCert:
     def test_certified_report_accepted(self, certified_cycle_report, tmp_path, capsys):
         inp, text = certified_cycle_report
         doc = json.loads(text)
-        assert [tr["cases"] for tr in doc["transcript"]] == [{"1B": 251}] * 2
+        assert [tr["iterations"] for tr in doc["transcript"]] == [251] * 2
         assert len(doc["certificates"]) == 2 and doc["lower_bound"] == 0.0047
         assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (True, None)
+
+    def test_report_layout(self, certified_cycle_report, expansion_report):
+        # the report prints only what check-cert re-derives
+        doc = json.loads(certified_cycle_report[1])
+        assert set(doc) == {
+            "report_version", "instance", "config", "outcome", "cut", "sparsity",
+            "lower_bound", "approx_ratio", "transcript", "certificates", "mode",
+        }
+        assert set(doc["config"]) == {
+            "t_cap", "alpha_lo", "alpha_hi", "search_ratio", "max_probes", "oracle",
+            "seed", "mode",
+        }
+        assert all(set(tr) == ROW_KEYS for tr in doc["transcript"])
+        expansion = json.loads(expansion_report[1])
+        assert set(expansion) == set(doc) | {"expansion"}
+
+    @pytest.mark.parametrize("key, value", INSTANCE_TAMPERS, ids=[k for k, _ in INSTANCE_TAMPERS])
+    @pytest.mark.parametrize("mode", ["sparsity", "expansion"])
+    def test_instance_number_tampered_rejected(
+        self, certified_cycle_report, expansion_report, tmp_path, capsys, key, value, mode
+    ):
+        inp, text = certified_cycle_report if mode == "sparsity" else expansion_report
+        doc = json.loads(text)
+        assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
+        doc["instance"][key] = value
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert "certificate check failed: instance_mismatch" in err
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_scaled_average_triangles_rejected(
@@ -746,6 +805,17 @@ class TestCheckCert:
         doc["expansion"][key] = "0" if key == "phi" else ["a"]
         err = self.rejected(doc, out, planted_file, capsys)
         assert "certificate check failed: expansion_mismatch" in err
+
+    def test_expansion_report_on_degree_zero_instance_rejected(
+        self, expansion_report, tmp_path, capsys
+    ):
+        # no instance whose every degree is 0 can be degree-scaled, so no
+        # expansion-mode report can be of it
+        zero = tmp_path / "zero.dhg"
+        zero.write_text("dhg 2 1\nv a 1\nv b 1\ne 0 T a H b\n")
+        doc = json.loads(expansion_report[1])
+        err = self.rejected(doc, str(tmp_path / "r.json"), str(zero), capsys)
+        assert "certificate check failed: instance_mismatch" in err
 
     def test_expansion_mode_report_verifiable(self, planted_file, tmp_path, capsys):
         # expansion reports embed the degree-scaled instance; check-cert

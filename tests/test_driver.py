@@ -283,14 +283,22 @@ class TestBinarySearch:
         res = binary_search(h, cfg, np.random.default_rng(2))
         assert res.alpha_hi <= 4 * float(res.baseline_cut.sparsity) + 1e-12
         assert res.alpha_hi <= res.alpha_lo * cfg.search_ratio + 1e-12 or len(res.probes) == cfg.max_probes
+        assert res.probes and all(list(p.runs) == ["in", "out"] for p in res.probes)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(search_ratio=1.0)
         with pytest.raises(ValueError):
             SolverConfig(alpha_lo=2.0, alpha_hi=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(side_policy="neither")
+        # integer caps, neither a bool, and a finite ratio above 1
+        for bad in (dict(t_cap=2.5), dict(t_cap=0), dict(t_cap=True), dict(max_probes=-1),
+                    dict(max_probes=1.0), dict(max_probes=False),
+                    dict(search_ratio=float("nan")), dict(search_ratio=float("inf"))):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
+        with pytest.raises(TypeError):  # the knob that chose the sides is retired
+            SolverConfig(side_policy="in")
+        assert SolverConfig(t_cap=1, max_probes=0).max_probes == 0
 
 
 def run_summary(res):
