@@ -1,26 +1,19 @@
 """Primal-dual driver: the per-candidate multiplicative-weights loop, the
 two-sided run over the designated vertex, and the binary search that yields
-a cut plus (when iteration budgets allow) a certified lower bound.
+a cut plus, where a run passes its regret check, a certified lower bound.
 
-A run certifies "optimum >= alpha / 2" only when it completed the full
-theoretical iteration count with every step producing a verified dual
-certificate; truncated runs may return cuts but never certify.  The step
-size follows the algorithm's sqrt(ln n / T) with T the run's horizon, which
-coincides with the theoretical assignment exactly when no truncation
-happened (the only case in which certification is claimed).
+A run keeps one certificate, the average of its steps', and certifies
+"optimum >= alpha / 2" once that average passes regret_check, at any step
+count (the averaged-dual argument of Arora and Kale).  The loop tests the
+check after the dual steps t = 1, 2, 4, ... and at its horizon, and stops
+at the first pass; a run without one aborts.
 
-A run keeps one certificate, the average of its steps'.  With R-bar its
-residual, (rho / T) sum M = -R-bar, so the regret check of a run that
-reached T reads only the average, as ``check-cert`` does.
-
-Note on the iteration count: the certified-run analysis leans on the
-weighted complete-graph Laplacian K, whose nonzero eigenvalues are at least
-total^2 / (kappa n); this gives T = ceil(16 kappa^2 rho^2 n^2 ln n /
-(alpha^2 total^4)).  An alternative analysis through a trace bound
-(-I . X >= -Theta(kappa n^2 / total^2)) would instead need
-T = Theta(kappa^2 rho^2 n^4 ln n / (alpha^2 total^4)), an extra n^2 factor,
-because the identity penalizes the all-ones direction that K ignores.  It
-is documented here for comparison and deliberately not implemented.
+The count T = ceil(16 kappa^2 rho^2 n^2 ln n / (alpha^2 total^4)) only sets
+the horizon min(T, t_cap) and the step size sqrt(ln n / horizon).  It leans
+on the weighted complete-graph Laplacian K, whose nonzero eigenvalues are
+at least total^2 / (kappa n); a trace bound (-I . X >= -Theta(kappa n^2 /
+total^2)) would cost an extra n^2 factor, because the identity penalizes
+the all-ones direction that K ignores, and is deliberately not used.
 """
 
 from __future__ import annotations
@@ -69,6 +62,7 @@ __all__ = [
     "ProbeResult",
     "SolveResult",
     "theoretical_iterations",
+    "regret_check",
     "run_algorithm1",
     "run_both_sides",
     "binary_search",
@@ -119,7 +113,6 @@ class AlgorithmRun:
     alpha: float
     side: str
     outcome: str  # cut | certified | aborted
-    t_theory: int
     t_horizon: int
     iterations: int
     eta: float
@@ -128,7 +121,6 @@ class AlgorithmRun:
     certificate: DualCertificate | None = None  # the average; None without dual steps
     cut: Cut | None = None
     reason: str = ""
-    mw_check: float | None = None  # lambda_min((alpha/2) K - R-bar) when T was reached
 
     @property
     def lower_bound(self) -> float | None:
@@ -145,6 +137,15 @@ def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfi
     n = h.n
     w4 = float(h.total_weight) ** 4
     return math.ceil(16.0 * h.kappa**2 * ratio**2 * n**2 * math.log(n) / w4)
+
+
+def regret_check(
+    alpha: float, h: DirectedHypergraph, residual: np.ndarray, rho: float
+) -> tuple[bool, float]:
+    """Whether lambda_min((alpha / 2) K - R) >= -1e-6 rho, and that value; an
+    absolute tolerance would certify false bounds on tiny weights."""
+    check = min_eigenvalue((alpha / 2.0) * h.k_matrix - residual)
+    return check >= -1e-6 * rho, check
 
 
 def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> GramState:
@@ -191,9 +192,9 @@ def run_algorithm1(
     Each iteration makes one eigendecomposition, the primal update in
     mw_state: certificate_check bounds the width by the residual's largest
     absolute row sum and takes the exact norm only when that bound exceeds
-    rho.  The residual is also the update added to the running sum.  A run
-    that reaches T adds the regret check's one, plus one for the average's
-    width when its bound exceeds rho.
+    rho.  The residual is also the update added to the running sum.  Each
+    checkpoint adds the regret check's one; a pass adds the average's, plus
+    one for the average's width when its bound exceeds rho.
     The run keeps its last Case 1 max-flow, with its lift and
     decomposition, and the oracle reuses it while the terminal caps stay
     the same; the flow is dropped with the run.
@@ -213,15 +214,13 @@ def run_algorithm1(
     rd = reduce_to_digraph(h_run)
     n = h.n
     rho = cfg.oracle.rho(alpha, h)
-    t_theory = theoretical_iterations(alpha, h, cfg.oracle)
-    t_horizon = min(t_theory, cfg.t_cap)
+    t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
     eta = math.sqrt(math.log(n) / t_horizon)
 
     run = AlgorithmRun(
         alpha=alpha,
         side=side,
         outcome="aborted",
-        t_theory=t_theory,
         t_horizon=t_horizon,
         iterations=0,
         eta=eta,
@@ -256,24 +255,23 @@ def run_algorithm1(
         certificates.append(outcome.dual)
         # the oracle's check bounds the update's norm by width / rho <= 1
         m_sum += -(1.0 / rho) * outcome.residual
+        if t & (t - 1) and t < t_horizon:
+            continue  # checkpoints: t = 1, 2, 4, 8, ... and the horizon
+        # -(rho / t) sum M is the average's residual; check-cert reads the average
+        passed, check = regret_check(alpha, h, -(rho / t) * m_sum, rho)
+        if passed:
+            run.certificate = average_certificate(certificates)
+            ok, report = certificate_check(run.certificate, alpha, h_run, rho)
+            if not ok:
+                raise OracleInvariantError(f"average: {report['first_failure']}", report)
+            passed, check = regret_check(alpha, h, report["residual"], rho)
+            if passed:
+                run.outcome = "certified"
+                return run
+        if t == t_horizon:
+            run.reason = f"regret check failed after {t} steps: lambda_min {check:.3e}"
 
     run.certificate = average_certificate(certificates)
-    if run.outcome == "cut" or run.reason:
-        return run
-    if t_horizon < t_theory:
-        run.reason = f"t_cap truncated run at {t_horizon} < {t_theory}"
-        return run
-
-    # (rho / T) sum M is minus the average residual
-    ok, report = certificate_check(run.certificate, alpha, h_run, rho)
-    if not ok:
-        raise OracleInvariantError(f"average certificate: {report['first_failure']}", report)
-    check = min_eigenvalue((alpha / 2.0) * h.k_matrix - report["residual"])
-    run.mw_check = check
-    if check < -1e-6 * max(1.0, rho):
-        run.reason = f"regret check failed: lambda_min {check:.3e}"
-        return run
-    run.outcome = "certified"
     return run
 
 
@@ -407,7 +405,8 @@ def binary_search(
 
     if best_cut.sparsity == 0 or hi <= 0 or not positive_w:
         return SolveResult(best_cut, None, [], max(lo, 0.0), max(hi, 0.0), baseline)
-    lo = min(lo, hi / cfg.search_ratio**2)
+    # a huge ratio's square overflows, and the quotient can underflow to 0
+    lo = max(min(lo, hi / cfg.search_ratio / cfg.search_ratio), math.ulp(0.0))
 
     while hi > lo * cfg.search_ratio and len(probes) < cfg.max_probes:
         alpha = math.sqrt(lo * hi)

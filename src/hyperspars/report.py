@@ -2,11 +2,12 @@
 
 The JSON report holds only what check-cert re-derives: the instance, the
 config, every cut, and per run its step count and the average of its dual
-certificates (z, sparse triangle weights, sparse flow values).
-The bound alpha / 2 rests on that average alone: its residual R-bar is the
-mean step residual, the regret check is lambda_min((alpha / 2) K - R-bar),
-and the structure it needs is convex, so it survives averaging.  The
-verifier trusts no matrix from the solver and replays nothing.
+certificates (z, sparse triangle weights, sparse flow values); check-cert
+rejects any other key.  The bound alpha / 2 rests on that average alone: a
+certified run's must pass certificate_check and the driver's regret_check,
+lambda_min((alpha / 2) K - R-bar) >= -1e-6 rho with R-bar its residual, at
+whatever step count the run stopped.  The verifier trusts no matrix from
+the solver and replays nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, fields
 
-from .driver import SolveResult, SolverConfig, mw_state, theoretical_iterations
+from .driver import SolveResult, SolverConfig, mw_state, regret_check, theoretical_iterations
 from .flownet import FlowAssignment
 from .hypergraph import (
     Cut,
@@ -29,7 +30,7 @@ from .hypergraph import (
 )
 from .oracle import DualCertificate, OracleConfig, certificate_check
 
-# mat_K, mw_state and sparsity are not called here any more, but
+# mat_K, min_eigenvalue, mw_state and sparsity are not called here any more, but
 # perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .sdpcore import TriangleId, mat_K, min_eigenvalue
 
@@ -77,8 +78,8 @@ def expansion_estimate(h: DirectedHypergraph, cut_subset) -> dict:
 
 
 def _known_fields(cls, d: dict) -> dict:
-    # unknown keys, such as the retired c_D and c_T or the report's seed
-    # and mode, are ignored
+    # the report's seed and mode are not fields; _well_formed rejects any
+    # other unknown key
     return {f.name: d[f.name] for f in fields(cls) if f.name in d}
 
 
@@ -101,7 +102,7 @@ def _flow_list(fa: FlowAssignment | None) -> list[list] | None:
     return [list(item) for item in sorted(fa.values)]
 
 
-REPORT_VERSION = 3  # the layout solve_report writes, and the only one check-cert reads
+REPORT_VERSION = 4  # the layout solve_report writes, and the only one check-cert reads
 
 
 def _instance(h: DirectedHypergraph) -> dict:
@@ -137,11 +138,9 @@ def solve_report(
                     "outcome": run.outcome,
                     "reason": run.reason,
                     "iterations": run.iterations,
-                    "t_theory": run.t_theory,
                     "t_horizon": run.t_horizon,
                     "eta": run.eta,
                     "rho": run.rho,
-                    "mw_check": run.mw_check,
                     "cut": _cut_dict(h, run.cut),
                 }
             )
@@ -218,21 +217,42 @@ def _cert_from_entry(entry: dict) -> DualCertificate:
 # the JSON type of each top-level section that check-cert reads; an absent
 # section reads as empty
 _SECTIONS = {"instance": dict, "config": dict, "certificates": list, "transcript": list}
+# the keys a report may have, by place; the instance block is compared whole
+_KEYS = {
+    "top": {*_SECTIONS, "report_version", "outcome", "cut", "sparsity", "lower_bound",
+            "approx_ratio", "mode", "expansion"},
+    "config": {*(f.name for f in fields(SolverConfig)), "seed", "mode"},
+    "oracle": {f.name for f in fields(OracleConfig)},
+    "row": {"probe", "alpha", "side", "outcome", "reason", "iterations", "t_horizon", "eta",
+            "rho", "cut"},
+    "certificate": {"probe", "side", "z", "f_p", "flow"},
+    "cut": {"vertices", "sparsity", "sparsity_float", "phi_plus", "phi_minus"},
+}
 
 
-def _well_formed(doc) -> bool:
-    """Whether ``doc`` has the top-level shape of a solve report."""
-    if not isinstance(doc, dict):
-        return False
+def _well_formed(doc: dict) -> bool:
+    """Whether ``doc`` has the shape of a solve report, with no key that
+    check-cert does not know."""
     if any(not isinstance(doc.get(key, kind()), kind) for key, kind in _SECTIONS.items()):
         return False
-    rows = [*doc.get("certificates", []), *doc.get("transcript", [])]
-    if not all(isinstance(row, dict) for row in rows):
+    config = doc.get("config", {})
+    oracle = config.get("oracle", {})
+    if not (doc.keys() <= _KEYS["top"] and config.keys() <= _KEYS["config"]):
+        return False
+    if not (isinstance(oracle, dict) and oracle.keys() <= _KEYS["oracle"]):
+        return False
+    rows = doc.get("transcript", [])
+    entries = doc.get("certificates", [])
+    if not all(isinstance(row, dict) and row.keys() <= _KEYS["row"] for row in rows):
+        return False
+    if not all(isinstance(e, dict) and e.keys() <= _KEYS["certificate"] for e in entries):
         return False
     # the names themselves are looked up in _check_cuts
-    cuts = [doc.get("cut"), *(tr.get("cut") for tr in doc.get("transcript", []))]
+    cuts = [doc.get("cut"), *(tr.get("cut") for tr in rows)]
     if not all(
-        cut is None or (isinstance(cut, dict) and isinstance(cut.get("vertices"), list))
+        cut is None
+        or (isinstance(cut, dict) and cut.keys() <= _KEYS["cut"]
+            and isinstance(cut.get("vertices"), list))
         for cut in cuts
     ):
         return False
@@ -246,14 +266,17 @@ def verify_report(doc: dict, h: DirectedHypergraph) -> tuple[bool, str | None]:
     Checks each run's row and its averaged certificate, and the regret
     inequality of every certified run, and validates the top-level cut and
     lower-bound claims against the transcript.  Returns (ok, first failing
-    bullet or None).  A report whose sections or config cannot be read
-    fails as ``report_malformed``, an unreadable entry as
-    ``certificate_malformed``, another layout as ``report_version_mismatch``.
+    bullet or None).  Another layout fails as ``report_version_mismatch``, a
+    report whose sections or config cannot be read or that has a key no
+    report has as ``report_malformed``, and an unreadable entry as
+    ``certificate_malformed``.
     """
-    if not _well_formed(doc):
+    if not isinstance(doc, dict):
         return False, "report_malformed"
     if doc.get("report_version") != REPORT_VERSION:
         return False, "report_version_mismatch"
+    if not _well_formed(doc):
+        return False, "report_malformed"
     try:
         return _verify(doc, h)
     except _Malformed:
@@ -310,28 +333,18 @@ def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> 
     return None
 
 
-def _close(claim, value: float, abs_tol: float = 0.0) -> bool:
-    """Whether a reported number matches the recomputed one: the check
-    sums certificate entries in the report's order, so it may differ from
-    the solver in the last bits."""
-    if not isinstance(claim, (int, float)) or isinstance(claim, bool):
-        return False
-    return math.isclose(claim, value, rel_tol=1e-9, abs_tol=abs_tol)
-
-
 def _check_run(
     tr: dict, run: tuple, entries: list[dict], h: DirectedHypergraph, cfg: SolverConfig
 ) -> str | None:
     """Check one transcript row, whose ``_run_fields`` are ``run``, and its
     certificate entries; returns the first failing check, or None.
 
-    The row's numbers must follow from the config (rho, t_theory, t_horizon,
-    eta); ``iterations`` is at most t_horizon, and a run whose outcome is
-    "cut" ends on its one cut step.  A run with dual steps has exactly one
+    The row's numbers must follow from the config (rho, t_horizon, eta);
+    ``iterations`` is at most t_horizon, and a run whose outcome is "cut"
+    ends on its one cut step.  A run with dual steps has exactly one
     certificate, the average of its steps', which must pass
-    certificate_check.  mw_check must be lambda_min((alpha / 2) K - R-bar),
-    R-bar the average's residual, for a run that reached t_theory, and null
-    otherwise.
+    certificate_check.  A certified run needs one that also passes
+    regret_check, at whatever step count the run stopped.
     """
     _, side, alpha, rho, eta = run
     steps = tr.get("iterations")
@@ -339,13 +352,10 @@ def _check_run(
         raise _Malformed("a run needs a positive alpha and a non-negative iteration count")
     if not math.isclose(rho, cfg.oracle.rho(alpha, h), rel_tol=1e-9):
         return "rho_mismatch"
-    t_theory = theoretical_iterations(alpha, h, cfg.oracle)
-    t_horizon = min(t_theory, cfg.t_cap)
-    if tr.get("t_theory") != t_theory:
-        return "t_theory_mismatch"
+    t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
     if tr.get("t_horizon") != t_horizon:
         return "t_horizon_mismatch"
-    if not _close(eta, math.sqrt(math.log(h.n) / t_horizon)):
+    if not math.isclose(eta, math.sqrt(math.log(h.n) / t_horizon), rel_tol=1e-9):
         return "eta_mismatch"
     outcome = tr.get("outcome")
     is_cut = outcome == "cut"
@@ -361,16 +371,9 @@ def _check_run(
         ok, rep = certificate_check(cert, alpha, reverse(h) if side == "out" else h, rho)
         if not ok:
             return str(rep["first_failure"])
-
-    if duals != t_theory:
-        if tr.get("mw_check") is not None:
-            return "mw_check_mismatch"
-        return "iteration_count_mismatch" if outcome == "certified" else None
-    check = min_eigenvalue((alpha / 2.0) * h.k_matrix - rep["residual"])
-    if not _close(tr.get("mw_check"), check, abs_tol=1e-9 * max(1.0, rho)):
-        return "mw_check_mismatch"
-    if outcome == "certified" and check < -1e-6 * max(1.0, rho):
-        return "regret_inequality"
+    if outcome == "certified":
+        if not entries or not regret_check(alpha, h, rep["residual"], rho)[0]:
+            return "regret_inequality"
     return None
 
 

@@ -1,7 +1,12 @@
 """CLI commands, exit codes, JSON schema, determinism, re-verification."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +342,9 @@ CUT_TAMPERS = {
     ),
     "cut_phi_plus": (lambda doc: doc["cut"].update(phi_plus=1e-9), "cut_phi_plus_mismatch"),
     "cut_phi_minus": (lambda doc: doc["cut"].update(phi_minus=1e-9), "cut_phi_minus_mismatch"),
+    # a key no cut has
+    "cut_unread_key": (lambda doc: doc["cut"].update(name="best"), "report_malformed"),
+    "run_cut_unread_key": (lambda doc: _run_cut(doc).update(phi="1/2"), "report_malformed"),
 }
 
 
@@ -345,16 +353,16 @@ def _row(doc):
 
 
 # transcript claims that the config or the certificate contradicts, on a
-# run of 20 Case 1B steps that t_cap truncated, and the check that must
-# name each
+# run of 20 Case 2B steps whose regret check never passed, and the check
+# that must name each
 RUN_TAMPERS = {
-    "t_theory": (lambda doc: _row(doc).update(t_theory=7), "t_theory_mismatch"),
+    # the fields of version 3 that the regret check at T_theory needed
+    "t_theory": (lambda doc: _row(doc).update(t_theory=7), "report_malformed"),
+    "mw_check_before_t_theory": (lambda doc: _row(doc).update(mw_check=1e9), "report_malformed"),
     "t_horizon": (lambda doc: _row(doc).update(t_horizon=1), "t_horizon_mismatch"),
     "eta": (lambda doc: _row(doc).update(eta=5.0), "eta_mismatch"),
-    # the truncated run claims the theoretical count
-    "iterations": (
-        lambda doc: _row(doc).update(iterations=_row(doc)["t_theory"]), "iterations_mismatch"
-    ),
+    # the run claims ten times its horizon
+    "iterations": (lambda doc: _row(doc).update(iterations=200), "iterations_mismatch"),
     # a run without steps has no certificate
     "records_empty": (lambda doc: _row(doc).update(iterations=0), "certificate_count_mismatch"),
     "cases_beyond_t_horizon": (
@@ -367,11 +375,8 @@ RUN_TAMPERS = {
     "certificate_removed": (
         lambda doc: doc.update(certificates=[]), "certificate_count_mismatch"
     ),
-    "mw_check_before_t_theory": (
-        lambda doc: _row(doc).update(mw_check=1e9), "mw_check_mismatch"
-    ),
-    "certified_before_t_theory": (
-        lambda doc: _row(doc).update(outcome="certified"), "iteration_count_mismatch"
+    "certified_without_a_pass": (
+        lambda doc: _row(doc).update(outcome="certified"), "regret_inequality"
     ),
 }
 
@@ -390,7 +395,8 @@ SEARCH_TAMPERS = {
     "cut_run_unknown_outcome": (
         lambda doc: _cut_row(doc).update(outcome="won", cut=None), "run_outcome_mismatch"
     ),
-    "cut_run_t_theory": (lambda doc: _cut_row(doc).update(t_theory=7), "t_theory_mismatch"),
+    "cut_run_t_theory": (lambda doc: _cut_row(doc).update(t_theory=7), "report_malformed"),
+    "cut_run_t_horizon": (lambda doc: _cut_row(doc).update(t_horizon=7), "t_horizon_mismatch"),
     "cut_run_eta": (lambda doc: _cut_row(doc).update(eta=5.0), "eta_mismatch"),
     # two dual steps before the cut, yet no certificate
     "cut_run_fake_duals": (
@@ -412,8 +418,8 @@ SEARCH_TAMPERS = {
 
 @pytest.fixture(scope="module")
 def certified_cycle_report(tmp_path_factory):
-    """The unit 3-cycle and a report whose two runs certify after 251
-    Case 1B steps each; the averaged certificates carry triangles and flow."""
+    """The unit 3-cycle and a report whose two runs certify after one Case
+    1B step each; the averaged certificates carry triangles and flow."""
     root = tmp_path_factory.mktemp("certified")
     inp, out = root / "in.dhg", str(root / "report.json")
     inp.write_text(THREE_CYCLE)
@@ -440,6 +446,14 @@ def _per_step_layout(doc):
     doc["certificates"] = per_step
 
 
+def _v3_layout(doc):
+    """The report in the layout of version 3, whose rows also printed the
+    theoretical step count and, for a run that reached it, the regret check."""
+    doc["report_version"] = 3
+    for tr in doc["transcript"]:
+        tr.update(t_theory=4012, mw_check=None)
+
+
 def _v2_layout(doc):
     """The report in the layout of version 2, which also printed each run's
     step count per case, the search's final alpha bracket and the side policy."""
@@ -462,8 +476,20 @@ def expansion_report(tmp_path_factory):
 
 
 ROW_KEYS = {
-    "probe", "alpha", "side", "outcome", "reason", "iterations", "t_theory", "t_horizon",
-    "eta", "rho", "mw_check", "cut",
+    "probe", "alpha", "side", "outcome", "reason", "iterations", "t_horizon", "eta", "rho", "cut",
+}
+
+# fields that earlier report versions printed, each written back at the
+# level it had, and a key no report had; check-cert reads none of them, so
+# each fails as report_malformed (RUN_TAMPERS writes back version 3's
+# t_theory and mw_check, and test_retired_config_keys_rejected the retired
+# oracle constants)
+RETIRED_FIELDS = {
+    "cases": lambda doc: _row(doc).update(cases={"1B": 1}),
+    "alpha_range": lambda doc: doc.update(alpha_range=[0.0094, 0.0094]),
+    "side_policy": lambda doc: doc["config"].update(side_policy="both"),
+    "scaled_weights": lambda doc: doc.update(scaled_weights=[1, 1, 1]),
+    "note": lambda doc: doc.update(note="unread"),
 }
 
 # every field of the instance block, each set to a value no instance of
@@ -620,20 +646,26 @@ class TestCheckCert:
 
     @pytest.mark.parametrize("tamper, check", RUN_TAMPERS.values(), ids=RUN_TAMPERS.keys())
     def test_run_claim_tampered_rejected(self, tmp_path, capsys, tamper, check):
-        inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
+        inp, out = self.make_report(
+            tmp_path, source=PLANTED, extra=("--t-cap", "20", "--alpha", "1e-9")
+        )
         doc = json.loads(open(out).read())
-        assert _row(doc)["mw_check"] is None and _row(doc)["iterations"] == 20
+        assert (_row(doc)["outcome"], _row(doc)["iterations"]) == ("aborted", 20)
+        assert _row(doc)["reason"].startswith("regret check failed after 20 steps")
+        assert main(["check-cert", out, inp]) == 0
         tamper(doc)
         assert f"certificate check failed: {check}" in self.rejected(doc, out, inp, capsys)
 
     def test_mw_check_of_certified_run_tampered_rejected(self, tmp_path, capsys):
+        # the regret check is recomputed, never read: a row that prints one
+        # is not a version 4 row
         inp, out = self.make_report(tmp_path)
         doc = json.loads(open(out).read())
-        assert _row(doc)["outcome"] == "certified"
-        _row(doc)["mw_check"] += 1e-3
-        assert "certificate check failed: mw_check_mismatch" in self.rejected(doc, out, inp, capsys)
+        assert _row(doc)["outcome"] == "certified" and "mw_check" not in _row(doc)
+        _row(doc)["mw_check"] = 0.0
+        assert "certificate check failed: report_malformed" in self.rejected(doc, out, inp, capsys)
 
-    def test_certificate_alpha_and_rho_ignored(self, tmp_path, capsys):
+    def test_certificate_alpha_and_rho_rejected(self, tmp_path, capsys):
         # a certificate entry's alpha and rho, which reports once repeated
         # on every certificate, are not read: the row's are
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
@@ -641,19 +673,19 @@ class TestCheckCert:
         assert not {"alpha", "rho"} & set(doc["certificates"][0])
         for cert in doc["certificates"]:
             cert.update(alpha=-1.0, rho=0.0)
-        assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (True, None)
+        assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (False, "report_malformed")
 
     @pytest.mark.parametrize(
         "edit",
         [_per_step_layout, lambda doc: doc.pop("report_version"),
-         lambda doc: doc.update(report_version=1), _v2_layout,
-         lambda doc: doc.update(report_version="3")],
-        ids=["per_step_layout", "missing", "1", "2", "string"],
+         lambda doc: doc.update(report_version=1), _v2_layout, _v3_layout,
+         lambda doc: doc.update(report_version="4")],
+        ids=["per_step_layout", "missing", "1", "2", "3", "string"],
     )
     def test_other_report_version_rejected(self, certified_cycle_report, tmp_path, capsys, edit):
         inp, text = certified_cycle_report
         doc = json.loads(text)
-        assert doc["report_version"] == 3
+        assert doc["report_version"] == 4
         edit(doc)
         err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
         assert "certificate check failed: report_version_mismatch" in err
@@ -661,9 +693,45 @@ class TestCheckCert:
     def test_certified_report_accepted(self, certified_cycle_report, tmp_path, capsys):
         inp, text = certified_cycle_report
         doc = json.loads(text)
-        assert [tr["iterations"] for tr in doc["transcript"]] == [251] * 2
+        assert [tr["iterations"] for tr in doc["transcript"]] == [1] * 2
         assert len(doc["certificates"]) == 2 and doc["lower_bound"] == 0.0047
         assert verify_report(doc, parse_dhg(THREE_CYCLE)) == (True, None)
+
+    def test_report_certified_at_a_later_checkpoint_accepted(self, tmp_path, capsys):
+        # both runs pass their regret check first at t = 64, the seventh
+        # checkpoint, far below their horizon
+        inp = tmp_path / "in.dhg"
+        assert main(["gen", "--model", "expander-like", "--n", "5", "--m", "10", "--kappa",
+                     "2", "--seed", "1", "-o", str(inp)]) == 0
+        assert main(["exact", str(inp), "--json"]) == 0
+        alpha = float(Fraction(json.loads(capsys.readouterr().out)["sparsity"])) / 64
+        constants = tmp_path / "constants.json"
+        constants.write_text(json.dumps({"c_rho": 1.0}))
+        out = str(tmp_path / "r.json")
+        assert main(["solve", str(inp), "--seed", "0", "--alpha", repr(alpha), "--no-search",
+                     "--constants", str(constants), "--json", "-o", out]) == 2
+        doc = json.loads(open(out).read())
+        rows = doc["transcript"]
+        assert [(tr["outcome"], tr["iterations"]) for tr in rows] == [("certified", 64)] * 2
+        assert all(tr["t_horizon"] > 64 for tr in rows)
+        assert doc["lower_bound"] == alpha / 2
+        assert main(["check-cert", out, str(inp)]) == 0
+
+    @pytest.mark.parametrize("tamper", RETIRED_FIELDS.values(), ids=RETIRED_FIELDS.keys())
+    def test_unread_key_rejected(self, certified_cycle_report, tmp_path, capsys, tamper):
+        inp, text = certified_cycle_report
+        doc = json.loads(text)
+        tamper(doc)
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert "certificate check failed: report_malformed" in err
+
+    def test_unknown_instance_key_rejected(self, certified_cycle_report, tmp_path, capsys):
+        # the instance block is compared whole
+        inp, text = certified_cycle_report
+        doc = json.loads(text)
+        doc["instance"]["note"] = "unread"
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert "certificate check failed: instance_mismatch" in err
 
     def test_report_layout(self, certified_cycle_report, expansion_report):
         # the report prints only what check-cert re-derives
@@ -757,16 +825,20 @@ class TestCheckCert:
         ok, failing = verify_report(doc, parse_dhg(open(inp).read()))
         assert ok and failing is None
 
-    def test_retired_config_keys_ignored(self, tmp_path, capsys):
-        # reports written before these keys were retired still verify
+    def test_retired_config_keys_rejected(self, tmp_path, capsys):
+        # the config keys of older layouts, which check-cert does not read
         inp, out = self.make_report(tmp_path)
         doc = json.loads(open(out).read())
+        h = parse_dhg(open(inp).read())
         retired = dict(c_D=8.0, c_T=6.0, tol_norm=1e-6, c_A2=None, mu=1.0, rng_seed=3)
         assert not set(retired) & set(doc["config"]["oracle"])
         assert "eta_override" not in doc["config"]
-        doc["config"]["oracle"].update(retired)
+        for key, value in retired.items():
+            edited = json.loads(json.dumps(doc))
+            edited["config"]["oracle"][key] = value
+            assert verify_report(edited, h) == (False, "report_malformed")
         doc["config"]["eta_override"] = None
-        assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
+        assert verify_report(doc, h) == (False, "report_malformed")
 
     @pytest.mark.parametrize("tamper, check", CUT_TAMPERS.values(), ids=CUT_TAMPERS.keys())
     def test_cut_number_tampered_rejected(self, expander_report, tmp_path, capsys, tamper, check):
@@ -826,6 +898,25 @@ class TestCheckCert:
              "--t-cap", "40", "--json", "-o", out]
         ) == 0
         assert main(["check-cert", out, planted_file]) == 0
+
+
+def test_solve_and_check_cert_import_numpy_only(tmp_path):
+    # the package needs numpy alone, and set-up time pays for every import
+    inp, out = tmp_path / "in.dhg", tmp_path / "r.json"
+    inp.write_text(PLANTED)
+    code = "\n".join([
+        "import sys",
+        "from hyperspars.cli import main",
+        f"assert main(['solve', {str(inp)!r}, '--seed', '7', '--json', '-o', {str(out)!r}]) == 0",
+        f"assert main(['check-cert', {str(out)!r}, {str(inp)!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestExact:

@@ -1,12 +1,13 @@
 """Multiplicative-weights loop, two-sided runs, and binary search."""
 
+import json
 import math
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperspars import driver, oracle
@@ -14,18 +15,19 @@ from hyperspars.driver import (
     SolverConfig,
     binary_search,
     mw_state,
+    regret_check,
     run_algorithm1,
     run_both_sides,
     theoretical_iterations,
 )
-from hyperspars.hypergraph import Hyperedge, parse_dhg, reverse, sparsity
+from hyperspars.hypergraph import DirectedHypergraph, Hyperedge, parse_dhg, reverse, sparsity
 from hyperspars.oracle import (
     OracleConfig,
     OracleFailure,
     OracleInvariantError,
     certificate_check,
 )
-from hyperspars.report import solve_report, verify_report
+from hyperspars.report import dumps_report, solve_report, verify_report
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import mat_K, min_eigenvalue
 from hyperspars.flownet import triangle_matrix_sum
@@ -34,6 +36,20 @@ from conftest import make_h, random_hypergraph
 
 TWO_CYCLE = "dhg 2 2\nv a 1\nv b 1\ne 1 T a H b\ne 1 T b H a\n"
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
+PLANTED = (
+    "dhg 6 8\n"
+    "v a 1\nv b 1\nv c 1\nv d 1\nv e 1\nv f 1\n"
+    "e 4 T a H b\ne 4 T b H c\ne 4 T c H a\n"
+    "e 4 T d H e\ne 4 T e H f\ne 4 T f H d\n"
+    "e 1/10 T a H d\ne 4 T d H a\n"
+)
+
+
+def expander_n5():
+    """An instance whose runs at opt / 64 (c_rho = 1) certify after 64
+    Case 1B steps each, at the seventh checkpoint, and that alpha."""
+    h = generate(GeneratorSpec(n=5, m=10, kappa=2, model="expander-like", seed=1))
+    return h, float(brute_force_sparsest(h)[1]) / 64
 
 
 class TestMwState:
@@ -107,7 +123,8 @@ class TestRunAlgorithm1:
         run = run_algorithm1(h, alpha, "in", cfg, np.random.default_rng(0))
         assert run.outcome == "certified"
         assert run.lower_bound == pytest.approx(alpha / 2)
-        assert run.iterations == run.t_theory
+        # the first checkpoint passes, far below the horizon T sets
+        assert run.iterations == 1 and run.t_horizon == 710
         # independent recompute of the regret inequality from the run's
         # averaged certificate
         k = mat_K(h.vertex_weights)
@@ -116,21 +133,41 @@ class TestRunAlgorithm1:
         residual += cert.z * k
         residual -= cert.flow_matrix_dense(2)
         check = min_eigenvalue((alpha / 2) * k - residual)
-        assert check >= -1e-6
-        assert check == pytest.approx(run.mw_check, abs=1e-12)
+        assert check >= -1e-6 * run.rho
+        assert regret_check(alpha, h, residual, run.rho) == (True, check)
         # soundness: the certified bound never exceeds the true optimum
         _, theta = brute_force_sparsest(h)
         assert alpha / 2 <= float(theta)
 
     def test_truncated_run_never_certifies(self):
-        h = parse_dhg(TWO_CYCLE)
+        # t_cap ends the run before any checkpoint passes: every Case 2B
+        # step at alpha 1e-9 leaves the regret check short
+        h = parse_dhg(PLANTED)
         cfg = SolverConfig(t_cap=10, oracle=OracleConfig(c_rho=4.0))
-        run = run_algorithm1(h, 0.01, "in", cfg, np.random.default_rng(0))
+        run = run_algorithm1(h, 1e-9, "in", cfg, np.random.default_rng(3))
         assert run.outcome == "aborted"
-        assert "t_cap" in run.reason
+        assert run.reason.startswith("regret check failed after 10 steps: lambda_min -")
         assert run.lower_bound is None
         assert run.iterations == len(run.records) == 10
-        assert run.certificate is not None and run.mw_check is None
+        assert run.certificate is not None
+        ok, rep = certificate_check(run.certificate, 1e-9, h, run.rho)
+        assert ok and not regret_check(1e-9, h, rep["residual"], run.rho)[0]
+
+    def test_stops_at_the_first_checkpoint_that_passes(self, monkeypatch):
+        # the checkpoints are t = 1, 2, 4, ..., 64; only the last passes
+        h, alpha = expander_n5()
+        checked = []
+
+        def recording(alpha, h, residual, rho, _real=driver.regret_check):
+            checked.append(_real(alpha, h, residual, rho)[0])
+            return checked[-1], 0.0
+
+        monkeypatch.setattr(driver, "regret_check", recording)
+        cfg = SolverConfig(oracle=OracleConfig(c_rho=1.0))
+        run = run_algorithm1(h, alpha, "in", cfg, np.random.default_rng(0))
+        assert run.outcome == "certified" and run.iterations == 64 < run.t_horizon
+        # the running sum's check, then the average's at the passing checkpoint
+        assert checked == [False] * 6 + [True, True]
 
     def test_eta_assignment(self):
         h = parse_dhg(TWO_CYCLE)
@@ -140,7 +177,7 @@ class TestRunAlgorithm1:
 
     def test_m_norm_within_one(self):
         # the update norm is width / rho; at alpha 0.003 the run cuts at
-        # once, at 0.0003 it makes 40 dual steps
+        # once, at 0.0003 it certifies after 16 dual steps
         h = generate(GeneratorSpec(n=6, m=10, model="expander-like", seed=9))
         cfg = SolverConfig(t_cap=40)
         duals = 0
@@ -150,7 +187,7 @@ class TestRunAlgorithm1:
                 if rec.case.endswith("B") or rec.case.endswith("C"):
                     assert rec.width <= run.rho * (1 + 1e-6)
                     duals += 1
-        assert duals == 40
+        assert duals == 16
 
     def test_invalid_side_rejected(self):
         h = parse_dhg(TWO_CYCLE)
@@ -207,11 +244,12 @@ class TestRunBothSides:
         assert len(set(cuts)) <= 1
 
     def test_aborted_side_blocks_certification(self):
-        h = parse_dhg(TWO_CYCLE)
+        h = parse_dhg(PLANTED)
         cfg = SolverConfig(t_cap=5, oracle=OracleConfig(c_rho=4.0))
-        probe = run_both_sides(h, 0.01, cfg, np.random.default_rng(0))
+        probe = run_both_sides(h, 1e-9, cfg, np.random.default_rng(3))
         assert not probe.found_cut
-        assert not probe.certified  # truncation on both sides
+        assert not probe.certified  # no regret check passes on either side
+        assert [run.outcome for run in probe.runs.values()] == ["aborted"] * 2
 
     def test_certified_needs_all_sides(self):
         h = parse_dhg(TWO_CYCLE)
@@ -227,8 +265,8 @@ class TestRunBothSides:
 
         def stub(outcome):
             return AlgorithmRun(
-                alpha=0.1, side="in", outcome=outcome, t_theory=5,
-                t_horizon=5, iterations=5, eta=0.1, rho=1.0,
+                alpha=0.1, side="in", outcome=outcome, t_horizon=5, iterations=5,
+                eta=0.1, rho=1.0,
             )
 
         mixed = ProbeResult(0.1, {"in": stub("certified"), "out": stub("aborted")})
@@ -285,6 +323,17 @@ class TestBinarySearch:
         assert res.alpha_hi <= res.alpha_lo * cfg.search_ratio + 1e-12 or len(res.probes) == cfg.max_probes
         assert res.probes and all(list(p.runs) == ["in", "out"] for p in res.probes)
 
+    @pytest.mark.parametrize("ratio", [1e160, 1e200])
+    def test_huge_search_ratio(self, ratio):
+        # the ratio's square overflowed, and the bracket's floor, the edge
+        # weight over the ratio squared, underflows to 0 at 1e200
+        h = parse_dhg(THREE_CYCLE)
+        cfg = SolverConfig(search_ratio=ratio, t_cap=5)
+        res = binary_search(h, cfg, np.random.default_rng(0))
+        assert res.probes and all(probe.alpha > 0 for probe in res.probes)
+        doc = json.loads(dumps_report(solve_report(h, cfg, res, 0)))
+        assert verify_report(doc, h) == (True, None)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(search_ratio=1.0)
@@ -334,8 +383,69 @@ class TestPinnedOutputs:
         assert res.best_cut.sparsity == Fraction(1, 2)
         assert res.lower_bound == pytest.approx(0.004700753866357992, rel=1e-12)
         cut = [(side, "cut", 1, [("1A", 1)]) for side in ("in", "out")]
-        certified = [(side, "certified", 251, [("1B", 251)]) for side in ("in", "out")]
+        certified = [(side, "certified", 1, [("1B", 1)]) for side in ("in", "out")]
         assert run_summary(res) == cut + certified + cut
+
+
+# weights near 1e-9 whose optimum is 1/200000000000; an absolute tolerance
+# in the regret check certified alpha / 2 = 1.25 opt here at alpha = 2.5 opt
+TINY_WEIGHTS = (
+    "dhg 4 5\nv v0 1\nv v1 1\nv v2 3\nv v3 2\n"
+    "e 1/250000000 T v0 v1 H v0 v1\ne 1/250000000 T v2 v3 H v2 v3\n"
+    "e 1/250000000 T v0 v1 H v1\ne 1/20000000000 T v1 H v2\ne 1/250000000 T v2 H v1\n"
+)
+
+
+def scaled(h, factor):
+    """``h`` with every edge weight multiplied by ``factor``."""
+    edges = tuple(Hyperedge(e.tail, e.head, e.weight * factor) for e in h.edges)
+    return DirectedHypergraph(h.names, h.vertex_weights, edges)
+
+
+def side_optimum(h, side):
+    """The least sparsity of a cut that contains vertex 0 ("in") or not
+    ("out"): the bound a run on that side certifies."""
+    others = range(1, h.n)
+    subsets = [set(c) for k in range(h.n) for c in combinations(others, k)]
+    if side == "in":
+        subsets = [s | {0} for s in subsets if len(s) < h.n - 1]
+    return min(sparsity(h, s) for s in subsets if s)
+
+
+class TestRegretTolerance:
+    """The regret check's tolerance scales with rho: with the run stopping
+    at its first pass, an absolute one certifies bounds above the optimum
+    once the weights are tiny."""
+
+    @pytest.mark.parametrize("c_rho", [1.0, 16.0])
+    def test_tiny_weights_above_the_optimum_never_certify(self, c_rho):
+        h = parse_dhg(TINY_WEIGHTS)
+        _, opt = brute_force_sparsest(h)
+        assert opt == Fraction(1, 200000000000)
+        cfg = SolverConfig(oracle=OracleConfig(c_rho=c_rho))
+        probe = run_both_sides(h, 2.5 * float(opt), cfg, np.random.default_rng(0))
+        assert "certified" not in {run.outcome for run in probe.runs.values()}
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(4, 8),
+        st.sampled_from(["uniform-random", "expander-like", "planted-cut"]),
+        st.sampled_from([Fraction(1), Fraction(1, 10**9)]),
+        st.sampled_from([1 / 64, 1 / 4, 2.5]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_certified_bound_at_most_the_optimum(self, seed, n, model, factor, ratio):
+        spec = GeneratorSpec(n=n, m=2 * n, kappa=2, model=model, seed=seed)
+        h = scaled(generate(spec), factor)
+        _, opt = brute_force_sparsest(h)
+        assume(opt > 0)
+        cfg = SolverConfig(t_cap=64, oracle=OracleConfig(c_rho=1.0))
+        probe = run_both_sides(h, ratio * float(opt), cfg, np.random.default_rng(seed))
+        assert probe.lower_bound is None or probe.lower_bound <= float(opt)
+        # a run bounds the cuts on its side of vertex 0
+        for side, run in probe.runs.items():
+            if run.lower_bound is not None:
+                assert run.lower_bound <= float(side_optimum(h, side))
 
 
 def record_outcomes(monkeypatch):
@@ -373,11 +483,11 @@ class TestAveragedCertificate:
         assert ok, rep["first_failure"]
         return rep["residual"]
 
-    @pytest.mark.parametrize("instance", ["unit_cycle", "expander_n12"])
+    @pytest.mark.parametrize("instance", ["expander_n5_certified", "expander_n12"])
     def test_residual_is_mean_of_step_residuals(self, monkeypatch, instance):
-        if instance == "unit_cycle":
-            h = parse_dhg(THREE_CYCLE)
-            cfg, alpha = SolverConfig(oracle=OracleConfig(c_rho=1.0)), 0.0094
+        if instance == "expander_n5_certified":
+            h, alpha = expander_n5()
+            cfg = SolverConfig(oracle=OracleConfig(c_rho=1.0))
         else:
             h = generate(GeneratorSpec(n=12, m=24, kappa=2, model="expander-like", seed=3))
             base = float(binary_search(h, SolverConfig(max_probes=0)).best_cut.sparsity)
@@ -391,10 +501,11 @@ class TestAveragedCertificate:
             mean = np.mean([out.residual for out in outcomes], axis=0)
             got = self.residual(run, h)
             assert np.abs(got - mean).max() <= 1e-12 * np.abs(mean).max()
-        if instance == "unit_cycle":
-            assert run.outcome == "certified" and run.iterations == run.t_theory == 251
+        if instance == "expander_n5_certified":
+            assert run.outcome == "certified" and run.iterations == 64
             # the regret check is lambda_min((alpha/2) K - R-bar)
-            assert run.mw_check == min_eigenvalue((alpha / 2) * h.k_matrix - got)
+            check = min_eigenvalue((alpha / 2) * h.k_matrix - got)
+            assert regret_check(alpha, h, got, run.rho) == (True, check)
 
     @given(positive_dhgs(), st.sampled_from([1e-4, 1e-2, 1.0]))
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -446,7 +557,9 @@ def count_calls(monkeypatch, owner, names):
 
 
 class TestPerIterationWork:
-    """Each multiplicative-weights step builds its matrices once."""
+    """Each multiplicative-weights step builds its matrices once, and each
+    checkpoint t = 1, 2, 4, 8 of a run that never passes adds one eigvalsh,
+    its regret check."""
 
     def probe(self, cfg):
         h = generate(GeneratorSpec(n=32, m=64, kappa=2, model="expander-like", seed=1))
@@ -461,8 +574,10 @@ class TestPerIterationWork:
         iterations = sum(run.iterations for run in probe.runs.values())
         assert iterations == 16
         assert {r.case for run in probe.runs.values() for r in run.records} == {"2B"}
-        # mw_state's eigh; the row-sum bound settles every width
-        assert (eigh["n"], eigvalsh["n"]) == (16, 0)
+        assert [run.outcome for run in probe.runs.values()] == ["aborted"] * 2
+        # mw_state's eigh and the checkpoints' eigvalsh; the row-sum bound
+        # settles every width
+        assert (eigh["n"], eigvalsh["n"]) == (16, 8)
 
         doc = solve_report(h, cfg, driver.SolveResult(None, None, [probe], 0.0, 0.0), 0)
         # one averaged certificate per run, its width settled by the bound
@@ -475,7 +590,8 @@ class TestPerIterationWork:
     def test_one_eigvalsh_per_check_whose_bound_exceeds_rho(self, monkeypatch, c_rho):
         # a small c_rho puts rho below the row-sum bound: at 0.5 at the one
         # check of each side, whose exact norm then exceeds rho too; at
-        # 0.85 at some of the 16 checks, which all pass
+        # 0.85 at some of the 16 checks, which all pass, and the 8
+        # checkpoints add their regret checks
         eigvalsh = count_calls(monkeypatch, np.linalg, ("eigvalsh",))
         checks = {"all": 0, "wide": 0}
 
@@ -488,7 +604,8 @@ class TestPerIterationWork:
         monkeypatch.setattr(oracle, "certificate_check", check)
         _, probe = self.probe(SolverConfig(t_cap=8, oracle=OracleConfig(c_rho=c_rho)))
         iterations = sum(run.iterations for run in probe.runs.values())
-        assert eigvalsh["n"] == checks["wide"]
+        checkpoints = 0 if c_rho == 0.5 else 8
+        assert eigvalsh["n"] == checks["wide"] + checkpoints
         if c_rho == 0.5:
             assert iterations == 0 and checks == {"all": 2, "wide": 2}
             assert all("exceeds rho" in run.reason for run in probe.runs.values())

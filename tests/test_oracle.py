@@ -463,7 +463,9 @@ class TestCase1FlowReuse:
 
     def test_certify_run_outcomes_match_fresh_flows(self, monkeypatch):
         # the 3-vertex unit cycle searched as the certify benchmark does,
-        # at c_rho = 1: a cut probe, 2 x 251 Case 1B steps, a cut probe
+        # at c_rho = 1: a cut probe, 2 x 1 certifying Case 1B steps, a cut
+        # probe; then an expander-like probe whose runs certify after 64
+        # Case 1B steps each, on one flow a run
         h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
         cfg = SolverConfig(
             alpha_lo=0.0025, alpha_hi=0.5, search_ratio=2.0, oracle=OracleConfig(c_rho=1.0)
@@ -485,12 +487,16 @@ class TestCase1FlowReuse:
         monkeypatch.setattr(oracle, "max_flow", lambda inst: solved.append(inst) or real_max_flow(inst))
         res = binary_search(h, cfg)
         assert res.lower_bound is not None
+        h5 = generate(GeneratorSpec(n=5, m=10, kappa=2, model="expander-like", seed=1))
+        alpha = float(brute_force_sparsest(h5)[1]) / 64
+        assert driver.run_both_sides(h5, alpha, cfg).certified
         steps = [len(insts) for _, insts in flows]
-        assert steps == [1, 1, 251, 251, 1, 1]
-        # one cap key per run, so one flow per run; the rest are the
-        # fresh reference flows
-        assert [len({id(inst) for inst in insts}) for _, insts in flows] == [1] * 6
-        assert len(solved) == 6 + sum(steps)
+        assert steps == [1] * 6 + [64, 64]
+        # one flow per cap key a run meets, so 38 for 64 steps; the rest
+        # are the fresh reference flows
+        built = [len({id(inst) for inst in insts}) for _, insts in flows]
+        assert built == [1] * 6 + [38, 38]
+        assert len(solved) == sum(built) + sum(steps)
 
     def test_new_caps_or_digraph_rebuild_the_flow(self):
         h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
