@@ -122,10 +122,6 @@ class AlgorithmRun:
     cut: Cut | None = None
     reason: str = ""
 
-    @property
-    def lower_bound(self) -> float | None:
-        return self.alpha / 2.0 if self.outcome == "certified" else None
-
 
 def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfig) -> int:
     """T = ceil(16 kappa^2 (rho / alpha)^2 n^2 ln n / w^4).
@@ -155,8 +151,13 @@ def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> GramState:
     The embedding is centered before use: every consumed quantity is
     translation-invariant, and centering keeps the numerically huge
     all-ones component of W out of the floating-point evaluations.
+    A zero sum, the first step's, has the eigenpairs (0, I) that eigh
+    returns for it, without the eigendecomposition.
     """
-    lam, u = np.linalg.eigh(-eta * m_sum)
+    if m_sum.any():
+        lam, u = np.linalg.eigh(-eta * m_sum)
+    else:
+        lam, u = np.zeros(len(m_sum)), np.eye(len(m_sum))
     shift = float(lam[-1])
     w_lam = np.exp(lam - shift)
     # K . W summed in the eigenbasis as nonnegative variance terms:

@@ -6,16 +6,17 @@ scaling, compiled from C where a C compiler exists and in pure Python
 otherwise, with the same results either way.  A flow instance holds numpy
 arc arrays, the reduced digraph's cached arrays with the terminal arcs
 appended, so no flow rebuilds its arcs from tuples.  Flows are floating
-point with a 1e-9 conservation tolerance; the exact rational layer stops at
-the hypergraph module.
+point with relative tolerances; the exact rational layer stops at the
+hypergraph module.  A lifted flow is two arrays, its (e, i, j) keys and
+their values, and F and sum f_p T_p are each one scatter over such arrays.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "flow_matrix",
     "pair_flow",
     "decompose",
-    "demand_matrix",
 ]
 
 CONSERVATION_TOL = 1e-9
@@ -147,23 +147,27 @@ def max_flow(instance: FlowInstance) -> MaxFlowResult:
     return MaxFlowResult(float(value), flow, reach)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowAssignment:
-    """Per-hyperedge pairwise flow values f[e, i, j] >= 0 (sparse)."""
+    """Per-hyperedge pairwise flow values f[e, i, j] >= 0 (sparse): row k of
+    the (k, 3) int64 array ``keys`` is (e, i, j), and ``values[k]`` is its
+    flow."""
 
-    values: tuple[tuple[int, int, int, float], ...]
+    keys: np.ndarray
+    values: np.ndarray
 
-    def __iter__(self):
-        return iter(self.values)
+    @classmethod
+    def of(cls, entries: Iterable[tuple[int, int, int, float]]) -> "FlowAssignment":
+        """The assignment of the (e, i, j, f) ``entries``, in their order."""
+        entries = list(entries)
+        keys = np.array([entry[:3] for entry in entries], dtype=np.int64).reshape(-1, 3)
+        return cls(keys, np.array([entry[3] for entry in entries], dtype=float))
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, float]]:
+        return ((e, i, j, f) for (e, i, j), f in zip(self.keys.tolist(), self.values.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def per_edge_totals(self) -> dict[int, float]:
-        totals: dict[int, float] = {}
-        for e, _, _, f in self.values:
-            totals[e] = totals.get(e, 0.0) + f
-        return totals
 
 
 def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
@@ -173,7 +177,8 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
     proportionally (inflow share times outflow share), which conserves all
     marginals and is order-independent.  Only edges with an arc of nonzero
     flow are visited: an edge whose arcs all carry 0 conserves trivially and
-    lifts to nothing.
+    lifts to nothing.  An edge's conservation tolerance is 1e-9 of the
+    smaller of its weight and the flow's value, both bounds on its flow.
     """
     rd = instance.rd
     edge_flow = result.arc_flow[: len(rd.arc_edge)]
@@ -185,10 +190,10 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
     for e_idx in carrying:
         tails, heads = inc.tail.lists[e_idx], inc.head.lists[e_idx]
         k = rd.edge_arc_index[e_idx]
-        # Python floats, as the assignment and the reports hold
+        # Python floats, as the reports hold
         mid, *gadget = edge_flow[k : k + 1 + len(tails) + len(heads)].tolist()
         in_flows, out_flows = gadget[: len(tails)], gadget[len(tails) :]
-        tol = CONSERVATION_TOL * max(1.0, abs(mid))
+        tol = CONSERVATION_TOL * min(float(rd.base.edges[e_idx].weight), result.value)
         if abs(sum(in_flows) - mid) > tol or abs(sum(out_flows) - mid) > tol:
             raise ArithmeticError(
                 f"gadget conservation violated at edge {e_idx}: "
@@ -202,44 +207,65 @@ def lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
             for j, fj in zip(heads, out_flows):
                 if fj <= 0.0:
                     continue
-                values.append((e_idx, i, j, fi * fj / mid))
-    return FlowAssignment(tuple(values))
+                # divided first where the product falls below the normal
+                # floats (a flow of 1e-200 squares to 0)
+                product = fi * fj
+                share = product / mid if product >= sys.float_info.min else fi * (fj / mid)
+                values.append((e_idx, i, j, share))
+    return FlowAssignment.of(values)
 
 
-def _sq_diff_sum(terms: list[tuple[int, int, float]], n: int) -> np.ndarray:
-    """sum over (p, q, c) in ``terms`` of c (e_p - e_q)(e_p - e_q)^T, as one
-    scatter; terms with p == q are zero and skipped.
+# the squared differences (e_p - e_q)(e_p - e_q)^T that a three-column row
+# adds, in order: p and q are columns of the row (column 3 is vertex 0), with
+# the term's sign
+_TERMS = {
+    "A": ([1, 1, 2], [2, 3, 3], [1.0, -1.0, 1.0]),  # mat_A(i, j) on a row (e, i, j)
+    "T": ([0, 2, 0], [2, 1, 1], [1.0, 1.0, -1.0]),  # mat_T(a, b; mid) on a row (a, b, mid)
+}
 
-    Each cell receives its additions in the order of ``terms``, as the
-    in-place ``add_mat_A``/``add_mat_T`` calls make them (a subtraction is
-    the addition of the negated value), so the sum is the same to the bit.
+
+@lru_cache(maxsize=16)
+def _cells(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, 4 t) matrix that maps a row to its t terms' cells (p, p),
+    (q, q), (p, q), (q, p) in an n x n matrix, p (n + 1), q (n + 1), p n + q
+    and q n + p, each linear in the row; and the cells' signs."""
+    p_cols, q_cols, signs = _TERMS[kind]
+    p, q = np.eye(4, 3, dtype=np.int64)[[p_cols, q_cols]].transpose(0, 2, 1)
+    cells = np.stack((p * (n + 1), q * (n + 1), p * n + q, q * n + p), axis=-1).reshape(3, -1)
+    signs = np.outer(signs, [1.0, 1.0, -1.0, -1.0]).ravel()
+    cells.flags.writeable = signs.flags.writeable = False  # shared by every call
+    return cells, signs
+
+
+def _sq_diff_sum(rows: np.ndarray, kind: str, c: np.ndarray, n: int) -> np.ndarray:
+    """sum over rows r and their terms (see ``_TERMS``) of c[r] times the
+    term, as one scatter; terms with p == q are zero and skipped.
+
+    Each cell receives its additions in row and term order, as in-place
+    additions of one term after another make them (a subtraction is the
+    addition of the negated value; ``add_mat_A`` and ``add_mat_T`` in the
+    tests' ``witnesses`` are that reference), so the sum is the same to the
+    bit.  IndexError where a vertex is outside [0, n).
     """
-    cells: list[int] = []
-    weights: list[float] = []
-    for p, q, c in terms:
-        if p == q:
-            continue
-        if not (0 <= p < n and 0 <= q < n):
-            raise IndexError(f"vertex pair ({p}, {q}) out of range for n = {n}")
-        cells += (p * (n + 1), q * (n + 1), p * n + q, q * n + p)
-        weights += (c, c, -c, -c)
+    cell_matrix, signs = _cells(kind, n)
+    cells = rows @ cell_matrix
+    weights = c[:, None] * signs
+    same = cells[:, ::4] == cells[:, 2::4]  # p (n + 1) against p n + q
+    if same.any():
+        keep = ~same.repeat(4, axis=1)
+        cells, weights = cells[keep], weights[keep]
     # without terms bincount would count in int64
-    m = np.bincount(cells, weights, n * n) if cells else np.zeros(n * n)
-    return m.reshape(n, n)
-
-
-def _mat_A_terms(entries) -> list[tuple[int, int, float]]:
-    """The squared differences that add_mat_A(i, j, f) adds, in its order,
-    for each (i, j, f) of ``entries``."""
-    terms: list[tuple[int, int, float]] = []
-    for i, j, f in entries:
-        terms += ((i, j, f), (i, 0, -f), (j, 0, f))
-    return terms
+    if not cells.size:
+        return np.zeros((n, n))
+    try:  # bincount rejects a negative cell, and reshape one past the last
+        return np.bincount(cells.ravel(), weights.ravel(), n * n).reshape(n, n)
+    except ValueError:
+        raise IndexError(f"a vertex is out of range for n = {n}") from None
 
 
 def flow_matrix(fa: FlowAssignment, n: int) -> np.ndarray:
     """F = sum over (e, i, j) of f * mat_A(i, j); annihilates the ones vector."""
-    return _sq_diff_sum(_mat_A_terms((i, j, f) for _, i, j, f in fa), n)
+    return _sq_diff_sum(fa.keys, "A", fa.values, n)
 
 
 def pair_flow(fa: FlowAssignment) -> dict[tuple[int, int], float]:
@@ -274,7 +300,8 @@ def decompose(fa: FlowAssignment, sources, sinks) -> FlowDecomposition:
 
     Each source-to-sink path (i_0, ..., i_k) contributes its flow to the
     demand on (i_0, i_k) and to the k-1 triangles anchored at i_0; cycles
-    are dropped (their pairwise mass is recorded).
+    are dropped (their pairwise mass is recorded).  Flow below 1e-12 of the
+    largest pairwise flow counts as 0.
     """
     g = pair_flow(fa)
     sources = set(sources)
@@ -283,8 +310,7 @@ def decompose(fa: FlowAssignment, sources, sinks) -> FlowDecomposition:
     for (i, j), f in g.items():
         balance[i] = balance.get(i, 0.0) + f
         balance[j] = balance.get(j, 0.0) - f
-    scale = max([abs(f) for f in g.values()] + [1.0])
-    eps = 1e-12 * scale
+    eps = 1e-12 * max((abs(f) for f in g.values()), default=0.0)
 
     for v, b in balance.items():
         if b > eps and v not in sources:
@@ -361,17 +387,7 @@ def decompose(fa: FlowAssignment, sources, sinks) -> FlowDecomposition:
     return FlowDecomposition(triangles, demand, dropped, dropped_pairs)
 
 
-def demand_matrix(demand: Mapping[tuple[int, int], float], n: int) -> np.ndarray:
-    """D = sum of d_ij * mat_A(i, j)."""
-    return _sq_diff_sum(_mat_A_terms((i, j, f) for (i, j), f in demand.items()), n)
-
-
-def triangle_matrix_sum(
-    triangles: Mapping[TriangleId, float], n: int
-) -> np.ndarray:
-    """sum of f_p * mat_T(p), with the three squared differences that
-    ``add_mat_T`` adds per triangle, in its order."""
-    terms: list[tuple[int, int, float]] = []
-    for (a, b, mid), f in triangles.items():
-        terms += ((a, mid, f), (mid, b, f), (a, b, -f))
-    return _sq_diff_sum(terms, n)
+def triangle_matrix_sum(triangles: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """sum of f_p * mat_T(p) over the rows p = (a, b, mid) of ``triangles``
+    and their ``weights``, with mat_T's three squared differences in order."""
+    return _sq_diff_sum(triangles, "T", weights, n)

@@ -255,6 +255,14 @@ class Incidence:
     def n(self) -> int:
         return len(self.degrees)
 
+    @cached_property
+    def capacities(self) -> np.ndarray:
+        """Each edge's capacity w_e / 2, w_e rounded to the nearest float,
+        read-only."""
+        caps = np.array([w / self.denom for w in self.weights.tolist()]) / 2.0
+        caps.flags.writeable = False
+        return caps
+
     def crossing(self, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the edges that leave and that enter the subset whose
         0/1 indicator is ``inside`` (or each subset, one per row)."""
@@ -538,11 +546,6 @@ def serialize_dhg(h: DirectedHypergraph) -> str:
     """Canonical text form: vertices sorted by name, edges in input order;
     built once per hypergraph and cached on it."""
     return h.text
-
-
-def out_cut(h: DirectedHypergraph, subset: frozenset[int] | set[int]) -> list[int]:
-    """Indices of edges in the out-going cut of ``subset``."""
-    return np.flatnonzero(h.incidence.crossing(_indicators(h, [subset])[0])[0]).tolist()
 
 
 def _indicators(h: DirectedHypergraph, subsets: list) -> np.ndarray:

@@ -8,7 +8,8 @@ otherwise they are well spread (Case 2: direction sampling, median split,
 max-flow, and a violated-path fallback).
 
 Cut sparsities and certificate bullets are re-verified numerically on every
-run; a breach raises instead of returning a silently wrong outcome.
+run; a breach raises instead of returning a silently wrong outcome.  A
+certificate is arrays, built once where it is made.
 """
 
 from __future__ import annotations
@@ -157,17 +158,27 @@ class OracleConfig:
         return math.ceil(2.0 * self.c_path * math.sqrt(log2_weight(h)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
-    """Dual variables (z, f_p) plus the flow matrix, as checkable data.
+    """Dual variables (z, f_p) plus the flow matrix, as checkable arrays.
 
-    ``flow`` is the capacity-respecting hypergraph flow backing F, or None
-    when F = 0 (violated-path case).
+    Row k of the (k, 3) int64 array ``triangles`` is the triangle
+    (a, b, mid), a < b, and ``weights[k]`` its f_p.  ``flow`` is the
+    capacity-respecting hypergraph flow backing F, or None when F = 0
+    (violated-path case).
     """
 
     z: float
-    triangle_weights: dict[TriangleId, float]
+    triangles: np.ndarray
+    weights: np.ndarray
     flow: FlowAssignment | None
+
+    @classmethod
+    def of(cls, z: float, triangle_weights: Mapping, flow: FlowAssignment | None):
+        """The certificate whose f_p are ``triangle_weights``' values, by
+        (a, b, mid) key with a < b, in its order."""
+        triangles = np.array(list(triangle_weights), dtype=np.int64).reshape(-1, 3)
+        return cls(z, triangles, np.array(list(triangle_weights.values()), dtype=float), flow)
 
     def flow_matrix_dense(self, n: int) -> np.ndarray:
         if self.flow is None:
@@ -178,27 +189,29 @@ class DualCertificate:
 def average_certificate(certs: list[DualCertificate]) -> DualCertificate | None:
     """The mean of a run's certificates (None for none): z, the triangle
     weights and the flow entries by (e, i, j), each summed exactly rounded
-    and divided by the count; a certificate without flow counts as F = 0.
+    and divided by the count; triangles in order of first appearance, flow
+    entries sorted by key.  A certificate without flow counts as F = 0.
     The residual is linear in the certificate, so the mean's is the mean
     residual."""
     if not certs:
         return None
-    triangles: dict[TriangleId, list[float]] = {}
+    triangles: dict[tuple[int, int, int], list[float]] = {}
     flows: dict[tuple[int, int, int], list[float]] = {}
     for cert in certs:
-        for tri, f in cert.triangle_weights.items():
+        for tri, f in zip(map(tuple, cert.triangles.tolist()), cert.weights.tolist()):
             triangles.setdefault(tri, []).append(f)
-        for e, i, j, f in cert.flow or ():
-            flows.setdefault((e, i, j), []).append(f)
+        if cert.flow is not None:
+            for key, f in zip(map(tuple, cert.flow.keys.tolist()), cert.flow.values.tolist()):
+                flows.setdefault(key, []).append(f)
 
     def mean(values) -> float:
         return math.fsum(values) / len(certs)
 
     fa = None
     if any(cert.flow is not None for cert in certs):
-        fa = FlowAssignment(tuple((*key, mean(fs)) for key, fs in sorted(flows.items())))
+        fa = FlowAssignment.of((*key, mean(fs)) for key, fs in sorted(flows.items()))
     triangle_mean = {tri: mean(fs) for tri, fs in triangles.items()}
-    return DualCertificate(mean(cert.z for cert in certs), triangle_mean, fa)
+    return DualCertificate.of(mean(cert.z for cert in certs), triangle_mean, fa)
 
 
 @dataclass(frozen=True)
@@ -367,9 +380,10 @@ def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) ->
     rho = call.cfg.rho(call.alpha, call.h)
     diag = dict(extra, case=case, rho=rho)
     ok, report = certificate_check(cert, call.alpha, call.h, rho)
-    # the one bullet that reads the state: (sum f_p T_p + z K) . X <= F . X + 1e-7
+    # the one bullet that reads the state: (sum f_p T_p + z K) . X <= F . X,
+    # up to a slack relative to alpha, the scale of every term
     if report["first_failure"] in (None, "width_bound"):
-        if float(np.vdot(report["residual"], call.state.x)) > 1e-7:
+        if float(np.vdot(report["residual"], call.state.x)) > 1e-7 * call.alpha:
             ok, report["first_failure"] = False, "dual_dot_bound"
     if not ok:
         if report["first_failure"] == "width_bound":
@@ -403,13 +417,12 @@ def _scaled_flow_dual(
     scale = 1.0
     if d_dot_x > alpha:
         scale = min(1.0, call.cfg.dual_scale * alpha / d_dot_x)
+    cert = DualCertificate.of(alpha, dec.triangle_weights, fa)
     if scale < 1.0:
-        fa = FlowAssignment(tuple((e, i, j, f * scale) for e, i, j, f in fa))
-        triangles = {tri: f * scale for tri, f in dec.triangle_weights.items()}
-    else:
-        triangles = dict(dec.triangle_weights)
+        flow = FlowAssignment(fa.keys, fa.values * scale)
+        cert = DualCertificate(alpha, cert.triangles, cert.weights * scale, flow)
     extra = dict(extra, d_dot_x=d_dot_x, flow_scale=scale)
-    return _dual_outcome(call, DualCertificate(alpha, triangles, fa), case, extra)
+    return _dual_outcome(call, cert, case, extra)
 
 
 def _case1(call: _Call, i0: int, in_ball: np.ndarray, slot: Case1Flow) -> OracleOutcome:
@@ -674,7 +687,7 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
             triangles = path_triangles(path)
             f_val = total * total * alpha / (9.0 * cfg.s_viol)
             extra["path"] = path
-            cert = DualCertificate(alpha, {tri: f_val for tri in triangles}, None)
+            cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), None)
             return _dual_outcome(call, cert, "2C", extra)
 
     if found:
@@ -836,7 +849,8 @@ def certificate_check(
     by a capacity-respecting flow; the residual's cells are finite and its
     spectral norm is at most rho.  All are convex, so a run's average
     certificate passes where each one does; the bullet that reads a state X
-    is the oracle's own.  This is
+    is the oracle's own.  Each bullet is one pass over the certificate's
+    arrays, and every tolerance is relative to the instance's scale.  This is
     the one place the residual R = sum f_p T_p + z K - F and its width are
     formed: once reached, they are in the report as ``residual`` and
     ``width``.  The width is an upper bound on ||R||: R's largest absolute
@@ -857,38 +871,45 @@ def certificate_check(
     if cert.z < alpha * (1 - 1e-12):
         return fail("z_below_alpha")
 
-    if any(f < 0 for f in cert.triangle_weights.values()):
+    if np.count_nonzero(cert.weights < 0):
         return fail("negative_triangle_weight")
 
-    # the structure the matrices below index by, checked before any is built
-    if any(not 0 <= v < n for tri in cert.triangle_weights for v in tri):
+    # the structure the matrices index by: the scatter checks that every
+    # triangle vertex is in [0, n) before it adds anything
+    try:
+        t_mat = flownet.triangle_matrix_sum(cert.triangles, cert.weights, n)
+    except IndexError:
         return fail("triangle_vertex_range")
-    if cert.flow is not None:
-        for e_idx, i, j, _ in cert.flow:
+    fa = cert.flow
+    if fa is not None:
+        # in Python: a handful of entries costs no array work
+        tails, heads = h.incidence.tail.lists, h.incidence.head.lists
+        for e_idx, i, j in fa.keys.tolist():
             if not 0 <= e_idx < h.m:
                 report["flow_entry"] = (e_idx, i, j)
                 return fail("flow_edge_range")
-            edge = h.edges[e_idx]
-            if i not in edge.tail or j not in edge.head:
+            if i not in tails[e_idx] or j not in heads[e_idx]:
                 report["flow_entry"] = (e_idx, i, j)
                 return fail("flow_pair_not_in_edge")
-
     f_mat = cert.flow_matrix_dense(n)
-    t_mat = flownet.triangle_matrix_sum(cert.triangle_weights, n)
 
-    ones_gap = float(np.max(np.abs(f_mat.sum(axis=1))))
+    ones_gap = float(np.abs(f_mat.sum(axis=1)).max())
     report["ones_gap"] = ones_gap
-    if ones_gap > 1e-9 * max(1.0, float(np.max(np.abs(f_mat)))):
+    if ones_gap > 1e-9 * float(np.abs(f_mat).max()):
         return fail("flow_ones_kernel")
 
-    if cert.flow is not None:
-        totals = cert.flow.per_edge_totals()
-        for e_idx, tot in totals.items():
-            cap = float(h.edges[e_idx].weight) / 2.0
-            if tot > cap * (1 + 1e-9) + 1e-12:
-                report["edge_over_capacity"] = (e_idx, tot, cap)
-                return fail("flow_capacity")
-        if any(f < 0 for _, _, _, f in cert.flow):
+    if fa is not None and len(fa):
+        # per-edge totals summed in entry order
+        edges = fa.keys[:, 0]
+        totals = np.bincount(edges, fa.values, h.m)
+        caps = h.incidence.capacities
+        over = totals > caps * (1 + 1e-9)
+        if np.count_nonzero(over):
+            # the first in order of appearance
+            e_idx = int(edges[over[edges].argmax()])
+            report["edge_over_capacity"] = (e_idx, float(totals[e_idx]), float(caps[e_idx]))
+            return fail("flow_capacity")
+        if np.count_nonzero(fa.values < 0):
             return fail("negative_flow")
 
     # the largest absolute row sum bounds the norm of the symmetric R; the
@@ -909,3 +930,4 @@ def certificate_check(
         return fail("width_bound")
 
     return True, report
+

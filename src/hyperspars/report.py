@@ -3,7 +3,8 @@
 The JSON report holds only what check-cert re-derives: the instance, the
 config, every cut, and per run its step count and the average of its dual
 certificates (z, sparse triangle weights, sparse flow values); check-cert
-rejects any other key.  The bound alpha / 2 rests on that average alone: a
+rejects any other key, and reads each certificate's lists straight into
+arrays: JSON integers, finite JSON numbers, no key twice.  The bound alpha / 2 rests on that average alone: a
 certified run's must pass certificate_check and the driver's regret_check,
 lambda_min((alpha / 2) K - R-bar) >= -1e-6 rho with R-bar its residual, at
 whatever step count the run stopped.  The verifier trusts no matrix from
@@ -15,6 +16,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, fields
+from itertools import chain
+from operator import eq, lt
+
+import numpy as np
 
 from .driver import SolveResult, SolverConfig, mw_state, regret_check, theoretical_iterations
 from .flownet import FlowAssignment
@@ -32,7 +37,7 @@ from .oracle import DualCertificate, OracleConfig, certificate_check
 
 # mat_K, min_eigenvalue, mw_state and sparsity are not called here any more, but
 # perfbench/tracing.py wraps them in this module's namespace, so the names stay
-from .sdpcore import TriangleId, mat_K, min_eigenvalue
+from .sdpcore import mat_K, min_eigenvalue
 
 __all__ = [
     "solve_report",
@@ -89,17 +94,10 @@ def solver_config_from_dict(d: dict) -> SolverConfig:
     return SolverConfig(**known)
 
 
-def _triangles_list(weights: dict[TriangleId, float]) -> list[list]:
-    return [
-        [tri.a, tri.b, tri.mid, val]
-        for tri, val in sorted(weights.items(), key=lambda kv: (kv[0].a, kv[0].b, kv[0].mid))
-    ]
-
-
-def _flow_list(fa: FlowAssignment | None) -> list[list] | None:
-    if fa is None:
-        return None
-    return [list(item) for item in sorted(fa.values)]
+def _rows(keys: np.ndarray, values: np.ndarray) -> list[list]:
+    """[*key, value] per row of the (k, 3) ``keys``, sorted by key."""
+    order = np.lexsort(keys.T[::-1])
+    return [[*key, value] for key, value in zip(keys[order].tolist(), values[order].tolist())]
 
 
 REPORT_VERSION = 4  # the layout solve_report writes, and the only one check-cert reads
@@ -146,13 +144,14 @@ def solve_report(
             )
             cert = run.certificate
             if cert is not None:
+                fa = cert.flow
                 certificates.append(
                     {
                         "probe": p_idx,
                         "side": side,
                         "z": cert.z,
-                        "f_p": _triangles_list(cert.triangle_weights),
-                        "flow": _flow_list(cert.flow),
+                        "f_p": _rows(cert.triangles, cert.weights),
+                        "flow": None if fa is None else _rows(fa.keys, fa.values),
                     }
                 )
 
@@ -177,11 +176,17 @@ def dumps_report(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_NUMBER = frozenset((int, float))  # the types of a JSON number, bool excluded
+
+
 class _Malformed(ValueError):
     """A transcript row or certificate entry that cannot be read."""
 
 
-def _finite(x) -> float:
+def _number(x) -> float:
+    """A finite JSON number (not a bool) as a float."""
+    if type(x) not in (int, float):
+        raise ValueError(f"{x!r} is not a number")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"{x} is not finite")
@@ -193,24 +198,49 @@ def _run_fields(d: dict, *numbers: str) -> tuple:
     try:
         if d["side"] not in ("in", "out"):
             raise ValueError(f"unknown side {d['side']!r}")
-        return (int(d["probe"]), d["side"], *(_finite(d[key]) for key in numbers))
-    except (KeyError, TypeError, ValueError) as exc:
+        if type(d["probe"]) is not int:
+            raise ValueError(f"probe {d['probe']!r} is not an integer")
+        return (d["probe"], d["side"], *(_number(d[key]) for key in numbers))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _Malformed(str(exc)) from None
 
 
+def _columns(rows) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The integer columns and the number column of a JSON list of
+    [int, int, int, number] rows with no integers twice, checked in Python."""
+    if not isinstance(rows, list):
+        raise ValueError("certificate rows must be a list")
+    if not rows:
+        return ((), (), ()), ()
+    *ints, values = zip(*rows, strict=True)
+    if len(ints) != 3:
+        raise ValueError("certificate rows must have four entries")
+    if set(map(type, chain(*ints))) - {int} or set(map(type, values)) - _NUMBER:
+        raise ValueError("certificate rows must be [int, int, int, number]")
+    # math.isfinite raises OverflowError on an integer beyond every float
+    if not all(map(math.isfinite, values)):
+        raise ValueError("certificate values must be finite")
+    if len(rows) > 1 and len(set(zip(*ints))) != len(rows):
+        raise ValueError("a certificate key is repeated")
+    return ints, values
+
+
 def _cert_from_entry(entry: dict) -> DualCertificate:
+    """The certificate an entry prints, as arrays: triangles [a, b, mid, f_p]
+    with a < b and mid neither, and flow entries [e, i, j, f]."""
     try:
-        # TriangleId.make raises ValueError on a repeated vertex
-        triangles = {
-            TriangleId.make(int(a), int(b), int(mid)): _finite(v)
-            for a, b, mid, v in entry["f_p"]
-        }
+        (a, b, mid), weights = _columns(entry["f_p"])
+        if not all(map(lt, a, b)) or any(map(eq, a, mid)) or any(map(eq, b, mid)):
+            raise ValueError("a triangle needs ends a < b and a third vertex")
         flow = entry.get("flow")
-        fa = None
-        if flow is not None:
-            fa = FlowAssignment(tuple((int(e), int(i), int(j), _finite(f)) for e, i, j, f in flow))
-        return DualCertificate(_finite(entry["z"]), triangles, fa)
-    except (KeyError, TypeError, ValueError) as exc:
+        (e, i, j), values = _columns([] if flow is None else flow)
+        # one array for the integers of both lists and one for their numbers
+        keys = np.array((a + e, b + i, mid + j), dtype=np.int64).T
+        numbers = np.array(weights + values, dtype=float)
+        k = len(a)
+        fa = None if flow is None else FlowAssignment(keys[k:], numbers[k:])
+        return DualCertificate(_number(entry["z"]), keys[:k], numbers[:k], fa)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _Malformed(str(exc)) from None
 
 

@@ -1,9 +1,9 @@
-"""Symmetric-matrix toolkit: constraint matrices, Gram embeddings and
-spectral diagnostics for the primal-dual solver.
+"""Symmetric-matrix toolkit: the Laplacian K, Gram states and spectral
+diagnostics for the primal-dual solver.
 
 All matrices are dense symmetric numpy arrays indexed by the hypergraph's
-vertices.  Every constraint matrix built here annihilates the all-ones
-vector, which the correctness argument of the solver relies on.
+vertices.  K annihilates the all-ones vector, as every constraint matrix
+does, which the correctness argument of the solver relies on.
 
 The directed distance is taken relative to the designated vertex 0:
 d(i, j) = |v_i - v_j|^2 - |v_i - v_0|^2 + |v_j - v_0|^2, the form for cuts
@@ -21,30 +21,15 @@ import numpy as np
 
 __all__ = [
     "TriangleId",
-    "NotPsdError",
     "GramState",
     "center_rows",
     "squared_distances",
     "k_dot_dist2",
-    "mat_A",
-    "mat_T",
     "mat_K",
-    "add_mat_A",
-    "add_mat_T",
     "directed_distance",
-    "cholesky_embed",
     "spectral_norm",
     "min_eigenvalue",
-    "TOL_PSD_REL",
 ]
-
-# Default PSD slack relative to ||X||.
-TOL_PSD_REL = 1e-8
-
-
-class NotPsdError(ValueError):
-    """Matrix is not positive semi-definite within tolerance."""
-
 
 class TriangleId(NamedTuple):
     """Triple for the l2^2 triangle inequality: endpoints {a,b}, middle mid.
@@ -65,44 +50,6 @@ class TriangleId(NamedTuple):
         return TriangleId(a, b, mid)
 
 
-def _add_sq_diff(m: np.ndarray, i: int, j: int, coeff: float) -> None:
-    # coeff * (e_i - e_j)(e_i - e_j)^T; no-op when i == j
-    if i == j:
-        return
-    m[i, i] += coeff
-    m[j, j] += coeff
-    m[i, j] -= coeff
-    m[j, i] -= coeff
-
-
-def add_mat_A(m: np.ndarray, i: int, j: int, coeff: float) -> None:
-    """m += coeff * mat_A(n, i, j), in place."""
-    _add_sq_diff(m, i, j, coeff)
-    _add_sq_diff(m, i, 0, -coeff)
-    _add_sq_diff(m, j, 0, coeff)
-
-
-def add_mat_T(m: np.ndarray, tri: TriangleId, coeff: float) -> None:
-    """m += coeff * mat_T(n, tri), in place."""
-    _add_sq_diff(m, tri.a, tri.mid, coeff)
-    _add_sq_diff(m, tri.mid, tri.b, coeff)
-    _add_sq_diff(m, tri.a, tri.b, -coeff)
-
-
-def mat_A(n: int, i: int, j: int) -> np.ndarray:
-    """Directed-distance matrix: mat_A(n, i, j) . X == d(i, j) for Gram X."""
-    m = np.zeros((n, n))
-    add_mat_A(m, i, j, 1.0)
-    return m
-
-
-def mat_T(n: int, tri: TriangleId) -> np.ndarray:
-    """Triangle-slack matrix: mat_T(p) . X is the l2^2 triangle slack of p."""
-    m = np.zeros((n, n))
-    add_mat_T(m, tri, 1.0)
-    return m
-
-
 def mat_K(vertex_weights) -> np.ndarray:
     """Weighted complete-graph Laplacian: K . X = sum_ij w_i w_j |v_i-v_j|^2."""
     w = np.asarray(vertex_weights, dtype=float)
@@ -119,22 +66,6 @@ def directed_distance(vectors: np.ndarray, i: int, j: int) -> float:
     a = vi - v0
     b = vj - v0
     return float(d @ d - a @ a + b @ b)
-
-
-def cholesky_embed(x: np.ndarray, tol_psd: float | None = None) -> np.ndarray:
-    """Vectors v_i (rows) with <v_i, v_j> = X(i, j), via eigendecomposition.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
-    genuine PSD violation and raises.
-    """
-    x = np.asarray(x, dtype=float)
-    lam, u = np.linalg.eigh((x + x.T) / 2.0)
-    scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
-    tol = tol_psd if tol_psd is not None else TOL_PSD_REL * scale
-    if lam[0] < -tol:
-        raise NotPsdError(f"eigenvalue {lam[0]:.3e} below -{tol:.3e}")
-    lam = np.clip(lam, 0.0, None)
-    return u * np.sqrt(lam)
 
 
 def center_rows(vectors: np.ndarray) -> np.ndarray:
@@ -175,10 +106,6 @@ class GramState:
     """
 
     vectors: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, x: np.ndarray) -> "GramState":
-        return cls(cholesky_embed(x))
 
     @property
     def n(self) -> int:

@@ -10,6 +10,8 @@ import pytest
 from hyperspars.hypergraph import DirectedHypergraph, Hyperedge
 from hyperspars.sdpcore import GramState, mat_K
 
+from witnesses import gram_state
+
 
 def make_h(n, edges, weights=None, names=None):
     """Hypergraph from (tail, head, weight) triples over integer vertices."""
@@ -19,6 +21,12 @@ def make_h(n, edges, weights=None, names=None):
         Hyperedge(frozenset(t), frozenset(hd), Fraction(w)) for t, hd, w in edges
     )
     return DirectedHypergraph(tuple(names), weights, hyperedges)
+
+
+def scaled(h, factor):
+    """``h`` with every edge weight multiplied by ``factor``."""
+    edges = tuple(Hyperedge(e.tail, e.head, e.weight * factor) for e in h.edges)
+    return DirectedHypergraph(h.names, h.vertex_weights, edges)
 
 
 def random_hypergraph(rng, n=None, m=None, max_n=8, max_m=6, kappa=None, max_side=3):
@@ -45,7 +53,7 @@ def normalized_state(rng, h, dim=None):
     x = v @ v.T
     k = mat_K(h.vertex_weights)
     x = x / float(np.tensordot(k, x))
-    return GramState.from_matrix(x)
+    return gram_state(x)
 
 
 def integral_state(h, subset):

@@ -19,12 +19,10 @@ from hyperspars.flownet import (
     FlowAssignment,
     build_flow_instance,
     decompose,
-    demand_matrix,
     lift_flow,
     max_flow,
 )
 from hyperspars.hypergraph import (
-    out_cut,
     parse_dhg,
     reduce_to_digraph,
     reverse,
@@ -38,9 +36,7 @@ from hyperspars.oracle import (
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import (
     TriangleId,
-    mat_A,
     mat_K,
-    mat_T,
     min_eigenvalue,
     spectral_norm,
 )
@@ -49,9 +45,13 @@ from conftest import integral_state, normalized_state, random_hypergraph
 from witnesses import (
     capacity_duality_check,
     decomposition_matrix_identity_gap,
+    demand_matrix,
     demand_norm_bound,
     digraph_cut_weight,
+    mat_A,
     mat_exp,
+    mat_T,
+    out_cut,
     restrict_subset,
     transform_subset,
     variance_form,
@@ -286,7 +286,7 @@ def test_criterion_06_flow_toolkit():
             values.extend(
                 (e_idx, i, j, float(f)) for (i, j), f in zip(pairs, raw)
             )
-        assert capacity_duality_check(FlowAssignment(tuple(values)), st, h)
+        assert capacity_duality_check(FlowAssignment.of(values), st, h)
         done += len(values) or 1
 
     # demand-matrix norm bound

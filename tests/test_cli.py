@@ -278,9 +278,49 @@ def _repeat_triangle_vertex(doc):
     row[1] = row[0]
 
 
+def _reverse_triangle_ends(doc):
+    # [b, a, mid] names the triangle that the report prints as [a, b, mid]
+    row = doc["certificates"][0]["f_p"][0]
+    row[0], row[1] = row[1], row[0]
+
+
+def _set_cell(section, row, column, value):
+    """Set one cell of the first certificate's ``section`` (f_p or flow)."""
+    return lambda doc: doc["certificates"][0][section][row].__setitem__(column, value)
+
+
+def _repeat_row(section, weight=None):
+    """Append a copy of the first certificate's first ``section`` row,
+    with ``weight`` as its value when given."""
+
+    def edit(doc):
+        rows = doc["certificates"][0][section]
+        rows.append(rows[0][:3] + [rows[0][3] if weight is None else weight])
+
+    return edit
+
+
 # report edits check-cert cannot read; each must fail as certificate_malformed
 MALFORMED = {
     "triangle_repeated_vertex": _repeat_triangle_vertex,
+    # JSON values that read as what the report prints only after a
+    # conversion, and keys printed twice, of which a dict keeps the last
+    "triangle_vertex_float": _set_cell("f_p", 0, 0, 0.7),
+    "triangle_vertex_string": _set_cell("f_p", 0, 0, "0"),
+    "triangle_vertex_bool": _set_cell("f_p", 0, 0, False),
+    "triangle_ends_reversed": _reverse_triangle_ends,
+    "triangle_weight_string": _set_cell("f_p", 0, 3, "0.01"),
+    "flow_edge_float": _set_cell("flow", 0, 0, 0.5),
+    "flow_value_string": _set_cell("flow", 0, 3, "0.01"),
+    "certificate_probe_string": lambda doc: doc["certificates"][0].update(probe="0"),
+    "row_probe_string": lambda doc: doc["transcript"][0].update(probe="0"),
+    "z_a_string": lambda doc: doc["certificates"][0].update(z="0.01"),
+    "triangle_key_repeated": _repeat_row("f_p", weight=0.0),
+    "flow_entry_repeated": _repeat_row("flow"),
+    # integers beyond every float, which check-cert once let escape as an
+    # OverflowError
+    "z_beyond_every_float": lambda doc: doc["certificates"][0].update(z=10**400),
+    "row_alpha_beyond_every_float": lambda doc: doc["transcript"][0].update(alpha=10**400),
     "certificate_without_z": lambda doc: doc["certificates"][0].pop("z"),
     "certificate_without_f_p": lambda doc: doc["certificates"][0].pop("f_p"),
     "row_without_alpha": lambda doc: doc["transcript"][0].pop("alpha"),

@@ -20,7 +20,7 @@ from hyperspars.driver import (
     run_both_sides,
     theoretical_iterations,
 )
-from hyperspars.hypergraph import DirectedHypergraph, Hyperedge, parse_dhg, reverse, sparsity
+from hyperspars.hypergraph import Hyperedge, parse_dhg, reverse, sparsity
 from hyperspars.oracle import (
     OracleConfig,
     OracleFailure,
@@ -32,7 +32,8 @@ from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import mat_K, min_eigenvalue
 from hyperspars.flownet import triangle_matrix_sum
 
-from conftest import make_h, random_hypergraph
+from conftest import make_h, random_hypergraph, scaled
+from witnesses import certificate_data
 
 TWO_CYCLE = "dhg 2 2\nv a 1\nv b 1\ne 1 T a H b\ne 1 T b H a\n"
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
@@ -63,6 +64,23 @@ class TestMwState:
         assert float(np.tensordot(k, state.x)) == pytest.approx(1.0, abs=1e-10)
         trace_k = float(np.trace(k))
         assert state.dist2(0, 1) == pytest.approx(2.0 / trace_k, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 128])
+    def test_zero_sum_state_equals_the_eigh_path(self, rng, monkeypatch, n):
+        # eigh returns (0, I) for the zero matrix, so skipping it leaves the
+        # first iterate as it was, to the bit
+        class NonZero(np.ndarray):
+            def any(self, *args, **kwargs):
+                return True
+
+        weights = rng.integers(1, n + 1, n).tolist()
+        zero = np.zeros((n, n))
+        eigh = count_calls(monkeypatch, np.linalg, ("eigh",))
+        skipped = mw_state(zero, 0.3, weights)
+        assert eigh["n"] == 0
+        via_eigh = mw_state(zero.view(NonZero), 0.3, weights)
+        assert eigh["n"] == 1
+        assert np.array_equal(np.asarray(via_eigh.vectors), skipped.vectors)
 
     def test_iterates_stay_normalized(self, rng):
         h = random_hypergraph(rng, n=6, m=6)
@@ -122,14 +140,13 @@ class TestRunAlgorithm1:
         alpha = 0.01
         run = run_algorithm1(h, alpha, "in", cfg, np.random.default_rng(0))
         assert run.outcome == "certified"
-        assert run.lower_bound == pytest.approx(alpha / 2)
         # the first checkpoint passes, far below the horizon T sets
         assert run.iterations == 1 and run.t_horizon == 710
         # independent recompute of the regret inequality from the run's
         # averaged certificate
         k = mat_K(h.vertex_weights)
         cert = run.certificate
-        residual = triangle_matrix_sum(cert.triangle_weights, 2)
+        residual = triangle_matrix_sum(cert.triangles, cert.weights, 2)
         residual += cert.z * k
         residual -= cert.flow_matrix_dense(2)
         check = min_eigenvalue((alpha / 2) * k - residual)
@@ -147,7 +164,6 @@ class TestRunAlgorithm1:
         run = run_algorithm1(h, 1e-9, "in", cfg, np.random.default_rng(3))
         assert run.outcome == "aborted"
         assert run.reason.startswith("regret check failed after 10 steps: lambda_min -")
-        assert run.lower_bound is None
         assert run.iterations == len(run.records) == 10
         assert run.certificate is not None
         ok, rep = certificate_check(run.certificate, 1e-9, h, run.rho)
@@ -207,7 +223,7 @@ class TestOneRoute:
             out = run_algorithm1(h, alpha, "out", cfg, np.random.default_rng(0))
             rev = run_algorithm1(reverse(h), alpha, "in", cfg, np.random.default_rng(0))
             assert out.records == rev.records
-            assert out.certificate == rev.certificate
+            assert certificate_data(out.certificate) == certificate_data(rev.certificate)
             assert (out.outcome, out.iterations) == (rev.outcome, rev.iterations)
             if out.cut is not None:
                 assert out.cut.subset == frozenset(range(h.n)) - rev.cut.subset
@@ -396,12 +412,6 @@ TINY_WEIGHTS = (
 )
 
 
-def scaled(h, factor):
-    """``h`` with every edge weight multiplied by ``factor``."""
-    edges = tuple(Hyperedge(e.tail, e.head, e.weight * factor) for e in h.edges)
-    return DirectedHypergraph(h.names, h.vertex_weights, edges)
-
-
 def side_optimum(h, side):
     """The least sparsity of a cut that contains vertex 0 ("in") or not
     ("out"): the bound a run on that side certifies."""
@@ -444,8 +454,64 @@ class TestRegretTolerance:
         assert probe.lower_bound is None or probe.lower_bound <= float(opt)
         # a run bounds the cuts on its side of vertex 0
         for side, run in probe.runs.items():
-            if run.lower_bound is not None:
-                assert run.lower_bound <= float(side_optimum(h, side))
+            if run.outcome == "certified":
+                assert run.alpha / 2 <= float(side_optimum(h, side))
+
+
+def run_summary_scaled(probe, scale):
+    """Per side: outcome, steps, cut, and the certificate with its values
+    multiplied by ``scale``."""
+    out = {}
+    for side, run in probe.runs.items():
+        cert = certificate_data(run.certificate)
+        if cert is not None:
+            z, triangles, weights, flow = cert
+            flow = flow and [(e, i, j, f * scale) for e, i, j, f in flow]
+            cert = (z * scale, triangles, [w * scale for w in weights], flow)
+        cut = run.cut and (run.cut.subset, run.cut.sparsity * Fraction(scale))
+        out[side] = (run.outcome, run.iterations, cut, cert)
+    return out
+
+
+class TestWeightScaling:
+    """Every tolerance of a run is relative: scaling every edge weight and
+    alpha by 2^-k scales each certificate value by 2^-k exactly and leaves
+    the outcomes as they are."""
+
+    @given(
+        st.integers(0, 2**16),
+        st.integers(3, 8),
+        st.sampled_from(["uniform-random", "expander-like", "planted-cut"]),
+        st.sampled_from([10, 30]),
+        st.sampled_from([1 / 64, 1 / 4, 2.5]),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_same_runs_at_every_scale(self, seed, n, model, k, ratio):
+        h = generate(GeneratorSpec(n=n, m=2 * n, kappa=2, model=model, seed=seed))
+        _, opt = brute_force_sparsest(h)
+        assume(opt > 0)
+        cfg = SolverConfig(t_cap=16, oracle=OracleConfig(c_rho=1.0))
+        alpha = ratio * float(opt)
+        scale = 2.0**-k
+        probe = run_both_sides(h, alpha, cfg, np.random.default_rng(seed))
+        small = run_both_sides(
+            scaled(h, Fraction(scale)), alpha * scale, cfg, np.random.default_rng(seed)
+        )
+        assert run_summary_scaled(small, 1.0) == run_summary_scaled(probe, scale)
+
+    def test_tiny_weights_certify(self):
+        # edge weights times 2^-30 lift the same 5 flow entries, scaled,
+        # and both runs certify after one step, as at weight 1
+        h = generate(GeneratorSpec(n=6, m=12, kappa=2, model="expander-like", seed=2))
+        _, opt = brute_force_sparsest(h)
+        cfg = SolverConfig(oracle=OracleConfig(c_rho=1.0))
+        scale = 2.0**-30
+        tiny = scaled(h, Fraction(scale))
+        probe = run_both_sides(tiny, float(opt) / 64 * scale, cfg, np.random.default_rng(0))
+        assert [(run.outcome, run.iterations) for run in probe.runs.values()] == [
+            ("certified", 1)
+        ] * 2
+        assert [len(run.certificate.flow) for run in probe.runs.values()] == [5, 5]
 
 
 def record_outcomes(monkeypatch):
@@ -575,9 +641,9 @@ class TestPerIterationWork:
         assert iterations == 16
         assert {r.case for run in probe.runs.values() for r in run.records} == {"2B"}
         assert [run.outcome for run in probe.runs.values()] == ["aborted"] * 2
-        # mw_state's eigh and the checkpoints' eigvalsh; the row-sum bound
-        # settles every width
-        assert (eigh["n"], eigvalsh["n"]) == (16, 8)
+        # mw_state's eigh after each run's first step, whose sum M is 0,
+        # and the checkpoints' eigvalsh; the row-sum bound settles every width
+        assert (eigh["n"], eigvalsh["n"]) == (14, 8)
 
         doc = solve_report(h, cfg, driver.SolveResult(None, None, [probe], 0.0, 0.0), 0)
         # one averaged certificate per run, its width settled by the bound

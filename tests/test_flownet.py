@@ -21,26 +21,28 @@ from hyperspars.flownet import (
     MaxFlowResult,
     build_flow_instance,
     decompose,
-    demand_matrix,
     flow_matrix,
     lift_flow,
     flow_tolerance,
     max_flow,
-    triangle_matrix_sum,
 )
 from hyperspars.hypergraph import parse_dhg, reduce_to_digraph
 from hyperspars.reference import GeneratorSpec, generate
-from hyperspars.sdpcore import TriangleId, mat_A, spectral_norm
+from hyperspars.sdpcore import TriangleId, spectral_norm
 
 from conftest import make_h, normalized_state, random_hypergraph
 from witnesses import (
     capacity_duality_check,
     decomposition_matrix_identity_gap,
+    demand_matrix,
     demand_norm_bound,
     loop_demand_matrix,
     loop_flow_matrix,
     loop_lift_flow,
     loop_triangle_matrix_sum,
+    mapping_triangle_sum,
+    mat_A,
+    per_edge_totals,
 )
 
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
@@ -417,7 +419,7 @@ class TestLiftFlow:
             )
             res = max_flow(inst)
             fa = lift_flow(res, inst)
-            for e_idx, tot in fa.per_edge_totals().items():
+            for e_idx, tot in per_edge_totals(fa).items():
                 assert tot <= float(h.edges[e_idx].weight) / 2.0 + 1e-9
 
 
@@ -451,9 +453,9 @@ class TestMatchesLoopReferences:
 
     def test_empty_inputs_are_float_zeros(self):
         for got in (
-            flow_matrix(FlowAssignment(()), 4),
+            flow_matrix(FlowAssignment.of(()), 4),
             demand_matrix({}, 4),
-            triangle_matrix_sum({}, 4),
+            mapping_triangle_sum({}, 4),
         ):
             assert got.dtype == np.float64 and np.array_equal(got, np.zeros((4, 4)))
 
@@ -461,7 +463,7 @@ class TestMatchesLoopReferences:
     def test_random_entries(self, rng, n):
         for _ in range(25):
             entries = random_entries(rng, n, int(rng.integers(0, 40)))
-            fa = FlowAssignment(tuple((e, i, j, f) for e, (i, j, f) in enumerate(entries)))
+            fa = FlowAssignment.of((e, i, j, f) for e, (i, j, f) in enumerate(entries))
             demand = {(i, j): f for i, j, f in entries}
             # distinct triangles as make() builds them, plus repeated
             # vertices that TriangleId itself admits
@@ -472,7 +474,7 @@ class TestMatchesLoopReferences:
             for got, want in (
                 (flow_matrix(fa, n), loop_flow_matrix(fa, n)),
                 (demand_matrix(demand, n), loop_demand_matrix(demand, n)),
-                (triangle_matrix_sum(triangles, n), loop_triangle_matrix_sum(triangles, n)),
+                (mapping_triangle_sum(triangles, n), loop_triangle_matrix_sum(triangles, n)),
             ):
                 assert got.dtype == np.float64 and np.array_equal(got, want)
 
@@ -492,26 +494,26 @@ class TestMatchesLoopReferences:
             inst = build_flow_instance(rd, sources, sinks)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
-            assert len(fa) and fa == loop_lift_flow(res, inst)
+            assert len(fa) and list(fa) == list(loop_lift_flow(res, inst))
             assert np.array_equal(flow_matrix(fa, n), loop_flow_matrix(fa, n))
             dec = decompose(fa, sources, sinks)
             tri = dec.triangle_weights
-            assert np.array_equal(triangle_matrix_sum(tri, n), loop_triangle_matrix_sum(tri, n))
+            assert np.array_equal(mapping_triangle_sum(tri, n), loop_triangle_matrix_sum(tri, n))
             assert np.array_equal(demand_matrix(dec.demand, n), loop_demand_matrix(dec.demand, n))
 
     def test_out_of_range_vertex_raises(self):
         with pytest.raises(IndexError):
-            flow_matrix(FlowAssignment(((0, 1, 3, 1.0),)), 3)
+            flow_matrix(FlowAssignment.of([(0, 1, 3, 1.0)]), 3)
         with pytest.raises(IndexError):
-            triangle_matrix_sum({TriangleId(-1, 1, 2): 1.0}, 3)
+            mapping_triangle_sum({TriangleId(-1, 1, 2): 1.0}, 3)
 
 
 class TestFlowMatrix:
     def test_zero_flow_zero_matrix(self):
-        assert np.all(flow_matrix(FlowAssignment(()), 4) == 0.0)
+        assert np.all(flow_matrix(FlowAssignment.of(()), 4) == 0.0)
 
     def test_unit_flow_is_mat_a(self):
-        fa = FlowAssignment(((0, 1, 2, 1.0),))
+        fa = FlowAssignment.of([(0, 1, 2, 1.0)])
         assert np.array_equal(flow_matrix(fa, 4), mat_A(4, 1, 2))
 
     def test_dot_equals_distance_sum(self, rng):
@@ -522,13 +524,13 @@ class TestFlowMatrix:
             for i in sorted(e.tail):
                 for j in sorted(e.head):
                     values.append((e_idx, i, j, float(rng.uniform(0, 1))))
-        fa = FlowAssignment(tuple(values))
+        fa = FlowAssignment.of(values)
         f = flow_matrix(fa, 5)
         direct = sum(v * st.ddist(i, j) for _, i, j, v in values)
         assert float(np.tensordot(f, st.x)) == pytest.approx(direct, abs=1e-10 * max(1, abs(direct)))
 
     def test_ones_kernel(self, rng):
-        fa = FlowAssignment(((0, 0, 3, 0.7), (1, 2, 1, 0.4)))
+        fa = FlowAssignment.of([(0, 0, 3, 0.7), (1, 2, 1, 0.4)])
         assert np.max(np.abs(flow_matrix(fa, 4) @ np.ones(4))) <= 1e-12
 
 
@@ -536,7 +538,7 @@ class TestDecompose:
     def test_two_hop_path_paper_identity(self):
         # unit flow along (0, 1, 2): one triangle anchored at the source,
         # demand on the endpoints, and A_01 + A_12 = T + A_02 as matrices
-        fa = FlowAssignment(((0, 0, 1, 1.0), (1, 1, 2, 1.0)))
+        fa = FlowAssignment.of([(0, 0, 1, 1.0), (1, 1, 2, 1.0)])
         dec = decompose(fa, sources=[0], sinks=[2])
         assert dec.demand == pytest.approx({(0, 2): 1.0})
         assert len(dec.triangle_weights) == 1
@@ -545,24 +547,44 @@ class TestDecompose:
         assert (tri.a, tri.b, tri.mid) == (0, 2, 1)
         n = 3
         lhs = mat_A(n, 0, 1) + mat_A(n, 1, 2)
-        rhs = triangle_matrix_sum(dec.triangle_weights, n) + mat_A(n, 0, 2)
+        rhs = mapping_triangle_sum(dec.triangle_weights, n) + mat_A(n, 0, 2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_single_hop_pure_demand(self):
-        fa = FlowAssignment(((0, 0, 1, 0.6),))
+        fa = FlowAssignment.of([(0, 0, 1, 0.6)])
         dec = decompose(fa, sources=[0], sinks=[1])
         assert dec.triangle_weights == {}
         assert dec.demand == pytest.approx({(0, 1): 0.6})
         assert dec.dropped_cycle_mass == 0.0
 
     def test_cycle_dropped(self):
-        fa = FlowAssignment(
-            ((0, 0, 1, 1.0), (1, 1, 2, 0.5), (2, 2, 1, 0.5), (3, 1, 3, 1.0))
+        fa = FlowAssignment.of(
+            [(0, 0, 1, 1.0), (1, 1, 2, 0.5), (2, 2, 1, 0.5), (3, 1, 3, 1.0)]
         )
         # 1 -> 2 -> 1 is a circulation on top of the 0 -> 1 -> 3 path
         dec = decompose(fa, sources=[0], sinks=[3])
         assert dec.demand == pytest.approx({(0, 3): 1.0})
         assert dec.dropped_cycle_mass == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k", [10, 40])
+    def test_scaled_flow_decomposes_scaled(self, rng, k):
+        # a flow times 2^-k decomposes into the same paths, each weight
+        # and demand times 2^-k exactly; no tolerance is absolute
+        for _ in range(20):
+            h = random_hypergraph(rng, max_n=8, max_m=5)
+            left = [0]
+            right = list(range(1, h.n))
+            inst = build_flow_instance(
+                reduce_to_digraph(h),
+                {0: float(rng.uniform(0.2, 3.0))},
+                {j: float(rng.uniform(0.2, 3.0)) for j in right},
+            )
+            fa = lift_flow(max_flow(inst), inst)
+            dec = decompose(fa, left, right)
+            small = decompose(FlowAssignment(fa.keys, fa.values * 2.0**-k), left, right)
+            for part in ("triangle_weights", "demand", "dropped_pairs"):
+                want = {key: f * 2.0**-k for key, f in getattr(dec, part).items()}
+                assert getattr(small, part) == want
 
     def test_random_reconstruction(self, rng):
         for _ in range(40):
@@ -613,14 +635,14 @@ class TestCapacityDuality:
     def test_zero_flow(self, rng):
         h = random_hypergraph(rng, n=4, m=3)
         st = normalized_state(rng, h)
-        assert capacity_duality_check(FlowAssignment(()), st, h)
+        assert capacity_duality_check(FlowAssignment.of(()), st, h)
 
     def test_saturated_single_edge_equality(self):
         h = make_h(2, [({0}, {1}, 2)])
         from conftest import integral_state
 
         st = integral_state(h, {0})
-        fa = FlowAssignment(((0, 0, 1, 1.0),))  # saturates c_e = w_e / 2
+        fa = FlowAssignment.of([(0, 0, 1, 1.0)])  # saturates c_e = w_e / 2
         f_dot = sum(f * st.ddist(i, j) for _, i, j, f in fa)
         d_e = max(0.0, st.ddist(0, 1))
         assert f_dot == pytest.approx(float(h.edges[0].weight) / 2.0 * d_e, abs=1e-10)
@@ -640,4 +662,4 @@ class TestCapacityDuality:
                     raw = raw * (cap * float(rng.uniform(0, 1)) / total)
                 for (i, j), f in zip(pairs, raw):
                     values.append((e_idx, i, j, float(f)))
-            assert capacity_duality_check(FlowAssignment(tuple(values)), st, h)
+            assert capacity_duality_check(FlowAssignment.of(values), st, h)

@@ -16,7 +16,6 @@ from hyperspars.hypergraph import (
     evaluate_cuts,
     expansion,
     out_closure,
-    out_cut,
     parse_dhg,
     reduce_to_digraph,
     reverse,
@@ -31,6 +30,7 @@ from hyperspars.sdpcore import mat_K
 from conftest import make_h, random_hypergraph
 from witnesses import (
     digraph_cut_weight,
+    out_cut,
     restrict_subset,
     scan_expansion,
     scan_out_closure,

@@ -29,10 +29,11 @@ from hyperspars.oracle import (
 )
 from hyperspars.hypergraph import reduce_to_digraph, reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
-from hyperspars.sdpcore import GramState, TriangleId, mat_K, mat_T, spectral_norm
+from hyperspars.sdpcore import GramState, TriangleId, mat_K, spectral_norm
 
 import witnesses
-from conftest import integral_state, make_h, normalized_state, random_hypergraph
+from conftest import integral_state, make_h, normalized_state, random_hypergraph, scaled
+from witnesses import certificate_data, mat_T, per_edge_totals, triangle_weights
 
 
 def planted():
@@ -209,7 +210,7 @@ class TestCase1:
         cert = out.dual
         k = mat_K(h.vertex_weights)
         t_sum = sum(
-            (f * mat_T(h.n, tri) for tri, f in cert.triangle_weights.items()),
+            (f * mat_T(h.n, tri) for tri, f in triangle_weights(cert).items()),
             np.zeros((h.n, h.n)),
         )
         lhs = float(np.tensordot(t_sum + cert.z * k, st.x))
@@ -365,7 +366,7 @@ class TestCase2:
         assert tri_sum <= -9.0 * cfg.s_viol / total**2
         alpha = 0.31
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
-        cert = DualCertificate(alpha, {t: f_val for t in tris}, None)
+        cert = DualCertificate.of(alpha, {t: f_val for t in tris}, None)
         k = mat_K(h.vertex_weights)
         ok, report = certificate_check(cert, alpha, h, cfg.rho(alpha, h))
         assert ok, report
@@ -405,7 +406,8 @@ def outcome_summary(out):
         data = (out.cut.subset, out.cut.sparsity, out.cut.phi_plus, out.cut.phi_minus)
     else:
         cert = out.dual
-        data = (cert.z, sorted(cert.triangle_weights.items()), cert.flow, out.width)
+        flow = None if cert.flow is None else list(cert.flow)
+        data = (cert.z, sorted(triangle_weights(cert).items()), flow, out.width)
     return out.kind, out.case, data, out.diagnostics
 
 
@@ -450,7 +452,7 @@ def assert_same_outcome(got, want):
     """Bit for bit: every float compared with ==, the residuals with
     np.array_equal."""
     assert outcome_summary(got) == outcome_summary(want)
-    assert got.dual == want.dual
+    assert certificate_data(got.dual) == certificate_data(want.dual)
     assert (got.residual is None) == (want.residual is None)
     if got.residual is not None:
         assert np.array_equal(got.residual, want.residual)
@@ -671,33 +673,31 @@ class TestCertificateCheck:
     def test_z_below_alpha_fails(self):
         h, st, alpha, out = self.setup_cert()
         cert = out.dual
-        low = DualCertificate(alpha / 2, cert.triangle_weights, cert.flow)
+        low = DualCertificate(alpha / 2, cert.triangles, cert.weights, cert.flow)
         ok, report = certificate_check(low, alpha, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "z_below_alpha"
 
     def test_negative_triangle_weight_fails(self):
         h, st, alpha, out = self.setup_cert()
         cert = out.dual
-        tris = dict(cert.triangle_weights)
+        tris = triangle_weights(cert)
         if not tris:
             tris[TriangleId.make(0, 2, 1)] = 0.0
         key = next(iter(tris))
         tris[key] = -abs(tris[key]) - 1e-6
-        bad = DualCertificate(cert.z, tris, cert.flow)
+        bad = DualCertificate.of(cert.z, tris, cert.flow)
         ok, report = certificate_check(bad, alpha, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "negative_triangle_weight"
 
     def test_over_capacity_flow_fails(self):
         h, st, alpha, out = self.setup_cert()
         cert = out.dual
-        totals = cert.flow.per_edge_totals()
+        totals = per_edge_totals(cert.flow)
         factor = 3.0 * max(
             float(h.edges[e].weight) / 2.0 / tot for e, tot in totals.items() if tot > 0
         )
-        inflated = FlowAssignment(
-            tuple((e, i, j, f * factor) for e, i, j, f in cert.flow)
-        )
-        bad = DualCertificate(cert.z, cert.triangle_weights, inflated)
+        inflated = FlowAssignment(cert.flow.keys, cert.flow.values * factor)
+        bad = DualCertificate(cert.z, cert.triangles, cert.weights, inflated)
         ok, report = certificate_check(bad, alpha, h, OracleConfig().rho(alpha, h))
         assert not ok and report["first_failure"] == "flow_capacity"
 
@@ -707,10 +707,22 @@ class TestCertificateCheck:
         assert not ok and report["first_failure"] == "width_bound"
 
     def test_dual_dot_bound_is_a_per_step_invariant(self):
-        # z K alone gives R . X = z K . X = alpha > 1e-7: a structurally
-        # valid certificate that the state contradicts
+        # z K alone gives R . X = z K . X = alpha > 1e-7 alpha: a
+        # structurally valid certificate that the state contradicts
         h, st, alpha, out = self.setup_cert()
-        cert = DualCertificate(alpha, {}, None)
+        cert = DualCertificate.of(alpha, {}, None)
+        assert certificate_check(cert, alpha, h, OracleConfig().rho(alpha, h))[0]
+        omega = np.array(h.vertex_weights, dtype=float)
+        call = oracle._Call(alpha, st, h, OracleConfig(), None, omega, float(omega.sum()))
+        with pytest.raises(OracleInvariantError, match="dual_dot_bound"):
+            oracle._dual_outcome(call, cert, "2C", {})
+
+    def test_dual_dot_slack_is_relative_to_alpha(self):
+        # the same contradiction at alpha = 1e-9, which an absolute slack
+        # of 1e-7 let pass
+        h, st, _, out = self.setup_cert()
+        alpha = 1e-9
+        cert = DualCertificate.of(alpha, {}, None)
         assert certificate_check(cert, alpha, h, OracleConfig().rho(alpha, h))[0]
         omega = np.array(h.vertex_weights, dtype=float)
         call = oracle._Call(alpha, st, h, OracleConfig(), None, omega, float(omega.sum()))
@@ -737,7 +749,124 @@ def random_certificate(rng, h, alpha):
         shares = rng.dirichlet(np.ones(len(pairs))) * cap
         entries += [(e_idx, i, j, float(f)) for (i, j), f in zip(pairs, shares)]
     z = alpha * (1.0 + float(rng.exponential()))
-    return DualCertificate(z, triangles, FlowAssignment(tuple(entries)) if entries else None)
+    return DualCertificate.of(z, triangles, FlowAssignment.of(entries) if entries else None)
+
+
+FAILURES = (
+    "z_below_alpha", "negative_triangle_weight", "triangle_vertex_range", "flow_edge_range",
+    "flow_pair_not_in_edge", "flow_capacity", "negative_flow", "residual_not_finite",
+)
+
+
+def seeded(rng, h, alpha, cert, failures):
+    """``cert`` with each of ``failures`` (names of certificate_check
+    bullets) planted in it: in one entry, or for the capacity in every
+    flow entry."""
+    z, tri, weights = cert.z, cert.triangles.copy(), cert.weights.copy()
+    keys = values = None
+    if cert.flow is not None:
+        keys, values = cert.flow.keys.copy(), cert.flow.values.copy()
+
+    def pick(arr):
+        return int(rng.integers(len(arr)))
+
+    for failure in failures:
+        if failure == "z_below_alpha":
+            z = alpha / 2
+        elif failure == "negative_triangle_weight" and len(weights):
+            weights[pick(weights)] = -float(rng.exponential())
+        elif failure == "triangle_vertex_range" and len(tri):
+            tri[pick(tri), int(rng.integers(3))] = rng.choice([-1, h.n, h.n + 5])
+        elif failure == "flow_edge_range" and keys is not None:
+            keys[pick(keys), 0] = rng.choice([-1, h.m])
+        elif failure == "flow_pair_not_in_edge" and keys is not None:
+            keys[pick(keys), int(rng.integers(1, 3))] = rng.choice([-1, h.n, *range(h.n)])
+        elif failure == "flow_capacity" and keys is not None:
+            values *= 1e3
+        elif failure == "negative_flow" and keys is not None:
+            values[pick(values)] = -float(rng.exponential())
+        elif failure == "residual_not_finite":
+            z = 1e308
+            weights[:] = 1e308
+    flow = None if keys is None else FlowAssignment(keys, values)
+    return DualCertificate(z, tri, weights, flow)
+
+
+class TestMatchesTheEntryByEntryCheck:
+    """certificate_check, in whole-array passes, decides as the check that
+    read a certificate entry by entry (``witnesses``): the same verdict,
+    first failure, failing flow entry and edge, and a residual and width
+    equal to the bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(FAILURES), max_size=3),
+        st.sampled_from([math.inf, 0.5, "row_sum"]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_report(self, seed, failures, rho):
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, max_n=8, max_m=6)
+        alpha = float(10.0 ** rng.uniform(-4, 0))
+        cert = seeded(rng, h, alpha, random_certificate(rng, h, alpha), failures)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rho != math.inf:
+                _, valid = witnesses.reference_certificate_check(cert, alpha, h, math.inf)
+                bound = np.abs(valid.get("residual", np.ones((1, 1)))).sum(axis=1).max()
+                rho = bound if rho == "row_sum" else rho * bound
+            got_ok, got = certificate_check(cert, alpha, h, rho)
+            want_ok, want = witnesses.reference_certificate_check(cert, alpha, h, rho)
+        assert (got_ok, got["first_failure"]) == (want_ok, want["first_failure"])
+        for key in ("flow_entry", "edge_over_capacity", "width"):
+            assert got.get(key) == want.get(key)
+        assert ("residual" in got) == ("residual" in want)
+        if "residual" in got:
+            assert np.array_equal(got["residual"], want["residual"])
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(FAILURES[:-1]), max_size=2))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_verdicts_scale_with_the_weights(self, seed, failures):
+        # edge weights, alpha, rho and the certificate times 2^-40: the
+        # same verdict, and the residual times 2^-40 exactly (an overflow
+        # is a matter of scale, so none is planted)
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, max_n=8, max_m=6)
+        alpha = float(10.0 ** rng.uniform(-4, 0))
+        cert = random_certificate(rng, h, alpha)
+        if cert.flow is not None and rng.random() < 0.5:
+            # just over capacity on one edge
+            e_idx = int(cert.flow.keys[0, 0])
+            on_edge = cert.flow.keys[:, 0] == e_idx
+            total = cert.flow.values[on_edge].sum()
+            values = cert.flow.values.copy()
+            values[on_edge] *= 1.5 * float(h.edges[e_idx].weight) / 2 / total
+            flow = FlowAssignment(cert.flow.keys, values)
+            cert = DualCertificate(cert.z, cert.triangles, cert.weights, flow)
+        cert = seeded(rng, h, alpha, cert, failures)
+        s = 2.0**-40
+        flow = cert.flow and FlowAssignment(cert.flow.keys, cert.flow.values * s)
+        small = DualCertificate(cert.z * s, cert.triangles, cert.weights * s, flow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, report = certificate_check(cert, alpha, h, 1.0)
+            ok_s, report_s = certificate_check(small, alpha * s, scaled(h, Fraction(s)), s)
+        assert (ok_s, report_s["first_failure"]) == (ok, report["first_failure"])
+        if "residual" in report:
+            assert np.array_equal(report_s["residual"], report["residual"] * s)
+
+    def test_every_failure_is_reached(self):
+        # the planted failures above, each alone on an instance where it
+        # can occur, are named as planted
+        h = make_h(4, [({0, 1}, {2}, 2), ({2}, {3}, 1), ({3}, {0}, 1)], weights=[1] * 4)
+        alpha = 0.01
+        rng = np.random.default_rng(5)
+        for failure in FAILURES:
+            cert = random_certificate(rng, h, alpha)
+            while cert.flow is None or not len(cert.triangles):
+                cert = random_certificate(rng, h, alpha)
+            cert = seeded(rng, h, alpha, cert, [failure])
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok, report = certificate_check(cert, alpha, h, 1.0)
+            assert not ok and report["first_failure"] == failure
 
 
 class TestWidthBound:
@@ -774,7 +903,7 @@ class TestWidthBound:
         # diagonal where the two triangles' sum is +inf, so a cell is NaN
         h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
         tris = {TriangleId.make(0, 1, 2): 1e308, TriangleId.make(0, 1, 3): 1e308}
-        cert = DualCertificate(1e308, tris, None)
+        cert = DualCertificate.of(1e308, tris, None)
         exact = []
         monkeypatch.setattr(oracle, "spectral_norm", exact.append)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -785,7 +914,7 @@ class TestWidthBound:
     def test_an_infinite_bound_over_finite_cells_takes_the_exact_path(self, monkeypatch):
         # every cell of z K is finite, but each row sum overflows
         h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
-        cert = DualCertificate(1e307, {}, None)
+        cert = DualCertificate.of(1e307, {}, None)
         exact = []
 
         def norm(residual):
@@ -812,27 +941,28 @@ class TestWidthBound:
 class TestAverageCertificate:
     def test_sums_by_key_and_divides_by_count(self):
         a, b, c = TriangleId.make(0, 2, 1), TriangleId.make(1, 3, 2), TriangleId.make(0, 3, 1)
-        first = FlowAssignment(((0, 0, 1, 3.0), (1, 2, 3, 1.0)))
-        third = FlowAssignment(((1, 2, 3, 5.0), (0, 1, 0, 3.0)))
+        first = FlowAssignment.of([(0, 0, 1, 3.0), (1, 2, 3, 1.0)])
+        third = FlowAssignment.of([(1, 2, 3, 5.0), (0, 1, 0, 3.0)])
         certs = [
-            DualCertificate(1.0, {a: 2.0, b: 4.0}, first),
-            DualCertificate(2.0, {a: 1.0}, None),
-            DualCertificate(3.0, {c: 6.0}, third),
+            DualCertificate.of(1.0, {a: 2.0, b: 4.0}, first),
+            DualCertificate.of(2.0, {a: 1.0}, None),
+            DualCertificate.of(3.0, {c: 6.0}, third),
         ]
         avg = average_certificate(certs)
         assert avg.z == 2.0
-        assert avg.triangle_weights == {a: 1.0, b: 4.0 / 3.0, c: 2.0}
-        assert avg.flow.values == ((0, 0, 1, 1.0), (0, 1, 0, 1.0), (1, 2, 3, 2.0))
+        # triangles in order of first appearance, flow entries sorted by key
+        assert list(triangle_weights(avg).items()) == [(a, 1.0), (b, 4.0 / 3.0), (c, 2.0)]
+        assert list(avg.flow) == [(0, 0, 1, 1.0), (0, 1, 0, 1.0), (1, 2, 3, 2.0)]
 
     def test_without_flow_or_certificates(self):
         tri = TriangleId.make(0, 2, 1)
         assert average_certificate([]) is None
-        avg = average_certificate([DualCertificate(0.5, {tri: 1.0}, None)] * 3)
-        assert avg == DualCertificate(0.5, {tri: 1.0}, None)
+        avg = average_certificate([DualCertificate.of(0.5, {tri: 1.0}, None)] * 3)
+        assert (avg.z, triangle_weights(avg), avg.flow) == (0.5, {tri: 1.0}, None)
 
     def test_mean_of_equal_values_is_exact(self):
         # an exactly rounded sum: 4012 steps at alpha = 0.0094 average to it
-        avg = average_certificate([DualCertificate(0.0094, {}, None)] * 4012)
+        avg = average_certificate([DualCertificate.of(0.0094, {}, None)] * 4012)
         assert avg.z == 0.0094
 
 

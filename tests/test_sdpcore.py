@@ -7,21 +7,26 @@ import pytest
 
 from hyperspars import driver
 from hyperspars.sdpcore import (
-    GramState,
-    NotPsdError,
     TriangleId,
     center_rows,
-    cholesky_embed,
     directed_distance,
-    mat_A,
     mat_K,
-    mat_T,
     min_eigenvalue,
     spectral_norm,
     squared_distances,
 )
 
-from witnesses import fill_diagonal_squared_distances, mean_centered, mat_exp, variance_form
+from witnesses import (
+    NotPsdError,
+    cholesky_embed,
+    fill_diagonal_squared_distances,
+    gram_state,
+    mat_A,
+    mat_exp,
+    mat_T,
+    mean_centered,
+    variance_form,
+)
 
 
 def random_gram(rng, n, dim=None):
@@ -317,13 +322,13 @@ class TestMwRegret:
 class TestGramState:
     def test_from_matrix_consistency(self, rng):
         x, _ = random_gram(rng, 5)
-        st = GramState.from_matrix(x)
+        st = gram_state(x)
         assert st.vectors @ st.vectors.T == pytest.approx(x, abs=1e-9 * np.abs(x).max())
         assert st.dist2(1, 2) == pytest.approx(x[1, 1] + x[2, 2] - 2 * x[1, 2], rel=1e-8)
 
     def test_k_dot_matches_tensordot(self, rng):
         x, _ = random_gram(rng, 6)
-        st = GramState.from_matrix(x)
+        st = gram_state(x)
         w = [1, 2, 1, 1, 2, 1]
         assert st.k_dot(w) == pytest.approx(float(np.tensordot(mat_K(w), x)), rel=1e-9)
 

@@ -1,25 +1,28 @@
 """Witness functions for the acceptance criteria, used only by the tests.
 
 They state properties of the solver's building blocks in executable form:
-the matrix exponential and variance form behind the multiplicative-weights
-analysis, the demand-norm and capacity-duality bounds and the flow
-decomposition identity of the flow layer, the subset lift and projection
-between a hypergraph and its reduced digraph, a cut evaluator that
-scans the edges' frozensets with exact ``Fraction`` sums, independent of
-the incidence arrays the package answers cut questions from, the
-singleton/closure baseline as one cut evaluation per candidate, and the
-loops the flow layer replaced: dense F, D and sum f_p T_p accumulated one
-``add_mat_A``/``add_mat_T`` call per entry, the lift that visits every
-hyperedge, the oracle's Case 2 scan as it ran one direction at a time:
-one draw, one split and one exact cut evaluation per direction, and the
-row centering and squared distances as ``np.mean`` and ``np.fill_diagonal``
-compute them.
+the constraint matrices mat_A and mat_T one cell at a time, the embedding
+of a PSD matrix, the matrix exponential and variance form behind the
+multiplicative-weights analysis, the demand-norm and capacity-duality
+bounds and the flow decomposition identity of the flow layer, the subset
+lift and projection between a hypergraph and its reduced digraph, a cut
+evaluator that scans the edges' frozensets with exact ``Fraction`` sums,
+independent of the incidence arrays the package answers cut questions
+from, the singleton/closure baseline as one cut evaluation per candidate,
+and the loops the flow layer replaced: dense F, D and sum f_p T_p
+accumulated one ``add_mat_A``/``add_mat_T`` call per entry, the lift that
+visits every hyperedge, the certificate check that read a certificate
+entry by entry, the oracle's Case 2 scan as it ran one direction at a
+time: one draw, one split and one exact cut evaluation per direction, and
+the row centering and squared distances as ``np.mean`` and
+``np.fill_diagonal`` compute them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
+import sys
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,7 +34,6 @@ from hyperspars.flownet import (
     FlowDecomposition,
     FlowInstance,
     MaxFlowResult,
-    demand_matrix,
     flow_matrix,
     triangle_matrix_sum,
 )
@@ -50,9 +52,120 @@ from hyperspars.oracle import (
     OracleOutcome,
     log2_weight,
 )
-from hyperspars.sdpcore import GramState, TriangleId, add_mat_A, add_mat_T
+from hyperspars.sdpcore import GramState, TriangleId, spectral_norm
 
 DEFAULT_DEMAND_NORM_CONST = 8.0
+
+
+# Default PSD slack of cholesky_embed, relative to ||X||.
+TOL_PSD_REL = 1e-8
+
+
+class NotPsdError(ValueError):
+    """Matrix is not positive semi-definite within tolerance."""
+
+
+def cholesky_embed(x: np.ndarray, tol_psd: float | None = None) -> np.ndarray:
+    """Vectors v_i (rows) with <v_i, v_j> = X(i, j), via eigendecomposition.
+
+    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is a
+    genuine PSD violation and raises.
+    """
+    x = np.asarray(x, dtype=float)
+    lam, u = np.linalg.eigh((x + x.T) / 2.0)
+    scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
+    tol = tol_psd if tol_psd is not None else TOL_PSD_REL * scale
+    if lam[0] < -tol:
+        raise NotPsdError(f"eigenvalue {lam[0]:.3e} below -{tol:.3e}")
+    lam = np.clip(lam, 0.0, None)
+    return u * np.sqrt(lam)
+
+
+def gram_state(x: np.ndarray) -> GramState:
+    """The state of the PSD matrix ``x``, embedded by ``cholesky_embed``."""
+    return GramState(cholesky_embed(x))
+
+
+def _add_sq_diff(m: np.ndarray, i: int, j: int, coeff: float) -> None:
+    # coeff * (e_i - e_j)(e_i - e_j)^T; no-op when i == j
+    if i == j:
+        return
+    m[i, i] += coeff
+    m[j, j] += coeff
+    m[i, j] -= coeff
+    m[j, i] -= coeff
+
+
+def add_mat_A(m: np.ndarray, i: int, j: int, coeff: float) -> None:
+    """m += coeff * mat_A(n, i, j), in place."""
+    _add_sq_diff(m, i, j, coeff)
+    _add_sq_diff(m, i, 0, -coeff)
+    _add_sq_diff(m, j, 0, coeff)
+
+
+def add_mat_T(m: np.ndarray, tri: TriangleId, coeff: float) -> None:
+    """m += coeff * mat_T(n, tri), in place."""
+    _add_sq_diff(m, tri.a, tri.mid, coeff)
+    _add_sq_diff(m, tri.mid, tri.b, coeff)
+    _add_sq_diff(m, tri.a, tri.b, -coeff)
+
+
+def mat_A(n: int, i: int, j: int) -> np.ndarray:
+    """Directed-distance matrix: mat_A(n, i, j) . X == d(i, j) for Gram X."""
+    m = np.zeros((n, n))
+    add_mat_A(m, i, j, 1.0)
+    return m
+
+
+def mat_T(n: int, tri: TriangleId) -> np.ndarray:
+    """Triangle-slack matrix: mat_T(p) . X is the l2^2 triangle slack of p."""
+    m = np.zeros((n, n))
+    add_mat_T(m, tri, 1.0)
+    return m
+
+
+def out_cut(h: DirectedHypergraph, subset) -> list[int]:
+    """Indices of edges in the out-going cut of ``subset``, read from the
+    incidence arrays."""
+    inside = np.zeros(h.n, dtype=bool)
+    inside[list(subset)] = True
+    return np.flatnonzero(h.incidence.crossing(inside)[0]).tolist()
+
+
+def triangle_weights(cert: DualCertificate) -> dict[TriangleId, float]:
+    """A certificate's f_p by triangle, in its order."""
+    return {
+        TriangleId(*tri): f for tri, f in zip(cert.triangles.tolist(), cert.weights.tolist())
+    }
+
+
+def demand_matrix(demand: Mapping[tuple[int, int], float], n: int) -> np.ndarray:
+    """D = sum of d_ij * mat_A(i, j): F of a flow with these pair values."""
+    return flow_matrix(FlowAssignment.of((0, i, j, f) for (i, j), f in demand.items()), n)
+
+
+def certificate_data(cert: DualCertificate | None) -> tuple | None:
+    """A certificate's z, triangles, weights and flow entries as Python
+    numbers, equal exactly where the certificates are (None for None)."""
+    if cert is None:
+        return None
+    flow = None if cert.flow is None else list(cert.flow)
+    return cert.z, cert.triangles.tolist(), cert.weights.tolist(), flow
+
+
+def mapping_triangle_sum(triangles: Mapping[TriangleId, float], n: int) -> np.ndarray:
+    """``triangle_matrix_sum`` of the f_p that ``triangles`` maps each
+    triangle to."""
+    cert = DualCertificate.of(0.0, triangles, None)
+    return triangle_matrix_sum(cert.triangles, cert.weights, n)
+
+
+def per_edge_totals(fa: FlowAssignment) -> dict[int, float]:
+    """Each edge's total flow, summed in entry order."""
+    totals: dict[int, float] = {}
+    for e, _, _, f in fa:
+        totals[e] = totals.get(e, 0.0) + f
+    return totals
 
 
 def mat_exp(m: np.ndarray) -> np.ndarray:
@@ -137,7 +250,7 @@ def decomposition_matrix_identity_gap(
 ) -> float:
     """Max-abs gap of F(cycle-free) - (sum f_p T_p + D); should be ~0."""
     lhs = flow_matrix(fa, n) - demand_matrix(dec.dropped_pairs, n)
-    rhs = triangle_matrix_sum(dec.triangle_weights, n) + demand_matrix(dec.demand, n)
+    rhs = mapping_triangle_sum(dec.triangle_weights, n) + demand_matrix(dec.demand, n)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -284,7 +397,7 @@ def loop_lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignm
         mid = arc_flow[k]
         in_flows = arc_flow[k + 1 : k + 1 + len(tails)]
         out_flows = arc_flow[k + 1 + len(tails) : k + 1 + len(tails) + len(heads)]
-        tol = CONSERVATION_TOL * max(1.0, abs(mid))
+        tol = CONSERVATION_TOL * min(float(rd.base.edges[e_idx].weight), result.value)
         if abs(sum(in_flows) - mid) > tol or abs(sum(out_flows) - mid) > tol:
             raise ArithmeticError(f"gadget conservation violated at edge {e_idx}")
         if mid <= tol:
@@ -295,8 +408,10 @@ def loop_lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignm
             for j, fj in zip(heads, out_flows):
                 if fj <= 0.0:
                     continue
-                values.append((e_idx, i, j, fi * fj / mid))
-    return FlowAssignment(tuple(values))
+                product = fi * fj
+                share = product / mid if product >= sys.float_info.min else fi * (fj / mid)
+                values.append((e_idx, i, j, share))
+    return FlowAssignment.of(values)
 
 
 def random_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -463,9 +578,75 @@ def scan_case2(call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
         triangles = oracle.path_triangles(path)
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
         extra["path"] = path
-        cert = DualCertificate(alpha, {tri: f_val for tri in triangles}, None)
+        cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), None)
         return oracle._dual_outcome(call, cert, "2C", extra)
 
     if best_cut is not None:
         return best_cut
     raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
+
+
+def reference_certificate_check(
+    cert: DualCertificate, alpha: float, h: DirectedHypergraph, rho: float
+) -> tuple[bool, dict]:
+    """``oracle.certificate_check`` as it read a certificate entry by entry:
+    the triangles as a dict, the flow as tuples, F and sum f_p T_p by one
+    ``add_mat_A``/``add_mat_T`` call per entry, each edge's tail and head
+    as frozensets and the per-edge totals as a dict in entry order.  Its
+    tolerances are the package's."""
+    n = h.n
+    report: dict = {"first_failure": None}
+    triangles = triangle_weights(cert)
+    flow = None if cert.flow is None else list(cert.flow)
+
+    def fail(name: str) -> tuple[bool, dict]:
+        report["first_failure"] = name
+        return False, report
+
+    report["z"] = cert.z
+    if cert.z < alpha * (1 - 1e-12):
+        return fail("z_below_alpha")
+    if any(f < 0 for f in triangles.values()):
+        return fail("negative_triangle_weight")
+    if any(not 0 <= v < n for tri in triangles for v in tri):
+        return fail("triangle_vertex_range")
+    for e_idx, i, j, _ in flow or ():
+        if not 0 <= e_idx < h.m:
+            report["flow_entry"] = (e_idx, i, j)
+            return fail("flow_edge_range")
+        edge = h.edges[e_idx]
+        if i not in edge.tail or j not in edge.head:
+            report["flow_entry"] = (e_idx, i, j)
+            return fail("flow_pair_not_in_edge")
+
+    f_mat = np.zeros((n, n)) if flow is None else loop_flow_matrix(flow, n)
+    t_mat = loop_triangle_matrix_sum(triangles, n)
+    ones_gap = float(np.max(np.abs(f_mat.sum(axis=1))))
+    report["ones_gap"] = ones_gap
+    if ones_gap > 1e-9 * float(np.max(np.abs(f_mat))):
+        return fail("flow_ones_kernel")
+    if flow is not None:
+        totals: dict[int, float] = {}
+        for e_idx, _, _, f in flow:
+            totals[e_idx] = totals.get(e_idx, 0.0) + f
+        for e_idx, tot in totals.items():
+            cap = float(h.edges[e_idx].weight) / 2.0
+            if tot > cap * (1 + 1e-9):
+                report["edge_over_capacity"] = (e_idx, tot, cap)
+                return fail("flow_capacity")
+        if any(f < 0 for _, _, _, f in flow):
+            return fail("negative_flow")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = t_mat + cert.z * h.k_matrix - f_mat
+        width = float(np.abs(residual).sum(axis=1).max())
+    if not width <= rho:
+        if not math.isfinite(width) and not np.isfinite(residual).all():
+            return fail("residual_not_finite")
+        width = spectral_norm(residual)
+    report["residual"] = residual
+    report["width"] = width
+    report["rho"] = rho
+    if width > rho * (1 + 1e-6):
+        return fail("width_bound")
+    return True, report
