@@ -6,7 +6,7 @@ Randomized commands require --seed (or the HYPERSPARS_SEED environment
 variable) so every run is reproducible.
 
 Every probe of solve runs both sides of vertex 0.  ``solve --json`` writes
-a version-3 report that holds only what check-cert re-derives from the
+a version-4 report that holds only what check-cert re-derives from the
 instance file: the instance block, the config, every cut and the bound,
 and per run its numbers and averaged certificate.
 """

@@ -14,6 +14,9 @@ on the weighted complete-graph Laplacian K, whose nonzero eigenvalues are
 at least total^2 / (kappa n); a trace bound (-I . X >= -Theta(kappa n^2 /
 total^2)) would cost an extra n^2 factor, because the identity penalizes
 the all-ones direction that K ignores, and is deliberately not used.
+run_numbers derives rho, the horizon and the step size, for the loop and
+for check-cert alike.  Each step calls the oracle on its iterate alone:
+nothing of one step's flows is kept for the next.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# mat_K, reduce_to_digraph and spectral_norm are not called here any more, but
+# perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .hypergraph import (
     Cut,
     DirectedHypergraph,
@@ -33,7 +38,6 @@ from .hypergraph import (
     reverse,
 )
 from .oracle import (
-    Case1Flow,
     DualCertificate,
     OracleConfig,
     OracleFailure,
@@ -42,9 +46,6 @@ from .oracle import (
     certificate_check,
     run_oracle,
 )
-
-# mat_K and spectral_norm are not called here any more, but
-# perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .sdpcore import (
     GramState,
     center_rows,
@@ -62,6 +63,7 @@ __all__ = [
     "ProbeResult",
     "SolveResult",
     "theoretical_iterations",
+    "run_numbers",
     "regret_check",
     "run_algorithm1",
     "run_both_sides",
@@ -135,6 +137,15 @@ def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfi
     return math.ceil(16.0 * h.kappa**2 * ratio**2 * n**2 * math.log(n) / w4)
 
 
+def run_numbers(
+    alpha: float, h: DirectedHypergraph, cfg: SolverConfig
+) -> tuple[float, int, float]:
+    """A run's width rho, horizon min(T, t_cap) and step size
+    sqrt(ln n / horizon) at ``alpha``."""
+    t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
+    return cfg.oracle.rho(alpha, h), t_horizon, math.sqrt(math.log(h.n) / t_horizon)
+
+
 def regret_check(
     alpha: float, h: DirectedHypergraph, residual: np.ndarray, rho: float
 ) -> tuple[bool, float]:
@@ -196,9 +207,6 @@ def run_algorithm1(
     rho.  The residual is also the update added to the running sum.  Each
     checkpoint adds the regret check's one; a pass adds the average's, plus
     one for the average's width when its bound exceeds rho.
-    The run keeps its last Case 1 max-flow, with its lift and
-    decomposition, and the oracle reuses it while the terminal caps stay
-    the same; the flow is dropped with the run.
     An OracleInvariantError is a defect and propagates to the caller.
     """
     cfg = cfg or SolverConfig()
@@ -212,11 +220,8 @@ def run_algorithm1(
         rng = np.random.default_rng(0)
 
     h_run = h if side == "in" else reverse(h)
-    rd = reduce_to_digraph(h_run)
     n = h.n
-    rho = cfg.oracle.rho(alpha, h)
-    t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
-    eta = math.sqrt(math.log(n) / t_horizon)
+    rho, t_horizon, eta = run_numbers(alpha, h, cfg)
 
     run = AlgorithmRun(
         alpha=alpha,
@@ -230,12 +235,11 @@ def run_algorithm1(
 
     certificates: list[DualCertificate] = []
     m_sum = np.zeros((n, n))
-    case1_flow = Case1Flow()
     for t in range(1, t_horizon + 1):
         state = mw_state(m_sum, eta, h.vertex_weights)
 
         try:
-            outcome = run_oracle(alpha, state, h_run, cfg.oracle, rng, rd, case1_flow)
+            outcome = run_oracle(alpha, state, h_run, cfg.oracle, rng)
         except OracleFailure as exc:
             run.reason = f"oracle: {exc}"
             break

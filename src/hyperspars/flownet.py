@@ -31,7 +31,6 @@ __all__ = [
     "FlowAssignment",
     "FlowDecomposition",
     "build_flow_instance",
-    "terminal_caps",
     "flow_tolerance",
     "max_flow",
     "lift_flow",
@@ -93,10 +92,14 @@ def build_flow_instance(
     source_caps: Mapping[int, float],
     sink_caps: Mapping[int, float],
 ) -> FlowInstance:
-    """Attach a source over ``source_caps`` and a sink over ``sink_caps``."""
+    """Attach a source over ``source_caps`` and a sink over ``sink_caps``,
+    each kept as its (vertex, capacity) pairs in vertex order."""
     n_nodes = rd.num_vertices
     arc_from, arc_to, cap = rd.flow_arcs
-    src, snk = terminal_caps(source_caps), terminal_caps(sink_caps)
+    src, snk = (
+        tuple(sorted((int(i), float(c)) for i, c in caps.items()))
+        for caps in (source_caps, sink_caps)
+    )
     return FlowInstance(
         rd,
         _append(arc_from, [n_nodes] * len(src) + [j for j, _ in snk]),
@@ -105,12 +108,6 @@ def build_flow_instance(
         src,
         snk,
     )
-
-
-def terminal_caps(caps: Mapping[int, float]) -> tuple[tuple[int, float], ...]:
-    """The (vertex, capacity) pairs of ``caps`` in vertex order, as a flow
-    instance keeps them in ``source_caps`` and ``sink_caps``."""
-    return tuple(sorted((int(i), float(c)) for i, c in caps.items()))
 
 
 def _append(base: np.ndarray, extra: list) -> np.ndarray:

@@ -126,9 +126,6 @@ class DirectedHypergraph:
     def total_weight(self) -> int:
         return sum(self.vertex_weights)
 
-    def weight_of(self, subset: Iterable[int]) -> int:
-        return sum(self.vertex_weights[i] for i in subset)
-
     # The cached properties below are computed on first use; they are not
     # fields, so equality, hashing and pickles ignore them.
 
@@ -410,16 +407,6 @@ class ReducedDigraph:
     @cached_property
     def num_vertices(self) -> int:
         return self.base.n + 2 * self.base.m
-
-    def tail_node(self, e: int) -> int:
-        return self.base.n + 2 * e
-
-    def head_node(self, e: int) -> int:
-        return self.base.n + 2 * e + 1
-
-    def back_map(self, node: int) -> int | None:
-        """Original vertex for a digraph node, or None for gadget nodes."""
-        return node if node < self.base.n else None
 
     def vertex_weight(self, node: int) -> int:
         return self.base.vertex_weights[node] if node < self.base.n else 0

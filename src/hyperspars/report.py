@@ -4,8 +4,10 @@ The JSON report holds only what check-cert re-derives: the instance, the
 config, every cut, and per run its step count and the average of its dual
 certificates (z, sparse triangle weights, sparse flow values); check-cert
 rejects any other key, and reads each certificate's lists straight into
-arrays: JSON integers, finite JSON numbers, no key twice.  The bound alpha / 2 rests on that average alone: a
-certified run's must pass certificate_check and the driver's regret_check,
+arrays: JSON integers, finite JSON numbers, no key twice.  A run's rho,
+horizon and step size are re-derived by the driver's run_numbers.  The
+bound alpha / 2 rests on the average alone: a certified run's must pass
+certificate_check and the driver's regret_check,
 lambda_min((alpha / 2) K - R-bar) >= -1e-6 rho with R-bar its residual, at
 whatever step count the run stopped.  The verifier trusts no matrix from
 the solver and replays nothing.
@@ -21,7 +23,7 @@ from operator import eq, lt
 
 import numpy as np
 
-from .driver import SolveResult, SolverConfig, mw_state, regret_check, theoretical_iterations
+from .driver import SolveResult, SolverConfig, mw_state, regret_check, run_numbers
 from .flownet import FlowAssignment
 from .hypergraph import (
     Cut,
@@ -380,12 +382,15 @@ def _check_run(
     steps = tr.get("iterations")
     if not alpha > 0 or type(steps) is not int or steps < 0:
         raise _Malformed("a run needs a positive alpha and a non-negative iteration count")
-    if not math.isclose(rho, cfg.oracle.rho(alpha, h), rel_tol=1e-9):
+    try:
+        want_rho, t_horizon, want_eta = run_numbers(alpha, h, cfg)
+    except OverflowError:  # rho(alpha), and T through it, is inf: no run has it
         return "rho_mismatch"
-    t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
+    if not math.isclose(rho, want_rho, rel_tol=1e-9):
+        return "rho_mismatch"
     if tr.get("t_horizon") != t_horizon:
         return "t_horizon_mismatch"
-    if not math.isclose(eta, math.sqrt(math.log(h.n) / t_horizon), rel_tol=1e-9):
+    if not math.isclose(eta, want_eta, rel_tol=1e-9):
         return "eta_mismatch"
     outcome = tr.get("outcome")
     is_cut = outcome == "cut"

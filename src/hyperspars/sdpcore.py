@@ -116,10 +116,6 @@ class GramState:
         """The Gram matrix V V^T."""
         return self.vectors @ self.vectors.T
 
-    def dist2(self, i: int, j: int) -> float:
-        d = self.vectors[i] - self.vectors[j]
-        return float(d @ d)
-
     def ddist(self, i: int, j: int) -> float:
         return directed_distance(self.vectors, i, j)
 

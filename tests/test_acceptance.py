@@ -48,13 +48,16 @@ from witnesses import (
     demand_matrix,
     demand_norm_bound,
     digraph_cut_weight,
+    head_node,
     mat_A,
     mat_exp,
     mat_T,
     out_cut,
     restrict_subset,
+    tail_node,
     transform_subset,
     variance_form,
+    weight_of,
 )
 
 
@@ -90,7 +93,7 @@ def test_criterion_01_reduction_exactness():
         for mask in range(2**h.n):
             s = frozenset(v for v in range(h.n) if mask >> v & 1)
             lifted = transform_subset(rd, s)
-            assert h.weight_of(s) == sum(rd.vertex_weight(v) for v in lifted)
+            assert weight_of(h, s) == sum(rd.vertex_weight(v) for v in lifted)
             assert hyper_cut_weight(h, s) == digraph_cut_weight(rd, lifted)
     # digraph-to-hypergraph direction on instances with n + 2m <= 12:
     # below the gadget weight the restricted cut never exceeds the digraph
@@ -112,8 +115,8 @@ def test_criterion_01_reduction_exactness():
             assert hyp <= dig
             assert flag == (hyp == dig)
             closed = all(
-                (rd.tail_node(k) not in t or (e.tail & t))
-                and (rd.head_node(k) in t or not (e.head <= t))
+                (tail_node(rd, k) not in t or (e.tail & t))
+                and (head_node(rd, k) in t or not (e.head <= t))
                 for k, e in enumerate(h.edges)
             )
             if closed:
@@ -335,7 +338,7 @@ def test_criterion_07_oracle_contract():
             bound = cfg.ratio_bound(alpha, h, out.case)
             # recompute sparsity on h from the definition
             recomputed = hyper_cut_weight(h, cut) / (
-                h.weight_of(cut) * (h.total_weight - h.weight_of(cut))
+                weight_of(h, cut) * (h.total_weight - weight_of(h, cut))
             )
             assert recomputed == out.cut.sparsity
             assert float(recomputed) <= bound * (1 + 1e-9)

@@ -399,6 +399,9 @@ RUN_TAMPERS = {
     # the fields of version 3 that the regret check at T_theory needed
     "t_theory": (lambda doc: _row(doc).update(t_theory=7), "report_malformed"),
     "mw_check_before_t_theory": (lambda doc: _row(doc).update(mw_check=1e9), "report_malformed"),
+    "rho": (lambda doc: _row(doc).update(rho=5.0), "rho_mismatch"),
+    # rho(alpha) overflows, so the horizon cannot be derived
+    "alpha_of_infinite_rho": (lambda doc: _row(doc).update(alpha=1e306), "rho_mismatch"),
     "t_horizon": (lambda doc: _row(doc).update(t_horizon=1), "t_horizon_mismatch"),
     "eta": (lambda doc: _row(doc).update(eta=5.0), "eta_mismatch"),
     # the run claims ten times its horizon

@@ -33,7 +33,7 @@ from hyperspars.sdpcore import mat_K, min_eigenvalue
 from hyperspars.flownet import triangle_matrix_sum
 
 from conftest import make_h, random_hypergraph, scaled
-from witnesses import certificate_data
+from witnesses import certificate_data, dist2
 
 TWO_CYCLE = "dhg 2 2\nv a 1\nv b 1\ne 1 T a H b\ne 1 T b H a\n"
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
@@ -63,7 +63,7 @@ class TestMwState:
         assert state.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-12)
         assert float(np.tensordot(k, state.x)) == pytest.approx(1.0, abs=1e-10)
         trace_k = float(np.trace(k))
-        assert state.dist2(0, 1) == pytest.approx(2.0 / trace_k, rel=1e-12)
+        assert dist2(state, 0, 1) == pytest.approx(2.0 / trace_k, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 128])
     def test_zero_sum_state_equals_the_eigh_path(self, rng, monkeypatch, n):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperspars
 from hyperspars import _core
@@ -529,9 +531,34 @@ class TestFlowMatrix:
         direct = sum(v * st.ddist(i, j) for _, i, j, v in values)
         assert float(np.tensordot(f, st.x)) == pytest.approx(direct, abs=1e-10 * max(1, abs(direct)))
 
-    def test_ones_kernel(self, rng):
-        fa = FlowAssignment.of([(0, 0, 3, 0.7), (1, 2, 1, 0.4)])
-        assert np.max(np.abs(flow_matrix(fa, 4) @ np.ones(4))) <= 1e-12
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), min_size=1, max_size=6),
+            )
+        ),
+        # (edge, index into the pairs, log10 of the flow)
+        st.lists(st.tuples(*[st.integers(0, 5)] * 2, st.floats(-200, 200)), max_size=40),
+    )
+    @example((3, [(0, 1), (2, 0)]), [(0, 0, -8.0), (1, 1, 0.0)])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_ones_kernel(self, pairs, entries):
+        # (i, j) pairs repeated on several edges, with flows from 1e-200 to
+        # 1e200: mat_A's three squared differences each have zero row sums,
+        # so F 1 is rounding of the flows' own scale.  max|F| bounds that
+        # scale (each entry adds at least 2 f to the trace) unless an entry
+        # is (e, i, 0) or (e, i, i): its mat_A is zero, and its cancelling
+        # cells can leave a residue above 1e-9 max|F| where the other flows
+        # are 1e8 times smaller
+        n, pairs = pairs
+        fa = FlowAssignment.of((e, *pairs[k % len(pairs)], 10.0**x) for e, k, x in entries)
+        f = flow_matrix(fa, n)
+        gap = np.abs(f @ np.ones(n)).max()
+        assert gap <= 1e-12 * fa.values.sum()
+        _, i, j = fa.keys.T
+        if not np.count_nonzero((j == 0) | (i == j)):
+            assert gap <= 1e-9 * np.abs(f).max()
 
 
 class TestDecompose:

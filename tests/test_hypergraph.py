@@ -29,7 +29,9 @@ from hyperspars.sdpcore import mat_K
 
 from conftest import make_h, random_hypergraph
 from witnesses import (
+    back_map,
     digraph_cut_weight,
+    head_node,
     out_cut,
     restrict_subset,
     scan_expansion,
@@ -38,7 +40,9 @@ from witnesses import (
     scan_singleton_baseline,
     scan_sparsity,
     scan_weighted_degrees,
+    tail_node,
     transform_subset,
+    weight_of,
 )
 
 TOY = "dhg 2 1\nv 1 1\nv 2 1\ne 3 T 1 H 2\n"
@@ -399,9 +403,9 @@ class TestReduction:
     def test_gadget_vertices_weightless(self):
         h = make_h(3, [({0, 1}, {2}, 2)])
         rd = reduce_to_digraph(h)
-        assert rd.vertex_weight(rd.tail_node(0)) == 0
-        assert rd.back_map(rd.head_node(0)) is None
-        assert rd.back_map(1) == 1
+        assert rd.vertex_weight(tail_node(rd, 0)) == 0
+        assert back_map(rd, head_node(rd, 0)) is None
+        assert back_map(rd, 1) == 1
 
 
 class TestTransformRestrict:
@@ -409,7 +413,7 @@ class TestTransformRestrict:
         h = make_h(3, [({0, 1}, {2}, 2)])
         rd = reduce_to_digraph(h)
         lifted = transform_subset(rd, {0})
-        assert lifted == {0, rd.tail_node(0)}
+        assert lifted == {0, tail_node(rd, 0)}
         assert digraph_cut_weight(rd, lifted) == 2
 
     def test_transform_trivial_sets(self):
@@ -433,7 +437,7 @@ class TestTransformRestrict:
         # restricts to the empty set; preservation fails and the flag says so
         h = make_h(3, [({0, 1}, {2}, 2)])
         rd = reduce_to_digraph(h)
-        subset, flag = restrict_subset(rd, {rd.tail_node(0)})
+        subset, flag = restrict_subset(rd, {tail_node(rd, 0)})
         assert subset == frozenset()
         assert not flag
 
@@ -457,7 +461,7 @@ class TestFact11Properties:
             for mask in range(2**h.n):
                 s = {v for v in range(h.n) if mask >> v & 1}
                 lifted = transform_subset(rd, s)
-                assert h.weight_of(s) == sum(rd.vertex_weight(v) for v in lifted)
+                assert weight_of(h, s) == sum(rd.vertex_weight(v) for v in lifted)
                 assert hypergraph_cut_weight(h, s) == digraph_cut_weight(rd, lifted)
 
     def test_restriction_never_exceeds_and_flag_is_exact(self, rng):
@@ -492,9 +496,9 @@ class TestFact11Properties:
                     continue
                 closed = True
                 for k, e in enumerate(h.edges):
-                    if rd.tail_node(k) in t and not (e.tail & t):
+                    if tail_node(rd, k) in t and not (e.tail & t):
                         closed = False
-                    if rd.head_node(k) not in t and e.head <= t:
+                    if head_node(rd, k) not in t and e.head <= t:
                         closed = False
                 if not closed:
                     continue

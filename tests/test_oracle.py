@@ -27,13 +27,13 @@ from hyperspars.oracle import (
     path_violation,
     run_oracle,
 )
-from hyperspars.hypergraph import reduce_to_digraph, reverse, sparsity
+from hyperspars.hypergraph import reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import GramState, TriangleId, mat_K, spectral_norm
 
 import witnesses
 from conftest import integral_state, make_h, normalized_state, random_hypergraph, scaled
-from witnesses import certificate_data, mat_T, per_edge_totals, triangle_weights
+from witnesses import certificate_data, dist2, mat_T, per_edge_totals, triangle_weights
 
 
 def planted():
@@ -99,7 +99,7 @@ class TestBall:
         for i in range(6):
             r = float(rng.uniform(0, 2))
             expected = frozenset(
-                j for j in range(6) if st.dist2(i, j) <= r * r
+                j for j in range(6) if dist2(st, i, j) <= r * r
             )
             assert ball(st, i, r) == expected
 
@@ -232,9 +232,9 @@ class TestPreprocess:
                 continue
             members, i0 = _medium_ball(omega, d2, total)
             assert sum(h.vertex_weights[v] for v in members) >= total / 2
-            assert all(st.dist2(i0, i) <= 9 / total**2 + 1e-12 for i in members)
+            assert all(dist2(st, i0, i) <= 9 / total**2 + 1e-12 for i in members)
             spread = sum(
-                h.vertex_weights[i] * h.vertex_weights[j] * st.dist2(i, j)
+                h.vertex_weights[i] * h.vertex_weights[j] * dist2(st, i, j)
                 for i in members
                 for j in members
                 if i < j
@@ -459,32 +459,37 @@ def assert_same_outcome(got, want):
 
 
 class TestCase1FlowReuse:
-    """A run keeps its last Case 1 max-flow and reuses it while the
-    terminal caps stay the same; every outcome is the one a fresh flow
-    gives."""
+    """The oracle keeps nothing from one step of a run to the next: each
+    Case 1 step builds and solves its own max-flow, and every outcome is
+    the one a fresh call on the same inputs gives."""
 
     def test_certify_run_outcomes_match_fresh_flows(self, monkeypatch):
         # the 3-vertex unit cycle searched as the certify benchmark does,
         # at c_rho = 1: a cut probe, 2 x 1 certifying Case 1B steps, a cut
         # probe; then an expander-like probe whose runs certify after 64
-        # Case 1B steps each, on one flow a run
+        # Case 1B steps each
         h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
         cfg = SolverConfig(
             alpha_lo=0.0025, alpha_hi=0.5, search_ratio=2.0, oracle=OracleConfig(c_rho=1.0)
         )
-        flows = []  # per slot, the instances it held, one entry per step
-        real_oracle, real_max_flow = oracle.run_oracle, oracle.max_flow
+        runs = []  # per run, each step's case and the max-flows it solved
+        solved = []
+        real_run, real_oracle = driver.run_algorithm1, oracle.run_oracle
+        real_max_flow = oracle.max_flow
 
-        def checked(alpha, state, h_run, ocfg, rng, rd, slot):
-            got = real_oracle(alpha, state, h_run, ocfg, rng, rd, slot)
-            if not flows or flows[-1][0] is not slot:
-                flows.append((slot, []))
-            flows[-1][1].append(slot.inst)
-            fresh = real_oracle(alpha, state, h_run, ocfg, np.random.default_rng(0), rd)
+        def run(*args):
+            runs.append([])
+            return real_run(*args)
+
+        def checked(alpha, state, h_run, ocfg, rng):
+            before = len(solved)
+            got = real_oracle(alpha, state, h_run, ocfg, rng)
+            runs[-1].append((got.case, len(solved) - before))
+            fresh = real_oracle(alpha, state, h_run, ocfg, np.random.default_rng(0))
             assert_same_outcome(got, fresh)
             return got
 
-        solved = []
+        monkeypatch.setattr(driver, "run_algorithm1", run)
         monkeypatch.setattr(driver, "run_oracle", checked)
         monkeypatch.setattr(oracle, "max_flow", lambda inst: solved.append(inst) or real_max_flow(inst))
         res = binary_search(h, cfg)
@@ -492,40 +497,11 @@ class TestCase1FlowReuse:
         h5 = generate(GeneratorSpec(n=5, m=10, kappa=2, model="expander-like", seed=1))
         alpha = float(brute_force_sparsest(h5)[1]) / 64
         assert driver.run_both_sides(h5, alpha, cfg).certified
-        steps = [len(insts) for _, insts in flows]
-        assert steps == [1] * 6 + [64, 64]
-        # one flow per cap key a run meets, so 38 for 64 steps; the rest
-        # are the fresh reference flows
-        built = [len({id(inst) for inst in insts}) for _, insts in flows]
-        assert built == [1] * 6 + [38, 38]
-        assert len(solved) == sum(built) + sum(steps)
-
-    def test_new_caps_or_digraph_rebuild_the_flow(self):
-        h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
-        cfg, rng = OracleConfig(), np.random.default_rng(0)
-        slot = oracle.Case1Flow()
-
-        def step(alpha, state, h_run, rd):
-            got = run_oracle(alpha, state, h_run, cfg, rng, rd, slot)
-            assert got.case == "1B"
-            assert_same_outcome(got, run_oracle(alpha, state, h_run, cfg, rng, rd))
-            return slot.inst
-
-        rd = reduce_to_digraph(h)
-        ball01, ball12 = integral_state(h, {0, 1}), integral_state(h, {1, 2})
-        first = step(0.01, ball01, h, rd)
-        assert step(0.01, ball01, h, rd) is first
-        other_alpha = step(0.02, ball01, h, rd)
-        assert other_alpha is not first
-        other_ball = step(0.02, ball12, h, rd)
-        assert other_ball is not other_alpha
-        assert other_ball.source_caps != other_alpha.source_caps
-        assert step(0.02, ball12, h, rd) is other_ball
-        # the same caps on another digraph build their own instance
-        h_out = reverse(h)
-        other_digraph = step(0.02, ball12, h_out, reduce_to_digraph(h_out))
-        assert other_digraph is not other_ball
-        assert other_digraph.source_caps == other_ball.source_caps
+        assert [len(steps) for steps in runs] == [1] * 6 + [64, 64]
+        assert {case for steps in runs for case, _ in steps} <= {"1A", "1B"}
+        assert all(flows == 1 for steps in runs for _, flows in steps)
+        # the fresh reference calls solved as many again
+        assert len(solved) == 2 * sum(len(steps) for steps in runs)
 
 
 class TestBatchedScan:

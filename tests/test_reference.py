@@ -21,6 +21,7 @@ from hyperspars.reference import (
 )
 
 from conftest import make_h, random_hypergraph
+from witnesses import weight_of
 
 
 class TestBruteForceSparsest:
@@ -101,7 +102,7 @@ class TestBruteForceExpansion:
             total = h.total_weight
             for mask in range(1, 2**h.n - 1):
                 s = {v for v in range(h.n) if mask >> v & 1}
-                ws = h.weight_of(s)
+                ws = weight_of(h, s)
                 cut = sparsity(h, s) * ws * (total - ws)
                 ratio_a = total * sparsity(h, s)
                 ratio_b = cut / min(ws, total - ws) if cut else Fraction(0)

@@ -19,6 +19,7 @@ from hyperspars.sdpcore import (
 from witnesses import (
     NotPsdError,
     cholesky_embed,
+    dist2,
     fill_diagonal_squared_distances,
     gram_state,
     mat_A,
@@ -324,7 +325,7 @@ class TestGramState:
         x, _ = random_gram(rng, 5)
         st = gram_state(x)
         assert st.vectors @ st.vectors.T == pytest.approx(x, abs=1e-9 * np.abs(x).max())
-        assert st.dist2(1, 2) == pytest.approx(x[1, 1] + x[2, 2] - 2 * x[1, 2], rel=1e-8)
+        assert dist2(st, 1, 2) == pytest.approx(x[1, 1] + x[2, 2] - 2 * x[1, 2], rel=1e-8)
 
     def test_k_dot_matches_tensordot(self, rng):
         x, _ = random_gram(rng, 6)

@@ -4,8 +4,9 @@ They state properties of the solver's building blocks in executable form:
 the constraint matrices mat_A and mat_T one cell at a time, the embedding
 of a PSD matrix, the matrix exponential and variance form behind the
 multiplicative-weights analysis, the demand-norm and capacity-duality
-bounds and the flow decomposition identity of the flow layer, the subset
-lift and projection between a hypergraph and its reduced digraph, a cut
+bounds and the flow decomposition identity of the flow layer, the gadget
+nodes of the reduced digraph and the subset lift and projection between a
+hypergraph and it, one pair's squared distance and a subset's weight, a cut
 evaluator that scans the edges' frozensets with exact ``Fraction`` sums,
 independent of the incidence arrays the package answers cut questions
 from, the singleton/closure baseline as one cut evaluation per candidate,
@@ -84,6 +85,12 @@ def cholesky_embed(x: np.ndarray, tol_psd: float | None = None) -> np.ndarray:
 def gram_state(x: np.ndarray) -> GramState:
     """The state of the PSD matrix ``x``, embedded by ``cholesky_embed``."""
     return GramState(cholesky_embed(x))
+
+
+def dist2(state: GramState, i: int, j: int) -> float:
+    """|v_i - v_j|^2 of one pair, from the state's vectors."""
+    d = state.vectors[i] - state.vectors[j]
+    return float(d @ d)
 
 
 def _add_sq_diff(m: np.ndarray, i: int, j: int, coeff: float) -> None:
@@ -254,6 +261,26 @@ def decomposition_matrix_identity_gap(
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def tail_node(rd: ReducedDigraph, e: int) -> int:
+    """The digraph node of edge e's tail gadget."""
+    return rd.base.n + 2 * e
+
+
+def head_node(rd: ReducedDigraph, e: int) -> int:
+    """The digraph node of edge e's head gadget."""
+    return rd.base.n + 2 * e + 1
+
+
+def back_map(rd: ReducedDigraph, node: int) -> int | None:
+    """Original vertex for a digraph node, or None for gadget nodes."""
+    return node if node < rd.base.n else None
+
+
+def weight_of(h: DirectedHypergraph, subset: Iterable[int]) -> int:
+    """The vertex weight of ``subset``."""
+    return sum(h.vertex_weights[i] for i in subset)
+
+
 def transform_subset(rd: ReducedDigraph, subset: Iterable[int]) -> frozenset[int]:
     """Canonical lift of an original subset into the reduced digraph."""
     s = frozenset(subset)
@@ -261,9 +288,9 @@ def transform_subset(rd: ReducedDigraph, subset: Iterable[int]) -> frozenset[int
     lifted = set(s)
     for k, e in enumerate(h.edges):
         if not e.tail.isdisjoint(s):
-            lifted.add(rd.tail_node(k))
+            lifted.add(tail_node(rd, k))
         if e.head <= s:
-            lifted.add(rd.head_node(k))
+            lifted.add(head_node(rd, k))
     return frozenset(lifted)
 
 
@@ -315,7 +342,7 @@ def scan_weighted_degrees(h: DirectedHypergraph) -> tuple[Fraction, ...]:
 
 def scan_sparsity(h: DirectedHypergraph, subset) -> Fraction:
     s = frozenset(subset)
-    ws = h.weight_of(s)
+    ws = weight_of(h, s)
     return scan_out_weight(h, s) / (ws * (h.total_weight - ws))
 
 
