@@ -82,6 +82,10 @@ def _solver_config(args) -> SolverConfig:
 
 
 def cmd_solve(args) -> int:
+    if args.no_search and args.alpha is None:
+        # exit 1, an input error: exit 2 is "no cut"
+        print("error: --no-search needs --alpha", file=sys.stderr)
+        return 1
     try:
         h = _load_hypergraph(args.input)
         cfg = _solver_config(args)
@@ -102,7 +106,7 @@ def cmd_solve(args) -> int:
             return 1
 
     try:
-        if args.alpha is not None and args.no_search:
+        if args.no_search:
             probe = run_both_sides(h_solve, args.alpha, cfg, rng)
             bound = probe.lower_bound
             result = SolveResult(probe.best_cut, bound, [probe], args.alpha, args.alpha)

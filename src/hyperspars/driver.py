@@ -46,15 +46,7 @@ from .oracle import (
     certificate_check,
     run_oracle,
 )
-from .sdpcore import (
-    GramState,
-    center_rows,
-    k_dot_dist2,
-    mat_K,
-    min_eigenvalue,
-    spectral_norm,
-    squared_distances,
-)
+from .sdpcore import GramState, center_rows, mat_K, min_eigenvalue, spectral_norm
 
 __all__ = [
     "SolverConfig",
@@ -129,7 +121,9 @@ def theoretical_iterations(alpha: float, h: DirectedHypergraph, cfg: OracleConfi
     """T = ceil(16 kappa^2 (rho / alpha)^2 n^2 ln n / w^4).
 
     rho is linear in alpha, so T does not depend on alpha; taking the ratio
-    first keeps an extreme alpha from overflowing or underflowing.
+    first keeps rho^2 / alpha^2 from overflowing or underflowing wherever
+    rho itself is finite.  Where rho(alpha) overflows, T is not defined;
+    run_numbers rejects such an alpha.
     """
     ratio = cfg.rho(alpha, h) / alpha
     n = h.n
@@ -141,9 +135,13 @@ def run_numbers(
     alpha: float, h: DirectedHypergraph, cfg: SolverConfig
 ) -> tuple[float, int, float]:
     """A run's width rho, horizon min(T, t_cap) and step size
-    sqrt(ln n / horizon) at ``alpha``."""
+    sqrt(ln n / horizon) at ``alpha``; ValueError where rho overflows."""
+    rho = cfg.oracle.rho(alpha, h)
+    if not math.isfinite(rho):
+        # regret_check's tolerance -1e-6 rho would be -inf and pass any run
+        raise ValueError(f"alpha {alpha!r} is too large: its width rho is not finite")
     t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
-    return cfg.oracle.rho(alpha, h), t_horizon, math.sqrt(math.log(h.n) / t_horizon)
+    return rho, t_horizon, math.sqrt(math.log(h.n) / t_horizon)
 
 
 def regret_check(
@@ -159,11 +157,13 @@ def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> GramState:
     """Primal iterate X = exp(-eta sum M) / (K . exp(-eta sum M)), with K the
     weighted complete-graph Laplacian of ``vertex_weights``.
 
-    The embedding is centered before use: every consumed quantity is
-    translation-invariant, and centering keeps the numerically huge
-    all-ones component of W out of the floating-point evaluations.
-    A zero sum, the first step's, has the eigenpairs (0, I) that eigh
-    returns for it, without the eigendecomposition.
+    The eigenbasis gives K . W, so the vectors come out normalized; the
+    oracle checks K . X = 1 on its own squared distances.  The embedding is
+    centered before use: every consumed quantity is translation-invariant,
+    and centering keeps the numerically huge all-ones component of W out of
+    the floating-point evaluations.  A zero sum, the first step's, has the
+    eigenpairs (0, I) that eigh returns for it, without the
+    eigendecomposition.
     """
     if m_sum.any():
         lam, u = np.linalg.eigh(-eta * m_sum)
@@ -182,11 +182,7 @@ def mw_state(m_sum: np.ndarray, eta: float, vertex_weights) -> GramState:
     kdw_scaled = float(quad @ w_lam)
     if not kdw_scaled > 0.0:
         raise ArithmeticError("K . W underflowed to zero; state degenerate")
-    vectors = u * np.sqrt(w_lam / kdw_scaled)
-    vectors = center_rows(vectors)
-    kv = k_dot_dist2(squared_distances(vectors), vertex_weights)
-    vectors = vectors / math.sqrt(kv)
-    return GramState(vectors)
+    return GramState(center_rows(u * np.sqrt(w_lam / kdw_scaled)))
 
 
 def run_algorithm1(

@@ -42,12 +42,7 @@ from .hypergraph import (
     evaluate_cuts,
     reduce_to_digraph,
 )
-from .sdpcore import (
-    GramState,
-    TriangleId,
-    mat_K,
-    spectral_norm,
-)
+from .sdpcore import GramState, TriangleId, mat_K, spectral_norm, squared_distances
 
 __all__ = [
     "OracleConfig",
@@ -348,9 +343,30 @@ def _lift(
     return fa, decompose(fa, [i for i, _ in inst.source_caps], [j for j, _ in inst.sink_caps])
 
 
-def _demand_dot(dec: flownet.FlowDecomposition, state: GramState) -> float:
-    """D . X, the value of a decomposition's demand on the state."""
-    return sum(f * state.ddist(i, j) for (i, j), f in dec.demand.items())
+def _demand_dot(demand: Mapping[tuple[int, int], float], d2: np.ndarray) -> float:
+    """D . X, the value of a demand on the state of squared distances d2:
+    each pair (i, j) adds f d(i, j) = f (d2[i, j] - d2[0, i] + d2[0, j])."""
+    return float(sum(f * (d2[i, j] - d2[0, i] + d2[0, j]) for (i, j), f in demand.items()))
+
+
+def _residual_dot(residual: np.ndarray, d2: np.ndarray) -> float:
+    """R . X from the squared distances d2 of X's vectors.
+
+    d2 = diag(X) 1^T + 1 diag(X)^T - 2 X, and R 1 = 0 (K, every T_p and F
+    annihilate the ones vector), so R . d2 = -2 R . X."""
+    return -0.5 * float(np.vdot(residual, d2))
+
+
+def _sq_dist_to_0(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_0|^2 for each row i, from the rows themselves.
+
+    Case 1's h0 and Case 2's dist0 keep this direct form rather than read
+    d2[0]: at the first iterate it puts every vertex but 0 exactly
+    equidistant from vertex 0, where d2[0] takes 7 to 14 distinct values by
+    rounding alone (expander-like instances at n = 128), and that noise
+    moves the weighted-median split of Case 2 and with it the cut.
+    """
+    return np.einsum("ij,ij->i", x - x[0], x - x[0])
 
 
 def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) -> OracleOutcome:
@@ -360,7 +376,7 @@ def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) ->
     # the one bullet that reads the state: (sum f_p T_p + z K) . X <= F . X,
     # up to a slack relative to alpha, the scale of every term
     if report["first_failure"] in (None, "width_bound"):
-        if float(np.vdot(report["residual"], call.state.x)) > 1e-7 * call.alpha:
+        if _residual_dot(report["residual"], call.state.pairwise_dist2()) > 1e-7 * call.alpha:
             ok, report["first_failure"] = False, "dual_dot_bound"
     if not ok:
         if report["first_failure"] == "width_bound":
@@ -416,7 +432,7 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     w_r = float(omega[right].sum())
     gamma = w_r / w_l
 
-    h0 = np.einsum("ij,ij->i", state.vectors - state.vectors[0], state.vectors - state.vectors[0])
+    h0 = _sq_dist_to_0(state.vectors)
     q_l = gamma * float(omega[left] @ h0[left])
     q_r = float(omega[right] @ h0[right])
     forward = q_l <= q_r
@@ -444,7 +460,7 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
         return _cut_outcomes(call, [(res.reachable, extra)], "1A")[0]
 
     fa, dec = _lift(res, inst)
-    d_dot_x = _demand_dot(dec, state)
+    d_dot_x = _demand_dot(dec.demand, state.pairwise_dist2())
     extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
     return _scaled_flow_dual(call, fa, dec, d_dot_x, "1B", extra)
 
@@ -580,7 +596,7 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
     alpha, state, h, cfg, rd, omega, total = call
     members, i0 = _medium_ball(omega, d2, total)
     vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
-    dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
+    dist0 = np.sqrt(_sq_dist_to_0(vhat))
     vm = vhat[members]
     dim = vhat.shape[1]
 
@@ -624,7 +640,7 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
                 return _sparsest_cut(call, found)
 
             fa, dec = _lift(res, inst)
-            d_dot_x = _demand_dot(dec, state)
+            d_dot_x = _demand_dot(dec.demand, d2)
             extra["d_dot_x"] = d_dot_x
             extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
             if d_dot_x >= alpha * (1 - 1e-9):
@@ -700,10 +716,7 @@ def find_violated_path(
     """
     n = vhat.shape[0]
     s_target = cfg.s_viol
-    sq = np.einsum("ij,ij->i", vhat, vhat)
-    q = sq[:, None] + sq[None, :] - 2.0 * (vhat @ vhat.T)
-    np.fill_diagonal(q, 0.0)
-    q = np.maximum(q, 0.0)
+    q = squared_distances(vhat)
 
     # 1) triple scan
     best = (0.0, None)

@@ -5,10 +5,12 @@ All matrices are dense symmetric numpy arrays indexed by the hypergraph's
 vertices.  K annihilates the all-ones vector, as every constraint matrix
 does, which the correctness argument of the solver relies on.
 
-The directed distance is taken relative to the designated vertex 0:
-d(i, j) = |v_i - v_j|^2 - |v_i - v_0|^2 + |v_j - v_0|^2, the form for cuts
-that contain vertex 0.  Cuts that exclude it are searched on the reversed
-hypergraph and complemented, so this is the only distance formula.
+A Gram state X = V V^T is read only through the squared distances d2 of
+its vectors: R . X = -(1/2) R . d2 for every R with R 1 = 0.  The directed
+distance is taken relative to the designated vertex 0:
+d(i, j) = d2[i, j] - d2[0, i] + d2[0, j], the form for cuts that contain
+vertex 0.  Cuts that exclude it are searched on the reversed hypergraph and
+complemented, so this is the only distance formula.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "squared_distances",
     "k_dot_dist2",
     "mat_K",
-    "directed_distance",
     "spectral_norm",
     "min_eigenvalue",
 ]
@@ -57,15 +58,6 @@ def mat_K(vertex_weights) -> np.ndarray:
         raise ValueError("vertex weights must be >= 1")
     total = w.sum()
     return total * np.diag(w) - np.outer(w, w)
-
-
-def directed_distance(vectors: np.ndarray, i: int, j: int) -> float:
-    """d(i, j) evaluated directly from the embedding vectors."""
-    vi, vj, v0 = vectors[i], vectors[j], vectors[0]
-    d = vi - vj
-    a = vi - v0
-    b = vj - v0
-    return float(d @ d - a @ a + b @ b)
 
 
 def center_rows(vectors: np.ndarray) -> np.ndarray:
@@ -101,23 +93,11 @@ def k_dot_dist2(d2: np.ndarray, vertex_weights) -> float:
 class GramState:
     """Primal candidate: the vector embedding of a PSD matrix X = V V^T.
 
-    ``vectors[i]`` is the row vector of vertex i.  X and the squared
-    distances are computed once, on first use, and shared by every consumer.
+    ``vectors[i]`` is the row vector of vertex i.  The squared distances
+    are computed once, on first use, and shared by every consumer.
     """
 
     vectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """The Gram matrix V V^T."""
-        return self.vectors @ self.vectors.T
-
-    def ddist(self, i: int, j: int) -> float:
-        return directed_distance(self.vectors, i, j)
 
     @cached_property
     def _dist2(self) -> np.ndarray:

@@ -127,6 +127,28 @@ class TestSolve:
         assert code in (0, 2)
         assert main(["check-cert", out, str(inp)]) == 0
 
+    @pytest.mark.parametrize("search", [True, False], ids=["search", "no_search"])
+    def test_alpha_whose_rho_overflows_exit_1(self, tmp_path, capsys, search):
+        # rho = 16 alpha w^2 sqrt(log2(kappa n)) is inf at alpha 1e306 on the
+        # unit 3-cycle; its iteration count ended in an OverflowError
+        inp = tmp_path / "cycle.dhg"
+        inp.write_text(THREE_CYCLE)
+        out = tmp_path / "r.json"
+        extra = [] if search else ["--no-search"]
+        code = main(["solve", str(inp), "--seed", "1", "--alpha", "1e306", *extra,
+                     "--json", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rho is not finite" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_no_search_needs_alpha_exit_1(self, toy_file, tmp_path, capsys):
+        # without --alpha, --no-search ran the full binary search
+        out = tmp_path / "r.json"
+        assert main(["solve", toy_file, "--seed", "1", "--no-search", "--json", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --no-search needs --alpha\n"
+        assert not out.exists()
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dhg"
         bad.write_text("dhg 2 1\nv a 1\nv b 1\ne 1 T a H\n")

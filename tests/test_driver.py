@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperspars import driver, oracle
+from hyperspars import driver, oracle, sdpcore
 from hyperspars.driver import (
     SolverConfig,
     binary_search,
@@ -33,7 +33,7 @@ from hyperspars.sdpcore import mat_K, min_eigenvalue
 from hyperspars.flownet import triangle_matrix_sum
 
 from conftest import make_h, random_hypergraph, scaled
-from witnesses import certificate_data, dist2
+from witnesses import certificate_data, dist2, gram
 
 TWO_CYCLE = "dhg 2 2\nv a 1\nv b 1\ne 1 T a H b\ne 1 T b H a\n"
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
@@ -61,7 +61,7 @@ class TestMwState:
         k = mat_K(h.vertex_weights)
         state = mw_state(np.zeros((2, 2)), 0.5, h.vertex_weights)
         assert state.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-12)
-        assert float(np.tensordot(k, state.x)) == pytest.approx(1.0, abs=1e-10)
+        assert float(np.tensordot(k, gram(state))) == pytest.approx(1.0, abs=1e-10)
         trace_k = float(np.trace(k))
         assert dist2(state, 0, 1) == pytest.approx(2.0 / trace_k, rel=1e-12)
 
@@ -117,6 +117,14 @@ class TestTheoreticalIterations:
         expected = theoretical_iterations(0.01, h, cfg)
         assert theoretical_iterations(1e-200, h, cfg) == expected
         assert theoretical_iterations(1e200, h, cfg) == expected
+
+    def test_alpha_whose_rho_overflows_is_rejected(self):
+        # with rho = inf, regret_check's tolerance -1e-6 rho is -inf, and
+        # any run would certify alpha / 2
+        h = parse_dhg(THREE_CYCLE)
+        assert OracleConfig().rho(1e306, h) == math.inf
+        with pytest.raises(ValueError, match="rho is not finite"):
+            run_algorithm1(h, 1e306, "in")
 
 
 class TestRunAlgorithm1:
@@ -651,6 +659,15 @@ class TestPerIterationWork:
         eigh["n"] = eigvalsh["n"] = 0
         assert verify_report(doc, h) == (True, None)
         assert (eigh["n"], eigvalsh["n"]) == (0, 0)
+
+    def test_one_distance_matrix_per_step(self, monkeypatch):
+        # the state's cached d2, which the oracle reads X through; mw_state
+        # forms none
+        owners = [m for m in (sdpcore, driver, oracle) if "squared_distances" in vars(m)]
+        counts = [count_calls(monkeypatch, m, ("squared_distances",)) for m in owners]
+        _, probe = self.probe(SolverConfig(t_cap=8))
+        assert sum(run.iterations for run in probe.runs.values()) == 16
+        assert sum(c["n"] for c in counts) == 16
 
     @pytest.mark.parametrize("c_rho", [0.5, 0.85])
     def test_one_eigvalsh_per_check_whose_bound_exceeds_rho(self, monkeypatch, c_rho):

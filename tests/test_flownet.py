@@ -38,6 +38,8 @@ from witnesses import (
     decomposition_matrix_identity_gap,
     demand_matrix,
     demand_norm_bound,
+    directed_distance,
+    gram,
     loop_demand_matrix,
     loop_flow_matrix,
     loop_lift_flow,
@@ -528,8 +530,8 @@ class TestFlowMatrix:
                     values.append((e_idx, i, j, float(rng.uniform(0, 1))))
         fa = FlowAssignment.of(values)
         f = flow_matrix(fa, 5)
-        direct = sum(v * st.ddist(i, j) for _, i, j, v in values)
-        assert float(np.tensordot(f, st.x)) == pytest.approx(direct, abs=1e-10 * max(1, abs(direct)))
+        direct = sum(v * directed_distance(st.vectors, i, j) for _, i, j, v in values)
+        assert float(np.tensordot(f, gram(st))) == pytest.approx(direct, abs=1e-10 * max(1, abs(direct)))
 
     @given(
         st.integers(2, 12).flatmap(
@@ -670,8 +672,8 @@ class TestCapacityDuality:
 
         st = integral_state(h, {0})
         fa = FlowAssignment.of([(0, 0, 1, 1.0)])  # saturates c_e = w_e / 2
-        f_dot = sum(f * st.ddist(i, j) for _, i, j, f in fa)
-        d_e = max(0.0, st.ddist(0, 1))
+        f_dot = sum(f * directed_distance(st.vectors, i, j) for _, i, j, f in fa)
+        d_e = max(0.0, directed_distance(st.vectors, 0, 1))
         assert f_dot == pytest.approx(float(h.edges[0].weight) / 2.0 * d_e, abs=1e-10)
         assert capacity_duality_check(fa, st, h)
 

@@ -33,7 +33,14 @@ from hyperspars.sdpcore import GramState, TriangleId, mat_K, spectral_norm
 
 import witnesses
 from conftest import integral_state, make_h, normalized_state, random_hypergraph, scaled
-from witnesses import certificate_data, dist2, mat_T, per_edge_totals, triangle_weights
+from witnesses import (
+    certificate_data,
+    dist2,
+    gram,
+    mat_T,
+    per_edge_totals,
+    triangle_weights,
+)
 
 
 def planted():
@@ -213,9 +220,9 @@ class TestCase1:
             (f * mat_T(h.n, tri) for tri, f in triangle_weights(cert).items()),
             np.zeros((h.n, h.n)),
         )
-        lhs = float(np.tensordot(t_sum + cert.z * k, st.x))
-        f_dot = float(np.tensordot(cert.flow_matrix_dense(h.n), st.x))
-        d_dot = f_dot - float(np.tensordot(t_sum, st.x))
+        lhs = float(np.tensordot(t_sum + cert.z * k, gram(st)))
+        f_dot = float(np.tensordot(cert.flow_matrix_dense(h.n), gram(st)))
+        d_dot = f_dot - float(np.tensordot(t_sum, gram(st)))
         assert lhs <= f_dot + 1e-7
         assert d_dot >= alpha - 1e-9
 
@@ -330,7 +337,7 @@ class TestFindViolatedPath:
         path = find_violated_path(vhat, np.ones(7), {}, np.array([1.0, 0.0]), cfg, h)
         assert path is not None
         tri_sum = sum(
-            float(np.tensordot(mat_T(7, tri), st.x)) for tri in path_triangles(path)
+            float(np.tensordot(mat_T(7, tri), gram(st))) for tri in path_triangles(path)
         )
         assert tri_sum == pytest.approx(
             (9.0 / total**2) * path_violation(vhat, path), rel=1e-9
@@ -362,7 +369,7 @@ class TestCase2:
         st = GramState(positions)
         path = [0, 3, 6]
         tris = path_triangles(path)
-        tri_sum = sum(float(np.tensordot(mat_T(7, t), st.x)) for t in tris)
+        tri_sum = sum(float(np.tensordot(mat_T(7, t), gram(st))) for t in tris)
         assert tri_sum <= -9.0 * cfg.s_viol / total**2
         alpha = 0.31
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
@@ -381,7 +388,7 @@ class TestCase2:
         assert np.abs(residual).sum(axis=1).max() > tight
         ok, tight_report = certificate_check(cert, alpha, h, tight)
         assert ok and tight_report["width"] == pytest.approx(exact, rel=1e-12)
-        lhs = float(np.tensordot(report["residual"] + cert.flow_matrix_dense(7), st.x))
+        lhs = float(np.tensordot(report["residual"] + cert.flow_matrix_dense(7), gram(st)))
         assert lhs <= 0.0 + 1e-9
         # width components: ||sum T_p|| small (at most 6), ||K|| within the
         # corollary
@@ -768,6 +775,75 @@ def seeded(rng, h, alpha, cert, failures):
     return DualCertificate(z, tri, weights, flow)
 
 
+class TestStateThroughD2:
+    """The oracle reads X only through the state's squared distances d2:
+    R . X as -(1/2) R . d2, and D . X as the d(i, j) = d2[i, j] - d2[0, i]
+    + d2[0, j] of each demand pair; each agrees with the Gram matrix and the
+    pairwise sum of ``witnesses`` within 1e-12, relative to the size of
+    its terms (the sum of |R| or of the demand, times max d2)."""
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 8.0), st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_dots_agree_with_the_gram_matrix(self, seed, log_scale, oracle_made):
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, max_n=12, max_m=10)
+        n = h.n
+        m = rng.standard_normal((n, n))
+        state = driver.mw_state(10.0**log_scale * (m + m.T), 0.3, h.vertex_weights)
+        d2 = state.pairwise_dist2()
+        # small enough that about 30% of the oracle calls make a dual
+        alpha = float(10.0 ** rng.uniform(-7, -2))
+        if oracle_made:
+            demands = []
+            real = oracle._demand_dot
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_demand_dot", lambda d, q: demands.append(d) or real(d, q))
+                try:
+                    out = run_oracle(alpha, state, h, OracleConfig(), rng)
+                except OracleFailure:
+                    return
+            if out.kind != "dual":
+                return
+            residual = out.residual
+        else:
+            cert = random_certificate(rng, h, alpha)
+            residual = certificate_check(cert, alpha, h, math.inf)[1]["residual"]
+            demand: dict[tuple[int, int], float] = {}
+            for _ in range(int(rng.integers(1, 2 * n))):
+                i, j = rng.integers(n, size=2).tolist()
+                demand[i, j] = demand.get((i, j), 0.0) + float(rng.exponential())
+            demands = [demand]
+        got = oracle._residual_dot(residual, d2)
+        want = float(np.vdot(residual, gram(state)))
+        assert abs(got - want) <= 1e-12 * float(np.abs(residual).sum()) * d2.max()
+        for demand in demands:
+            got = oracle._demand_dot(demand, d2)
+            want = sum(
+                f * witnesses.directed_distance(state.vectors, i, j)
+                for (i, j), f in demand.items()
+            )
+            assert abs(got - want) <= 1e-12 * sum(demand.values()) * d2.max()
+
+    @pytest.mark.parametrize("instance", [21, 22, 23, "unit cycle"])
+    def test_first_iterate_ties_at_vertex_0(self, monkeypatch, instance):
+        # at the first iterate (sum M = 0) the direct |x_i - x_0|^2 of
+        # Case 1's h0 and Case 2's dist0 takes one value on every vertex
+        # but 0; d2[0] does not, by rounding, and Case 2's median split
+        # would move with it.  The instances are those of the benchmark's
+        # search workload at seed 7 (Case 2) and the unit 3-cycle (Case 1)
+        if instance == "unit cycle":
+            h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
+        else:
+            h = generate(GeneratorSpec(n=128, m=256, kappa=2, model="expander-like", seed=instance))
+        state = driver.mw_state(np.zeros((h.n, h.n)), 0.1, h.vertex_weights)
+        seen = []
+        real = oracle._sq_dist_to_0
+        monkeypatch.setattr(oracle, "_sq_dist_to_0", lambda x: seen.append(real(x)) or seen[-1])
+        out = run_oracle(1e-3, state, h, OracleConfig(), np.random.default_rng(0))
+        assert out.case[0] == ("1" if instance == "unit cycle" else "2")
+        assert len(seen) == 1 and len(set(seen[0][1:].tolist())) == 1
+
+
 class TestMatchesTheEntryByEntryCheck:
     """certificate_check, in whole-array passes, decides as the check that
     read a certificate entry by entry (``witnesses``): the same verdict,
@@ -798,6 +874,21 @@ class TestMatchesTheEntryByEntryCheck:
         assert ("residual" in got) == ("residual" in want)
         if "residual" in got:
             assert np.array_equal(got["residual"], want["residual"])
+
+    def test_a_flow_1e8_times_another_into_vertex_0(self):
+        # a valid certificate: flow a -> b of 1e-8 and c -> a of 1, with
+        # a = vertex 0.  F 1 = 0 holds only up to the rounding of the
+        # larger flow, above 1e-9 max|F|, which a ones-kernel bullet took
+        # for a failure
+        a, b, c = 0, 1, 2
+        h = make_h(3, [({a}, {b}, 2), ({c}, {a}, 2)])
+        flow = FlowAssignment.of([(0, a, b, 1e-8), (1, c, a, 1.0)])
+        cert = DualCertificate.of(0.01, {}, flow)
+        got_ok, got = certificate_check(cert, 0.01, h, math.inf)
+        want_ok, want = witnesses.reference_certificate_check(cert, 0.01, h, math.inf)
+        assert (got_ok, got["first_failure"]) == (want_ok, want["first_failure"]) == (True, None)
+        assert got["width"] == want["width"]
+        assert np.array_equal(got["residual"], want["residual"])
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(FAILURES[:-1]), max_size=2))
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -9,7 +9,6 @@ from hyperspars import driver
 from hyperspars.sdpcore import (
     TriangleId,
     center_rows,
-    directed_distance,
     mat_K,
     min_eigenvalue,
     spectral_norm,
@@ -19,6 +18,7 @@ from hyperspars.sdpcore import (
 from witnesses import (
     NotPsdError,
     cholesky_embed,
+    directed_distance,
     dist2,
     fill_diagonal_squared_distances,
     gram_state,
@@ -358,5 +358,4 @@ class TestWrapperFreeNumpy:
         m_sum = 40.0 * (m + m.T)
         got = driver.mw_state(m_sum, 0.3, weights).vectors
         monkeypatch.setattr(driver, "center_rows", mean_centered)
-        monkeypatch.setattr(driver, "squared_distances", fill_diagonal_squared_distances)
         assert same_bits(got, driver.mw_state(m_sum, 0.3, weights).vectors)
