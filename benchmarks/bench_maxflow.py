@@ -37,14 +37,11 @@ def build_instances(n, count, seed):
             )
         )
         rd = reduce_to_digraph(h)
-        left = list(range(n // 2))
-        right = list(range(n // 2, n))
-        inst = build_flow_instance(
-            rd,
-            {i: float(rng.uniform(0.5, 4.0)) for i in left},
-            {j: float(rng.uniform(0.5, 4.0)) for j in right},
-        )
-        instances.append(inst)
+        left = np.arange(n // 2)
+        right = np.arange(n // 2, n)
+        source_caps = [float(rng.uniform(0.5, 4.0)) for _ in left]
+        sink_caps = [float(rng.uniform(0.5, 4.0)) for _ in right]
+        instances.append(build_flow_instance(rd, left, source_caps, right, sink_caps))
     return instances
 
 

@@ -39,10 +39,14 @@ __all__ = ["main"]
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of ``path`` ('-' for stdin); ValueError where it cannot be decoded."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {exc.encoding} text (byte {exc.start})") from None
 
 
 def _load_hypergraph(path: str) -> DirectedHypergraph:
@@ -243,9 +247,8 @@ def cmd_gen(args) -> int:
 def cmd_check_cert(args) -> int:
     try:
         h = _load_hypergraph(args.input)
-        with open(args.report, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (DhgParseError, OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(_read_input(args.report))
+    except (DhgParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     ok, failing = verify_report(doc, h)
@@ -259,7 +262,7 @@ def cmd_check_cert(args) -> int:
 def cmd_reduce(args) -> int:
     try:
         h = _load_hypergraph(args.input)
-    except (DhgParseError, OSError) as exc:
+    except (DhgParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rd = reduce_to_digraph(h)

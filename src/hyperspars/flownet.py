@@ -5,18 +5,19 @@ The max-flow kernel is ``_core.max_flow_arrays``, Dinic with capacity
 scaling, compiled from C where a C compiler exists and in pure Python
 otherwise, with the same results either way.  A flow instance holds numpy
 arc arrays, the reduced digraph's cached arrays with the terminal arcs
-appended, so no flow rebuilds its arcs from tuples.  Flows are floating
-point with relative tolerances; the exact rational layer stops at the
-hypergraph module.  A lifted flow is two arrays, its (e, i, j) keys and
-their values, and F and sum f_p T_p are each one scatter over such arrays.
+appended from the caller's vertex and capacity arrays, so no flow rebuilds
+its arcs from tuples.  Flows are floating point with relative tolerances;
+the exact rational layer stops at the hypergraph module.  A lifted flow is
+two arrays, its (e, i, j) keys and their values, and F and sum f_p T_p are
+each one scatter over such arrays.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,16 +49,19 @@ class FlowInstance:
 
     Arc layout: the reduced digraph's arcs first (hyperedge arcs carry
     capacity w_e / 2, gadget arcs carry the big weight), then one source arc
-    per entry of ``source_caps``, then one sink arc per ``sink_caps`` entry.
-    The arc arrays are read-only: int32 node indices, float64 capacities.
+    per vertex of ``sources``, then one sink arc per vertex of ``sinks``,
+    each side in vertex order; and each side's total capacity.  The arrays
+    are read-only: int32 node indices, float64 capacities.
     """
 
     rd: ReducedDigraph
     arc_from: np.ndarray
     arc_to: np.ndarray
     cap: np.ndarray
-    source_caps: tuple[tuple[int, float], ...]
-    sink_caps: tuple[tuple[int, float], ...]
+    sources: np.ndarray
+    sinks: np.ndarray
+    source_total: float
+    sink_total: float
 
     @property
     def s(self) -> int:
@@ -71,14 +75,6 @@ class FlowInstance:
     def num_nodes(self) -> int:
         return self.rd.num_vertices + 2
 
-    @cached_property
-    def total_source_cap(self) -> float:
-        return sum(c for _, c in self.source_caps)
-
-    @cached_property
-    def total_sink_cap(self) -> float:
-        return sum(c for _, c in self.sink_caps)
-
 
 @dataclass(frozen=True, eq=False)
 class MaxFlowResult:
@@ -89,31 +85,30 @@ class MaxFlowResult:
 
 def build_flow_instance(
     rd: ReducedDigraph,
-    source_caps: Mapping[int, float],
-    sink_caps: Mapping[int, float],
+    sources: np.ndarray,
+    source_caps: np.ndarray,
+    sinks: np.ndarray,
+    sink_caps: np.ndarray,
 ) -> FlowInstance:
-    """Attach a source over ``source_caps`` and a sink over ``sink_caps``,
-    each kept as its (vertex, capacity) pairs in vertex order."""
+    """Attach a source arc into each vertex of ``sources`` and a sink arc
+    out of each of ``sinks``, with the capacities at the same places of
+    ``source_caps`` and ``sink_caps``; each side in vertex order."""
+    by_src = np.argsort(sources, kind="stable")
+    by_snk = np.argsort(sinks, kind="stable")
+    src, src_caps = np.asarray(sources, np.int32)[by_src], np.asarray(source_caps, float)[by_src]
+    snk, snk_caps = np.asarray(sinks, np.int32)[by_snk], np.asarray(sink_caps, float)[by_snk]
     n_nodes = rd.num_vertices
     arc_from, arc_to, cap = rd.flow_arcs
-    src, snk = (
-        tuple(sorted((int(i), float(c)) for i, c in caps.items()))
-        for caps in (source_caps, sink_caps)
+    arrays = (
+        np.concatenate((arc_from, np.full(len(src), n_nodes, np.int32), snk)),
+        np.concatenate((arc_to, src, np.full(len(snk), n_nodes + 1, np.int32))),
+        np.concatenate((cap, src_caps, snk_caps)),
     )
-    return FlowInstance(
-        rd,
-        _append(arc_from, [n_nodes] * len(src) + [j for j, _ in snk]),
-        _append(arc_to, [i for i, _ in src] + [n_nodes + 1] * len(snk)),
-        _append(cap, [c for _, c in src] + [c for _, c in snk]),
-        src,
-        snk,
-    )
-
-
-def _append(base: np.ndarray, extra: list) -> np.ndarray:
-    out = np.concatenate((base, np.array(extra, dtype=base.dtype)))
-    out.flags.writeable = False
-    return out
+    for arr in (*arrays, src, snk):
+        arr.flags.writeable = False
+    # one at a time in vertex order: np.sum sums pairwise and can round
+    # differently, and the totals set the kernel's tolerance
+    return FlowInstance(rd, *arrays, src, snk, sum(src_caps.tolist()), sum(snk_caps.tolist()))
 
 
 def flow_tolerance(instance: FlowInstance) -> float:
@@ -124,7 +119,7 @@ def flow_tolerance(instance: FlowInstance) -> float:
     terminal capacities by many orders of magnitude.  Without terminal
     capacity it is the smallest normal float, and the flow is 0.
     """
-    terminal = max(instance.total_source_cap, instance.total_sink_cap)
+    terminal = max(instance.source_total, instance.sink_total)
     return max(1e-12 * terminal, sys.float_info.min)
 
 

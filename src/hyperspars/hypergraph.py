@@ -416,17 +416,14 @@ class ReducedDigraph:
         """Parallel (from, to, capacity) arrays of the arcs as a flow network.
 
         Read-only int32 node indices and float64 capacities: edge arcs carry
-        ``float(w_e) / 2`` and gadget arcs ``float(big_weight)``.  Computed
-        on first use and shared by every flow instance built on this digraph.
+        the edge capacities w_e / 2 of ``Incidence.capacities`` and gadget
+        arcs ``float(big_weight)``.  Computed on first use and shared by
+        every flow instance built on this digraph.
         """
-        big = float(self.big_weight)
-        edge_arc = set(self.edge_arc_index)
         arc_from = np.array([u for u, _, _ in self.arcs], dtype=np.int32)
         arc_to = np.array([v for _, v, _ in self.arcs], dtype=np.int32)
-        cap = np.array(
-            [float(w) / 2.0 if k in edge_arc else big for k, (_, _, w) in enumerate(self.arcs)],
-            dtype=np.float64,
-        )
+        cap = np.full(len(self.arcs), float(self.big_weight))
+        cap[list(self.edge_arc_index)] = self.base.incidence.capacities
         for arr in (arc_from, arc_to, cap):
             arr.flags.writeable = False
         return arc_from, arc_to, cap

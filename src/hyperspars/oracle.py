@@ -160,35 +160,29 @@ class DualCertificate:
 
     Row k of the (k, 3) int64 array ``triangles`` is the triangle
     (a, b, mid), a < b, and ``weights[k]`` its f_p.  ``flow`` is the
-    capacity-respecting hypergraph flow backing F, or None when F = 0
-    (violated-path case).
+    capacity-respecting hypergraph flow backing F; it has no entries where
+    F = 0 (violated-path case).
     """
 
     z: float
     triangles: np.ndarray
     weights: np.ndarray
-    flow: FlowAssignment | None
+    flow: FlowAssignment
 
     @classmethod
-    def of(cls, z: float, triangle_weights: Mapping, flow: FlowAssignment | None):
+    def of(cls, z: float, triangle_weights: Mapping, flow: FlowAssignment):
         """The certificate whose f_p are ``triangle_weights``' values, by
         (a, b, mid) key with a < b, in its order."""
         triangles = np.array(list(triangle_weights), dtype=np.int64).reshape(-1, 3)
         return cls(z, triangles, np.array(list(triangle_weights.values()), dtype=float), flow)
-
-    def flow_matrix_dense(self, n: int) -> np.ndarray:
-        if self.flow is None:
-            return np.zeros((n, n))
-        return flownet.flow_matrix(self.flow, n)
 
 
 def average_certificate(certs: list[DualCertificate]) -> DualCertificate | None:
     """The mean of a run's certificates (None for none): z, the triangle
     weights and the flow entries by (e, i, j), each summed exactly rounded
     and divided by the count; triangles in order of first appearance, flow
-    entries sorted by key.  A certificate without flow counts as F = 0.
-    The residual is linear in the certificate, so the mean's is the mean
-    residual."""
+    entries sorted by key.  The residual is linear in the certificate, so
+    the mean's is the mean residual."""
     if not certs:
         return None
     triangles: dict[tuple[int, int, int], list[float]] = {}
@@ -196,16 +190,13 @@ def average_certificate(certs: list[DualCertificate]) -> DualCertificate | None:
     for cert in certs:
         for tri, f in zip(map(tuple, cert.triangles.tolist()), cert.weights.tolist()):
             triangles.setdefault(tri, []).append(f)
-        if cert.flow is not None:
-            for key, f in zip(map(tuple, cert.flow.keys.tolist()), cert.flow.values.tolist()):
-                flows.setdefault(key, []).append(f)
+        for key, f in zip(map(tuple, cert.flow.keys.tolist()), cert.flow.values.tolist()):
+            flows.setdefault(key, []).append(f)
 
     def mean(values) -> float:
         return math.fsum(values) / len(certs)
 
-    fa = None
-    if any(cert.flow is not None for cert in certs):
-        fa = FlowAssignment.of((*key, mean(fs)) for key, fs in sorted(flows.items()))
+    fa = FlowAssignment.of((*key, mean(fs)) for key, fs in sorted(flows.items()))
     triangle_mean = {tri: mean(fs) for tri, fs in triangles.items()}
     return DualCertificate.of(mean(cert.z for cert in certs), triangle_mean, fa)
 
@@ -242,6 +233,7 @@ class _Call(NamedTuple):
     rd: ReducedDigraph
     omega: np.ndarray
     total: float
+    d2: np.ndarray
 
 
 def _ball_weights(d2: np.ndarray, omega: np.ndarray, radius2: float) -> np.ndarray:
@@ -284,54 +276,54 @@ def run_oracle(
     radius2 = 1.0 / (8.0 * total * total)
     ball_w = _ball_weights(d2, omega, radius2)
     i0 = int(np.argmax(ball_w))
-    call = _Call(alpha, state, h, cfg, reduce_to_digraph(h), omega, total)
+    call = _Call(alpha, state, h, cfg, reduce_to_digraph(h), omega, total, d2)
     if ball_w[i0] >= cfg.c_ball * total:
         return _case1(call, i0, d2[i0] <= radius2)
-    return _case2(call, d2, rng)
+    return _case2(call, rng)
 
 
-def _cut_outcomes(
-    call: _Call, found: list[tuple[np.ndarray, dict]], case: str
-) -> list[OracleOutcome]:
-    """The cuts short max-flows leave, scored in one pass: for each flow's
-    reachability mask and diagnostics in ``found``, the vertices its
-    residual graph reaches from the source.
+def _cut_outcome(call: _Call, found: list[tuple[np.ndarray, dict]], case: str) -> OracleOutcome:
+    """The first cut of least sparsity among those short max-flows leave:
+    for each flow's reachability mask and diagnostics in ``found``, the
+    vertices its residual graph reaches from the source, all scored in one
+    pass.
 
-    The cuts are checked in order, each for properness and then against
-    the ratio bound, so the first breach raises as it would if each cut
-    were checked as its flow ran."""
+    Every cut is checked in order, for properness and then against the
+    ratio bound, so the first breach raises as it would if each cut were
+    checked as its flow ran."""
     h = call.h
     masks = np.array([reachable[: h.n] for reachable, _ in found])
     # integer weights: every order of summing them is exact
     weights = (masks @ call.omega).tolist()
-    subsets, extras = [], []
-    improper = None
-    for mask, inside, (_, extra) in zip(masks, weights, found):
+
+    def diagnostics(k: int) -> dict:
+        inside = weights[k]
+        return dict(found[k][1], side_weights=(inside, h.total_weight - inside), case=case)
+
+    subsets = []
+    for mask in masks:
         members = frozenset(np.flatnonzero(mask).tolist())
-        extra = dict(extra, side_weights=(inside, h.total_weight - inside))
         if not members or len(members) == h.n:
-            improper = (len(members), extra)
             break
         subsets.append(members)
-        extras.append(extra)
     bound = call.cfg.ratio_bound(call.alpha, h, case)
-    outcomes = []
-    for cut, extra in zip(evaluate_cuts(h, subsets), extras):
-        diag = dict(extra, case=case, ratio_bound=bound)
+    cuts = evaluate_cuts(h, subsets)
+    for k, cut in enumerate(cuts):
         if float(cut.sparsity) > bound * (1 + 1e-9):
             raise OracleInvariantError(
                 f"case {case} cut sparsity {float(cut.sparsity):.6g} exceeds "
                 f"ratio bound {bound:.6g}",
-                dict(diag, sparsity=float(cut.sparsity)),
+                dict(diagnostics(k), ratio_bound=bound, sparsity=float(cut.sparsity)),
             )
-        outcomes.append(OracleOutcome("cut", cut=cut, diagnostics=diag))
-    if improper is not None:
-        size, extra = improper
+    improper = len(subsets)  # the index of the first improper cut, if any
+    if improper < len(found):
+        size = int(np.count_nonzero(masks[improper]))
         raise OracleInvariantError(
-            f"case {case} produced an improper cut ({size} of {h.n})",
-            dict(extra, case=case),
+            f"case {case} produced an improper cut ({size} of {h.n})", diagnostics(improper)
         )
-    return outcomes
+    best = min(range(len(cuts)), key=lambda k: cuts[k].sparsity)
+    diag = dict(diagnostics(best), ratio_bound=bound)
+    return OracleOutcome("cut", cut=cuts[best], diagnostics=diag)
 
 
 def _lift(
@@ -340,7 +332,7 @@ def _lift(
     """A saturating max-flow lifted to the hypergraph, and its path
     decomposition."""
     fa = lift_flow(res, inst)
-    return fa, decompose(fa, [i for i, _ in inst.source_caps], [j for j, _ in inst.sink_caps])
+    return fa, decompose(fa, inst.sources.tolist(), inst.sinks.tolist())
 
 
 def _demand_dot(demand: Mapping[tuple[int, int], float], d2: np.ndarray) -> float:
@@ -376,7 +368,7 @@ def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) ->
     # the one bullet that reads the state: (sum f_p T_p + z K) . X <= F . X,
     # up to a slack relative to alpha, the scale of every term
     if report["first_failure"] in (None, "width_bound"):
-        if _residual_dot(report["residual"], call.state.pairwise_dist2()) > 1e-7 * call.alpha:
+        if _residual_dot(report["residual"], call.d2) > 1e-7 * call.alpha:
             ok, report["first_failure"] = False, "dual_dot_bound"
     if not ok:
         if report["first_failure"] == "width_bound":
@@ -423,10 +415,10 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
 
     ``in_ball`` marks the heavy small ball around ``i0`` that the dispatch
     found; the ball, the direction and alpha set the terminal caps."""
-    alpha, state, _, cfg, rd, omega, total = call
-    left = in_ball.nonzero()[0].tolist()
-    right = (~in_ball).nonzero()[0].tolist()
-    if not right:
+    alpha, state, _, cfg, rd, omega, total, d2 = call
+    left = in_ball.nonzero()[0]
+    right = (~in_ball).nonzero()[0]
+    if not len(right):
         raise InconsistentStateError("ball covers all weight despite K.X = 1")
     w_l = float(omega[left].sum())
     w_r = float(omega[right].sum())
@@ -438,16 +430,14 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     forward = q_l <= q_r
 
     c = cfg.cap_c1 * total * alpha
-    left_caps = {i: c * gamma * omega[i] for i in left}
-    right_caps = {j: c * omega[j] for j in right}
+    left_side = (left, c * gamma * omega[left])
+    right_side = (right, c * omega[right])
     if forward:
-        sources, sinks = left_caps, right_caps
+        inst = build_flow_instance(rd, *left_side, *right_side)
     else:
-        sources, sinks = right_caps, left_caps
-
-    inst = build_flow_instance(rd, sources, sinks)
+        inst = build_flow_instance(rd, *right_side, *left_side)
     res = max_flow(inst)
-    total_cap = inst.total_source_cap
+    total_cap = inst.source_total
     extra = {
         "i0": i0,
         "gamma": gamma,
@@ -457,10 +447,10 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     }
 
     if res.value < total_cap * (1.0 - 1e-9):
-        return _cut_outcomes(call, [(res.reachable, extra)], "1A")[0]
+        return _cut_outcome(call, [(res.reachable, extra)], "1A")
 
     fa, dec = _lift(res, inst)
-    d_dot_x = _demand_dot(dec.demand, state.pairwise_dist2())
+    d_dot_x = _demand_dot(dec.demand, d2)
     extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
     return _scaled_flow_dual(call, fa, dec, d_dot_x, "1B", extra)
 
@@ -497,7 +487,8 @@ def _direction_splits(
     total: float,
 ):
     """Split the medium ball S along each direction of ``dirs``; yields
-    (direction, L, R), or None where the direction gives no split, in order.
+    (direction, L, R), L and R as vertex arrays, or None where the
+    direction gives no split, in order.
 
     ``vm`` holds the rescaled vectors of S's ``members`` and ``dist0`` the
     norms |vhat_i - vhat_0|.  Along a direction, L0 and R0 are the shortest
@@ -506,7 +497,7 @@ def _direction_splits(
     of |vhat_i - vhat_0| over L0 then trims them to L and R.  Every (i, j)
     in L x R satisfies the projection stretch along the returned direction
     and d(i, j) >= |v_i - v_j|^2.  All directions are split at once, one
-    row of each (directions x |S|) array per direction; the vertex lists
+    row of each (directions x |S|) array per direction; the vertex arrays
     are read out as the scan asks for them.
     """
     size = len(members)
@@ -551,9 +542,9 @@ def _direction_splits(
         if not ok:
             yield None
         elif fwd:
-            yield u, row[sides[0]].tolist(), row[sides[1]].tolist()
+            yield u, row[sides[0]], row[sides[1]]
         else:
-            yield -u, row[sides[2]].tolist(), row[sides[3]].tolist()
+            yield -u, row[sides[2]], row[sides[3]]
 
 
 def _unit_directions(
@@ -578,7 +569,7 @@ def _unit_directions(
     return dirs, drawn
 
 
-def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
+def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     """Well-spread case: sampled directions, each split and run as one
     max-flow, then cut / dual / path.
 
@@ -593,7 +584,7 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
     generator's state are those of drawing, splitting and scoring one
     direction at a time.
     """
-    alpha, state, h, cfg, rd, omega, total = call
+    alpha, state, h, cfg, rd, omega, total, d2 = call
     members, i0 = _medium_ball(omega, d2, total)
     vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
     dist0 = np.sqrt(_sq_dist_to_0(vhat))
@@ -617,9 +608,8 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
             if got is None:
                 continue
             u_eff, left, right = got
-            sources = {i: cap_coeff * omega[i] for i in left}
-            sinks = {j: cap_coeff * omega[j] for j in right}
-            inst = build_flow_instance(rd, sources, sinks)
+            caps = cap_coeff * omega[left], cap_coeff * omega[right]
+            inst = build_flow_instance(rd, left, caps[0], right, caps[1])
             res = max_flow(inst)
             extra = {
                 "i0": i0,
@@ -637,7 +627,7 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
                 # leave the generator where one draw per direction would
                 rng.bit_generator.state = saved
                 rng.standard_normal((rows, dim))
-                return _sparsest_cut(call, found)
+                return _cut_outcome(call, found, "2A")
 
             fa, dec = _lift(res, inst)
             d_dot_x = _demand_dot(dec.demand, d2)
@@ -669,17 +659,12 @@ def _case2(call: _Call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutco
             triangles = path_triangles(path)
             f_val = total * total * alpha / (9.0 * cfg.s_viol)
             extra["path"] = path
-            cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), None)
+            cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), FlowAssignment.of(()))
             return _dual_outcome(call, cert, "2C", extra)
 
     if found:
-        return _sparsest_cut(call, found)
+        return _cut_outcome(call, found, "2A")
     raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
-
-
-def _sparsest_cut(call: _Call, found: list[tuple[np.ndarray, dict]]) -> OracleOutcome:
-    """The first of the least sparse 2A cuts (each one meets the contract)."""
-    return min(_cut_outcomes(call, found, "2A"), key=lambda out: out.cut.sparsity)
 
 
 def path_triangles(path: list[int]) -> list[TriangleId]:
@@ -824,7 +809,7 @@ def certificate_check(
 
     Bullets: z >= alpha; f_p >= 0; every triangle vertex lies in [0, n);
     every flow entry (e, i, j, f) names an edge e of h with i in its tail
-    and j in its head; F is zero or backed by a capacity-respecting flow;
+    and j in its head; F is backed by a capacity-respecting flow;
     the residual's cells are finite and its spectral norm is at most rho.
     F annihilates the ones vector by construction, as a sum of mat_A terms
     that each do, so no bullet tests it.  All are convex, so a run's average
@@ -861,31 +846,29 @@ def certificate_check(
     except IndexError:
         return fail("triangle_vertex_range")
     fa = cert.flow
-    if fa is not None:
-        # in Python: a handful of entries costs no array work
-        tails, heads = h.incidence.tail.lists, h.incidence.head.lists
-        for e_idx, i, j in fa.keys.tolist():
-            if not 0 <= e_idx < h.m:
-                report["flow_entry"] = (e_idx, i, j)
-                return fail("flow_edge_range")
-            if i not in tails[e_idx] or j not in heads[e_idx]:
-                report["flow_entry"] = (e_idx, i, j)
-                return fail("flow_pair_not_in_edge")
-    f_mat = cert.flow_matrix_dense(n)
+    # in Python: a handful of entries costs no array work
+    tails, heads = h.incidence.tail.lists, h.incidence.head.lists
+    for e_idx, i, j in fa.keys.tolist():
+        if not 0 <= e_idx < h.m:
+            report["flow_entry"] = (e_idx, i, j)
+            return fail("flow_edge_range")
+        if i not in tails[e_idx] or j not in heads[e_idx]:
+            report["flow_entry"] = (e_idx, i, j)
+            return fail("flow_pair_not_in_edge")
+    f_mat = flownet.flow_matrix(fa, n)
 
-    if fa is not None and len(fa):
-        # per-edge totals summed in entry order
-        edges = fa.keys[:, 0]
-        totals = np.bincount(edges, fa.values, h.m)
-        caps = h.incidence.capacities
-        over = totals > caps * (1 + 1e-9)
-        if np.count_nonzero(over):
-            # the first in order of appearance
-            e_idx = int(edges[over[edges].argmax()])
-            report["edge_over_capacity"] = (e_idx, float(totals[e_idx]), float(caps[e_idx]))
-            return fail("flow_capacity")
-        if np.count_nonzero(fa.values < 0):
-            return fail("negative_flow")
+    # per-edge totals summed in entry order
+    edges = fa.keys[:, 0]
+    totals = np.bincount(edges, fa.values, h.m)
+    caps = h.incidence.capacities
+    over = totals > caps * (1 + 1e-9)
+    if np.count_nonzero(over):
+        # the first in order of appearance
+        e_idx = int(edges[over[edges].argmax()])
+        report["edge_over_capacity"] = (e_idx, float(totals[e_idx]), float(caps[e_idx]))
+        return fail("flow_capacity")
+    if np.count_nonzero(fa.values < 0):
+        return fail("negative_flow")
 
     # the largest absolute row sum bounds the norm of the symmetric R; the
     # exact norm is needed only where that bound does not settle the check,

@@ -146,14 +146,14 @@ def solve_report(
             )
             cert = run.certificate
             if cert is not None:
-                fa = cert.flow
                 certificates.append(
                     {
                         "probe": p_idx,
                         "side": side,
                         "z": cert.z,
                         "f_p": _rows(cert.triangles, cert.weights),
-                        "flow": None if fa is None else _rows(fa.keys, fa.values),
+                        # an empty flow prints as null
+                        "flow": _rows(cert.flow.keys, cert.flow.values) or None,
                     }
                 )
 
@@ -229,7 +229,7 @@ def _columns(rows) -> tuple[tuple[tuple[int, ...], ...], tuple]:
 
 def _cert_from_entry(entry: dict) -> DualCertificate:
     """The certificate an entry prints, as arrays: triangles [a, b, mid, f_p]
-    with a < b and mid neither, and flow entries [e, i, j, f]."""
+    with a < b and mid neither, and flow entries [e, i, j, f] (null: none)."""
     try:
         (a, b, mid), weights = _columns(entry["f_p"])
         if not all(map(lt, a, b)) or any(map(eq, a, mid)) or any(map(eq, b, mid)):
@@ -240,7 +240,7 @@ def _cert_from_entry(entry: dict) -> DualCertificate:
         keys = np.array((a + e, b + i, mid + j), dtype=np.int64).T
         numbers = np.array(weights + values, dtype=float)
         k = len(a)
-        fa = None if flow is None else FlowAssignment(keys[k:], numbers[k:])
+        fa = FlowAssignment(keys[k:], numbers[k:])
         return DualCertificate(_number(entry["z"]), keys[:k], numbers[:k], fa)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _Malformed(str(exc)) from None
@@ -288,6 +288,8 @@ def _well_formed(doc: dict) -> bool:
         for cut in cuts
     ):
         return False
+    if config.get("mode", "sparsity") not in ("sparsity", "expansion"):
+        return False
     bound = doc.get("lower_bound")
     return bound is None or (isinstance(bound, (int, float)) and not isinstance(bound, bool))
 
@@ -323,8 +325,9 @@ def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> 
     instance ``h`` the report was solved on; each distinct subset is
     evaluated once.  The top-level ``sparsity`` must be the best cut's, the
     ``outcome`` must say whether there is a cut, ``approx_ratio`` must be
-    the sparsity over the lower bound, and an expansion-mode report's
-    ``expansion`` block must be recomputed from the ``given`` instance.
+    the sparsity over the lower bound, a top-level ``mode`` the config's,
+    and only an expansion-mode report has an ``expansion`` block, the one
+    recomputed from the ``given`` instance.
     """
     top = doc.get("cut")
     claims = [top, *(tr.get("cut") for tr in doc.get("transcript", []))]
@@ -358,10 +361,14 @@ def _check_cuts(doc: dict, h: DirectedHypergraph, given: DirectedHypergraph) -> 
     bound = doc.get("lower_bound")
     if doc.get("approx_ratio") != (best / bound if top is not None and bound else None):
         return "approx_ratio_mismatch"
-    if doc.get("config", {}).get("mode") == "expansion":
-        expected = expansion_estimate(given, subsets[0]) if top is not None else None
-        if doc.get("expansion") != expected:
-            return "expansion_mismatch"
+    mode = doc.get("config", {}).get("mode")
+    if "mode" in doc and doc["mode"] != mode:
+        return "mode_mismatch"
+    expected = None
+    if mode == "expansion" and top is not None:
+        expected = expansion_estimate(given, subsets[0])
+    if doc.get("expansion") != expected:
+        return "expansion_mismatch"
     return None
 
 

@@ -111,13 +111,12 @@ class GramState:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    vals = np.linalg.eigvalsh((m + m.T) / 2.0)
+    """Largest absolute eigenvalue of a symmetric matrix, read from one
+    triangle: (m + m^T) / 2 would overflow cells above half the largest float."""
+    vals = np.linalg.eigvalsh(np.asarray(m, dtype=float))
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    return float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
+    """Smallest eigenvalue of a symmetric matrix, read from one triangle."""
+    return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])

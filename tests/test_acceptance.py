@@ -264,11 +264,9 @@ def test_criterion_06_flow_toolkit():
         right = [v for v in range(h.n) if v not in left]
         if not right:
             continue
-        inst = build_flow_instance(
-            rd,
-            {i: float(rng.uniform(0.1, 2.0)) for i in left},
-            {j: float(rng.uniform(0.1, 2.0)) for j in right},
-        )
+        source_caps = [float(rng.uniform(0.1, 2.0)) for _ in left]
+        sink_caps = [float(rng.uniform(0.1, 2.0)) for _ in right]
+        inst = build_flow_instance(rd, left, source_caps, right, sink_caps)
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         dec = decompose(fa, left, right)

@@ -23,6 +23,15 @@ THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H
 
 WIDE = "dhg 3 2\nv a 1\nv b 1\nv c 1\ne 1/10000000 T a H b c\ne 10000000 T b c H a\n"
 
+# a 4-cycle with vertex weights 2: seed 3 certifies both runs at alpha 1e-3
+WEIGHTED_CYCLE = (
+    "dhg 4 4\nv a 2\nv b 2\nv c 2\nv d 2\n"
+    "e 1 T a H b\ne 1 T b H c\ne 1 T c H d\ne 1 T d H a\n"
+)
+
+# bytes that no UTF-8 text holds
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
 PLANTED = (
     "dhg 6 8\n"
     "v a 1\nv b 1\nv c 1\nv d 1\nv e 1\nv f 1\n"
@@ -481,6 +490,28 @@ SEARCH_TAMPERS = {
 }
 
 
+# top-level claims about the mode that the config contradicts, on a
+# sparsity-mode or an expansion-mode search report, and the check that
+# must name each
+MODE_TAMPERS = {
+    "mode_unknown": ("sparsity", lambda doc: doc.update(mode="banana"), "mode_mismatch"),
+    "mode_a_list": ("sparsity", lambda doc: doc.update(mode=["x"]), "mode_mismatch"),
+    "mode_sparsity_of_expansion": (
+        "expansion", lambda doc: doc.update(mode="sparsity"), "mode_mismatch"
+    ),
+    "config_mode_unknown": (
+        "sparsity",
+        lambda doc: doc.update(mode="banana", config=dict(doc["config"], mode="banana")),
+        "report_malformed",
+    ),
+    "expansion_block_of_sparsity": (
+        "sparsity",
+        lambda doc: doc.update(expansion={"phi": "1/1000000", "vertices": ["a"]}),
+        "expansion_mismatch",
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def certified_cycle_report(tmp_path_factory):
     """The unit 3-cycle and a report whose two runs certify after one Case
@@ -619,6 +650,22 @@ class TestCheckCert:
             assert main(["check-cert", out, str(inp)]) == 3
         assert "residual_not_finite" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_z_near_the_largest_float_rejected_by_name(self, tmp_path, capsys):
+        # every cell of z K is finite, but symmetrizing the residual before
+        # its eigendecomposition turned cells above half the largest float
+        # into inf, and eigvalsh raised instead of naming the bullet
+        inp = tmp_path / "in.dhg"
+        inp.write_text(WEIGHTED_CYCLE)
+        out = str(tmp_path / "report.json")
+        assert main(["solve", str(inp), "--seed", "3", "--alpha", "0.001", "--no-search",
+                     "--t-cap", "3", "--json", "-o", out]) == 2
+        doc = json.loads(open(out).read())
+        assert [tr["outcome"] for tr in doc["transcript"]] == ["certified"] * 2
+        for cert in doc["certificates"]:
+            cert["z"] = 1e307
+        err = self.rejected(doc, out, str(inp), capsys)
+        assert "certificate check failed: width_bound" in err
 
     def test_flipped_triangle_rejected(self, tmp_path, capsys):
         inp, out = self.make_report(tmp_path, source=THREE_CYCLE, extra=("--t-cap", "20"))
@@ -924,6 +971,24 @@ class TestCheckCert:
         err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
         assert f"certificate check failed: {check}" in err
 
+    @pytest.mark.parametrize("mode, tamper, check", MODE_TAMPERS.values(), ids=MODE_TAMPERS.keys())
+    def test_mode_claim_tampered_rejected(
+        self, expander_report, expansion_report, tmp_path, capsys, mode, tamper, check
+    ):
+        inp, text = expander_report if mode == "sparsity" else expansion_report
+        doc = json.loads(text)
+        assert doc["mode"] == doc["config"]["mode"] == mode
+        tamper(doc)
+        err = self.rejected(doc, str(tmp_path / "r.json"), inp, capsys)
+        assert f"certificate check failed: {check}" in err
+
+    def test_report_without_a_top_level_mode_accepted(self, expander_report, expansion_report):
+        # the config's mode is the one check-cert reads
+        for inp, text in (expander_report, expansion_report):
+            doc = json.loads(text)
+            del doc["mode"]
+            assert verify_report(doc, parse_dhg(open(inp).read())) == (True, None)
+
     def test_run_cut_of_every_vertex_rejected(self, expander_report, tmp_path, capsys):
         inp, text = expander_report
         doc = json.loads(text)
@@ -963,6 +1028,28 @@ class TestCheckCert:
              "--t-cap", "40", "--json", "-o", out]
         ) == 0
         assert main(["check-cert", out, planted_file]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "exact", "reduce", "check-cert report", "check-cert instance"]
+)
+def test_input_not_utf8_exit_1(certified_cycle_report, tmp_path, capsys, command):
+    # every subcommand that reads a file names one that is not UTF-8 text
+    inp, text = certified_cycle_report
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    report = tmp_path / "r.json"
+    report.write_text(text)
+    args = {
+        "solve": ["solve", str(bad), "--seed", "1"],
+        "exact": ["exact", str(bad)],
+        "reduce": ["reduce", str(bad)],
+        "check-cert report": ["check-cert", str(bad), inp],
+        "check-cert instance": ["check-cert", str(report), str(bad)],
+    }[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not utf-8 text (byte 0)\n"
 
 
 def test_solve_and_check_cert_import_numpy_only(tmp_path):

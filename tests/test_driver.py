@@ -22,15 +22,18 @@ from hyperspars.driver import (
 )
 from hyperspars.hypergraph import Hyperedge, parse_dhg, reverse, sparsity
 from hyperspars.oracle import (
+    DualCertificate,
     OracleConfig,
     OracleFailure,
     OracleInvariantError,
+    average_certificate,
     certificate_check,
+    path_triangles,
 )
 from hyperspars.report import dumps_report, solve_report, verify_report
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import mat_K, min_eigenvalue
-from hyperspars.flownet import triangle_matrix_sum
+from hyperspars.flownet import FlowAssignment, flow_matrix, triangle_matrix_sum
 
 from conftest import make_h, random_hypergraph, scaled
 from witnesses import certificate_data, dist2, gram
@@ -156,7 +159,7 @@ class TestRunAlgorithm1:
         cert = run.certificate
         residual = triangle_matrix_sum(cert.triangles, cert.weights, 2)
         residual += cert.z * k
-        residual -= cert.flow_matrix_dense(2)
+        residual -= flow_matrix(cert.flow, 2)
         check = min_eigenvalue((alpha / 2) * k - residual)
         assert check >= -1e-6 * run.rho
         assert regret_check(alpha, h, residual, run.rho) == (True, check)
@@ -591,6 +594,29 @@ class TestAveragedCertificate:
             assert (run.certificate is None) == (not duals)
             if run.certificate is not None:
                 self.residual(run, h)
+
+
+    def test_flowless_average_prints_null_and_verifies(self):
+        # a 2C certificate, the planted chain's triangles with F = 0, has an
+        # empty flow; so has the average of such certificates, which passes
+        # certificate_check and prints its flow as null, and check-cert
+        # reads null and [] alike
+        h = make_h(7, [({0}, {6}, 2)], weights=[1] * 7)
+        cfg, alpha = SolverConfig(), 0.31
+        f_val = float(h.total_weight) ** 2 * alpha / (9.0 * cfg.oracle.s_viol)
+        tris = dict.fromkeys(path_triangles([0, 3, 6]), f_val)
+        step = DualCertificate.of(alpha, tris, FlowAssignment.of(()))
+        avg = average_certificate([step, step])
+        assert avg.flow.keys.shape == (0, 3) and not len(avg.flow.values)
+        rho, t_horizon, eta = driver.run_numbers(alpha, h, cfg)
+        assert certificate_check(avg, alpha, h, rho)[0]
+        run = driver.AlgorithmRun(alpha, "in", "aborted", t_horizon, 2, eta, rho, certificate=avg)
+        result = driver.SolveResult(None, None, [driver.ProbeResult(alpha, {"in": run})], 0, 0)
+        doc = json.loads(dumps_report(solve_report(h, cfg, result, 0)))
+        assert [entry["flow"] for entry in doc["certificates"]] == [None]
+        assert verify_report(doc, h) == (True, None)
+        doc["certificates"][0]["flow"] = []
+        assert verify_report(doc, h) == (True, None)
 
 
 class TestOracleErrors:

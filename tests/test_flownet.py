@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from hyperspars.flownet import (
     flow_tolerance,
     max_flow,
 )
-from hyperspars.hypergraph import parse_dhg, reduce_to_digraph
+from hyperspars.hypergraph import parse_dhg, reduce_to_digraph, reverse
 from hyperspars.reference import GeneratorSpec, generate
 from hyperspars.sdpcore import TriangleId, spectral_norm
 
@@ -161,12 +162,10 @@ def reduced_flow_instances(rng, count):
         right = [v for v in range(h.n) if v not in left]
         if not left or not right:
             continue
+        source_caps = [float(rng.uniform(0.01, 4.0)) for _ in left]
+        sink_caps = [float(rng.uniform(0.01, 4.0)) for _ in right]
         instances.append(
-            build_flow_instance(
-                reduce_to_digraph(h),
-                {i: float(rng.uniform(0.01, 4.0)) for i in left},
-                {j: float(rng.uniform(0.01, 4.0)) for j in right},
-            )
+            build_flow_instance(reduce_to_digraph(h), left, source_caps, right, sink_caps)
         )
     return instances
 
@@ -219,7 +218,7 @@ class TestFlowTolerance:
 
     def test_wide_weights_match_edmonds_karp(self):
         rd = reduce_to_digraph(parse_dhg(self.WIDE))
-        inst = build_flow_instance(rd, {0: 1e-6}, {1: 1e-6, 2: 1e-6})
+        inst = build_flow_instance(rd, [0], [1e-6], [1, 2], [1e-6, 1e-6])
         res = max_flow(inst)
         expected = edmonds_karp(
             inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t
@@ -233,7 +232,7 @@ class TestFlowTolerance:
         )
         assert leaving == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("caps", [({}, {}), ({0: 0.0}, {2: 0.0})])
+    @pytest.mark.parametrize("caps", [([], [], [], []), ([0], [0.0], [2], [0.0])])
     def test_no_terminal_capacity_zero_flow(self, caps):
         _, rd = simple_instance()
         inst = build_flow_instance(rd, *caps)
@@ -287,14 +286,14 @@ class TestCompiledKernel:
         for inst in reduced_flow_instances(rng, 60):
             assert_kernels_agree(*instance_args(inst))
 
-    @pytest.mark.parametrize("caps", [({}, {}), ({0: 0.0}, {2: 0.0})])
+    @pytest.mark.parametrize("caps", [([], [], [], []), ([0], [0.0], [2], [0.0])])
     def test_no_terminal_capacity(self, caps):
         _, rd = simple_instance()
         assert_kernels_agree(*instance_args(build_flow_instance(rd, *caps)))
 
     def test_source_is_sink(self):
         _, rd = simple_instance()
-        n, frm, to, cap, s, _, eps = instance_args(build_flow_instance(rd, {0: 1.0}, {2: 1.0}))
+        n, frm, to, cap, s, _, eps = instance_args(build_flow_instance(rd, [0], [1.0], [2], [1.0]))
         assert_kernels_agree(n, frm, to, cap, s, s, eps)
 
     def test_capacities_within_eps(self):
@@ -304,7 +303,7 @@ class TestCompiledKernel:
 
     def test_wide_weight_ratio(self):
         rd = reduce_to_digraph(parse_dhg(TestFlowTolerance.WIDE))
-        inst = build_flow_instance(rd, {0: 1e-6}, {1: 1e-6, 2: 1e-6})
+        inst = build_flow_instance(rd, [0], [1e-6], [1, 2], [1e-6, 1e-6])
         assert_kernels_agree(*instance_args(inst))
         assert max_flow(inst).value == pytest.approx(5e-8, rel=1e-9)
 
@@ -356,7 +355,7 @@ def simple_instance():
 class TestFlowInstance:
     def test_capacities_halved_on_edge_arcs(self):
         h, rd = simple_instance()
-        inst = build_flow_instance(rd, {0: 10.0}, {2: 10.0})
+        inst = build_flow_instance(rd, [0], [10.0], [2], [10.0])
         edge_caps = [inst.cap[k] for k in rd.edge_arc_index]
         assert edge_caps == [1.0, 1.5]
         gadget_caps = {
@@ -368,17 +367,61 @@ class TestFlowInstance:
 
     def test_source_sink_arcs(self):
         h, rd = simple_instance()
-        inst = build_flow_instance(rd, {0: 2.0, 1: 1.0}, {2: 4.0})
-        assert inst.total_source_cap == 3.0
-        assert inst.total_sink_cap == 4.0
+        inst = build_flow_instance(rd, [0, 1], [2.0, 1.0], [2], [4.0])
+        assert inst.source_total == 3.0
+        assert inst.sink_total == 4.0
         assert inst.arc_from[-1] == 2 and inst.arc_to[-1] == inst.t
+
+    def test_terminal_order_does_not_matter(self, rng):
+        # capacities over sixteen decades, so that the order of summing
+        # them shows in the totals' last bits
+        h = generate(GeneratorSpec(n=24, m=60, kappa=2, model="uniform-random", seed=1))
+        rd = reduce_to_digraph(h)
+        for _ in range(20):
+            order = rng.permutation(h.n)
+            k = int(rng.integers(1, h.n))
+            sources, sinks = order[:k], order[k:]
+            source_caps = 10.0 ** rng.uniform(-8, 8, len(sources))
+            sink_caps = 10.0 ** rng.uniform(-8, 8, len(sinks))
+            want = build_flow_instance(rd, sources, source_caps, sinks, sink_caps)
+            by_source, by_sink = np.argsort(sources), np.argsort(sinks)
+            assert want.sources.tolist() == sorted(sources.tolist())
+            assert want.sinks.tolist() == sorted(sinks.tolist())
+            # summed one at a time in vertex order
+            assert want.source_total == sum(source_caps[by_source].tolist())
+            assert want.sink_total == sum(sink_caps[by_sink].tolist())
+            for p, q in ((by_source, by_sink), (rng.permutation(k), rng.permutation(h.n - k))):
+                got = build_flow_instance(rd, sources[p], source_caps[p], sinks[q], sink_caps[q])
+                for name in ("arc_from", "arc_to", "cap", "sources", "sinks"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert (got.source_total, got.sink_total) == (want.source_total, want.sink_total)
+                assert flow_tolerance(got) == flow_tolerance(want)
+
+    @pytest.mark.parametrize("reversed_h", [False, True])
+    def test_edge_arcs_carry_the_incidence_capacities(self, rng, reversed_h):
+        # each edge arc carries float(w_e) / 2, as Incidence.capacities
+        # holds it, on random hypergraphs and on weights from a subnormal
+        # one to a ratio of 1e14
+        tiny, huge = Fraction(3, 2**1074), Fraction(10**14)
+        hs = [random_hypergraph(rng, max_n=9, max_m=8) for _ in range(30)]
+        hs.append(make_h(3, [({0}, {1}, tiny), ({1, 2}, {0}, huge), ({2}, {1}, Fraction(1, 3))]))
+        for h in hs:
+            h = reverse(h) if reversed_h else h
+            rd = reduce_to_digraph(h)
+            cap = rd.flow_arcs[2]
+            edge_arcs = list(rd.edge_arc_index)
+            assert cap[edge_arcs].tolist() == [float(e.weight) / 2.0 for e in h.edges]
+            gadget = np.delete(cap, edge_arcs)
+            assert gadget.tolist() == [float(rd.big_weight)] * len(gadget)
+            assert cap.dtype == np.float64 and not cap.flags.writeable
 
 
 class TestLiftFlow:
     def test_single_pair_direct(self):
         h = make_h(2, [({0}, {1}, 2)])
         rd = reduce_to_digraph(h)
-        inst = build_flow_instance(rd, {0: 1.0}, {1: 1.0})
+        inst = build_flow_instance(rd, [0], [1.0], [1], [1.0])
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         assert dict(((e, i, j), f) for e, i, j, f in fa) == pytest.approx(
@@ -388,7 +431,7 @@ class TestLiftFlow:
     def test_two_tails_single_head_proportional(self):
         h = make_h(3, [({0, 1}, {2}, 2)])
         rd = reduce_to_digraph(h)
-        inst = build_flow_instance(rd, {0: 0.3, 1: 0.7}, {2: 1.0})
+        inst = build_flow_instance(rd, [0, 1], [0.3, 0.7], [2], [1.0])
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         vals = {(i, j): f for _, i, j, f in fa}
@@ -399,7 +442,7 @@ class TestLiftFlow:
         # inflows (0.5, 0.5), outflows (0.25, 0.75): product split
         h = make_h(4, [({0, 1}, {2, 3}, 2)])
         rd = reduce_to_digraph(h)
-        inst = build_flow_instance(rd, {0: 0.5, 1: 0.5}, {2: 0.25, 3: 0.75})
+        inst = build_flow_instance(rd, [0, 1], [0.5, 0.5], [2, 3], [0.25, 0.75])
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         vals = {(i, j): f for _, i, j, f in fa}
@@ -416,11 +459,9 @@ class TestLiftFlow:
             rd = reduce_to_digraph(h)
             left = [0]
             right = [h.n - 1]
-            inst = build_flow_instance(
-                rd,
-                {i: float(rng.uniform(0.2, 2.0)) for i in left},
-                {j: float(rng.uniform(0.2, 2.0)) for j in right},
-            )
+            source_caps = [float(rng.uniform(0.2, 2.0)) for _ in left]
+            sink_caps = [float(rng.uniform(0.2, 2.0)) for _ in right]
+            inst = build_flow_instance(rd, left, source_caps, right, sink_caps)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
             for e_idx, tot in per_edge_totals(fa).items():
@@ -431,7 +472,7 @@ class TestLiftFlow:
         # e1's edge arc carries 0 while its tail arc from vertex 0 carries
         # 0.5: the edge has an arc with flow, so its check still runs
         h, rd = simple_instance()
-        inst = build_flow_instance(rd, {0: 1.0}, {2: 1.0})
+        inst = build_flow_instance(rd, [0], [1.0], [2], [1.0])
         flow = np.zeros(len(inst.cap))
         flow[rd.edge_arc_index[1] + 1] = 0.5
         res = MaxFlowResult(0.5, flow, np.zeros(inst.num_nodes, dtype=bool))
@@ -493,9 +534,10 @@ class TestMatchesLoopReferences:
         for _ in range(6):
             order = rng.permutation(n).tolist()
             k = int(rng.integers(1, n))
-            sources = {v: float(rng.uniform(0.1, 2.0)) for v in order[:k]}
-            sinks = {v: float(rng.uniform(0.1, 2.0)) for v in order[k:]}
-            inst = build_flow_instance(rd, sources, sinks)
+            sources, sinks = order[:k], order[k:]
+            source_caps = [float(rng.uniform(0.1, 2.0)) for _ in sources]
+            sink_caps = [float(rng.uniform(0.1, 2.0)) for _ in sinks]
+            inst = build_flow_instance(rd, sources, source_caps, sinks, sink_caps)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
             assert len(fa) and list(fa) == list(loop_lift_flow(res, inst))
@@ -603,11 +645,9 @@ class TestDecompose:
             h = random_hypergraph(rng, max_n=8, max_m=5)
             left = [0]
             right = list(range(1, h.n))
-            inst = build_flow_instance(
-                reduce_to_digraph(h),
-                {0: float(rng.uniform(0.2, 3.0))},
-                {j: float(rng.uniform(0.2, 3.0)) for j in right},
-            )
+            source_caps = [float(rng.uniform(0.2, 3.0))]
+            sink_caps = [float(rng.uniform(0.2, 3.0)) for _ in right]
+            inst = build_flow_instance(reduce_to_digraph(h), left, source_caps, right, sink_caps)
             fa = lift_flow(max_flow(inst), inst)
             dec = decompose(fa, left, right)
             small = decompose(FlowAssignment(fa.keys, fa.values * 2.0**-k), left, right)
@@ -625,11 +665,9 @@ class TestDecompose:
             right = [v for v in range(h.n) if v not in left]
             if not right:
                 continue
-            inst = build_flow_instance(
-                rd,
-                {i: float(rng.uniform(0.2, 3.0)) for i in left},
-                {j: float(rng.uniform(0.2, 3.0)) for j in right},
-            )
+            source_caps = [float(rng.uniform(0.2, 3.0)) for _ in left]
+            sink_caps = [float(rng.uniform(0.2, 3.0)) for _ in right]
+            inst = build_flow_instance(rd, left, source_caps, right, sink_caps)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
             dec = decompose(fa, left, right)

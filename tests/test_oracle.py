@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hyperspars import driver, oracle
 from hyperspars.driver import SolverConfig, binary_search
-from hyperspars.flownet import FlowAssignment, MaxFlowResult
+from hyperspars.flownet import FlowAssignment, MaxFlowResult, flow_matrix
 from hyperspars.oracle import (
     DualCertificate,
     OracleConfig,
@@ -221,7 +221,7 @@ class TestCase1:
             np.zeros((h.n, h.n)),
         )
         lhs = float(np.tensordot(t_sum + cert.z * k, gram(st)))
-        f_dot = float(np.tensordot(cert.flow_matrix_dense(h.n), gram(st)))
+        f_dot = float(np.tensordot(flow_matrix(cert.flow, h.n), gram(st)))
         d_dot = f_dot - float(np.tensordot(t_sum, gram(st)))
         assert lhs <= f_dot + 1e-7
         assert d_dot >= alpha - 1e-9
@@ -373,7 +373,7 @@ class TestCase2:
         assert tri_sum <= -9.0 * cfg.s_viol / total**2
         alpha = 0.31
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
-        cert = DualCertificate.of(alpha, {t: f_val for t in tris}, None)
+        cert = DualCertificate.of(alpha, {t: f_val for t in tris}, FlowAssignment.of(()))
         k = mat_K(h.vertex_weights)
         ok, report = certificate_check(cert, alpha, h, cfg.rho(alpha, h))
         assert ok, report
@@ -388,7 +388,7 @@ class TestCase2:
         assert np.abs(residual).sum(axis=1).max() > tight
         ok, tight_report = certificate_check(cert, alpha, h, tight)
         assert ok and tight_report["width"] == pytest.approx(exact, rel=1e-12)
-        lhs = float(np.tensordot(report["residual"] + cert.flow_matrix_dense(7), gram(st)))
+        lhs = float(np.tensordot(report["residual"] + flow_matrix(cert.flow, 7), gram(st)))
         assert lhs <= 0.0 + 1e-9
         # width components: ||sum T_p|| small (at most 6), ||K|| within the
         # corollary
@@ -413,8 +413,7 @@ def outcome_summary(out):
         data = (out.cut.subset, out.cut.sparsity, out.cut.phi_plus, out.cut.phi_minus)
     else:
         cert = out.dual
-        flow = None if cert.flow is None else list(cert.flow)
-        data = (cert.z, sorted(triangle_weights(cert).items()), flow, out.width)
+        data = (cert.z, sorted(triangle_weights(cert).items()), list(cert.flow), out.width)
     return out.kind, out.case, data, out.diagnostics
 
 
@@ -430,7 +429,8 @@ def scan_both_ways(monkeypatch, h, state, alpha, cfg, seed, script=None):
         flows = []
 
         def scripted(inst, real=oracle.max_flow):
-            flows.append((inst.source_caps, inst.sink_caps))
+            terminal_caps = inst.cap[len(inst.rd.arcs) :]
+            flows.append((inst.sources.tolist(), inst.sinks.tolist(), terminal_caps.tolist()))
             return script.get(len(flows), lambda r: r)(real(inst))
 
         with monkeypatch.context() as m:
@@ -693,10 +693,12 @@ class TestCertificateCheck:
         # z K alone gives R . X = z K . X = alpha > 1e-7 alpha: a
         # structurally valid certificate that the state contradicts
         h, st, alpha, out = self.setup_cert()
-        cert = DualCertificate.of(alpha, {}, None)
+        cert = DualCertificate.of(alpha, {}, FlowAssignment.of(()))
         assert certificate_check(cert, alpha, h, OracleConfig().rho(alpha, h))[0]
         omega = np.array(h.vertex_weights, dtype=float)
-        call = oracle._Call(alpha, st, h, OracleConfig(), None, omega, float(omega.sum()))
+        call = oracle._Call(
+            alpha, st, h, OracleConfig(), None, omega, float(omega.sum()), st.pairwise_dist2()
+        )
         with pytest.raises(OracleInvariantError, match="dual_dot_bound"):
             oracle._dual_outcome(call, cert, "2C", {})
 
@@ -705,10 +707,12 @@ class TestCertificateCheck:
         # of 1e-7 let pass
         h, st, _, out = self.setup_cert()
         alpha = 1e-9
-        cert = DualCertificate.of(alpha, {}, None)
+        cert = DualCertificate.of(alpha, {}, FlowAssignment.of(()))
         assert certificate_check(cert, alpha, h, OracleConfig().rho(alpha, h))[0]
         omega = np.array(h.vertex_weights, dtype=float)
-        call = oracle._Call(alpha, st, h, OracleConfig(), None, omega, float(omega.sum()))
+        call = oracle._Call(
+            alpha, st, h, OracleConfig(), None, omega, float(omega.sum()), st.pairwise_dist2()
+        )
         with pytest.raises(OracleInvariantError, match="dual_dot_bound"):
             oracle._dual_outcome(call, cert, "2C", {})
 
@@ -732,7 +736,7 @@ def random_certificate(rng, h, alpha):
         shares = rng.dirichlet(np.ones(len(pairs))) * cap
         entries += [(e_idx, i, j, float(f)) for (i, j), f in zip(pairs, shares)]
     z = alpha * (1.0 + float(rng.exponential()))
-    return DualCertificate.of(z, triangles, FlowAssignment.of(entries) if entries else None)
+    return DualCertificate.of(z, triangles, FlowAssignment.of(entries))
 
 
 FAILURES = (
@@ -746,9 +750,7 @@ def seeded(rng, h, alpha, cert, failures):
     bullets) planted in it: in one entry, or for the capacity in every
     flow entry."""
     z, tri, weights = cert.z, cert.triangles.copy(), cert.weights.copy()
-    keys = values = None
-    if cert.flow is not None:
-        keys, values = cert.flow.keys.copy(), cert.flow.values.copy()
+    keys, values = cert.flow.keys.copy(), cert.flow.values.copy()
 
     def pick(arr):
         return int(rng.integers(len(arr)))
@@ -760,19 +762,18 @@ def seeded(rng, h, alpha, cert, failures):
             weights[pick(weights)] = -float(rng.exponential())
         elif failure == "triangle_vertex_range" and len(tri):
             tri[pick(tri), int(rng.integers(3))] = rng.choice([-1, h.n, h.n + 5])
-        elif failure == "flow_edge_range" and keys is not None:
+        elif failure == "flow_edge_range" and len(keys):
             keys[pick(keys), 0] = rng.choice([-1, h.m])
-        elif failure == "flow_pair_not_in_edge" and keys is not None:
+        elif failure == "flow_pair_not_in_edge" and len(keys):
             keys[pick(keys), int(rng.integers(1, 3))] = rng.choice([-1, h.n, *range(h.n)])
-        elif failure == "flow_capacity" and keys is not None:
+        elif failure == "flow_capacity" and len(keys):
             values *= 1e3
-        elif failure == "negative_flow" and keys is not None:
+        elif failure == "negative_flow" and len(keys):
             values[pick(values)] = -float(rng.exponential())
         elif failure == "residual_not_finite":
             z = 1e308
             weights[:] = 1e308
-    flow = None if keys is None else FlowAssignment(keys, values)
-    return DualCertificate(z, tri, weights, flow)
+    return DualCertificate(z, tri, weights, FlowAssignment(keys, values))
 
 
 class TestStateThroughD2:
@@ -900,7 +901,7 @@ class TestMatchesTheEntryByEntryCheck:
         h = random_hypergraph(rng, max_n=8, max_m=6)
         alpha = float(10.0 ** rng.uniform(-4, 0))
         cert = random_certificate(rng, h, alpha)
-        if cert.flow is not None and rng.random() < 0.5:
+        if len(cert.flow) and rng.random() < 0.5:
             # just over capacity on one edge
             e_idx = int(cert.flow.keys[0, 0])
             on_edge = cert.flow.keys[:, 0] == e_idx
@@ -911,7 +912,7 @@ class TestMatchesTheEntryByEntryCheck:
             cert = DualCertificate(cert.z, cert.triangles, cert.weights, flow)
         cert = seeded(rng, h, alpha, cert, failures)
         s = 2.0**-40
-        flow = cert.flow and FlowAssignment(cert.flow.keys, cert.flow.values * s)
+        flow = FlowAssignment(cert.flow.keys, cert.flow.values * s)
         small = DualCertificate(cert.z * s, cert.triangles, cert.weights * s, flow)
         with np.errstate(over="ignore", invalid="ignore"):
             ok, report = certificate_check(cert, alpha, h, 1.0)
@@ -928,7 +929,7 @@ class TestMatchesTheEntryByEntryCheck:
         rng = np.random.default_rng(5)
         for failure in FAILURES:
             cert = random_certificate(rng, h, alpha)
-            while cert.flow is None or not len(cert.triangles):
+            while not len(cert.flow) or not len(cert.triangles):
                 cert = random_certificate(rng, h, alpha)
             cert = seeded(rng, h, alpha, cert, [failure])
             with np.errstate(over="ignore", invalid="ignore"):
@@ -970,7 +971,7 @@ class TestWidthBound:
         # diagonal where the two triangles' sum is +inf, so a cell is NaN
         h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
         tris = {TriangleId.make(0, 1, 2): 1e308, TriangleId.make(0, 1, 3): 1e308}
-        cert = DualCertificate.of(1e308, tris, None)
+        cert = DualCertificate.of(1e308, tris, FlowAssignment.of(()))
         exact = []
         monkeypatch.setattr(oracle, "spectral_norm", exact.append)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -981,7 +982,7 @@ class TestWidthBound:
     def test_an_infinite_bound_over_finite_cells_takes_the_exact_path(self, monkeypatch):
         # every cell of z K is finite, but each row sum overflows
         h = make_h(4, [({0}, {1}, 1)], weights=[2] * 4)
-        cert = DualCertificate.of(1e307, {}, None)
+        cert = DualCertificate.of(1e307, {}, FlowAssignment.of(()))
         exact = []
 
         def norm(residual):
@@ -1012,7 +1013,7 @@ class TestAverageCertificate:
         third = FlowAssignment.of([(1, 2, 3, 5.0), (0, 1, 0, 3.0)])
         certs = [
             DualCertificate.of(1.0, {a: 2.0, b: 4.0}, first),
-            DualCertificate.of(2.0, {a: 1.0}, None),
+            DualCertificate.of(2.0, {a: 1.0}, FlowAssignment.of(())),
             DualCertificate.of(3.0, {c: 6.0}, third),
         ]
         avg = average_certificate(certs)
@@ -1024,12 +1025,12 @@ class TestAverageCertificate:
     def test_without_flow_or_certificates(self):
         tri = TriangleId.make(0, 2, 1)
         assert average_certificate([]) is None
-        avg = average_certificate([DualCertificate.of(0.5, {tri: 1.0}, None)] * 3)
-        assert (avg.z, triangle_weights(avg), avg.flow) == (0.5, {tri: 1.0}, None)
+        avg = average_certificate([DualCertificate.of(0.5, {tri: 1.0}, FlowAssignment.of(()))] * 3)
+        assert (avg.z, triangle_weights(avg), list(avg.flow)) == (0.5, {tri: 1.0}, [])
 
     def test_mean_of_equal_values_is_exact(self):
         # an exactly rounded sum: 4012 steps at alpha = 0.0094 average to it
-        avg = average_certificate([DualCertificate.of(0.0094, {}, None)] * 4012)
+        avg = average_certificate([DualCertificate.of(0.0094, {}, FlowAssignment.of(()))] * 4012)
         assert avg.z == 0.0094
 
 

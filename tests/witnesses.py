@@ -171,14 +171,13 @@ def certificate_data(cert: DualCertificate | None) -> tuple | None:
     numbers, equal exactly where the certificates are (None for None)."""
     if cert is None:
         return None
-    flow = None if cert.flow is None else list(cert.flow)
-    return cert.z, cert.triangles.tolist(), cert.weights.tolist(), flow
+    return cert.z, cert.triangles.tolist(), cert.weights.tolist(), list(cert.flow)
 
 
 def mapping_triangle_sum(triangles: Mapping[TriangleId, float], n: int) -> np.ndarray:
     """``triangle_matrix_sum`` of the f_p that ``triangles`` maps each
     triangle to."""
-    cert = DualCertificate.of(0.0, triangles, None)
+    cert = DualCertificate.of(0.0, triangles, FlowAssignment.of(()))
     return triangle_matrix_sum(cert.triangles, cert.weights, n)
 
 
@@ -549,13 +548,13 @@ def single_cut_outcome(call, res: MaxFlowResult, case: str, extra: dict) -> Orac
     return OracleOutcome("cut", cut=cut, diagnostics=diag)
 
 
-def scan_case2(call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
+def scan_case2(call, rng: np.random.Generator) -> OracleOutcome:
     """The oracle's well-spread case, one direction at a time: draw, split,
     flow and, for a 2A cut, evaluate and check it before the next draw.
     A stand-in for ``oracle._case2``; it looks up ``build_flow_instance``
     and ``max_flow`` on the oracle module, so a test that replaces them
     there replaces them here too."""
-    alpha, state, h, cfg, rd, omega, total = call
+    alpha, state, h, cfg, rd, omega, total, d2 = call
     members, i0 = oracle._medium_ball(omega, d2, total)
     vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
     dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
@@ -573,9 +572,8 @@ def scan_case2(call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
         if got is None:
             continue
         u_eff, left, right = got
-        sources = {i: cap_coeff * omega[i] for i in left}
-        sinks = {j: cap_coeff * omega[j] for j in right}
-        inst = oracle.build_flow_instance(rd, sources, sinks)
+        caps = cap_coeff * omega[left], cap_coeff * omega[right]
+        inst = oracle.build_flow_instance(rd, left, caps[0], right, caps[1])
         res = oracle.max_flow(inst)
         extra = {
             "i0": i0,
@@ -621,7 +619,7 @@ def scan_case2(call, d2: np.ndarray, rng: np.random.Generator) -> OracleOutcome:
         triangles = oracle.path_triangles(path)
         f_val = total * total * alpha / (9.0 * cfg.s_viol)
         extra["path"] = path
-        cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), None)
+        cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), FlowAssignment.of(()))
         return oracle._dual_outcome(call, cert, "2C", extra)
 
     if best_cut is not None:
@@ -640,7 +638,7 @@ def reference_certificate_check(
     n = h.n
     report: dict = {"first_failure": None}
     triangles = triangle_weights(cert)
-    flow = None if cert.flow is None else list(cert.flow)
+    flow = list(cert.flow)
 
     def fail(name: str) -> tuple[bool, dict]:
         report["first_failure"] = name
@@ -653,7 +651,7 @@ def reference_certificate_check(
         return fail("negative_triangle_weight")
     if any(not 0 <= v < n for tri in triangles for v in tri):
         return fail("triangle_vertex_range")
-    for e_idx, i, j, _ in flow or ():
+    for e_idx, i, j, _ in flow:
         if not 0 <= e_idx < h.m:
             report["flow_entry"] = (e_idx, i, j)
             return fail("flow_edge_range")
@@ -662,19 +660,18 @@ def reference_certificate_check(
             report["flow_entry"] = (e_idx, i, j)
             return fail("flow_pair_not_in_edge")
 
-    f_mat = np.zeros((n, n)) if flow is None else loop_flow_matrix(flow, n)
+    f_mat = loop_flow_matrix(flow, n)
     t_mat = loop_triangle_matrix_sum(triangles, n)
-    if flow is not None:
-        totals: dict[int, float] = {}
-        for e_idx, _, _, f in flow:
-            totals[e_idx] = totals.get(e_idx, 0.0) + f
-        for e_idx, tot in totals.items():
-            cap = float(h.edges[e_idx].weight) / 2.0
-            if tot > cap * (1 + 1e-9):
-                report["edge_over_capacity"] = (e_idx, tot, cap)
-                return fail("flow_capacity")
-        if any(f < 0 for _, _, _, f in flow):
-            return fail("negative_flow")
+    totals: dict[int, float] = {}
+    for e_idx, _, _, f in flow:
+        totals[e_idx] = totals.get(e_idx, 0.0) + f
+    for e_idx, tot in totals.items():
+        cap = float(h.edges[e_idx].weight) / 2.0
+        if tot > cap * (1 + 1e-9):
+            report["edge_over_capacity"] = (e_idx, tot, cap)
+            return fail("flow_capacity")
+    if any(f < 0 for _, _, _, f in flow):
+        return fail("negative_flow")
 
     with np.errstate(over="ignore", invalid="ignore"):
         residual = t_mat + cert.z * h.k_matrix - f_mat
