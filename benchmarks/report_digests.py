@@ -24,6 +24,12 @@ is 1.
     # ... change the code ...
     python3 benchmarks/report_digests.py --against before.txt
 
+``--suite n14`` digests a second set instead: 32 small solves, each
+``GeneratorSpec(n=14, m=28, kappa=2)`` instance of expander-like seeds
+0-17, uniform-random seeds 0-7 and planted-cut seeds 0-5, solved with
+``SolverConfig(t_cap=200)`` through the same ``bench.run_op``; its lines
+name the generator model in the ``workload`` column and ignore ``--seeds``.
+
 ``--root`` names the checkout whose ``src/`` and ``perfbench/bench.py`` are
 run (default: the one that holds this script), so one copy of the script
 can digest another checkout.  ``bench.py`` is loaded by path and no
@@ -60,32 +66,53 @@ COLUMNS = (
 )
 
 
-def digests(bench, seeds: list[int]):
-    """One line per seeded instance of every workload, and whether
-    check-cert accepted its report."""
+# the n14 suite: seeds per generator model
+N14_SEEDS = {"expander-like": range(18), "uniform-random": range(8), "planted-cut": range(6)}
+
+
+def seeded_setups(bench, seeds: list[int]):
+    """Every workload's instances at each of ``seeds``."""
     for workload in bench.INSTANCES:
         for seed in seeds:
-            for setup in bench.setups(workload, seed):
-                op = bench.run_op(setup)
-                fp = bench.fingerprint(op)
-                cases = ",".join(f"{case}:{count}" for case, count in fp["cases"].items())
-                line = (
-                    f"{workload} {setup.seed} {fp['report_sha256']} {fp['report_bytes']} "
-                    f"{fp['iterations']} {cases or '-'} {fp['best_cut']} "
-                    f"{fp['lower_bound']!r} {fp['certificates']}"
-                )
-                yield line, op.verified
+            yield from bench.setups(workload, seed)
+
+
+def n14_setups(bench):
+    """The n14 suite's solves, model by model."""
+    for model, seeds in N14_SEEDS.items():
+        for seed in seeds:
+            spec = bench.reference.GeneratorSpec(n=14, m=28, kappa=2, model=model, seed=seed)
+            h = bench.reference.generate(spec)
+            yield bench.Setup(model, seed, h, bench.SolverConfig(t_cap=200))
+
+
+def digests(bench, setups):
+    """One line per instance of ``setups``, and whether check-cert accepted
+    its report."""
+    for setup in setups:
+        op = bench.run_op(setup)
+        fp = bench.fingerprint(op)
+        cases = ",".join(f"{case}:{count}" for case, count in fp["cases"].items())
+        line = (
+            f"{setup.workload} {setup.seed} {fp['report_sha256']} {fp['report_bytes']} "
+            f"{fp['iterations']} {cases or '-'} {fp['best_cut']} "
+            f"{fp['lower_bound']!r} {fp['certificates']}"
+        )
+        yield line, op.verified
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 11])
+    parser.add_argument("--suite", choices=("seeded", "n14"), default="seeded")
     parser.add_argument("--against", type=Path, help="an earlier output to compare with")
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
 
+    bench = load_bench(args.root.resolve())
+    setups = seeded_setups(bench, args.seeds) if args.suite == "seeded" else n14_setups(bench)
     lines, rejected = [], 0
-    for line, (ok, failing) in digests(load_bench(args.root.resolve()), args.seeds):
+    for line, (ok, failing) in digests(bench, setups):
         print(line, flush=True)
         lines.append(line)
         if not ok:

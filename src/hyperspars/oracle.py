@@ -42,7 +42,7 @@ from .hypergraph import (
     evaluate_cuts,
     reduce_to_digraph,
 )
-from .sdpcore import GramState, TriangleId, mat_K, spectral_norm, squared_distances
+from .sdpcore import GramState, TriangleId, mat_K, spectral_norm
 
 __all__ = [
     "OracleConfig",
@@ -349,18 +349,6 @@ def _residual_dot(residual: np.ndarray, d2: np.ndarray) -> float:
     return -0.5 * float(np.vdot(residual, d2))
 
 
-def _sq_dist_to_0(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_0|^2 for each row i, from the rows themselves.
-
-    Case 1's h0 and Case 2's dist0 keep this direct form rather than read
-    d2[0]: at the first iterate it puts every vertex but 0 exactly
-    equidistant from vertex 0, where d2[0] takes 7 to 14 distinct values by
-    rounding alone (expander-like instances at n = 128), and that noise
-    moves the weighted-median split of Case 2 and with it the cut.
-    """
-    return np.einsum("ij,ij->i", x - x[0], x - x[0])
-
-
 def _dual_outcome(call: _Call, cert: DualCertificate, case: str, extra: dict) -> OracleOutcome:
     rho = call.cfg.rho(call.alpha, call.h)
     diag = dict(extra, case=case, rho=rho)
@@ -415,7 +403,7 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
 
     ``in_ball`` marks the heavy small ball around ``i0`` that the dispatch
     found; the ball, the direction and alpha set the terminal caps."""
-    alpha, state, _, cfg, rd, omega, total, d2 = call
+    alpha, _, _, cfg, rd, omega, total, d2 = call
     left = in_ball.nonzero()[0]
     right = (~in_ball).nonzero()[0]
     if not len(right):
@@ -424,7 +412,7 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     w_r = float(omega[right].sum())
     gamma = w_r / w_l
 
-    h0 = _sq_dist_to_0(state.vectors)
+    h0 = d2[0]
     q_l = gamma * float(omega[left] @ h0[left])
     q_r = float(omega[right] @ h0[right])
     forward = q_l <= q_r
@@ -490,20 +478,21 @@ def _direction_splits(
     (direction, L, R), L and R as vertex arrays, or None where the
     direction gives no split, in order.
 
-    ``vm`` holds the rescaled vectors of S's ``members`` and ``dist0`` the
-    norms |vhat_i - vhat_0|.  Along a direction, L0 and R0 are the shortest
-    prefix and suffix of S in projection order that each weigh at least
-    c_frac w, and they must lie sigma / sqrt(w) apart; the weighted median
-    of |vhat_i - vhat_0| over L0 then trims them to L and R.  Every (i, j)
-    in L x R satisfies the projection stretch along the returned direction
-    and d(i, j) >= |v_i - v_j|^2.  All directions are split at once, one
-    row of each (directions x |S|) array per direction; the vertex arrays
-    are read out as the scan asks for them.
+    ``vm`` holds the rescaled vectors of S's ``members`` and ``dist0`` every
+    vertex's squared distance to vertex 0.  Along a direction, L0 and R0 are
+    the shortest prefix and suffix of S in projection order that each weigh
+    at least c_frac w, and they must lie sigma / sqrt(w) apart; the weighted
+    median of ``dist0`` over L0 then trims them to L and R.  A distance
+    within 1e-12 max(dist0) of the median is tied with it and goes on both
+    sides, so rounding cannot move the split.  Every (i, j) in L x R
+    satisfies the projection stretch along the returned direction and
+    d(i, j) >= |v_i - v_j|^2.  All directions are split at once, one row of
+    each (directions x |S|) array per direction; the vertex arrays are read
+    out as the scan asks for them.
     """
     size = len(members)
     rows = np.arange(len(dirs))[:, None]
-    # one product per direction: a single (|S| x k) product rounds differently
-    proj = np.array([vm @ u for u in dirs])
+    proj = np.array(dirs) @ vm.T
     order = np.argsort(proj, axis=1, kind="stable")
     sorted_members = members[order]
     w_sorted = omega[sorted_members]
@@ -528,7 +517,8 @@ def _direction_splits(
     cum = np.cumsum(np.where(in_l0, w_sorted, 0.0)[rows, by_dist], axis=1)
     at = np.minimum((cum < cum[:, -1:] / 2.0).sum(axis=1, keepdims=True), k_lo)
     r_med = dist[rows, by_dist[rows, np.minimum(at, size - 1)]]
-    near, far = dist <= r_med, dist >= r_med
+    tol = 1e-12 * float(dist0.max())
+    near, far = dist <= r_med + tol, dist >= r_med - tol
     l_near, l_far = in_l0 & near, in_l0 & far
     r_near, r_far = in_r0 & near, in_r0 & far
     # integer weights: these sums are exact in any order
@@ -547,26 +537,19 @@ def _direction_splits(
             yield -u, row[sides[2]], row[sides[3]]
 
 
-def _unit_directions(
-    rng: np.random.Generator, dim: int, count: int
-) -> tuple[list[np.ndarray], list[int]]:
-    """``count`` random unit directions, and for each the number of rows of
-    ``dim`` normals drawn up to and including it.
+def _unit_directions(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
+    """``count`` random unit directions.
 
     The normals come in one draw, which the generator fills as it would
     ``count`` draws of ``dim``; a row too short to normalize is skipped,
     and another drawn in its place."""
     dirs: list[np.ndarray] = []
-    drawn: list[int] = []
-    rows = 0
     while len(dirs) < count:
         for z in rng.standard_normal((count - len(dirs), dim)):
-            rows += 1
             norm = float(np.linalg.norm(z))
             if norm > 1e-12:
                 dirs.append(z / norm)
-                drawn.append(rows)
-    return dirs, drawn
+    return dirs
 
 
 def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
@@ -580,14 +563,14 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     can only add a cut or end the scan.  So directions are drawn and split
     one at a time until the first 2A cut, and the rest are drawn and split
     as one batch, and all the cuts are scored in one pass when the scan
-    ends.  The outcome and, unless a cut breaks its contract, the
-    generator's state are those of drawing, splitting and scoring one
-    direction at a time.
+    ends.  The outcome is that of drawing, splitting and scoring one
+    direction at a time, but a scan that ends inside the batch has drawn
+    all of its directions.  Every distance comes from d2; the vectors give
+    only the projections.
     """
     alpha, state, h, cfg, rd, omega, total, d2 = call
     members, i0 = _medium_ball(omega, d2, total)
     vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
-    dist0 = np.sqrt(_sq_dist_to_0(vhat))
     vm = vhat[members]
     dim = vhat.shape[1]
 
@@ -600,10 +583,8 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     found: list[tuple[np.ndarray, dict]] = []  # each 2A flow's reach mask and diagnostics
     scanned = 0
     while scanned < attempts:
-        saved = rng.bit_generator.state
-        dirs, drawn = _unit_directions(rng, dim, attempts - scanned if found else 1)
-        splits = _direction_splits(vm, omega, members, dist0, dirs, cfg, total)
-        for rows, got in zip(drawn, splits):
+        dirs = _unit_directions(rng, dim, attempts - scanned if found else 1)
+        for got in _direction_splits(vm, omega, members, d2[0], dirs, cfg, total):
             scanned += 1
             if got is None:
                 continue
@@ -624,9 +605,6 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
                 continue
 
             if found:
-                # leave the generator where one draw per direction would
-                rng.bit_generator.state = saved
-                rng.standard_normal((rows, dim))
                 return _cut_outcome(call, found, "2A")
 
             fa, dec = _lift(res, inst)
@@ -640,10 +618,9 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
             # the demand given d_dot_x < alpha and flow >= threshold), which is
             # exactly the stretched-pair supply the path search feeds on
             eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
+            q = (total / 3.0) ** 2 * d2  # rescaled squared distances
             filtered = sum(
-                f
-                for (i, j), f in dec.demand.items()
-                if float((vhat[i] - vhat[j]) @ (vhat[i] - vhat[j])) <= eta_cut * (1 + 1e-9)
+                f for (i, j), f in dec.demand.items() if q[i, j] <= eta_cut * (1 + 1e-9)
             )
             extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
             if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
@@ -652,7 +629,7 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
                     dict(extra, case="2C"),
                 )
 
-            path = find_violated_path(vhat, omega, dec.demand, u_eff, cfg, h)
+            path = find_violated_path(q, vhat @ u_eff, omega, dec.demand, cfg, h)
             if path is None:
                 last_reason = "no violated path for this direction"
                 continue
@@ -674,34 +651,31 @@ def path_triangles(path: list[int]) -> list[TriangleId]:
     ]
 
 
-def path_violation(vhat: np.ndarray, path: list[int]) -> float:
-    """sum of hop distances minus endpoint distance, in rescaled units."""
-    hops = 0.0
-    for a in range(len(path) - 1):
-        d = vhat[path[a]] - vhat[path[a + 1]]
-        hops += float(d @ d)
-    d = vhat[path[0]] - vhat[path[-1]]
-    return hops - float(d @ d)
+def path_violation(q: np.ndarray, path: list[int]) -> float:
+    """sum of hop distances minus endpoint distance, for squared distances q."""
+    hops = sum(float(q[a, b]) for a, b in zip(path, path[1:]))
+    return hops - float(q[path[0], path[-1]])
 
 
 def find_violated_path(
-    vhat: np.ndarray,
+    q: np.ndarray,
+    proj: np.ndarray,
     omega: np.ndarray,
     demand: Mapping[tuple[int, int], float],
-    u_eff: np.ndarray,
     cfg: OracleConfig,
     h: DirectedHypergraph,
 ) -> list[int] | None:
     """Search for a short path whose l2^2 path inequality fails by s_viol.
 
-    A direct triple scan runs first; then chains of stretched hops (small
-    rescaled distance, positive projection step along u_eff) are grown with
-    a bounded-hop shortest-path pass.  Any candidate is accepted only after
-    direct evaluation of its violation.
+    ``q`` holds the rescaled squared distances and ``proj`` each vertex's
+    rescaled projection on the split's direction.  A direct triple scan
+    runs first; then chains of stretched hops (small rescaled distance,
+    positive projection step) are grown with a bounded-hop shortest-path
+    pass.  Any candidate is accepted only after direct evaluation of its
+    violation.
     """
-    n = vhat.shape[0]
+    n = q.shape[0]
     s_target = cfg.s_viol
-    q = squared_distances(vhat)
 
     # 1) triple scan
     best = (0.0, None)
@@ -716,14 +690,13 @@ def find_violated_path(
             best = (val, [int(a), mid, int(b)])
     if best[1] is not None and best[0] <= -s_target:
         path = best[1]
-        if path_violation(vhat, path) <= -s_target:
+        if path_violation(q, path) <= -s_target:
             return path
 
     # 2) chained stretched hops (demand support first, then all pairs)
     total = float(omega.sum())
     stretch = cfg.sigma / math.sqrt(total)
     eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
-    proj = vhat @ u_eff
     cap = max(2, cfg.path_cap(h))
 
     def hop_arcs(restrict_to_demand: bool) -> list[tuple[int, int]]:
@@ -742,7 +715,7 @@ def find_violated_path(
         if not arcs:
             continue
         path = _best_chain(q, arcs, proj, cap, s_target)
-        if path is not None and path_violation(vhat, path) <= -s_target:
+        if path is not None and path_violation(q, path) <= -s_target:
             return path
     return None
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperspars import driver, oracle
@@ -29,7 +29,7 @@ from hyperspars.oracle import (
 )
 from hyperspars.hypergraph import reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
-from hyperspars.sdpcore import GramState, TriangleId, mat_K, spectral_norm
+from hyperspars.sdpcore import GramState, TriangleId, mat_K, spectral_norm, squared_distances
 
 import witnesses
 from conftest import integral_state, make_h, normalized_state, random_hypergraph, scaled
@@ -256,8 +256,8 @@ def direction_split(st, h, s, i0, cfg, rng):
     total = float(h.total_weight)
     vhat = (total / 3.0) * (st.vectors - st.vectors[i0])
     members = np.array(sorted(s), dtype=int)
-    dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
-    dirs, _ = _unit_directions(rng, vhat.shape[1], cfg.n_dirs_for(h.n))
+    dirs = _unit_directions(rng, vhat.shape[1], cfg.n_dirs_for(h.n))
+    dist0 = st.pairwise_dist2()[0]
     splits = _direction_splits(vhat[members], omega, members, dist0, dirs, cfg, total)
     return next((got for got in splits if got is not None), None)
 
@@ -313,17 +313,19 @@ class TestFindViolatedPath:
         vhat = np.array([[k * delta, 0.0, 0.0] for k in range(7)])
         omega = np.ones(7)
         assert 18 * delta2 < cfg.s_viol
-        path = find_violated_path(vhat, omega, {}, u, cfg, h)
+        q = squared_distances(vhat)
+        path = find_violated_path(q, vhat @ u, omega, {}, cfg, h)
         assert path is not None
         assert len(path) >= 4
-        assert path_violation(vhat, path) <= -cfg.s_viol
+        assert path_violation(q, path) <= -cfg.s_viol
         assert len(path) - 1 <= cfg.path_cap(h)
 
     def test_two_points_no_path(self, rng):
         h = make_h(2, [({0}, {1}, 1)])
         vhat = np.array([[0.0], [1.0]])
         cfg = OracleConfig()
-        assert find_violated_path(vhat, np.ones(2), {}, np.ones(1), cfg, h) is None
+        q = squared_distances(vhat)
+        assert find_violated_path(q, vhat[:, 0], np.ones(2), {}, cfg, h) is None
 
     def test_returned_path_scales_to_triangle_sum(self, rng):
         # the path triangles evaluated on X match the rescaled violation
@@ -334,14 +336,13 @@ class TestFindViolatedPath:
         st = GramState(positions)
         assert st.k_dot(h.vertex_weights) == pytest.approx(1.0, abs=1e-9)
         vhat = (total / 3.0) * (positions - positions[0])
-        path = find_violated_path(vhat, np.ones(7), {}, np.array([1.0, 0.0]), cfg, h)
+        q = squared_distances(vhat)
+        path = find_violated_path(q, vhat[:, 0], np.ones(7), {}, cfg, h)
         assert path is not None
         tri_sum = sum(
             float(np.tensordot(mat_T(7, tri), gram(st))) for tri in path_triangles(path)
         )
-        assert tri_sum == pytest.approx(
-            (9.0 / total**2) * path_violation(vhat, path), rel=1e-9
-        )
+        assert tri_sum == pytest.approx((9.0 / total**2) * path_violation(q, path), rel=1e-9)
         assert tri_sum <= -9.0 * cfg.s_viol / total**2
 
 
@@ -396,6 +397,33 @@ class TestCase2:
         assert t_norm <= 6.0
         assert spectral_norm(k) <= h.kappa * total**2 / h.n + 1e-9
 
+    def test_violated_path_end_to_end(self):
+        # 14 vertices on a line across the first direction u, and a pair
+        # 0.3 past its end, 0.02 apart along u and joined by an edge of
+        # weight 2 each way: u splits the pair, whose flow of 1 reaches the
+        # threshold with D . X = d(14, 15) below alpha, and the line holds
+        # the violated path 0 -> 8 -> 15
+        u = np.random.default_rng(0).standard_normal((1, 2))[0]
+        u /= np.linalg.norm(u)
+        e2 = np.array([-u[1], u[0]])
+        v = np.array([0.1 * k * e2 for k in range(14)] + [1.6 * e2 - 0.01 * u, 1.6 * e2 + 0.01 * u])
+        v[0] -= 1e-4 * u
+        h = make_h(16, [({14}, {15}, 2), ({15}, {14}, 2)], weights=[1] * 16)
+        state = GramState(v / math.sqrt(GramState(v).k_dot(h.vertex_weights)))
+        cfg = OracleConfig()
+        total = float(h.total_weight)
+        # the largest alpha whose threshold a flow of 1 reaches
+        reach = 1.0 / ((cfg.c_frac * cfg.beta / 4.0) * total**2 * math.sqrt(oracle.log2_weight(h)))
+        d_14_15 = witnesses.directed_distance(state.vectors, 14, 15)
+        alpha = math.sqrt(d_14_15 * reach)
+        out = run_oracle(alpha, state, h, cfg, np.random.default_rng(0))
+        assert (out.kind, out.case, out.diagnostics["path"]) == ("dual", "2C", [0, 8, 15])
+        assert out.diagnostics["flow_value"] == 1.0
+        assert out.diagnostics["d_dot_x"] == pytest.approx(d_14_15, rel=1e-9)
+        assert out.dual.triangles.tolist() == [[0, 15, 8]] and not len(out.dual.flow.keys)
+        ok, report = certificate_check(out.dual, alpha, h, cfg.rho(alpha, h))
+        assert ok, report
+
 
 def spread_instance(seed=3, dim=16, sigma=None):
     """An n=16 expander-like instance and a spread state: Case 2 on every
@@ -421,10 +449,13 @@ def scan_both_ways(monkeypatch, h, state, alpha, cfg, seed, script=None):
     """run_oracle from one seed with the batched Case 2 and with the
     one-direction-at-a-time reference; per side, the outcome (or error),
     the generator's final state and the terminal capacities of every
-    max-flow run.  ``script`` maps a max-flow's 1-based index to a function
+    max-flow run.  The states are None where the reference's scan ends on
+    a flow after its first 2A cut: the batch has drawn past that flow's
+    direction.  ``script`` maps a max-flow's 1-based index to a function
     of the real result that replaces it."""
     script = script or {}
     sides = []
+    drawn = []  # the reference's directions
     for case2 in (oracle._case2, witnesses.scan_case2):
         flows = []
 
@@ -436,12 +467,16 @@ def scan_both_ways(monkeypatch, h, state, alpha, cfg, seed, script=None):
         with monkeypatch.context() as m:
             m.setattr(oracle, "max_flow", scripted)
             m.setattr(oracle, "_case2", case2)
+            real = witnesses.random_direction
+            m.setattr(witnesses, "random_direction", lambda *a: drawn.append(1) or real(*a))
             rng = np.random.default_rng(seed)
             try:
                 got = outcome_summary(run_oracle(alpha, state, h, cfg, rng))
             except (OracleFailure, OracleInvariantError) as exc:
                 got = (type(exc).__name__, str(exc), exc.diagnostics)
         sides.append((got, rng.bit_generator.state, flows))
+    if sides[1][0][1] == "2A" and len(drawn) < cfg.n_dirs_for(h.n):
+        sides = [(got, None, flows) for got, _, flows in sides]
     return sides
 
 
@@ -513,7 +548,11 @@ class TestCase1FlowReuse:
 
 class TestBatchedScan:
     """Case 2 splits and scores the directions after its first 2A cut as
-    one batch; outcome and generator state must be the reference's."""
+    one batch; outcome and flows must be the reference's, and so must the
+    generator's state unless the scan ends inside the batch.  The
+    reference reads the distances to vertex 0 from the vectors, the oracle
+    from d2, so every comparison also checks that the split does not
+    depend on that route."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -549,6 +588,7 @@ class TestBatchedScan:
         batched, reference = scan_both_ways(monkeypatch, h, state, 0.1, cfg, 0, script)
         assert batched == reference
         assert batched[0][1] == "2A" and len(batched[2]) == stop
+        assert batched[1] is None
 
     def test_no_stop(self, monkeypatch):
         h, state, cfg = spread_instance()
@@ -776,6 +816,31 @@ def seeded(rng, h, alpha, cert, failures):
     return DualCertificate(z, tri, weights, FlowAssignment(keys, values))
 
 
+def splits_by_route(state, h, seed):
+    """Case 2's split of ``state``'s medium ball along each of n_dirs
+    directions drawn from ``seed``, as (direction, L, R) lists or None, for
+    the distances to vertex 0 read three ways: d2[0], the direct
+    |v_i - v_0|^2, and d2[0] moved by up to 4 ulps per entry."""
+    cfg = OracleConfig()
+    omega = np.array(h.vertex_weights, dtype=float)
+    total = float(h.total_weight)
+    d2 = state.pairwise_dist2()
+    members, i0 = _medium_ball(omega, d2, total)
+    v = state.vectors
+    vm = (total / 3.0) * (v[members] - v[i0])
+    rng = np.random.default_rng(seed)
+    dirs = _unit_directions(rng, v.shape[1], cfg.n_dirs_for(h.n))
+    ulps = rng.integers(-4, 5, size=h.n)
+    routes = d2[0], np.einsum("ij,ij->i", v - v[0], v - v[0]), d2[0] + ulps * np.spacing(d2[0])
+    return [
+        [
+            None if got is None else [side.tolist() for side in got]
+            for got in _direction_splits(vm, omega, members, dist0, dirs, cfg, total)
+        ]
+        for dist0 in routes
+    ]
+
+
 class TestStateThroughD2:
     """The oracle reads X only through the state's squared distances d2:
     R . X as -(1/2) R . d2, and D . X as the d(i, j) = d2[i, j] - d2[0, i]
@@ -825,24 +890,43 @@ class TestStateThroughD2:
             )
             assert abs(got - want) <= 1e-12 * sum(demand.values()) * d2.max()
 
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 8.0), st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_split_does_not_depend_on_the_route(self, seed, log_scale, first):
+        # iterates of random sums, and first iterates (sum M = 0), that
+        # the dispatch sends to Case 2
+        rng = np.random.default_rng(seed)
+        h = random_hypergraph(rng, max_n=12, max_m=10)
+        m = rng.standard_normal((h.n, h.n))
+        scale = 0.0 if first else 10.0**log_scale
+        state = driver.mw_state(scale * (m + m.T), 0.3, h.vertex_weights)
+        omega, total = np.array(h.vertex_weights, float), float(h.total_weight)
+        small = _ball_weights(state.pairwise_dist2(), omega, 1 / (8 * total * total))
+        assume(small.max() < OracleConfig().c_ball * total)
+        d2_route, direct, perturbed = splits_by_route(state, h, seed)
+        assert d2_route == direct == perturbed
+
     @pytest.mark.parametrize("instance", [21, 22, 23, "unit cycle"])
-    def test_first_iterate_ties_at_vertex_0(self, monkeypatch, instance):
-        # at the first iterate (sum M = 0) the direct |x_i - x_0|^2 of
-        # Case 1's h0 and Case 2's dist0 takes one value on every vertex
-        # but 0; d2[0] does not, by rounding, and Case 2's median split
-        # would move with it.  The instances are those of the benchmark's
-        # search workload at seed 7 (Case 2) and the unit 3-cycle (Case 1)
+    def test_first_iterate_ties_at_vertex_0(self, instance):
+        # at the first iterate (sum M = 0) the direct |v_i - v_0|^2 takes
+        # one value on every vertex but 0, where d2[0] takes several by
+        # rounding alone; the split is the same on both.  The instances are
+        # those of the benchmark's search workload at seed 7 (Case 2) and
+        # the unit 3-cycle (Case 1)
         if instance == "unit cycle":
             h = make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)])
         else:
             h = generate(GeneratorSpec(n=128, m=256, kappa=2, model="expander-like", seed=instance))
         state = driver.mw_state(np.zeros((h.n, h.n)), 0.1, h.vertex_weights)
-        seen = []
-        real = oracle._sq_dist_to_0
-        monkeypatch.setattr(oracle, "_sq_dist_to_0", lambda x: seen.append(real(x)) or seen[-1])
         out = run_oracle(1e-3, state, h, OracleConfig(), np.random.default_rng(0))
         assert out.case[0] == ("1" if instance == "unit cycle" else "2")
-        assert len(seen) == 1 and len(set(seen[0][1:].tolist())) == 1
+        v = state.vectors
+        assert len(set(np.einsum("ij,ij->i", v - v[0], v - v[0])[1:].tolist())) == 1
+        if instance != "unit cycle":
+            assert len(set(state.pairwise_dist2()[0, 1:].tolist())) > 1
+        d2_route, direct, perturbed = splits_by_route(state, h, 0)
+        assert d2_route == direct == perturbed
+        assert any(got is not None for got in direct)
 
 
 class TestMatchesTheEntryByEntryCheck:

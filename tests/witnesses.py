@@ -486,7 +486,9 @@ def direction_split_once(
 
     Returns (direction, L, R) or None.  Every (i, j) in L x R satisfies the
     projection stretch along the returned direction and
-    d(i, j) >= |v_i - v_j|^2.  ``dist0`` holds the norms |vhat_i - vhat_0|.
+    d(i, j) >= |v_i - v_j|^2.  ``dist0`` holds the squared distances to
+    vertex 0; one within 1e-12 max(dist0) of the median is tied with it
+    and goes on both sides.
     """
     proj = vhat[members] @ u
     order = np.argsort(proj, kind="stable")
@@ -510,10 +512,11 @@ def direction_split_once(
         return None
 
     r_med = weighted_median(dist0[l0], omega[l0])
-    l0_minus = l0[dist0[l0] <= r_med]
-    l0_plus = l0[dist0[l0] >= r_med]
-    r0_minus = r0[dist0[r0] <= r_med]
-    r0_plus = r0[dist0[r0] >= r_med]
+    tol = 1e-12 * float(dist0.max())
+    l0_minus = l0[dist0[l0] <= r_med + tol]
+    l0_plus = l0[dist0[l0] >= r_med - tol]
+    r0_minus = r0[dist0[r0] <= r_med + tol]
+    r0_plus = r0[dist0[r0] >= r_med - tol]
     w_r0_plus = omega[r0_plus].sum()
     w_r0_minus = omega[r0_minus].sum()
     if w_r0_plus >= w_r0_minus and len(r0_plus) and len(l0_minus):
@@ -553,11 +556,13 @@ def scan_case2(call, rng: np.random.Generator) -> OracleOutcome:
     flow and, for a 2A cut, evaluate and check it before the next draw.
     A stand-in for ``oracle._case2``; it looks up ``build_flow_instance``
     and ``max_flow`` on the oracle module, so a test that replaces them
-    there replaces them here too."""
+    there replaces them here too.  Its distances to vertex 0 are the
+    direct |v_i - v_0|^2, not d2's."""
     alpha, state, h, cfg, rd, omega, total, d2 = call
     members, i0 = oracle._medium_ball(omega, d2, total)
     vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
-    dist0 = np.sqrt(np.einsum("ij,ij->i", vhat - vhat[0], vhat - vhat[0]))
+    v = state.vectors
+    dist0 = np.einsum("ij,ij->i", v - v[0], v - v[0])
 
     sqlog = math.sqrt(log2_weight(h))
     cap_coeff = cfg.beta * total * sqlog * alpha
@@ -600,10 +605,9 @@ def scan_case2(call, rng: np.random.Generator) -> OracleOutcome:
             return oracle._scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
 
         eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
+        q = (total / 3.0) ** 2 * d2
         filtered = sum(
-            f
-            for (i, j), f in dec.demand.items()
-            if float((vhat[i] - vhat[j]) @ (vhat[i] - vhat[j])) <= eta_cut * (1 + 1e-9)
+            f for (i, j), f in dec.demand.items() if q[i, j] <= eta_cut * (1 + 1e-9)
         )
         extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
         if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
@@ -612,7 +616,7 @@ def scan_case2(call, rng: np.random.Generator) -> OracleOutcome:
                 dict(extra, case="2C"),
             )
 
-        path = oracle.find_violated_path(vhat, omega, dec.demand, u_eff, cfg, h)
+        path = oracle.find_violated_path(q, vhat @ u_eff, omega, dec.demand, cfg, h)
         if path is None:
             last_reason = "no violated path for this direction"
             continue
