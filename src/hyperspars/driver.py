@@ -135,11 +135,15 @@ def run_numbers(
     alpha: float, h: DirectedHypergraph, cfg: SolverConfig
 ) -> tuple[float, int, float]:
     """A run's width rho, horizon min(T, t_cap) and step size
-    sqrt(ln n / horizon) at ``alpha``; ValueError where rho overflows."""
+    sqrt(ln n / horizon) at ``alpha``; ValueError where rho overflows, or
+    where it underflows so far that 1 / rho does."""
     rho = cfg.oracle.rho(alpha, h)
     if not math.isfinite(rho):
         # regret_check's tolerance -1e-6 rho would be -inf and pass any run
         raise ValueError(f"alpha {alpha!r} is too large: its width rho is not finite")
+    if not rho > 0 or not math.isfinite(1.0 / rho):
+        # the loop scales every step's residual by 1 / rho
+        raise ValueError(f"alpha {alpha!r} is too small: 1 / rho is not finite at rho {rho!r}")
     t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
     return rho, t_horizon, math.sqrt(math.log(h.n) / t_horizon)
 
@@ -344,12 +348,16 @@ def _singleton_baseline(h: DirectedHypergraph) -> Cut:
     out-closure when proper; the first of least sparsity wins.  All 3n are
     scored exactly in one pass, from out-cut weights taken in closed form
     and the closures that span V, and only the winner is built as a Cut.
+    Two closure searches from vertex 0 find those closures: where 0's
+    closure spans V, v's does exactly when it holds 0, since it then holds
+    0's; where 0's is proper, the scan stops at v = 0 on its sparsity 0.
     """
     if h.n < 2:
         raise ValueError("no proper subsets exist")
-    inc = h.incidence
-    single, complement = inc.singleton_out_weights()
-    full = inc.full_closures()
+    single, complement = h.incidence.singleton_out_weights()
+    # the vertices whose closure spans V: those whose closure holds 0, when
+    # 0's spans V; otherwise none is read, as the scan stops at v = 0
+    full = out_closure(reverse(h), {0}) if len(out_closure(h, {0})) == h.n else frozenset()
     total = h.total_weight
     # each candidate's sparsity is num / den over the edge-weight
     # denominator; {v} and V - {v} share den, and a proper closure has num 0

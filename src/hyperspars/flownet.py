@@ -14,6 +14,7 @@ each one scatter over such arrays.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -117,10 +118,12 @@ def flow_tolerance(instance: FlowInstance) -> float:
     No flow exceeds either terminal total, so the tolerance follows those
     totals rather than the largest arc: the gadget weight can exceed the
     terminal capacities by many orders of magnitude.  Without terminal
-    capacity it is the smallest normal float, and the flow is 0.
+    capacity it is the smallest subnormal float, and the flow is 0; a
+    normal floor would exceed every capacity of a subnormal instance, and
+    the kernel would push nothing.
     """
     terminal = max(instance.source_total, instance.sink_total)
-    return max(1e-12 * terminal, sys.float_info.min)
+    return max(1e-12 * terminal, math.ulp(0.0))
 
 
 def max_flow(instance: FlowInstance) -> MaxFlowResult:

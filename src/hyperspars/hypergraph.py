@@ -296,74 +296,6 @@ class Incidence:
         np.add.at(total, mine.index[keep], self.weights[mine.edge[keep]])
         return total.tolist()
 
-    def full_closures(self) -> frozenset[int]:
-        """The vertices whose out-closure (see ``out_closure``) is every
-        vertex.
-
-        Closures follow vertex -> positive-weight edge -> head.  In the
-        condensation of that graph a vertex reaches every vertex iff its
-        component is the only source component, so one pass of Tarjan's
-        algorithm over the vertices and edges decides every closure.
-        """
-        out_edges, heads = self.closure_lists
-        n = self.n
-        # node v < n is a vertex, node n + k is edge k
-        comp, count = _strong_components([[n + k for k in ks] for ks in out_edges] + list(heads), n)
-        comp = np.array(comp)
-        keep_t = (self.weights > 0)[self.tail.edge]
-        keep_h = (self.weights > 0)[self.head.edge]
-        src = np.concatenate([self.tail.index[keep_t], n + self.head.edge[keep_h]])
-        dst = np.concatenate([n + self.tail.edge[keep_t], self.head.index[keep_h]])
-        entered = np.zeros(count, dtype=bool)
-        entered[comp[dst][comp[src] != comp[dst]]] = True
-        sources = np.flatnonzero(~entered)
-        if len(sources) != 1:
-            return frozenset()
-        return frozenset(np.flatnonzero(comp[:n] == sources[0]).tolist())
-
-
-def _strong_components(succ: list[list[int]], roots: int) -> tuple[list[int], int]:
-    """Tarjan's strongly connected components, without recursion, of the
-    nodes reachable from nodes 0 .. roots - 1 of the graph with successor
-    lists ``succ``: each node's component number (-1 where unreached) and
-    the number of components."""
-    order = [-1] * len(succ)
-    low = [0] * len(succ)
-    comp = [-1] * len(succ)
-    stack: list[int] = []
-    found = count = 0
-    for root in range(roots):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = found
-        found += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            x, successors = work[-1]
-            for y in successors:
-                if order[y] < 0:
-                    order[y] = low[y] = found
-                    found += 1
-                    stack.append(y)
-                    work.append((y, iter(succ[y])))
-                    break
-                if comp[y] < 0:  # visited and still on the stack
-                    low[x] = min(low[x], order[y])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[x])
-                if low[x] == order[x]:
-                    while True:
-                        y = stack.pop()
-                        comp[y] = count
-                        if y == x:
-                            break
-                    count += 1
-    return comp, count
-
 
 def _common_numerators(values: list[Fraction]) -> tuple[np.ndarray, int]:
     """Numerators over the least common denominator, as ``_exact_array``."""

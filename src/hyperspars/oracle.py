@@ -651,12 +651,6 @@ def path_triangles(path: list[int]) -> list[TriangleId]:
     ]
 
 
-def path_violation(q: np.ndarray, path: list[int]) -> float:
-    """sum of hop distances minus endpoint distance, for squared distances q."""
-    hops = sum(float(q[a, b]) for a, b in zip(path, path[1:]))
-    return hops - float(q[path[0], path[-1]])
-
-
 def find_violated_path(
     q: np.ndarray,
     proj: np.ndarray,
@@ -671,8 +665,8 @@ def find_violated_path(
     rescaled projection on the split's direction.  A direct triple scan
     runs first; then chains of stretched hops (small rescaled distance,
     positive projection step) are grown with a bounded-hop shortest-path
-    pass.  Any candidate is accepted only after direct evaluation of its
-    violation.
+    pass.  Both searches add the candidate's q entries in path order, so
+    the violation they compare with s_viol is the path's own.
     """
     n = q.shape[0]
     s_target = cfg.s_viol
@@ -689,9 +683,7 @@ def find_violated_path(
         if val < best[0]:
             best = (val, [int(a), mid, int(b)])
     if best[1] is not None and best[0] <= -s_target:
-        path = best[1]
-        if path_violation(q, path) <= -s_target:
-            return path
+        return best[1]
 
     # 2) chained stretched hops (demand support first, then all pairs)
     total = float(omega.sum())
@@ -715,7 +707,7 @@ def find_violated_path(
         if not arcs:
             continue
         path = _best_chain(q, arcs, proj, cap, s_target)
-        if path is not None and path_violation(q, path) <= -s_target:
+        if path is not None:
             return path
     return None
 

@@ -391,7 +391,7 @@ def _check_run(
         raise _Malformed("a run needs a positive alpha and a non-negative iteration count")
     try:
         want_rho, t_horizon, want_eta = run_numbers(alpha, h, cfg)
-    except ValueError:  # rho(alpha) is inf: no run has it
+    except ValueError:  # rho(alpha) or its inverse is inf: no run has it
         return "rho_mismatch"
     if not math.isclose(rho, want_rho, rel_tol=1e-9):
         return "rho_mismatch"

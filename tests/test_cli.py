@@ -151,6 +151,31 @@ class TestSolve:
         assert err.startswith("error: ") and "rho is not finite" in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_subnormal_weights_solve_and_verify(self, tmp_path, capsys):
+        # every terminal capacity lay below a flow tolerance floored at the
+        # smallest normal float, so Case 1A pushed nothing and its cut was
+        # empty: "case 1A produced an improper cut (0 of 3)"
+        inp = tmp_path / "cycle.dhg"
+        inp.write_text(THREE_CYCLE.replace("e 1 ", f"e 1/{10**309} "))
+        out = tmp_path / "r.json"
+        assert main(["solve", str(inp), "--seed", "1", "--json", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert Fraction(doc["cut"]["sparsity"]) == Fraction(1, 2 * 10**309)
+        assert main(["check-cert", str(out), str(inp)]) == 0
+
+    def test_alpha_whose_inverse_rho_overflows_exit_1(self, tmp_path, capsys):
+        # rho is subnormal at alpha 5e-324 on the unit 3-cycle and 1 / rho is
+        # inf: the loop's update was NaN and eigh failed to converge
+        inp = tmp_path / "cycle.dhg"
+        inp.write_text(THREE_CYCLE)
+        out = tmp_path / "r.json"
+        code = main(["solve", str(inp), "--seed", "1", "--alpha", "5e-324", "--no-search",
+                     "--t-cap", "3", "--json", "-o", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha 5e-324 is too small: ") and "too large" not in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_no_search_needs_alpha_exit_1(self, toy_file, tmp_path, capsys):
         # without --alpha, --no-search ran the full binary search
         out = tmp_path / "r.json"

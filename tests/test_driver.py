@@ -414,6 +414,35 @@ class TestPinnedOutputs:
         assert run_summary(res) == cut + certified + cut
 
 
+# the best cut of each n14 solve (GeneratorSpec(n=14, m=28, kappa=2),
+# SolverConfig(t_cap=200), the generator's seed as the solve's), per model
+# in seed order from 0
+N14_BEST_CUTS = {
+    "expander-like": "1/30 1/40 4/91 1/24 3/80 1/110 2/27 1/51 1/34 1/28 2/85 1/25 1/33 1/20 "
+    "1/108 2/105 1/90 1/26",
+    "uniform-random": "1/21 5/68 1/18 1/34 1/22 1/19 0 1/21",
+    "planted-cut": "0 1/550 0 1/450 0 0",
+}
+
+
+class TestCutQualityFloor:
+    """No change may return a worse best cut on the n14 solves: the report
+    records the cut against the baseline, but nothing else gates it."""
+
+    @pytest.mark.parametrize(
+        "model, seed, best",
+        [
+            pytest.param(model, seed, Fraction(best), id=f"{model}-{seed}")
+            for model, cuts in N14_BEST_CUTS.items()
+            for seed, best in enumerate(cuts.split())
+        ],
+    )
+    def test_best_cut_no_worse(self, model, seed, best):
+        h = generate(GeneratorSpec(n=14, m=28, kappa=2, model=model, seed=seed))
+        res = binary_search(h, SolverConfig(t_cap=200), np.random.default_rng(seed))
+        assert res.best_cut.sparsity <= best
+
+
 # weights near 1e-9 whose optimum is 1/200000000000; an absolute tolerance
 # in the regret check certified alpha / 2 = 1.25 opt here at alpha = 2.5 opt
 TINY_WEIGHTS = (

@@ -268,6 +268,29 @@ DAG_LIKE = make_h(
 )
 # 5e18 over the denominator 1000003 overflows int64
 WIDE_WEIGHTS = make_h(3, [({0}, {1}, 5 * 10**18), ({1}, {0, 2}, Fraction(1, 1000003))])
+# 0's closure {0, 1} is proper and 2's spans V: the scan stops at v = 0
+# before it reads whether 2's closure is proper
+LATER_FULL = make_h(3, [({0}, {1}, 1), ({1}, {0}, 1), ({2}, {0}, 1)])
+
+
+class TestFullClosures:
+    """Where 0's closure spans V, v's does exactly when it holds 0; where it
+    is proper, the baseline's scan ends at v = 0 on sparsity 0.  So two
+    closure searches from vertex 0 are all the baseline needs."""
+
+    @given(hypergraphs())
+    @example(DAG_LIKE)
+    @example(make_h(3, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {0}, 1)]))
+    @example(make_h(3, [({0}, {1, 2}, 1), ({1}, {0}, 0), ({2}, {1}, 1)]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_two_searches_from_0_find_them(self, h):
+        for g in (h, reverse(h)):
+            if len(scan_out_closure(g, {0})) < g.n:
+                assert scan_singleton_baseline(g).sparsity == 0
+                continue
+            reach_0 = out_closure(reverse(g), {0})
+            for v in range(g.n):
+                assert (len(scan_out_closure(g, {v})) == g.n) == (v in reach_0)
 
 
 class TestBatchedBaseline:
@@ -287,8 +310,16 @@ class TestBatchedBaseline:
 
     def test_examples_cover_wide_weights_and_tie_break(self):
         assert WIDE_WEIGHTS.incidence.weights.dtype == object
-        assert DAG_LIKE.incidence.full_closures() == {0, 1}
+        assert out_closure(reverse(DAG_LIKE), {0}) == {0, 1}
         assert _singleton_baseline(DAG_LIKE) == evaluate_cut(DAG_LIKE, {2, 3})
+
+    def test_proper_closure_of_0_ends_the_scan(self):
+        # no entry of the spanning closures is read past v = 0
+        assert out_closure(LATER_FULL, {0}) == {0, 1}
+        assert out_closure(LATER_FULL, {2}) == {0, 1, 2}
+        cut = _singleton_baseline(LATER_FULL)
+        assert cut == evaluate_cut(LATER_FULL, {0, 1}) == scan_singleton_baseline(LATER_FULL)
+        assert cut.sparsity == 0
 
     @given(hypergraphs())
     @settings(max_examples=40, deadline=None, derandomize=True)

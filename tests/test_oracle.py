@@ -24,7 +24,6 @@ from hyperspars.oracle import (
     certificate_check,
     find_violated_path,
     path_triangles,
-    path_violation,
     run_oracle,
 )
 from hyperspars.hypergraph import reverse, sparsity
@@ -38,6 +37,7 @@ from witnesses import (
     dist2,
     gram,
     mat_T,
+    path_violation,
     per_edge_totals,
     triangle_weights,
 )

@@ -7,7 +7,8 @@ multiplicative-weights analysis, the demand-norm and capacity-duality
 bounds and the flow decomposition identity of the flow layer, the gadget
 nodes of the reduced digraph and the subset lift and projection between a
 hypergraph and it, a state's Gram matrix V V^T and one pair's squared and
-directed distance from its vectors, a subset's weight, a cut evaluator
+directed distance from its vectors, a path's violation of the l2^2 path
+inequality, a subset's weight, a cut evaluator
 that scans the edges' frozensets with exact ``Fraction`` sums, independent
 of the incidence arrays the package answers cut questions from, the singleton/closure baseline as one cut evaluation per candidate,
 and the loops the flow layer replaced: dense F, D and sum f_p T_p
@@ -144,6 +145,12 @@ def mat_T(n: int, tri: TriangleId) -> np.ndarray:
     m = np.zeros((n, n))
     add_mat_T(m, tri, 1.0)
     return m
+
+
+def path_violation(q: np.ndarray, path: list[int]) -> float:
+    """sum of hop distances minus endpoint distance, for squared distances q."""
+    hops = sum(float(q[a, b]) for a, b in zip(path, path[1:]))
+    return hops - float(q[path[0], path[-1]])
 
 
 def out_cut(h: DirectedHypergraph, subset) -> list[int]:
