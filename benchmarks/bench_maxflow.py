@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the selected max-flow kernel against the Python reference.
+"""Benchmark the max-flow kernels: a batch of flows in one call against the
+same flows one call each.
 
-The workload mirrors the solver's hot path: flow instances built on reduced
-digraphs of random hypergraphs, solved repeatedly as the oracle would.  Both
-kernels solve the same instances, their outputs must be identical, and the
-time per solve is printed for each.
+The workload mirrors the oracle's Case 2 scan: on the reduced digraph of an
+expander-like hypergraph (m = 2n), a batch of flows whose terminal sets are
+one to three random vertices per side.  Each kernel solves the batch twice:
+as one call that takes the digraph's arcs once and each flow's terminal
+arcs, as ``flownet.max_flows`` makes it, and as one call per flow over the
+digraph's arcs with that flow's terminal arcs appended, the form each flow
+took before batching.  The two forms must give the same flow values, cut
+masks and last arc flows bit for bit, on both kernels, or the script exits
+1; the time per flow is printed for each.
 
-    python benchmarks/bench_maxflow.py [--sizes 8,16,32] [--repeats 200]
+    python benchmarks/bench_maxflow.py [--sizes 16,32,64,128] [--flows 48] [--repeats 30]
 """
 
 import argparse
@@ -23,80 +29,94 @@ from hyperspars.hypergraph import reduce_to_digraph
 from hyperspars.reference import GeneratorSpec, generate
 
 
-def build_instances(n, count, seed):
+def build_batch(n, flows, seed):
+    h = generate(GeneratorSpec(n=n, m=2 * n, kappa=min(3, n), model="expander-like", seed=seed))
+    rd = reduce_to_digraph(h)
     rng = np.random.default_rng(seed)
     instances = []
-    for k in range(count):
-        h = generate(
-            GeneratorSpec(
-                n=n,
-                m=2 * n,
-                kappa=min(3, n),
-                model="expander-like",
-                seed=seed * 1000 + k,
-            )
-        )
-        rd = reduce_to_digraph(h)
-        left = np.arange(n // 2)
-        right = np.arange(n // 2, n)
-        source_caps = [float(rng.uniform(0.5, 4.0)) for _ in left]
-        sink_caps = [float(rng.uniform(0.5, 4.0)) for _ in right]
-        instances.append(build_flow_instance(rd, left, source_caps, right, sink_caps))
-    return instances
+    for _ in range(flows):
+        ends = rng.permutation(n)[: int(rng.integers(2, 7))]
+        sides = np.split(ends, [1 + int(rng.integers(0, 3))])
+        caps = [rng.uniform(0.5, 4.0, len(side)) for side in sides]
+        instances.append(build_flow_instance(rd, sides[0], caps[0], sides[1], caps[1]))
+    return rd, instances
 
 
-def kernel_args(instances):
-    # the arguments flownet.max_flow passes, tolerance included
-    return [
-        (inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t,
-         flow_tolerance(inst))
-        for inst in instances
-    ]
+def batch_args(rd, instances):
+    """The arguments of one batched call, as ``flownet.max_flows`` passes them."""
+    terminals = [(i.sources, i.source_caps, i.sinks, i.sink_caps) for i in instances]
+    s = rd.num_vertices
+    eps = [flow_tolerance(inst) for inst in instances]
+    return (s + 2, *rd.flow_arcs, s, s + 1, eps, terminals)
 
 
-def bits(result):
-    """A kernel result with every float spelled out to the last bit; the
-    compiled kernel returns arrays, the Python one lists."""
-    value, flow, reach = result
-    return value.hex(), [float(f).hex() for f in flow], [bool(r) for r in reach]
+def single_args(inst):
+    """The arguments of one call for ``inst`` alone, its terminal arcs
+    appended to the digraph's arcs."""
+    arc_from, arc_to, cap = inst.rd.flow_arcs
+    s, t = inst.s, inst.t
+    return (
+        inst.num_nodes,
+        np.concatenate((arc_from, np.full(len(inst.sources), s, np.int32), inst.sinks)),
+        np.concatenate((arc_to, inst.sources, np.full(len(inst.sinks), t, np.int32))),
+        np.concatenate((cap, inst.source_caps, inst.sink_caps)),
+        s,
+        t,
+        flow_tolerance(inst),
+    )
 
 
-def time_kernel(kernel, args, repeats):
+def same_outputs(batch, singles):
+    """Whether a batched call and the calls one flow each gave the same
+    values, cut masks and last arc flows, bit for bit."""
+    values, flow, reach = batch
+    return (
+        [v.hex() for v in values.tolist()] == [r[0].hex() for r in singles]
+        and reach.tolist() == [r[2].tolist() for r in singles]
+        and [f.hex() for f in flow.tolist()] == [f.hex() for f in singles[-1][1].tolist()]
+    )
+
+
+def time_it(fn, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for a in args:
-            kernel(*a)
+        fn()
         times.append(time.perf_counter() - start)
     return min(times), statistics.median(times)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="8,16,32,64")
+    parser.add_argument("--sizes", default="16,32,64,128")
+    parser.add_argument("--flows", type=int, default=48)
     parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument("--instances", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    sizes = [int(s) for s in args.sizes.split(",")]
     kernels = {"selected": _core.max_flow_arrays, "python": _maxflow_py.max_flow_arrays}
     print(f"selected kernel: {_core._impl.__name__} (compiled {_core.HAVE_COMPILED})")
-    print(f"{'n':>5} {'arcs':>6} | {'kernel':>8} | {'best':>10} | {'median':>10}")
-    for n in sizes:
-        args_n = kernel_args(build_instances(n, args.instances, args.seed))
-        results = {
-            name: [bits(kernel(*a)) for a in args_n] for name, kernel in kernels.items()
+    print(f"{'n':>5} {'arcs':>6} | {'kernel':>8} | {'form':>8} | {'best':>10} | {'median':>10}")
+    for n in (int(s) for s in args.sizes.split(",")):
+        rd, instances = build_batch(n, args.flows, args.seed)
+        batched = batch_args(rd, instances)
+        singles = [single_args(inst) for inst in instances]
+        forms = {
+            "batch": lambda kernel: kernel(*batched),
+            "single": lambda kernel: [kernel(*a) for a in singles],
         }
-        if any(res != results["python"] for res in results.values()):
-            print(f"n={n}: the kernels' outputs differ", file=sys.stderr)
+        outputs = [forms["batch"](kernel) for kernel in kernels.values()]
+        references = [forms["single"](kernel) for kernel in kernels.values()]
+        if not all(same_outputs(out, ref) for out in outputs for ref in references):
+            print(f"n={n}: the kernels' or the forms' outputs differ", file=sys.stderr)
             return 1
-        arcs = statistics.mean(len(a[1]) for a in args_n)
         for name, kernel in kernels.items():
-            best, median = time_kernel(kernel, args_n, args.repeats)
-            per_solve = [t / len(args_n) * 1e6 for t in (best, median)]
-            print(f"{n:>5} {arcs:>6.0f} | {name:>8} | "
-                  + " | ".join(f"{t:>8.1f}us" for t in per_solve))
+            repeats = args.repeats if name == "selected" else max(1, args.repeats // 10)
+            for form, run in forms.items():
+                best, median = time_it(lambda: run(kernel), repeats)
+                per_flow = [t / args.flows * 1e6 for t in (best, median)]
+                print(f"{n:>5} {len(rd.arcs):>6} | {name:>8} | {form:>8} | "
+                      + " | ".join(f"{t:>8.1f}us" for t in per_flow))
     return 0
 
 

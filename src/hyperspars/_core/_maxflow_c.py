@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -115,50 +117,76 @@ def _load() -> ctypes.CDLL:
         raise ImportError(f"the max-flow kernel could not be loaded: {exc}") from exc
     int32_p = ctypes.POINTER(ctypes.c_int32)
     double_p = ctypes.POINTER(ctypes.c_double)
-    lib.hs_max_flow.argtypes = [
+    lib.hs_max_flows.argtypes = [
         ctypes.c_int, ctypes.c_int, int32_p, int32_p, double_p,
-        ctypes.c_int, ctypes.c_int, ctypes.c_double,
-        double_p, double_p, ctypes.POINTER(ctypes.c_uint8),
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, int32_p, double_p, ctypes.c_double,
+        ctypes.POINTER(ctypes.c_int), double_p, ctypes.POINTER(ctypes.c_uint8),
     ]
-    lib.hs_max_flow.restype = ctypes.c_int
+    lib.hs_max_flows.restype = ctypes.c_int
     return lib
 
 
 _lib = _load()
-_kernel = _lib.hs_max_flow
+_kernel = _lib.hs_max_flows
 
 
-def max_flow_arrays(n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12):
-    """Maximum s-t flow via Dinic with capacity scaling, in C.
+def _copy(arr, dtype, ctype):
+    """A 1-D array as a ctypes buffer of its own."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    if arr.ndim != 1 or len(arr) >= 2**30:
+        raise ValueError("the kernel takes 1-D arrays of fewer than 2**30 entries")
+    return (ctype * len(arr)).from_buffer_copy(arr)
+
+
+def max_flow_arrays(
+    n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12, terminals=None, stop=math.inf
+):
+    """Maximum s-t flows via Dinic with capacity scaling, in C.
 
     Takes and returns what ``_maxflow_py.max_flow_arrays`` does, and
-    returns the same values bit for bit.  The arcs are copied into ctypes
-    buffers, which costs less per call than handing numpy's pointers over.
+    returns the same values bit for bit.  The base arcs are copied into
+    ctypes buffers once per call, however many flows it solves, and the
+    terminal arcs are packed into one integer and one float buffer in CSR
+    form; copies cost less per call than handing numpy's pointers over.
     """
-    frm = np.ascontiguousarray(arc_from, dtype=np.int32)
-    to = np.ascontiguousarray(arc_to, dtype=np.int32)
-    cp = np.ascontiguousarray(cap, dtype=np.float64)
+    if terminals is None:
+        values, flow, reach = max_flow_arrays(
+            n_nodes, arc_from, arc_to, cap, s, t, [eps], [([], [], [], [])], stop
+        )
+        return float(values[0]), flow, reach[0]
+    k = len(terminals)
+    if not 1 <= k == len(eps):
+        raise ValueError("a batch needs a flow, and one tolerance per flow")
+    if not 0 < n_nodes < 2**31 // k:
+        raise ValueError("too many nodes for the compiled kernel")
+    i32, f64 = (np.int32, ctypes.c_int32), (np.float64, ctypes.c_double)
+    frm, to, cp = _copy(arc_from, *i32), _copy(arc_to, *i32), _copy(cap, *f64)
     na = len(frm)
-    if frm.shape != (na,) or to.shape != (na,) or cp.shape != (na,):
-        raise ValueError("arc_from, arc_to and cap must be 1-D and of one length")
-    if na >= 2**30 or not 0 < n_nodes < 2**31:
-        raise ValueError("too many arcs or nodes for the compiled kernel")
-    flow = (ctypes.c_double * na)()
-    reach = (ctypes.c_uint8 * n_nodes)()
-    value = ctypes.c_double()
+    if not na == len(to) == len(cp):
+        raise ValueError("arc_from, arc_to and cap must be of one length")
+    sources, source_caps, sinks, sink_caps = zip(*terminals)
+    counts = [list(map(len, side)) for side in (sources, source_caps, sinks, sink_caps)]
+    if counts[0] != counts[1] or counts[2] != counts[3]:
+        raise ValueError("each terminal needs one capacity")
+    ptrs = [[0, *accumulate(counts[0])], [0, *accumulate(counts[2])]]
+    # an empty list would come in as float64, which does not cast to int32
+    ends = [side for side in (*sources, *sinks) if len(side)]
+    terms = _copy(np.concatenate([*ptrs, *ends], dtype=np.int32), *i32)
+    caps = _copy(np.concatenate([*source_caps, *sink_caps, eps], dtype=np.float64), *f64)
+    solved = ctypes.c_int()
+    out = (ctypes.c_double * (k + na + ptrs[0][-1] + ptrs[1][-1]))()
+    reach = (ctypes.c_uint8 * (k * n_nodes))()
     status = _kernel(
-        n_nodes, na,
-        (ctypes.c_int32 * na).from_buffer_copy(frm),
-        (ctypes.c_int32 * na).from_buffer_copy(to),
-        (ctypes.c_double * na).from_buffer_copy(cp),
-        s, t, eps, ctypes.byref(value), flow, reach,
+        n_nodes, na, frm, to, cp, s, t, k, terms, caps, stop, ctypes.byref(solved), out, reach
     )
     if status == 1:
         raise ValueError("a node index is out of range")
     if status:
         raise MemoryError("the max-flow kernel ran out of memory")
+    last = solved.value - 1
+    out = np.frombuffer(out, dtype=np.float64)
     return (
-        value.value,
-        np.frombuffer(flow, dtype=np.float64),
-        np.frombuffer(reach, dtype=np.bool_),
+        out[: solved.value],
+        out[k : k + na + counts[0][last] + counts[2][last]],
+        np.frombuffer(reach, dtype=np.bool_).reshape(k, n_nodes)[: solved.value],
     )

@@ -22,6 +22,7 @@ nothing of one step's flows is kept for the next.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 
@@ -141,11 +142,46 @@ def run_numbers(
     if not math.isfinite(rho):
         # regret_check's tolerance -1e-6 rho would be -inf and pass any run
         raise ValueError(f"alpha {alpha!r} is too large: its width rho is not finite")
-    if not rho > 0 or not math.isfinite(1.0 / rho):
+    if not _invertible(rho):
         # the loop scales every step's residual by 1 / rho
         raise ValueError(f"alpha {alpha!r} is too small: 1 / rho is not finite at rho {rho!r}")
     t_horizon = min(theoretical_iterations(alpha, h, cfg.oracle), cfg.t_cap)
     return rho, t_horizon, math.sqrt(math.log(h.n) / t_horizon)
+
+
+def _invertible(rho: float) -> bool:
+    """Whether 1 / rho is finite and positive."""
+    return rho > 0 and math.isfinite(1.0 / rho)
+
+
+def _least_invertible_alpha(
+    lo: float, hi: float, h: DirectedHypergraph, cfg: SolverConfig
+) -> float | None:
+    """The least alpha in [lo, hi] whose 1 / rho is finite, or None.
+
+    rho grows with alpha, and positive floats are ordered as their bit
+    patterns, so a bisection over those finds it in at most 64 steps."""
+
+    def invertible(bits: int) -> bool:
+        return _invertible(cfg.oracle.rho(_from_bits(bits), h))
+
+    below, above = _to_bits(lo), _to_bits(hi)
+    if invertible(below):
+        return lo
+    if not invertible(above):
+        return None
+    while above - below > 1:  # 1 / rho is finite at above and not at below
+        mid = (below + above) // 2
+        below, above = (below, mid) if invertible(mid) else (mid, above)
+    return _from_bits(above)
+
+
+def _to_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def regret_check(
@@ -416,6 +452,12 @@ def binary_search(
         return SolveResult(best_cut, None, [], max(lo, 0.0), max(hi, 0.0), baseline)
     # a huge ratio's square overflows, and the quotient can underflow to 0
     lo = max(min(lo, hi / cfg.search_ratio / cfg.search_ratio), math.ulp(0.0))
+    # on tiny weights the bracket can start, or lie wholly, where 1 / rho
+    # overflows and no run can start
+    least = _least_invertible_alpha(lo, hi, h, cfg)
+    if least is None:
+        return SolveResult(best_cut, None, [], lo, hi, baseline)
+    lo = least
 
     while hi > lo * cfg.search_ratio and len(probes) < cfg.max_probes:
         alpha = math.sqrt(lo * hi)

@@ -3,11 +3,12 @@ and decomposing them into triangle terms plus an endpoint demand matrix.
 
 The max-flow kernel is ``_core.max_flow_arrays``, Dinic with capacity
 scaling, compiled from C where a C compiler exists and in pure Python
-otherwise, with the same results either way.  A flow instance holds numpy
-arc arrays, the reduced digraph's cached arrays with the terminal arcs
-appended from the caller's vertex and capacity arrays, so no flow rebuilds
-its arcs from tuples.  Flows are floating point with relative tolerances;
-the exact rational layer stops at the hypergraph module.  A lifted flow is
+otherwise, with the same results either way.  A flow instance is the
+reduced digraph plus its sorted terminal vertices and capacities.  The
+kernel takes the digraph's cached arc arrays once per call, with a batch of
+terminal sets and a stop value, so no flow copies or rebuilds the
+digraph's arcs.  Flows are floating point with relative tolerances; the
+exact rational layer stops at the hypergraph module.  A lifted flow is
 two arrays, its (e, i, j) keys and their values, and F and sum f_p T_p are
 each one scatter over such arrays.
 """
@@ -18,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "build_flow_instance",
     "flow_tolerance",
     "max_flow",
+    "max_flows",
     "lift_flow",
     "flow_matrix",
     "pair_flow",
@@ -48,19 +50,21 @@ CONSERVATION_TOL = 1e-9
 class FlowInstance:
     """s-t max-flow instance over a reduced digraph.
 
-    Arc layout: the reduced digraph's arcs first (hyperedge arcs carry
-    capacity w_e / 2, gadget arcs carry the big weight), then one source arc
-    per vertex of ``sources``, then one sink arc per vertex of ``sinks``,
-    each side in vertex order; and each side's total capacity.  The arrays
-    are read-only: int32 node indices, float64 capacities.
+    Arc layout: the reduced digraph's ``flow_arcs`` first (hyperedge arcs
+    carry capacity w_e / 2, gadget arcs carry the big weight), then one
+    source arc into each vertex of ``sources``, then one sink arc out of
+    each vertex of ``sinks``, with the capacities at the same places of
+    ``source_caps`` and ``sink_caps``, each side in vertex order; and each
+    side's total capacity.  The arrays are read-only: int32 vertices,
+    float64 capacities.  The kernel appends the terminal arcs to the
+    digraph's arcs itself, so no instance copies them.
     """
 
     rd: ReducedDigraph
-    arc_from: np.ndarray
-    arc_to: np.ndarray
-    cap: np.ndarray
     sources: np.ndarray
+    source_caps: np.ndarray
     sinks: np.ndarray
+    sink_caps: np.ndarray
     source_total: float
     sink_total: float
 
@@ -79,8 +83,12 @@ class FlowInstance:
 
 @dataclass(frozen=True, eq=False)
 class MaxFlowResult:
+    """A flow's value and residual reachability mask, and its arc flows
+    (the digraph's arcs, then its terminal arcs); a flow that ``max_flows``
+    solved before the last of its batch has no arc flows."""
+
     value: float
-    arc_flow: np.ndarray
+    arc_flow: np.ndarray | None
     reachable: np.ndarray
 
 
@@ -94,22 +102,17 @@ def build_flow_instance(
     """Attach a source arc into each vertex of ``sources`` and a sink arc
     out of each of ``sinks``, with the capacities at the same places of
     ``source_caps`` and ``sink_caps``; each side in vertex order."""
-    by_src = np.argsort(sources, kind="stable")
-    by_snk = np.argsort(sinks, kind="stable")
-    src, src_caps = np.asarray(sources, np.int32)[by_src], np.asarray(source_caps, float)[by_src]
-    snk, snk_caps = np.asarray(sinks, np.int32)[by_snk], np.asarray(sink_caps, float)[by_snk]
-    n_nodes = rd.num_vertices
-    arc_from, arc_to, cap = rd.flow_arcs
-    arrays = (
-        np.concatenate((arc_from, np.full(len(src), n_nodes, np.int32), snk)),
-        np.concatenate((arc_to, src, np.full(len(snk), n_nodes + 1, np.int32))),
-        np.concatenate((cap, src_caps, snk_caps)),
-    )
-    for arr in (*arrays, src, snk):
+    src, snk = np.asarray(sources, np.int32), np.asarray(sinks, np.int32)
+    by_src, by_snk = src.argsort(kind="stable"), snk.argsort(kind="stable")
+    src, src_caps = src[by_src], np.asarray(source_caps, float)[by_src]
+    snk, snk_caps = snk[by_snk], np.asarray(sink_caps, float)[by_snk]
+    for arr in (src, src_caps, snk, snk_caps):
         arr.flags.writeable = False
     # one at a time in vertex order: np.sum sums pairwise and can round
     # differently, and the totals set the kernel's tolerance
-    return FlowInstance(rd, *arrays, src, snk, sum(src_caps.tolist()), sum(snk_caps.tolist()))
+    return FlowInstance(
+        rd, src, src_caps, snk, snk_caps, sum(src_caps.tolist()), sum(snk_caps.tolist())
+    )
 
 
 def flow_tolerance(instance: FlowInstance) -> float:
@@ -126,20 +129,27 @@ def flow_tolerance(instance: FlowInstance) -> float:
     return max(1e-12 * terminal, math.ulp(0.0))
 
 
+def max_flows(instances: Sequence[FlowInstance], stop: float = math.inf) -> list[MaxFlowResult]:
+    """Maximum s-t flows of ``instances``, which share one reduced digraph,
+    in one kernel call: solved in order, up to and including the first
+    whose value is not below ``stop``.  One read-only result per flow
+    solved; only the last carries its arc flows."""
+    rd = instances[0].rd
+    if any(inst.rd is not rd for inst in instances):
+        raise ValueError("a batch of flows shares one reduced digraph")
+    terminals = [(i.sources, i.source_caps, i.sinks, i.sink_caps) for i in instances]
+    eps = [flow_tolerance(inst) for inst in instances]
+    s = rd.num_vertices
+    values, flow, reach = max_flow_arrays(s + 2, *rd.flow_arcs, s, s + 1, eps, terminals, stop)
+    flow.flags.writeable = reach.flags.writeable = False
+    flows = [None] * (len(values) - 1) + [flow]
+    return [MaxFlowResult(*args) for args in zip(values.tolist(), flows, reach)]
+
+
 def max_flow(instance: FlowInstance) -> MaxFlowResult:
     """Maximum s-t flow, in read-only arrays; the reachability mask induces
-    a minimum cut."""
-    value, flow, reach = max_flow_arrays(
-        instance.num_nodes,
-        instance.arc_from,
-        instance.arc_to,
-        instance.cap,
-        instance.s,
-        instance.t,
-        flow_tolerance(instance),
-    )
-    flow.flags.writeable = reach.flags.writeable = False
-    return MaxFlowResult(float(value), flow, reach)
+    a minimum cut.  The batch of one."""
+    return max_flows([instance])[0]
 
 
 @dataclass(frozen=True, eq=False)

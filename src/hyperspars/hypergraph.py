@@ -154,9 +154,13 @@ class DirectedHypergraph:
             self.vertex_weights,
             tuple(Hyperedge(e.head, e.tail, e.weight) for e in self.edges),
         )
-        # share the arrays, with tail and head swapped
+        # share the arrays, with tail and head swapped, and K where it has
+        # been computed: mat_K is deterministic, so a side that builds its
+        # own on first use gets the same bits
         inc = replace(self.incidence, tail=self.incidence.head, head=self.incidence.tail)
-        rev.__dict__.update(_reversed=self, incidence=inc, k_matrix=self.k_matrix)
+        rev.__dict__.update(_reversed=self, incidence=inc)
+        if "k_matrix" in self.__dict__:
+            rev.__dict__["k_matrix"] = self.k_matrix
         return rev
 
     @cached_property

@@ -31,17 +31,17 @@ from .flownet import (
     decompose,
     lift_flow,
     max_flow,
+    max_flows,
 )
-# evaluate_cut and mat_K are not called here any more, but
-# perfbench/tracing.py wraps them in this module's namespace, so the names stay
 from .hypergraph import (
     Cut,
     DirectedHypergraph,
     ReducedDigraph,
     evaluate_cut,
-    evaluate_cuts,
     reduce_to_digraph,
 )
+# mat_K is not called here any more, but perfbench/tracing.py wraps it in
+# this module's namespace, so the name stays
 from .sdpcore import GramState, TriangleId, mat_K, spectral_norm
 
 __all__ = [
@@ -288,10 +288,15 @@ def _cut_outcome(call: _Call, found: list[tuple[np.ndarray, dict]], case: str) -
     vertices its residual graph reaches from the source, all scored in one
     pass.
 
-    Every cut is checked in order, for properness and then against the
-    ratio bound, so the first breach raises as it would if each cut were
-    checked as its flow ran."""
+    A cut S's sparsity is its out-cut weight numerator over
+    denom w(S) (W - w(S)), in integers: ``int / int`` rounds it to the
+    float that ``float(Fraction)`` gives, and cross-multiplication orders
+    two cuts exactly, so only the winner is built as a ``Cut``.  Every cut
+    is checked in order, for properness and then against the ratio bound,
+    so the first breach raises as it would if each cut were checked as its
+    flow ran."""
     h = call.h
+    inc = h.incidence
     masks = np.array([reachable[: h.n] for reachable, _ in found])
     # integer weights: every order of summing them is exact
     weights = (masks @ call.omega).tolist()
@@ -300,30 +305,29 @@ def _cut_outcome(call: _Call, found: list[tuple[np.ndarray, dict]], case: str) -
         inside = weights[k]
         return dict(found[k][1], side_weights=(inside, h.total_weight - inside), case=case)
 
-    subsets = []
-    for mask in masks:
-        members = frozenset(np.flatnonzero(mask).tolist())
-        if not members or len(members) == h.n:
-            break
-        subsets.append(members)
+    sizes = np.count_nonzero(masks, axis=1).tolist()
+    # the index of the first improper cut, if any
+    improper = next((k for k, size in enumerate(sizes) if not 0 < size < h.n), len(found))
+    nums = (inc.crossing(masks[:improper])[0] @ inc.weights).tolist()
+    dens = [inc.denom * int(w) * (h.total_weight - int(w)) for w in weights[:improper]]
     bound = call.cfg.ratio_bound(call.alpha, h, case)
-    cuts = evaluate_cuts(h, subsets)
-    for k, cut in enumerate(cuts):
-        if float(cut.sparsity) > bound * (1 + 1e-9):
+    for k, (num, den) in enumerate(zip(nums, dens)):
+        if num / den > bound * (1 + 1e-9):
             raise OracleInvariantError(
-                f"case {case} cut sparsity {float(cut.sparsity):.6g} exceeds "
-                f"ratio bound {bound:.6g}",
-                dict(diagnostics(k), ratio_bound=bound, sparsity=float(cut.sparsity)),
+                f"case {case} cut sparsity {num / den:.6g} exceeds ratio bound {bound:.6g}",
+                dict(diagnostics(k), ratio_bound=bound, sparsity=num / den),
             )
-    improper = len(subsets)  # the index of the first improper cut, if any
     if improper < len(found):
-        size = int(np.count_nonzero(masks[improper]))
         raise OracleInvariantError(
-            f"case {case} produced an improper cut ({size} of {h.n})", diagnostics(improper)
+            f"case {case} produced an improper cut ({sizes[improper]} of {h.n})",
+            diagnostics(improper),
         )
-    best = min(range(len(cuts)), key=lambda k: cuts[k].sparsity)
-    diag = dict(diagnostics(best), ratio_bound=bound)
-    return OracleOutcome("cut", cut=cuts[best], diagnostics=diag)
+    best = 0
+    for k in range(1, improper):
+        if nums[k] * dens[best] < nums[best] * dens[k]:
+            best = k
+    cut = evaluate_cut(h, np.flatnonzero(masks[best]).tolist())
+    return OracleOutcome("cut", cut=cut, diagnostics=dict(diagnostics(best), ratio_bound=bound))
 
 
 def _lift(
@@ -560,13 +564,14 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     sparser one until a flow reaches the threshold, and returns the first
     cut of least sparsity.  Before the first 2A cut, such a flow gives a 2B
     certificate or a 2C path, or the scan moves on; after it, a direction
-    can only add a cut or end the scan.  So directions are drawn and split
-    one at a time until the first 2A cut, and the rest are drawn and split
-    as one batch, and all the cuts are scored in one pass when the scan
-    ends.  The outcome is that of drawing, splitting and scoring one
-    direction at a time, but a scan that ends inside the batch has drawn
-    all of its directions.  Every distance comes from d2; the vectors give
-    only the projections.
+    can only add a cut or end the scan.  So directions are drawn, split and
+    solved one at a time until the first 2A cut, and the rest are drawn and
+    split as one batch and solved in one kernel call that stops at the
+    first flow at the threshold; all the cuts are scored in one pass when
+    the scan ends.  The outcome is that of drawing, splitting, solving and
+    scoring one direction at a time, but a scan that ends inside the batch
+    has drawn all of its directions.  Every distance comes from d2; the
+    vectors give only the projections.
     """
     alpha, state, h, cfg, rd, omega, total, d2 = call
     members, i0 = _medium_ball(omega, d2, total)
@@ -578,70 +583,83 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     cap_coeff = cfg.beta * total * sqlog * alpha
     threshold = (cfg.c_frac * cfg.beta / 4.0) * total * total * sqlog * alpha
 
+    def splits(count: int):
+        dirs = _unit_directions(rng, dim, count)
+        return _direction_splits(vm, omega, members, d2[0], dirs, cfg, total)
+
+    def flow_instance(left: np.ndarray, right: np.ndarray) -> flownet.FlowInstance:
+        left_caps, right_caps = cap_coeff * omega[left], cap_coeff * omega[right]
+        return build_flow_instance(rd, left, left_caps, right, right_caps)
+
+    def diagnostics(res: flownet.MaxFlowResult, inst: flownet.FlowInstance) -> dict:
+        return {
+            "i0": i0,
+            "flow_value": res.value,
+            "threshold": threshold,
+            "left_size": len(inst.sources),
+            "right_size": len(inst.sinks),
+        }
+
     attempts = cfg.n_dirs_for(h.n)
     last_reason = "no stretched direction found"
     found: list[tuple[np.ndarray, dict]] = []  # each 2A flow's reach mask and diagnostics
     scanned = 0
-    while scanned < attempts:
-        dirs = _unit_directions(rng, dim, attempts - scanned if found else 1)
-        for got in _direction_splits(vm, omega, members, d2[0], dirs, cfg, total):
-            scanned += 1
-            if got is None:
-                continue
-            u_eff, left, right = got
-            caps = cap_coeff * omega[left], cap_coeff * omega[right]
-            inst = build_flow_instance(rd, left, caps[0], right, caps[1])
-            res = max_flow(inst)
-            extra = {
-                "i0": i0,
-                "flow_value": res.value,
-                "threshold": threshold,
-                "left_size": len(left),
-                "right_size": len(right),
-            }
+    while scanned < attempts and not found:
+        scanned += 1
+        (got,) = splits(1)
+        if got is None:
+            continue
+        u_eff, left, right = got
+        inst = flow_instance(left, right)
+        res = max_flow(inst)
+        extra = diagnostics(res, inst)
 
-            if res.value < threshold:
-                found.append((res.reachable, extra))
-                continue
+        if res.value < threshold:
+            found.append((res.reachable, extra))
+            continue
 
-            if found:
-                return _cut_outcome(call, found, "2A")
+        fa, dec = _lift(res, inst)
+        d_dot_x = _demand_dot(dec.demand, d2)
+        extra["d_dot_x"] = d_dot_x
+        extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
+        if d_dot_x >= alpha * (1 - 1e-9):
+            return _scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
 
-            fa, dec = _lift(res, inst)
-            d_dot_x = _demand_dot(dec.demand, d2)
-            extra["d_dot_x"] = d_dot_x
-            extra["dropped_cycle_mass"] = dec.dropped_cycle_mass
-            if d_dot_x >= alpha * (1 - 1e-9):
-                return _scaled_flow_dual(call, fa, dec, d_dot_x, "2B", extra)
-
-            # at least half the flow sits on short rescaled pairs (Markov over
-            # the demand given d_dot_x < alpha and flow >= threshold), which is
-            # exactly the stretched-pair supply the path search feeds on
-            eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
-            q = (total / 3.0) ** 2 * d2  # rescaled squared distances
-            filtered = sum(
-                f for (i, j), f in dec.demand.items() if q[i, j] <= eta_cut * (1 + 1e-9)
+        # at least half the flow sits on short rescaled pairs (Markov over
+        # the demand given d_dot_x < alpha and flow >= threshold), which is
+        # exactly the stretched-pair supply the path search feeds on
+        eta_cut = cfg.eta_stretch / math.sqrt(log2_weight(h))
+        q = (total / 3.0) ** 2 * d2  # rescaled squared distances
+        filtered = sum(
+            f for (i, j), f in dec.demand.items() if q[i, j] <= eta_cut * (1 + 1e-9)
+        )
+        extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
+        if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
+            raise OracleInvariantError(
+                "short-pair flow mass below half despite small demand value",
+                dict(extra, case="2C"),
             )
-            extra["markov_filtered_fraction"] = filtered / max(dec.total_demand(), 1e-300)
-            if filtered < dec.total_demand() * 0.5 * (1 - 1e-9):
-                raise OracleInvariantError(
-                    "short-pair flow mass below half despite small demand value",
-                    dict(extra, case="2C"),
-                )
 
-            path = find_violated_path(q, vhat @ u_eff, omega, dec.demand, cfg, h)
-            if path is None:
-                last_reason = "no violated path for this direction"
-                continue
-            triangles = path_triangles(path)
-            f_val = total * total * alpha / (9.0 * cfg.s_viol)
-            extra["path"] = path
-            cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), FlowAssignment.of(()))
-            return _dual_outcome(call, cert, "2C", extra)
+        path = find_violated_path(q, vhat @ u_eff, omega, dec.demand, cfg, h)
+        if path is None:
+            last_reason = "no violated path for this direction"
+            continue
+        triangles = path_triangles(path)
+        f_val = total * total * alpha / (9.0 * cfg.s_viol)
+        extra["path"] = path
+        cert = DualCertificate.of(alpha, dict.fromkeys(triangles, f_val), FlowAssignment.of(()))
+        return _dual_outcome(call, cert, "2C", extra)
 
-    if found:
-        return _cut_outcome(call, found, "2A")
-    raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
+    if not found:
+        raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
+    if scanned < attempts:
+        rest = filter(None, splits(attempts - scanned))
+        batch = [flow_instance(left, right) for _, left, right in rest]
+        if batch:
+            for inst, res in zip(batch, max_flows(batch, threshold)):
+                if res.value < threshold:
+                    found.append((res.reachable, diagnostics(res, inst)))
+    return _cut_outcome(call, found, "2A")
 
 
 def path_triangles(path: list[int]) -> list[TriangleId]:

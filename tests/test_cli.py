@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperspars import oracle
+from hyperspars import oracle, reference
 from hyperspars.cli import main
 from hyperspars.flownet import MaxFlowResult
 from hyperspars.hypergraph import parse_dhg
@@ -161,6 +161,23 @@ class TestSolve:
         assert main(["solve", str(inp), "--seed", "1", "--json", "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert Fraction(doc["cut"]["sparsity"]) == Fraction(1, 2 * 10**309)
+        assert main(["check-cert", str(out), str(inp)]) == 0
+
+    def test_weights_too_small_to_probe_return_the_baseline(self, tmp_path, capsys):
+        # at edge weight 1e-320 no alpha of the search's bracket has a finite
+        # 1 / rho: the search exited 1 on "alpha 6.67e-321 is too small";
+        # the baseline cut is the optimum, returned without a probe
+        inp = tmp_path / "cycle.dhg"
+        inp.write_text(THREE_CYCLE.replace("e 1 ", f"e 1/{10**320} "))
+        assert main(["solve", str(inp), "--seed", "1"]) == 0
+        assert f"sparsity: 1/{2 * 10**320} " in capsys.readouterr().out
+        out = tmp_path / "r.json"
+        assert main(["solve", str(inp), "--seed", "1", "--json", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert Fraction(doc["cut"]["sparsity"]) == reference.brute_force_sparsest(
+            parse_dhg(inp.read_text())
+        )[1]
+        assert (doc["lower_bound"], doc["transcript"]) == (None, [])
         assert main(["check-cert", str(out), str(inp)]) == 0
 
     def test_alpha_whose_inverse_rho_overflows_exit_1(self, tmp_path, capsys):

@@ -311,6 +311,19 @@ class TestBinarySearch:
         assert res.best_cut.sparsity == 0
         assert res.probes == []  # singleton baseline already optimal
 
+    def test_bracket_starts_where_one_over_rho_is_finite(self):
+        # edge weight 5e-311: 1 / rho overflows at the bracket's lower end
+        # (2 w / 9) and not at its upper end (4 times the baseline, 2 w)
+        h = parse_dhg(THREE_CYCLE.replace("e 1 ", f"e 5/{10**311} "))
+        cfg = SolverConfig(t_cap=3)
+        least = driver._least_invertible_alpha(math.ulp(0.0), 1.0, h, cfg)
+        assert driver._invertible(cfg.oracle.rho(least, h))
+        assert not driver._invertible(cfg.oracle.rho(math.nextafter(least, 0.0), h))
+        assert 2 * 5e-311 / 9 < least < 2 * 5e-311
+        res = binary_search(h, cfg, np.random.default_rng(0))
+        assert res.probes and all(probe.alpha >= least for probe in res.probes)
+        assert res.best_cut.sparsity == Fraction(5, 2 * 10**311)
+
     def test_random_instances_within_10x(self, rng):
         worst = 0.0
         for seed in range(12):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import shlex
 import shutil
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperspars
-from hyperspars import _core
+from hyperspars import _core, flownet
 from hyperspars._core import _maxflow_py
 from hyperspars.flownet import (
     FlowAssignment,
@@ -28,6 +29,7 @@ from hyperspars.flownet import (
     lift_flow,
     flow_tolerance,
     max_flow,
+    max_flows,
 )
 from hyperspars.hypergraph import parse_dhg, reduce_to_digraph, reverse
 from hyperspars.reference import GeneratorSpec, generate
@@ -36,6 +38,7 @@ from hyperspars.sdpcore import TriangleId, spectral_norm
 from conftest import make_h, normalized_state, random_hypergraph
 from witnesses import (
     capacity_duality_check,
+    concatenated_arcs,
     decomposition_matrix_identity_gap,
     demand_matrix,
     demand_norm_bound,
@@ -188,21 +191,15 @@ class TestKernelOnReducedDigraphs:
         worst = 0
         for inst in reduced_flow_instances(rng, 60):
             eps = flow_tolerance(inst)
+            arcs = concatenated_arcs(inst)
             calls.clear()
-            value, _, reach = _maxflow_py.max_flow_arrays(
-                inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t, eps
-            )
+            value, _, reach = _maxflow_py.max_flow_arrays(*arcs, eps)
             worst = max(worst, len(calls))
-            expected = edmonds_karp(
-                inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t
-            )
+            expected = edmonds_karp(*arcs)
             assert value == pytest.approx(expected, abs=eps)
             assert reach[inst.s] and not reach[inst.t]
-            leaving = sum(
-                c
-                for u, v, c in zip(inst.arc_from, inst.arc_to, inst.cap)
-                if reach[u] and not reach[v]
-            )
+            _, arc_from, arc_to, cap, _, _ = arcs
+            leaving = sum(c for u, v, c in zip(arc_from, arc_to, cap) if reach[u] and not reach[v])
             assert leaving == pytest.approx(value, abs=eps)
         assert worst <= self.MAX_BFS_PER_FLOW
 
@@ -220,15 +217,13 @@ class TestFlowTolerance:
         rd = reduce_to_digraph(parse_dhg(self.WIDE))
         inst = build_flow_instance(rd, [0], [1e-6], [1, 2], [1e-6, 1e-6])
         res = max_flow(inst)
-        expected = edmonds_karp(
-            inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t
-        )
+        arcs = concatenated_arcs(inst)
+        expected = edmonds_karp(*arcs)
         assert expected == pytest.approx(5e-8)
         assert res.value == pytest.approx(expected, rel=1e-9)
+        _, arc_from, arc_to, cap, _, _ = arcs
         leaving = sum(
-            c
-            for u, v, c in zip(inst.arc_from, inst.arc_to, inst.cap)
-            if res.reachable[u] and not res.reachable[v]
+            c for u, v, c in zip(arc_from, arc_to, cap) if res.reachable[u] and not res.reachable[v]
         )
         assert leaving == pytest.approx(expected, rel=1e-9)
 
@@ -250,11 +245,8 @@ def bits(result):
 
 
 def instance_args(inst):
-    """The arguments ``flownet.max_flow`` passes to the kernel."""
-    return (
-        inst.num_nodes, inst.arc_from, inst.arc_to, inst.cap, inst.s, inst.t,
-        flow_tolerance(inst),
-    )
+    """The kernel's arguments for ``inst`` as one flow over plain arcs."""
+    return (*concatenated_arcs(inst), flow_tolerance(inst))
 
 
 def assert_kernels_agree(*args):
@@ -345,6 +337,110 @@ class TestCompiledKernel:
         assert [bits(f) for f in flows] == [bits(_core.max_flow_arrays(*a)) for a in instances]
 
 
+KERNELS = sorted({_maxflow_py, _core._impl}, key=lambda kernel: kernel.__name__)
+
+
+class TestBatchedKernel:
+    """A batch of flows over one reduced digraph, each with its own terminal
+    arcs, against the same flows run one at a time on their concatenated
+    arcs, bit for bit, on both kernels."""
+
+    @staticmethod
+    def batch(seed, n_flows, weights):
+        """A reduced digraph and ``n_flows`` flow instances on it: random
+        terminal sets, some of zero capacity, on edge weights with a ratio
+        of 1e14, a subnormal one, or neither."""
+        g = np.random.default_rng(seed)
+        h = random_hypergraph(g, max_n=7, max_m=5)
+        special = {
+            "wide": [Fraction(1, 10**7), Fraction(10**7)], "subnormal": [Fraction(3, 2**1074)]
+        }
+        edges = [
+            (e.tail, e.head, w)
+            for e, w in zip(h.edges, [*special.get(weights, []), *(e.weight for e in h.edges)])
+        ]
+        h = make_h(h.n, edges, h.vertex_weights)
+        rd = reduce_to_digraph(h)
+        insts = []
+        for _ in range(n_flows):
+            sources = g.choice(h.n, int(g.integers(0, h.n + 1)), replace=False)
+            sinks = g.choice(h.n, int(g.integers(0, h.n + 1)), replace=False)
+            scale = 0.0 if g.random() < 0.1 else 10.0 ** g.uniform(-3, 3)
+            caps = [scale * g.uniform(0, 2, len(side)) for side in (sources, sinks)]
+            insts.append(build_flow_instance(rd, sources, caps[0], sinks, caps[1]))
+        return rd, insts
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 60),
+        st.sampled_from(["plain", "wide", "subnormal"]),
+        st.sampled_from(["below", "at", "above", "none"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_batch_equals_flows_one_at_a_time(self, seed, n_flows, weights, stop_at):
+        rd, insts = self.batch(seed, n_flows, weights)
+        singles = [bits(_maxflow_py.max_flow_arrays(*instance_args(inst))) for inst in insts]
+        values = [float.fromhex(value) for value, _, _ in singles]
+        stop = math.inf
+        if stop_at != "none":
+            value = values[np.random.default_rng(seed).integers(n_flows)]
+            stop = {"below": math.nextafter(value, -math.inf), "at": value}.get(
+                stop_at, math.nextafter(value, math.inf)
+            )
+        # up to and including the first flow whose value is not below stop
+        solved = next((f + 1 for f, value in enumerate(values) if not value < stop), n_flows)
+        terminals = [(i.sources, i.source_caps, i.sinks, i.sink_caps) for i in insts]
+        eps = [flow_tolerance(inst) for inst in insts]
+        s = rd.num_vertices
+        for kernel in KERNELS:
+            got = kernel.max_flow_arrays(s + 2, *rd.flow_arcs, s, s + 1, eps, terminals, stop)
+            assert [value.hex() for value in got[0].tolist()] == [v for v, _, _ in singles[:solved]]
+            assert got[2].tolist() == [reach for _, _, reach in singles[:solved]]
+            assert [f.hex() for f in got[1].tolist()] == singles[solved - 1][1]
+        results = max_flows(insts, stop)
+        assert [bits((r.value, [], r.reachable)) for r in results] == [
+            (value, [], reach) for value, _, reach in singles[:solved]
+        ]
+        assert [r.arc_flow is None for r in results] == [True] * (solved - 1) + [False]
+
+    def test_no_flow_after_the_stop_is_solved(self, monkeypatch):
+        # the reference kernel solves flows until the first at the stop value
+        _, insts = self.batch(1, 8, "plain")
+        solves = []
+        real = _maxflow_py._solve
+        monkeypatch.setattr(_maxflow_py, "_solve", lambda *a: solves.append(1) or real(*a))
+        monkeypatch.setattr(flownet, "max_flow_arrays", _maxflow_py.max_flow_arrays)
+        values = [max_flow(inst).value for inst in insts]
+        assert len(solves) == 8 and len(set(values)) > 2
+        for first in range(8):
+            stop = values[first]
+            want = next(f for f, value in enumerate(values) if not value < stop) + 1
+            solves.clear()
+            assert len(max_flows(insts, stop)) == len(solves) == want
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "terminals, eps",
+        [
+            ([([0], [1.0], [1], [1.0]), ([0], [], [1], [1.0])], [1e-12] * 2),
+            ([([0], [1.0], [1], [1.0])], [1e-12] * 2),
+            ([], []),
+            ([([0], [1.0], [4], [1.0])], [1e-12]),
+        ],
+        ids=["capacity_missing", "tolerance_extra", "no_flow", "vertex_out_of_range"],
+    )
+    def test_bad_batch_raises(self, kernel, terminals, eps):
+        # flows over one arc 0 -> 1 of a 4-node net, s = 2, t = 3
+        with pytest.raises((ValueError, IndexError)):
+            kernel.max_flow_arrays(4, [0], [1], [1.0], 2, 3, eps, terminals)
+
+    def test_a_batch_shares_one_digraph(self):
+        _, rd = simple_instance()
+        other = reduce_to_digraph(make_h(3, [({0}, {2}, 1)]))
+        with pytest.raises(ValueError, match="one reduced digraph"):
+            max_flows([build_flow_instance(r, [0], [1.0], [2], [1.0]) for r in (rd, other)])
+
+
 def simple_instance():
     # e0 = ({a}, {b}) w=2, e1 = ({a, b}, {c}) w=3
     h = make_h(3, [({0}, {1}, 2), ({0, 1}, {2}, 3)])
@@ -355,11 +451,11 @@ def simple_instance():
 class TestFlowInstance:
     def test_capacities_halved_on_edge_arcs(self):
         h, rd = simple_instance()
-        inst = build_flow_instance(rd, [0], [10.0], [2], [10.0])
-        edge_caps = [inst.cap[k] for k in rd.edge_arc_index]
+        cap = concatenated_arcs(build_flow_instance(rd, [0], [10.0], [2], [10.0]))[3]
+        edge_caps = [cap[k] for k in rd.edge_arc_index]
         assert edge_caps == [1.0, 1.5]
         gadget_caps = {
-            inst.cap[k]
+            cap[k]
             for k in range(len(rd.arcs))
             if k not in set(rd.edge_arc_index)
         }
@@ -370,7 +466,8 @@ class TestFlowInstance:
         inst = build_flow_instance(rd, [0, 1], [2.0, 1.0], [2], [4.0])
         assert inst.source_total == 3.0
         assert inst.sink_total == 4.0
-        assert inst.arc_from[-1] == 2 and inst.arc_to[-1] == inst.t
+        _, arc_from, arc_to, *_ = concatenated_arcs(inst)
+        assert arc_from[-1] == 2 and arc_to[-1] == inst.t
 
     def test_terminal_order_does_not_matter(self, rng):
         # capacities over sixteen decades, so that the order of summing
@@ -392,7 +489,7 @@ class TestFlowInstance:
             assert want.sink_total == sum(sink_caps[by_sink].tolist())
             for p, q in ((by_source, by_sink), (rng.permutation(k), rng.permutation(h.n - k))):
                 got = build_flow_instance(rd, sources[p], source_caps[p], sinks[q], sink_caps[q])
-                for name in ("arc_from", "arc_to", "cap", "sources", "sinks"):
+                for name in ("sources", "source_caps", "sinks", "sink_caps"):
                     assert np.array_equal(getattr(got, name), getattr(want, name))
                     assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert (got.source_total, got.sink_total) == (want.source_total, want.sink_total)
@@ -473,7 +570,7 @@ class TestLiftFlow:
         # 0.5: the edge has an arc with flow, so its check still runs
         h, rd = simple_instance()
         inst = build_flow_instance(rd, [0], [1.0], [2], [1.0])
-        flow = np.zeros(len(inst.cap))
+        flow = np.zeros(len(concatenated_arcs(inst)[3]))
         flow[rd.edge_arc_index[1] + 1] = 0.5
         res = MaxFlowResult(0.5, flow, np.zeros(inst.num_nodes, dtype=bool))
         with pytest.raises(ArithmeticError, match="violated at edge 1: in=0.5 mid=0 out=0"):

@@ -399,6 +399,18 @@ class TestCachedDerivedData:
         with pytest.raises(ValueError):
             k[0, 0] = 0.0
 
+    def test_reverse_builds_k_only_on_use(self, rng):
+        # reverse(h) on a fresh h computes K on neither side; each side
+        # builds its own on first use, with equal bits, and a reversal made
+        # after K was computed shares it
+        h = random_hypergraph(rng, n=6, m=5)
+        hr = reverse(h)
+        assert "k_matrix" not in h.__dict__ and "k_matrix" not in hr.__dict__
+        assert np.array_equal(hr.k_matrix, h.k_matrix) and hr.k_matrix is not h.k_matrix
+        g = make_h(3, [({0}, {1}, 1)], weights=[1, 2, 3])
+        k = g.k_matrix
+        assert reverse(g).k_matrix is k
+
     def test_flow_arcs_capacities(self):
         h = make_h(2, [({0}, {1}, 3)])
         rd = reduce_to_digraph(h)

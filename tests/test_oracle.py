@@ -26,7 +26,7 @@ from hyperspars.oracle import (
     path_triangles,
     run_oracle,
 )
-from hyperspars.hypergraph import reverse, sparsity
+from hyperspars.hypergraph import evaluate_cut, reverse, sparsity
 from hyperspars.reference import GeneratorSpec, brute_force_sparsest, generate
 from hyperspars.sdpcore import GramState, TriangleId, mat_K, spectral_norm, squared_distances
 
@@ -451,21 +451,36 @@ def scan_both_ways(monkeypatch, h, state, alpha, cfg, seed, script=None):
     the generator's final state and the terminal capacities of every
     max-flow run.  The states are None where the reference's scan ends on
     a flow after its first 2A cut: the batch has drawn past that flow's
-    direction.  ``script`` maps a max-flow's 1-based index to a function
-    of the real result that replaces it."""
+    direction.  ``script`` maps a max-flow's 1-based index, counted over
+    single flows and batched ones alike, to a function of the real result
+    that replaces it; a batch ends at a scripted flow that reaches its stop
+    value, and goes on past one that no longer does."""
     script = script or {}
     sides = []
     drawn = []  # the reference's directions
     for case2 in (oracle._case2, witnesses.scan_case2):
         flows = []
 
-        def scripted(inst, real=oracle.max_flow):
-            terminal_caps = inst.cap[len(inst.rd.arcs) :]
-            flows.append((inst.sources.tolist(), inst.sinks.tolist(), terminal_caps.tolist()))
-            return script.get(len(flows), lambda r: r)(real(inst))
+        def scripted(res, inst):
+            terminal_caps = [*inst.source_caps.tolist(), *inst.sink_caps.tolist()]
+            flows.append((inst.sources.tolist(), inst.sinks.tolist(), terminal_caps))
+            return script.get(len(flows), lambda r: r)(res)
+
+        def scripted_batch(insts, stop, real=oracle.max_flows):
+            out = []
+            while insts:
+                results = real(insts, stop)
+                for inst, res in zip(insts, results):
+                    out.append(scripted(res, inst))
+                    if not out[-1].value < stop:
+                        return out
+                insts = insts[len(results) :]
+            return out
 
         with monkeypatch.context() as m:
-            m.setattr(oracle, "max_flow", scripted)
+            solve = oracle.max_flow
+            m.setattr(oracle, "max_flow", lambda inst: scripted(solve(inst), inst))
+            m.setattr(oracle, "max_flows", scripted_batch)
             m.setattr(oracle, "_case2", case2)
             real = witnesses.random_direction
             m.setattr(witnesses, "random_direction", lambda *a: drawn.append(1) or real(*a))
@@ -674,6 +689,21 @@ class TestBatchedScan:
         (_, case, _, diagnostics), _, flows = batched
         assert case == "2A" and len(flows) == 3
         assert diagnostics["flow_value"] == first[0].value != first[0].value / 2.0
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+    def test_distinct_cuts_tied_on_sparsity_keep_the_first(self, order):
+        # on the unit directed 4-cycle {1, 2} and {0, 1} both have sparsity
+        # 1/4, and {0} has 1/3: the integer scoring keeps the first of least
+        h = make_h(4, [({0}, {1}, 1), ({1}, {2}, 1), ({2}, {3}, 1), ({3}, {0}, 1)])
+        subsets = [[0], [1, 2], [0, 1]]
+        found = [(np.isin(np.arange(h.n + 2), subsets[k]), {"flow": k}) for k in order]
+        omega = np.array(h.vertex_weights, dtype=float)
+        call = oracle._Call(1.0, None, h, OracleConfig(), None, omega, float(h.total_weight), None)
+        out = oracle._cut_outcome(call, found, "2A")
+        winner = subsets[order[1]]
+        assert out.cut == evaluate_cut(h, winner) and out.cut.sparsity == Fraction(1, 4)
+        assert out.diagnostics["flow"] == order[1]
+        assert out.diagnostics["side_weights"] == (2.0, 2.0)
 
 
 class TestCertificateCheck:

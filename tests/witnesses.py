@@ -11,7 +11,8 @@ directed distance from its vectors, a path's violation of the l2^2 path
 inequality, a subset's weight, a cut evaluator
 that scans the edges' frozensets with exact ``Fraction`` sums, independent
 of the incidence arrays the package answers cut questions from, the singleton/closure baseline as one cut evaluation per candidate,
-and the loops the flow layer replaced: dense F, D and sum f_p T_p
+a flow instance's arcs concatenated into one arc list, and the loops the
+flow layer replaced: dense F, D and sum f_p T_p
 accumulated one ``add_mat_A``/``add_mat_T`` call per entry, the lift that
 visits every hyperedge, the certificate check that read a certificate
 entry by entry, the oracle's Case 2 scan as it ran one direction at a
@@ -432,6 +433,23 @@ def loop_triangle_matrix_sum(triangles: Mapping[TriangleId, float], n: int) -> n
     for tri, f in triangles.items():
         add_mat_T(m, tri, f)
     return m
+
+
+def concatenated_arcs(instance: FlowInstance) -> tuple:
+    """(n_nodes, arc_from, arc_to, cap, s, t) of ``instance`` with its
+    terminal arcs appended to the digraph's, as one flow over plain arcs:
+    the digraph's arcs, then one arc s -> v per source, then one arc v -> t
+    per sink, each side in vertex order."""
+    arc_from, arc_to, cap = instance.rd.flow_arcs
+    s, t = instance.s, instance.t
+    return (
+        instance.num_nodes,
+        np.concatenate((arc_from, np.full(len(instance.sources), s, np.int32), instance.sinks)),
+        np.concatenate((arc_to, instance.sources, np.full(len(instance.sinks), t, np.int32))),
+        np.concatenate((cap, instance.source_caps, instance.sink_caps)),
+        s,
+        t,
+    )
 
 
 def loop_lift_flow(result: MaxFlowResult, instance: FlowInstance) -> FlowAssignment:
