@@ -3,14 +3,15 @@
 same flows one call each.
 
 The workload mirrors the oracle's Case 2 scan: on the reduced digraph of an
-expander-like hypergraph (m = 2n), a batch of flows whose terminal sets are
-one to three random vertices per side.  Each kernel solves the batch twice:
-as one call that takes the digraph's arcs once and each flow's terminal
-arcs, as ``flownet.max_flows`` makes it, and as one call per flow over the
-digraph's arcs with that flow's terminal arcs appended, the form each flow
-took before batching.  The two forms must give the same flow values, cut
-masks and last arc flows bit for bit, on both kernels, or the script exits
-1; the time per flow is printed for each.
+expander-like hypergraph (m = 2n), a batch of flows whose terminals are two
+to six random vertices, the first one to three of them sources and the rest
+sinks.  Each kernel solves the batch twice: as one call that takes the
+digraph's arcs once and each flow's row of terminal capacities, as
+``flownet.max_flows`` makes it, and as one call per flow over the digraph's
+arcs with that flow's terminal arcs appended and no terminal columns.  The
+two forms must give the same flow values, cut masks and last arc flows bit
+for bit, on both kernels, or the script exits 1; the time per flow is
+printed for each.
 
     python benchmarks/bench_maxflow.py [--sizes 16,32,64,128] [--flows 48] [--repeats 30]
 """
@@ -30,39 +31,47 @@ from hyperspars.reference import GeneratorSpec, generate
 
 
 def build_batch(n, flows, seed):
+    """An instance of ``flows`` flows on the reduced digraph of an
+    expander-like hypergraph, with random terminals in each row."""
     h = generate(GeneratorSpec(n=n, m=2 * n, kappa=min(3, n), model="expander-like", seed=seed))
     rd = reduce_to_digraph(h)
     rng = np.random.default_rng(seed)
-    instances = []
-    for _ in range(flows):
+    source_caps, sink_caps = np.zeros((2, flows, n))
+    for f in range(flows):
         ends = rng.permutation(n)[: int(rng.integers(2, 7))]
         sides = np.split(ends, [1 + int(rng.integers(0, 3))])
         caps = [rng.uniform(0.5, 4.0, len(side)) for side in sides]
-        instances.append(build_flow_instance(rd, sides[0], caps[0], sides[1], caps[1]))
-    return rd, instances
+        source_caps[f, sides[0]] = caps[0]
+        sink_caps[f, sides[1]] = caps[1]
+    return build_flow_instance(rd, source_caps, sink_caps)
 
 
-def batch_args(rd, instances):
+def batch_args(inst):
     """The arguments of one batched call, as ``flownet.max_flows`` passes them."""
-    terminals = [(i.sources, i.source_caps, i.sinks, i.sink_caps) for i in instances]
-    s = rd.num_vertices
-    eps = [flow_tolerance(inst) for inst in instances]
-    return (s + 2, *rd.flow_arcs, s, s + 1, eps, terminals)
+    s = inst.rd.num_vertices
+    eps = flow_tolerance(inst)
+    return (s + 2, *inst.rd.flow_arcs, s, s + 1, eps, inst.source_caps, inst.sink_caps)
 
 
-def single_args(inst):
-    """The arguments of one call for ``inst`` alone, its terminal arcs
-    appended to the digraph's arcs."""
+def single_args(inst, f):
+    """The arguments of one call for flow ``f`` alone: its terminal arcs
+    appended to the digraph's arcs, and no terminal columns."""
     arc_from, arc_to, cap = inst.rd.flow_arcs
-    s, t = inst.s, inst.t
+    s = inst.rd.num_vertices
+    t = s + 1
+    source_caps, sink_caps = inst.source_caps[f], inst.sink_caps[f]
+    sources, sinks = np.flatnonzero(source_caps > 0.0), np.flatnonzero(sink_caps > 0.0)
+    no_terminals = np.zeros((1, 0))
     return (
-        inst.num_nodes,
-        np.concatenate((arc_from, np.full(len(inst.sources), s, np.int32), inst.sinks)),
-        np.concatenate((arc_to, inst.sources, np.full(len(inst.sinks), t, np.int32))),
-        np.concatenate((cap, inst.source_caps, inst.sink_caps)),
+        s + 2,
+        np.concatenate((arc_from, np.full(len(sources), s), sinks)),
+        np.concatenate((arc_to, sources, np.full(len(sinks), t))),
+        np.concatenate((cap, source_caps[sources], sink_caps[sinks])),
         s,
         t,
-        flow_tolerance(inst),
+        flow_tolerance(inst)[f : f + 1],
+        no_terminals,
+        no_terminals,
     )
 
 
@@ -71,8 +80,8 @@ def same_outputs(batch, singles):
     values, cut masks and last arc flows, bit for bit."""
     values, flow, reach = batch
     return (
-        [v.hex() for v in values.tolist()] == [r[0].hex() for r in singles]
-        and reach.tolist() == [r[2].tolist() for r in singles]
+        [v.hex() for v in values.tolist()] == [float(r[0][0]).hex() for r in singles]
+        and reach.tolist() == [r[2][0].tolist() for r in singles]
         and [f.hex() for f in flow.tolist()] == [f.hex() for f in singles[-1][1].tolist()]
     )
 
@@ -98,9 +107,9 @@ def main(argv=None):
     print(f"selected kernel: {_core._impl.__name__} (compiled {_core.HAVE_COMPILED})")
     print(f"{'n':>5} {'arcs':>6} | {'kernel':>8} | {'form':>8} | {'best':>10} | {'median':>10}")
     for n in (int(s) for s in args.sizes.split(",")):
-        rd, instances = build_batch(n, args.flows, args.seed)
-        batched = batch_args(rd, instances)
-        singles = [single_args(inst) for inst in instances]
+        inst = build_batch(n, args.flows, args.seed)
+        batched = batch_args(inst)
+        singles = [single_args(inst, f) for f in range(args.flows)]
         forms = {
             "batch": lambda kernel: kernel(*batched),
             "single": lambda kernel: [kernel(*a) for a in singles],
@@ -115,7 +124,7 @@ def main(argv=None):
             for form, run in forms.items():
                 best, median = time_it(lambda: run(kernel), repeats)
                 per_flow = [t / args.flows * 1e6 for t in (best, median)]
-                print(f"{n:>5} {len(rd.arcs):>6} | {name:>8} | {form:>8} | "
+                print(f"{n:>5} {len(inst.rd.arcs):>6} | {name:>8} | {form:>8} | "
                       + " | ".join(f"{t:>8.1f}us" for t in per_flow))
     return 0
 

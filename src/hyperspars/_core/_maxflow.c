@@ -1,12 +1,13 @@
 /* The max-flow kernel in C: Dinic with capacity scaling.
  *
  * A line-for-line port of _maxflow_py.max_flow_arrays: a batch of flows
- * over one set of base arcs, each flow adding its own terminal arcs.  It
- * keeps the same residual-arc layout (2a forward, 2a + 1 backward, base
- * arcs then the flow's terminal arcs), the same adjacency order, the same
- * scaling phases and phase skip, the same DFS cursors and the same order
- * of every floating-point operation, so each flow value, the per-arc flows
- * and each reach mask equal the Python kernel's bit for bit.
+ * over one set of base arcs, each flow adding the terminal arcs of its row
+ * of two capacity matrices.  It keeps the same residual-arc layout (2a
+ * forward, 2a + 1 backward, base arcs then the flow's terminal arcs), the
+ * same adjacency order, the same scaling phases and phase skip, the same
+ * DFS cursors and the same order of every floating-point operation, so
+ * each flow value, the per-arc flows and each reach mask equal the Python
+ * kernel's bit for bit.
  * That needs IEEE double arithmetic rounded after each operation: build
  * with -ffp-contract=off and never with -ffast-math.
  *
@@ -180,61 +181,31 @@ static double solve(const Net *g, int s, int t, double eps, double maxcap,
     return value;
 }
 
-/* Whether ptr[0 .. k] are not CSR offsets: 0 first, never decreasing. */
-static int bad_ptr(int k, const int32_t *ptr)
-{
-    if (ptr[0] != 0)
-        return 1;
-    for (int f = 0; f < k; f++)
-        if (ptr[f + 1] < ptr[f])
-            return 1;
-    return 0;
-}
-
 /* Maximum s-t flows over the base arcs (arc_from[a], arc_to[a], cap[a]),
- * k >= 1 of them, with their terminal arcs in CSR form: terms holds
- * src_ptr[0 .. k], snk_ptr[0 .. k], then the src_node and snk_node
- * arrays; caps holds the src_cap and snk_cap arrays, then eps[0 .. k).
- * Flow f adds the source arcs (s, src_node[i], src_cap[i]) for i in
- * [src_ptr[f], src_ptr[f + 1]), then the sink arcs (snk_node[i], t,
- * snk_cap[i]) for i in [snk_ptr[f], snk_ptr[f + 1]), and is solved at
- * tolerance eps[f].  The flows run in order until the first whose value
- * is not below stop.  Writes *solved; out[f] and the row
+ * k >= 1 of them, one per row of the k x n_term row-major matrices
+ * source_caps and sink_caps, n_term <= n_nodes.  Flow f adds the source
+ * arcs (s, v, source_caps[f][v]) for each v where that is positive, in
+ * node order, then the sink arcs (v, t, sink_caps[f][v]) likewise, and is
+ * solved at tolerance eps[f].  The flows run in order until the first
+ * whose value is not below stop.  Writes *solved; out[f] and the row
  * reach[f * n_nodes ..] (1 where a node is reachable from s in the
  * residual network) of each flow solved; and out[k + a] for every base
- * arc a and then every terminal arc of the last.  Returns 0, 1 when a node
- * index is out of range or the pointers are not CSR offsets, or 2 when
- * memory runs out. */
+ * arc a and then every terminal arc of the last.  Returns 0, 1 when a
+ * size or node index is out of range, or 2 when memory runs out. */
 int hs_max_flows(int n_nodes, int na, const int32_t *arc_from, const int32_t *arc_to,
-                 const double *cap, int s, int t, int k, const int32_t *terms,
-                 const double *caps, double stop, int *solved, double *out, uint8_t *reach)
+                 const double *cap, int s, int t, int k, int n_term, const double *eps,
+                 const double *source_caps, const double *sink_caps, double stop,
+                 int *solved, double *out, uint8_t *reach)
 {
-    if (n_nodes < 1 || na < 0 || k < 1 || s < 0 || s >= n_nodes || t < 0 || t >= n_nodes)
+    if (n_nodes < 1 || na < 0 || k < 1 || n_term < 0 || n_term > n_nodes || s < 0
+        || s >= n_nodes || t < 0 || t >= n_nodes)
         return 1;
     for (int a = 0; a < na; a++)
         if (arc_from[a] < 0 || arc_from[a] >= n_nodes || arc_to[a] < 0 || arc_to[a] >= n_nodes)
             return 1;
-    const int32_t *src_ptr = terms, *snk_ptr = terms + k + 1;
-    if (bad_ptr(k, src_ptr) || bad_ptr(k, snk_ptr))
-        return 1;
-    int n_src = src_ptr[k], n_snk = snk_ptr[k];
-    const int32_t *src_node = terms + 2 * ((size_t)k + 1), *snk_node = src_node + n_src;
-    const double *src_cap = caps, *snk_cap = caps + n_src, *eps = snk_cap + n_snk;
-    for (int i = 0; i < n_src; i++)
-        if (src_node[i] < 0 || src_node[i] >= n_nodes)
-            return 1;
-    for (int i = 0; i < n_snk; i++)
-        if (snk_node[i] < 0 || snk_node[i] >= n_nodes)
-            return 1;
 
-    /* the most terminal arcs of one flow */
-    int most = 0;
-    for (int f = 0; f < k; f++) {
-        int count = src_ptr[f + 1] - src_ptr[f] + snk_ptr[f + 1] - snk_ptr[f];
-        if (count > most)
-            most = count;
-    }
-    size_t nr = 2 * ((size_t)na + (size_t)most);
+    /* a flow has at most one source and one sink arc at a node */
+    size_t nr = 2 * ((size_t)na + 2 * (size_t)n_term);
     int *to = malloc(sizeof(int) * (nr + 1));
     double *res = malloc(sizeof(double) * (nr + 1));
     double *base_res = malloc(sizeof(double) * (2 * (size_t)na + 1));
@@ -247,14 +218,12 @@ int hs_max_flows(int n_nodes, int na, const int32_t *arc_from, const int32_t *ar
     int *end = work + 4 * (size_t)n_nodes;
     int *base_end = work + 5 * (size_t)n_nodes;
     /* room after each node's base arcs for the terminal arc ends of any
-     * one flow: the ends of all flows at the node */
+     * one flow */
     int *room = work + 6 * (size_t)n_nodes;
-    room[s] += n_src;
-    room[t] += n_snk;
-    for (int i = 0; i < n_src; i++)
-        room[src_node[i]] += 1;
-    for (int i = 0; i < n_snk; i++)
-        room[snk_node[i]] += 1;
+    room[s] += n_term;
+    room[t] += n_term;
+    for (int v = 0; v < n_term; v++)
+        room[v] += 2;
 
     /* adjacency in arc order, as the Python kernel appends it: count the
      * base arcs of each node, then fill each node's slice front to back */
@@ -298,7 +267,7 @@ int hs_max_flows(int n_nodes, int na, const int32_t *arc_from, const int32_t *ar
         base_end[u] = end[u];
 
     int f = 0;
-    int a_end = na;
+    int a;
     for (;;) {
         memcpy(end, base_end, sizeof(int) * (size_t)n_nodes);
         memcpy(res, base_res, sizeof(double) * 2 * (size_t)na);
@@ -306,35 +275,29 @@ int hs_max_flows(int n_nodes, int na, const int32_t *arc_from, const int32_t *ar
         double src_out = base_src_out;
         double snk_in = base_snk_in;
         /* this flow's terminal arcs follow the base arcs, sources first */
-        int n_ends = src_ptr[f + 1] - src_ptr[f] + snk_ptr[f + 1] - snk_ptr[f];
-        a_end = na + n_ends;
-        for (int j = 0; j < n_ends; j++) {
-            int a = na + j;
-            int i = src_ptr[f] + j;
-            int u, v;
-            double c;
-            if (i < src_ptr[f + 1]) {
-                u = s;
-                v = src_node[i];
-                c = src_cap[i];
-            } else {
-                i = snk_ptr[f] + j - (src_ptr[f + 1] - src_ptr[f]);
-                u = snk_node[i];
-                v = t;
-                c = snk_cap[i];
+        a = na;
+        for (int sink = 0; sink < 2; sink++) {
+            const double *row = (sink ? sink_caps : source_caps) + (size_t)f * n_term;
+            for (int w = 0; w < n_term; w++) {
+                double c = row[w];
+                if (!(c > 0.0))
+                    continue;
+                int u = sink ? w : s;
+                int v = sink ? t : w;
+                to[2 * a] = v;
+                to[2 * a + 1] = u;
+                res[2 * a] = c;
+                res[2 * a + 1] = 0.0;
+                adj[end[u]++] = 2 * a;
+                adj[end[v]++] = 2 * a + 1;
+                if (c > maxcap)
+                    maxcap = c;
+                if (u == s)
+                    src_out += c;
+                if (v == t)
+                    snk_in += c;
+                a += 1;
             }
-            to[2 * a] = v;
-            to[2 * a + 1] = u;
-            res[2 * a] = c;
-            res[2 * a + 1] = 0.0;
-            adj[end[u]++] = 2 * a;
-            adj[end[v]++] = 2 * a + 1;
-            if (c > maxcap)
-                maxcap = c;
-            if (u == s)
-                src_out += c;
-            if (v == t)
-                snk_in += c;
         }
         double value = solve(&g, s, t, eps[f], maxcap, src_out, snk_in);
         out[f] = value;
@@ -344,8 +307,8 @@ int hs_max_flows(int n_nodes, int na, const int32_t *arc_from, const int32_t *ar
             break;
     }
 
-    for (int a = 0; a < a_end; a++)
-        out[k + a] = res[2 * a + 1];
+    for (int b = 0; b < a; b++)
+        out[k + b] = res[2 * b + 1];
     *solved = f;
 
     free(to); free(res); free(base_res); free(first); free(work); free(adj);

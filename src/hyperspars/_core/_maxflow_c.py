@@ -16,7 +16,6 @@ import ctypes
 import hashlib
 import math
 import os
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -119,8 +118,8 @@ def _load() -> ctypes.CDLL:
     double_p = ctypes.POINTER(ctypes.c_double)
     lib.hs_max_flows.argtypes = [
         ctypes.c_int, ctypes.c_int, int32_p, int32_p, double_p,
-        ctypes.c_int, ctypes.c_int, ctypes.c_int, int32_p, double_p, ctypes.c_double,
-        ctypes.POINTER(ctypes.c_int), double_p, ctypes.POINTER(ctypes.c_uint8),
+        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, double_p, double_p, double_p,
+        ctypes.c_double, ctypes.POINTER(ctypes.c_int), double_p, ctypes.POINTER(ctypes.c_uint8),
     ]
     lib.hs_max_flows.restype = ctypes.c_int
     return lib
@@ -139,24 +138,23 @@ def _copy(arr, dtype, ctype):
 
 
 def max_flow_arrays(
-    n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12, terminals=None, stop=math.inf
+    n_nodes, arc_from, arc_to, cap, s, t, eps, source_caps, sink_caps, stop=math.inf
 ):
     """Maximum s-t flows via Dinic with capacity scaling, in C.
 
     Takes and returns what ``_maxflow_py.max_flow_arrays`` does, and
-    returns the same values bit for bit.  The base arcs are copied into
-    ctypes buffers once per call, however many flows it solves, and the
-    terminal arcs are packed into one integer and one float buffer in CSR
-    form; copies cost less per call than handing numpy's pointers over.
+    returns the same values bit for bit.  The base arcs, the tolerances and
+    the two capacity matrices are copied into ctypes buffers once per call,
+    however many flows it solves; copies cost less per call than handing
+    numpy's pointers over.
     """
-    if terminals is None:
-        values, flow, reach = max_flow_arrays(
-            n_nodes, arc_from, arc_to, cap, s, t, [eps], [([], [], [], [])], stop
-        )
-        return float(values[0]), flow, reach[0]
-    k = len(terminals)
-    if not 1 <= k == len(eps):
-        raise ValueError("a batch needs a flow, and one tolerance per flow")
+    source_caps = np.asarray(source_caps, dtype=np.float64)
+    sink_caps = np.asarray(sink_caps, dtype=np.float64)
+    if source_caps.ndim != 2 or source_caps.shape != sink_caps.shape:
+        raise ValueError("the terminal capacities are two (k, n_term) arrays")
+    k, n_term = source_caps.shape
+    if not 1 <= k == len(eps) or n_term > n_nodes:
+        raise ValueError("a batch needs a flow, one tolerance per flow and n_term <= n_nodes")
     if not 0 < n_nodes < 2**31 // k:
         raise ValueError("too many nodes for the compiled kernel")
     i32, f64 = (np.int32, ctypes.c_int32), (np.float64, ctypes.c_double)
@@ -164,29 +162,23 @@ def max_flow_arrays(
     na = len(frm)
     if not na == len(to) == len(cp):
         raise ValueError("arc_from, arc_to and cap must be of one length")
-    sources, source_caps, sinks, sink_caps = zip(*terminals)
-    counts = [list(map(len, side)) for side in (sources, source_caps, sinks, sink_caps)]
-    if counts[0] != counts[1] or counts[2] != counts[3]:
-        raise ValueError("each terminal needs one capacity")
-    ptrs = [[0, *accumulate(counts[0])], [0, *accumulate(counts[2])]]
-    # an empty list would come in as float64, which does not cast to int32
-    ends = [side for side in (*sources, *sinks) if len(side)]
-    terms = _copy(np.concatenate([*ptrs, *ends], dtype=np.int32), *i32)
-    caps = _copy(np.concatenate([*source_caps, *sink_caps, eps], dtype=np.float64), *f64)
     solved = ctypes.c_int()
-    out = (ctypes.c_double * (k + na + ptrs[0][-1] + ptrs[1][-1]))()
+    out = (ctypes.c_double * (k + na + 2 * n_term))()
     reach = (ctypes.c_uint8 * (k * n_nodes))()
     status = _kernel(
-        n_nodes, na, frm, to, cp, s, t, k, terms, caps, stop, ctypes.byref(solved), out, reach
+        n_nodes, na, frm, to, cp, s, t, k, n_term, _copy(eps, *f64),
+        _copy(source_caps.ravel(), *f64), _copy(sink_caps.ravel(), *f64),
+        stop, ctypes.byref(solved), out, reach,
     )
     if status == 1:
         raise ValueError("a node index is out of range")
     if status:
         raise MemoryError("the max-flow kernel ran out of memory")
     last = solved.value - 1
+    arcs = na + np.count_nonzero(source_caps[last] > 0.0) + np.count_nonzero(sink_caps[last] > 0.0)
     out = np.frombuffer(out, dtype=np.float64)
     return (
         out[: solved.value],
-        out[k : k + na + counts[0][last] + counts[2][last]],
+        out[k : k + arcs],
         np.frombuffer(reach, dtype=np.bool_).reshape(k, n_nodes)[: solved.value],
     )

@@ -1,10 +1,11 @@
 """The max-flow kernel: Dinic with capacity scaling, in pure Python.
 
-Arc-array input: base arcs, solved once or as the base of a batch of flows
-that each add their own terminal arcs.  Returns the flow values, the last
-flow's per-arc flows, and the residual reachability masks whose boundaries
-are minimum cuts.  This is the reference that ``_maxflow.c`` ports line for
-line, and the kernel that runs where no C compiler is available.
+Arc-array input: base arcs, the base of a batch of flows that each add
+their own terminal arcs, read from one row of two capacity matrices.
+Returns the flow values, the last flow's per-arc flows, and the residual
+reachability masks whose boundaries are minimum cuts.  This is the
+reference that ``_maxflow.c`` ports line for line, and the kernel that runs
+where no C compiler is available.
 """
 
 from __future__ import annotations
@@ -16,36 +17,35 @@ import numpy as np
 
 
 def max_flow_arrays(
-    n_nodes, arc_from, arc_to, cap, s, t, eps=1e-12, terminals=None, stop=math.inf
+    n_nodes, arc_from, arc_to, cap, s, t, eps, source_caps, sink_caps, stop=math.inf
 ):
     """Maximum s-t flows via Dinic with capacity scaling.
 
     The parallel arrays (``arc_from``, ``arc_to``, ``cap``) are the base
-    arcs.  Without ``terminals``, one flow over them at tolerance ``eps``:
-    returns ``(value, flow, reachable)``, the last two as float64 and bool
-    arrays, where ``flow[a]`` is the flow pushed on arc ``a`` and
-    ``reachable[k]`` flags residual reachability from ``s`` (so
-    ``reachable`` induces a minimum cut).
+    arcs, and row f of the (k, n_term) arrays ``source_caps`` and
+    ``sink_caps``, k >= 1 and n_term <= n_nodes, is flow f: after the base
+    arcs it adds an arc s -> v of capacity ``source_caps[f, v]`` for each
+    node v where that is positive, in node order, then an arc v -> t of
+    capacity ``sink_caps[f, v]`` for each v where that is positive; it is
+    solved at tolerance ``eps[f]``.  One flow over the base arcs alone is
+    k = 1 with n_term = 0.  The flows are solved in order, and the first
+    whose value is not below ``stop`` is the last.
 
-    With ``terminals``, a batch of k >= 1 flows over the base arcs:
-    ``terminals[f]`` is flow f's (sources, source_caps, sinks, sink_caps),
-    and the flow adds, after the base arcs, an arc s -> v of capacity c
-    for each source v and its capacity c, then an arc v -> t for each sink;
-    ``eps[f]`` is its tolerance.  The flows are solved in order, and the
-    first whose value is not below ``stop`` is the last.  Returns
-    ``(values, flow, reachable)``: a float64 value and a bool reachability
-    row per flow solved, and the arc flows of the last, its base arcs then
-    its terminal arcs.  Each flow equals, bit for bit, the flow without
-    ``terminals`` over the base arcs with its terminal arcs appended.
+    Returns ``(values, flow, reachable)``: a float64 value and a bool
+    reachability row per flow solved, and the float64 arc flows of the
+    last, its base arcs then its terminal arcs.  ``flow[a]`` is the flow
+    pushed on arc ``a``, and ``reachable[f, k]`` flags residual
+    reachability from ``s`` after flow f, so each row induces a minimum
+    cut.  Each flow equals, bit for bit, the flow of k = 1 and n_term = 0
+    over the base arcs with its terminal arcs appended.
     """
-    if terminals is None:
-        values, flow, reach = max_flow_arrays(
-            n_nodes, arc_from, arc_to, cap, s, t, [eps], [([], [], [], [])], stop
-        )
-        return float(values[0]), flow, reach[0]
     eps = np.asarray(eps, dtype=np.float64).tolist()
-    if not 1 <= len(eps) == len(terminals):
-        raise ValueError("a batch needs a flow, and one tolerance per flow")
+    source_caps = np.asarray(source_caps, dtype=np.float64)
+    sink_caps = np.asarray(sink_caps, dtype=np.float64)
+    if source_caps.ndim != 2 or source_caps.shape != sink_caps.shape:
+        raise ValueError("the terminal capacities are two (k, n_term) arrays")
+    if not 1 <= len(source_caps) == len(eps) or source_caps.shape[1] > n_nodes:
+        raise ValueError("a batch needs a flow, one tolerance per flow and n_term <= n_nodes")
     # numpy arrays, as flownet passes them, become lists of Python scalars:
     # the loops below index those far faster than numpy scalars
     arc_from = np.asarray(arc_from, dtype=np.int64).tolist()
@@ -81,16 +81,10 @@ def max_flow_arrays(
 
     values = []
     reaches = []
-    for f, (sources, source_caps, sinks, sink_caps) in enumerate(terminals):
-        sources, sinks = (np.asarray(v, dtype=np.int64).tolist() for v in (sources, sinks))
-        source_caps, sink_caps = (
-            np.asarray(c, dtype=np.float64).tolist() for c in (source_caps, sink_caps)
-        )
-        if len(sources) != len(source_caps) or len(sinks) != len(sink_caps):
-            raise ValueError("each terminal needs one capacity")
+    for f, (source_row, sink_row) in enumerate(zip(source_caps.tolist(), sink_caps.tolist())):
         # this flow's terminal arcs follow the base arcs, sources first
-        ends = [(s, v, c) for v, c in zip(sources, source_caps)]
-        ends += [(u, t, c) for u, c in zip(sinks, sink_caps)]
+        ends = [(s, v, c) for v, c in enumerate(source_row) if c > 0.0]
+        ends += [(u, t, c) for u, c in enumerate(sink_row) if c > 0.0]
         to = base_to + [0] * (2 * len(ends))
         res = base_res + [0.0] * (2 * len(ends))
         maxcap = base_max

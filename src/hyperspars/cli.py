@@ -33,7 +33,7 @@ from .hypergraph import (
     serialize_dhg,
 )
 from .oracle import OracleConfig, OracleInvariantError
-from .report import dumps_report, expansion_estimate, solve_report, verify_report
+from .report import _number, dumps_report, expansion_estimate, solve_report, verify_report
 
 __all__ = ["main"]
 
@@ -47,6 +47,15 @@ def _read_input(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not {exc.encoding} text (byte {exc.start})") from None
+
+
+def _read_json(path: str):
+    """The JSON document of ``path`` ('-' for stdin); ValueError where it
+    cannot be decoded or parsed, also where it nests too deep to parse."""
+    try:
+        return json.loads(_read_input(path))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_hypergraph(path: str) -> DirectedHypergraph:
@@ -71,8 +80,7 @@ def _resolve_seed(args) -> int:
 def _solver_config(args) -> SolverConfig:
     constants = {}
     if args.constants:
-        with open(args.constants, "r", encoding="utf-8") as fh:
-            constants = json.load(fh)
+        constants = _read_json(args.constants)
         if not isinstance(constants, dict):
             raise ValueError(f"{args.constants}: constants must be a JSON object")
         # unlike a report's config, a typo here would silently keep a default
@@ -170,15 +178,14 @@ def _write_output(path: str | None, content: str) -> None:
 
 def _reported_sparsity(path: str) -> float | None:
     """The ``sparsity`` of the solve report at ``path``; None if it has none."""
-    with open(path, "r", encoding="utf-8") as fh:
-        solved = json.load(fh)
+    solved = _read_json(path)
     if not isinstance(solved, dict):
         raise ValueError(f"{path}: a solve report must be a JSON object")
     value = solved.get("sparsity")
     try:
-        return None if value is None else float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: sparsity {value!r} is not a number") from None
+        return None if value is None else _number(value)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: sparsity {exc}") from None
 
 
 def cmd_exact(args) -> int:
@@ -237,7 +244,8 @@ def cmd_gen(args) -> int:
             seed=seed,
         )
         h = reference.generate(spec)
-    except ValueError as exc:
+    # Fraction("1/0") raises ZeroDivisionError("Fraction(1, 0)")
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_output(args.output, serialize_dhg(h))
@@ -247,7 +255,7 @@ def cmd_gen(args) -> int:
 def cmd_check_cert(args) -> int:
     try:
         h = _load_hypergraph(args.input)
-        doc = json.loads(_read_input(args.report))
+        doc = _read_json(args.report)
     except (DhgParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

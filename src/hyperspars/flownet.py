@@ -4,13 +4,14 @@ and decomposing them into triangle terms plus an endpoint demand matrix.
 The max-flow kernel is ``_core.max_flow_arrays``, Dinic with capacity
 scaling, compiled from C where a C compiler exists and in pure Python
 otherwise, with the same results either way.  A flow instance is the
-reduced digraph plus its sorted terminal vertices and capacities.  The
-kernel takes the digraph's cached arc arrays once per call, with a batch of
-terminal sets and a stop value, so no flow copies or rebuilds the
-digraph's arcs.  Flows are floating point with relative tolerances; the
-exact rational layer stops at the hypergraph module.  A lifted flow is
-two arrays, its (e, i, j) keys and their values, and F and sum f_p T_p are
-each one scatter over such arrays.
+reduced digraph plus a batch of flows as two capacity matrices over its
+vertices: row f of each holds flow f's source and sink capacities.  The
+kernel takes the digraph's cached arc arrays and the rows in one call,
+with a stop value, so no flow copies or rebuilds the digraph's arcs.
+Flows are floating point with relative tolerances; the exact rational
+layer stops at the hypergraph module.  A lifted flow is two arrays, its
+(e, i, j) keys and their values, and F and sum f_p T_p are each one
+scatter over such arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,37 +49,25 @@ CONSERVATION_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FlowInstance:
-    """s-t max-flow instance over a reduced digraph.
+    """A batch of s-t max-flows over a reduced digraph, one per row of the
+    read-only (k, n) float64 arrays ``source_caps`` and ``sink_caps`` over
+    the n vertices of its hypergraph.
 
-    Arc layout: the reduced digraph's ``flow_arcs`` first (hyperedge arcs
-    carry capacity w_e / 2, gadget arcs carry the big weight), then one
-    source arc into each vertex of ``sources``, then one sink arc out of
-    each vertex of ``sinks``, with the capacities at the same places of
-    ``source_caps`` and ``sink_caps``, each side in vertex order; and each
-    side's total capacity.  The arrays are read-only: int32 vertices,
-    float64 capacities.  The kernel appends the terminal arcs to the
-    digraph's arcs itself, so no instance copies them.
+    Flow f's arcs: the reduced digraph's ``flow_arcs`` first (hyperedge
+    arcs carry capacity w_e / 2, gadget arcs carry the big weight), then an
+    arc s -> v of capacity ``source_caps[f, v]`` for each vertex v where
+    that is positive, then an arc v -> t of capacity ``sink_caps[f, v]``
+    likewise, each side in vertex order; s and t follow the digraph's
+    vertices.  ``source_totals[f]`` and ``sink_totals[f]`` are row f's
+    totals.  The kernel appends the terminal arcs to the digraph's arcs
+    itself, so no instance copies them.
     """
 
     rd: ReducedDigraph
-    sources: np.ndarray
     source_caps: np.ndarray
-    sinks: np.ndarray
     sink_caps: np.ndarray
-    source_total: float
-    sink_total: float
-
-    @property
-    def s(self) -> int:
-        return self.rd.num_vertices
-
-    @property
-    def t(self) -> int:
-        return self.rd.num_vertices + 1
-
-    @property
-    def num_nodes(self) -> int:
-        return self.rd.num_vertices + 2
+    source_totals: list[float]
+    sink_totals: list[float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,30 +82,35 @@ class MaxFlowResult:
 
 
 def build_flow_instance(
-    rd: ReducedDigraph,
-    sources: np.ndarray,
-    source_caps: np.ndarray,
-    sinks: np.ndarray,
-    sink_caps: np.ndarray,
+    rd: ReducedDigraph, source_caps: np.ndarray, sink_caps: np.ndarray
 ) -> FlowInstance:
-    """Attach a source arc into each vertex of ``sources`` and a sink arc
-    out of each of ``sinks``, with the capacities at the same places of
-    ``source_caps`` and ``sink_caps``; each side in vertex order."""
-    src, snk = np.asarray(sources, np.int32), np.asarray(sinks, np.int32)
-    by_src, by_snk = src.argsort(kind="stable"), snk.argsort(kind="stable")
-    src, src_caps = src[by_src], np.asarray(source_caps, float)[by_src]
-    snk, snk_caps = snk[by_snk], np.asarray(sink_caps, float)[by_snk]
-    for arr in (src, src_caps, snk, snk_caps):
-        arr.flags.writeable = False
-    # one at a time in vertex order: np.sum sums pairwise and can round
-    # differently, and the totals set the kernel's tolerance
-    return FlowInstance(
-        rd, src, src_caps, snk, snk_caps, sum(src_caps.tolist()), sum(snk_caps.tolist())
-    )
+    """The flows of the rows of ``source_caps`` and ``sink_caps``, each of
+    (k, n) capacities over the n vertices of ``rd``'s hypergraph; a 1-D
+    pair is one flow."""
+    rows = [np.array(caps, dtype=float, ndmin=2) for caps in (source_caps, sink_caps)]
+    if rows[0].shape != rows[1].shape or rows[0].shape[1:] != (rd.base.n,):
+        raise ValueError(f"terminal capacities must be (k, {rd.base.n}) rows")
+    for caps in rows:
+        caps.flags.writeable = False
+    return FlowInstance(rd, *rows, *map(_row_totals, rows))
 
 
-def flow_tolerance(instance: FlowInstance) -> float:
-    """The kernel's residual tolerance for ``instance``.
+def _row_totals(caps: np.ndarray) -> list[float]:
+    """Each row's positive entries summed one at a time in vertex order:
+    np.sum sums pairwise and can round differently, and the totals set the
+    kernel's tolerance."""
+    positive = caps > 0.0
+    # all rows' positive entries in row-major order, and where each row ends;
+    # one row needs no split, which costs more than the rest of its build
+    entries = caps[positive].tolist()
+    if len(caps) == 1:
+        return [sum(entries, 0.0)]
+    ends = positive.sum(axis=1).cumsum().tolist()
+    return [sum(entries[a:b], 0.0) for a, b in zip([0, *ends], ends)]
+
+
+def flow_tolerance(instance: FlowInstance) -> list[float]:
+    """The kernel's residual tolerance for each flow of ``instance``.
 
     No flow exceeds either terminal total, so the tolerance follows those
     totals rather than the largest arc: the gadget weight can exceed the
@@ -125,31 +119,32 @@ def flow_tolerance(instance: FlowInstance) -> float:
     normal floor would exceed every capacity of a subnormal instance, and
     the kernel would push nothing.
     """
-    terminal = max(instance.source_total, instance.sink_total)
-    return max(1e-12 * terminal, math.ulp(0.0))
+    return [
+        max(1e-12 * max(source, sink), math.ulp(0.0))
+        for source, sink in zip(instance.source_totals, instance.sink_totals)
+    ]
 
 
-def max_flows(instances: Sequence[FlowInstance], stop: float = math.inf) -> list[MaxFlowResult]:
-    """Maximum s-t flows of ``instances``, which share one reduced digraph,
-    in one kernel call: solved in order, up to and including the first
-    whose value is not below ``stop``.  One read-only result per flow
-    solved; only the last carries its arc flows."""
-    rd = instances[0].rd
-    if any(inst.rd is not rd for inst in instances):
-        raise ValueError("a batch of flows shares one reduced digraph")
-    terminals = [(i.sources, i.source_caps, i.sinks, i.sink_caps) for i in instances]
-    eps = [flow_tolerance(inst) for inst in instances]
-    s = rd.num_vertices
-    values, flow, reach = max_flow_arrays(s + 2, *rd.flow_arcs, s, s + 1, eps, terminals, stop)
+def max_flows(instance: FlowInstance, stop: float = math.inf) -> list[MaxFlowResult]:
+    """Maximum s-t flows of ``instance``'s rows in one kernel call: solved
+    in order, up to and including the first whose value is not below
+    ``stop``.  One read-only result per flow solved; only the last carries
+    its arc flows."""
+    rd = instance.rd
+    n = rd.num_vertices
+    values, flow, reach = max_flow_arrays(
+        n + 2, *rd.flow_arcs, n, n + 1, flow_tolerance(instance),
+        instance.source_caps, instance.sink_caps, stop,
+    )
     flow.flags.writeable = reach.flags.writeable = False
     flows = [None] * (len(values) - 1) + [flow]
     return [MaxFlowResult(*args) for args in zip(values.tolist(), flows, reach)]
 
 
 def max_flow(instance: FlowInstance) -> MaxFlowResult:
-    """Maximum s-t flow, in read-only arrays; the reachability mask induces
-    a minimum cut.  The batch of one."""
-    return max_flows([instance])[0]
+    """Maximum s-t flow of an instance of one flow, in read-only arrays;
+    the reachability mask induces a minimum cut.  The batch of one."""
+    return max_flows(instance)[0]
 
 
 @dataclass(frozen=True, eq=False)

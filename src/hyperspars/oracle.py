@@ -333,10 +333,11 @@ def _cut_outcome(call: _Call, found: list[tuple[np.ndarray, dict]], case: str) -
 def _lift(
     res: flownet.MaxFlowResult, inst: flownet.FlowInstance
 ) -> tuple[FlowAssignment, flownet.FlowDecomposition]:
-    """A saturating max-flow lifted to the hypergraph, and its path
-    decomposition."""
+    """A saturating max-flow of a one-flow instance lifted to the
+    hypergraph, and its path decomposition."""
     fa = lift_flow(res, inst)
-    return fa, decompose(fa, inst.sources.tolist(), inst.sinks.tolist())
+    terminals = (np.flatnonzero(caps[0]).tolist() for caps in (inst.source_caps, inst.sink_caps))
+    return fa, decompose(fa, *terminals)
 
 
 def _demand_dot(demand: Mapping[tuple[int, int], float], d2: np.ndarray) -> float:
@@ -408,28 +409,27 @@ def _case1(call: _Call, i0: int, in_ball: np.ndarray) -> OracleOutcome:
     ``in_ball`` marks the heavy small ball around ``i0`` that the dispatch
     found; the ball, the direction and alpha set the terminal caps."""
     alpha, _, _, cfg, rd, omega, total, d2 = call
-    left = in_ball.nonzero()[0]
-    right = (~in_ball).nonzero()[0]
-    if not len(right):
+    if in_ball.all():
         raise InconsistentStateError("ball covers all weight despite K.X = 1")
-    w_l = float(omega[left].sum())
-    w_r = float(omega[right].sum())
+    out = ~in_ball
+    w_l = float(omega[in_ball].sum())
+    w_r = float(omega[out].sum())
     gamma = w_r / w_l
 
     h0 = d2[0]
-    q_l = gamma * float(omega[left] @ h0[left])
-    q_r = float(omega[right] @ h0[right])
+    q_l = gamma * float(omega[in_ball] @ h0[in_ball])
+    q_r = float(omega[out] @ h0[out])
     forward = q_l <= q_r
 
     c = cfg.cap_c1 * total * alpha
-    left_side = (left, c * gamma * omega[left])
-    right_side = (right, c * omega[right])
+    left_caps = np.where(in_ball, c * gamma * omega, 0.0)
+    right_caps = np.where(in_ball, 0.0, c * omega)
     if forward:
-        inst = build_flow_instance(rd, *left_side, *right_side)
+        inst = build_flow_instance(rd, left_caps, right_caps)
     else:
-        inst = build_flow_instance(rd, *right_side, *left_side)
+        inst = build_flow_instance(rd, right_caps, left_caps)
     res = max_flow(inst)
-    total_cap = inst.source_total
+    total_cap = inst.source_totals[0]
     extra = {
         "i0": i0,
         "gamma": gamma,
@@ -474,13 +474,13 @@ def _direction_splits(
     omega: np.ndarray,
     members: np.ndarray,
     dist0: np.ndarray,
-    dirs: list[np.ndarray],
+    dirs: np.ndarray,
     cfg: OracleConfig,
     total: float,
-):
-    """Split the medium ball S along each direction of ``dirs``; yields
-    (direction, L, R), L and R as vertex arrays, or None where the
-    direction gives no split, in order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the medium ball S along each row of ``dirs``; returns
+    (directions, L, R) for those that give a split, in order: one row each
+    of the oriented directions and of L and R as boolean vertex masks.
 
     ``vm`` holds the rescaled vectors of S's ``members`` and ``dist0`` every
     vertex's squared distance to vertex 0.  Along a direction, L0 and R0 are
@@ -491,12 +491,11 @@ def _direction_splits(
     sides, so rounding cannot move the split.  Every (i, j) in L x R
     satisfies the projection stretch along the returned direction and
     d(i, j) >= |v_i - v_j|^2.  All directions are split at once, one row of
-    each (directions x |S|) array per direction; the vertex arrays are read
-    out as the scan asks for them.
+    each (directions x |S|) array per direction.
     """
     size = len(members)
     rows = np.arange(len(dirs))[:, None]
-    proj = np.array(dirs) @ vm.T
+    proj = dirs @ vm.T
     order = np.argsort(proj, axis=1, kind="stable")
     sorted_members = members[order]
     w_sorted = omega[sorted_members]
@@ -530,19 +529,16 @@ def _direction_splits(
     forward &= r_far.any(axis=1) & l_near.any(axis=1)
     backward = r_near.any(axis=1) & l_far.any(axis=1)
     split = split[:, 0] & (forward | backward)
-    for u, row, ok, fwd, *sides in zip(
-        dirs, sorted_members, split.tolist(), forward.tolist(), l_near, r_far, r_near, l_far
-    ):
-        if not ok:
-            yield None
-        elif fwd:
-            yield u, row[sides[0]], row[sides[1]]
-        else:
-            yield -u, row[sides[2]], row[sides[3]]
+    fwd = forward[split, None]
+    # L and R in projection order, forward or backward, then at their vertices
+    sides = np.where(fwd, [l_near[split], r_far[split]], [r_near[split], l_far[split]])
+    masks = np.zeros((2, len(fwd), len(omega)), dtype=bool)
+    masks[:, rows[: len(fwd)], sorted_members[split]] = sides
+    return np.where(fwd, dirs[split], -dirs[split]), *masks
 
 
-def _unit_directions(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
-    """``count`` random unit directions.
+def _unit_directions(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """``count`` random unit directions, one per row.
 
     The normals come in one draw, which the generator fills as it would
     ``count`` draws of ``dim``; a row too short to normalize is skipped,
@@ -550,10 +546,12 @@ def _unit_directions(rng: np.random.Generator, dim: int, count: int) -> list[np.
     dirs: list[np.ndarray] = []
     while len(dirs) < count:
         for z in rng.standard_normal((count - len(dirs), dim)):
-            norm = float(np.linalg.norm(z))
+            # sqrt(z . z), as np.linalg.norm takes it for one row; a
+            # row-wise norm of the whole draw can round differently
+            norm = math.sqrt(z @ z)
             if norm > 1e-12:
                 dirs.append(z / norm)
-    return dirs
+    return np.array(dirs)
 
 
 def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
@@ -587,17 +585,18 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
         dirs = _unit_directions(rng, dim, count)
         return _direction_splits(vm, omega, members, d2[0], dirs, cfg, total)
 
-    def flow_instance(left: np.ndarray, right: np.ndarray) -> flownet.FlowInstance:
-        left_caps, right_caps = cap_coeff * omega[left], cap_coeff * omega[right]
-        return build_flow_instance(rd, left, left_caps, right, right_caps)
+    caps = cap_coeff * omega
 
-    def diagnostics(res: flownet.MaxFlowResult, inst: flownet.FlowInstance) -> dict:
+    def flow_instance(left: np.ndarray, right: np.ndarray) -> flownet.FlowInstance:
+        return build_flow_instance(rd, np.where(left, caps, 0.0), np.where(right, caps, 0.0))
+
+    def diagnostics(value: float, left: np.ndarray, right: np.ndarray) -> dict:
         return {
             "i0": i0,
-            "flow_value": res.value,
+            "flow_value": value,
             "threshold": threshold,
-            "left_size": len(inst.sources),
-            "right_size": len(inst.sinks),
+            "left_size": np.count_nonzero(left),
+            "right_size": np.count_nonzero(right),
         }
 
     attempts = cfg.n_dirs_for(h.n)
@@ -606,13 +605,12 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     scanned = 0
     while scanned < attempts and not found:
         scanned += 1
-        (got,) = splits(1)
-        if got is None:
+        u_eff, left, right = splits(1)
+        if not len(u_eff):
             continue
-        u_eff, left, right = got
         inst = flow_instance(left, right)
         res = max_flow(inst)
-        extra = diagnostics(res, inst)
+        extra = diagnostics(res.value, left, right)
 
         if res.value < threshold:
             found.append((res.reachable, extra))
@@ -640,7 +638,7 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
                 dict(extra, case="2C"),
             )
 
-        path = find_violated_path(q, vhat @ u_eff, omega, dec.demand, cfg, h)
+        path = find_violated_path(q, vhat @ u_eff[0], omega, dec.demand, cfg, h)
         if path is None:
             last_reason = "no violated path for this direction"
             continue
@@ -653,12 +651,12 @@ def _case2(call: _Call, rng: np.random.Generator) -> OracleOutcome:
     if not found:
         raise OracleFailure(last_reason, {"attempts": attempts, "alpha": alpha})
     if scanned < attempts:
-        rest = filter(None, splits(attempts - scanned))
-        batch = [flow_instance(left, right) for _, left, right in rest]
-        if batch:
-            for inst, res in zip(batch, max_flows(batch, threshold)):
+        _, left, right = splits(attempts - scanned)
+        if len(left):
+            batch = max_flows(flow_instance(left, right), threshold)
+            for res, *sides in zip(batch, left, right):
                 if res.value < threshold:
-                    found.append((res.reachable, diagnostics(res, inst)))
+                    found.append((res.reachable, diagnostics(res.value, *sides)))
     return _cut_outcome(call, found, "2A")
 
 

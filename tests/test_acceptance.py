@@ -53,8 +53,10 @@ from witnesses import (
     mat_exp,
     mat_T,
     out_cut,
+    plain_flow_args,
     restrict_subset,
     tail_node,
+    terminal_rows,
     transform_subset,
     variance_form,
     weight_of,
@@ -252,7 +254,8 @@ def test_criterion_06_flow_toolkit():
             frm.append(int(a))
             to.append(int(b))
             cap.append(float(rng.integers(0, 9)) / 2.0)
-        val, _, _ = max_flow_arrays(n_nodes, frm, to, cap, 0, n_nodes - 1, 1e-12)
+        args = plain_flow_args(n_nodes, frm, to, cap, 0, n_nodes - 1, 1e-12)
+        (val,), _, _ = max_flow_arrays(*args)
         expected = exhaustive_min_cut(n_nodes, frm, to, cap, 0, n_nodes - 1)
         assert abs(val - expected) <= 1e-9 * max(1.0, expected)
 
@@ -266,7 +269,7 @@ def test_criterion_06_flow_toolkit():
             continue
         source_caps = [float(rng.uniform(0.1, 2.0)) for _ in left]
         sink_caps = [float(rng.uniform(0.1, 2.0)) for _ in right]
-        inst = build_flow_instance(rd, left, source_caps, right, sink_caps)
+        inst = build_flow_instance(rd, *terminal_rows(h.n, left, source_caps, right, sink_caps))
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         dec = decompose(fa, left, right)

@@ -221,7 +221,7 @@ class TestSolve:
 
         def lossy(inst):
             res = real(inst)
-            reach = np.arange(inst.num_nodes) == inst.s
+            reach = np.arange(len(res.reachable)) == inst.rd.num_vertices
             return MaxFlowResult(0.0, np.zeros_like(res.arc_flow), reach)
 
         monkeypatch.setattr(oracle, "max_flow", lossy)
@@ -1073,7 +1073,11 @@ class TestCheckCert:
 
 
 @pytest.mark.parametrize(
-    "command", ["solve", "exact", "reduce", "check-cert report", "check-cert instance"]
+    "command",
+    [
+        "solve", "exact", "reduce", "check-cert report", "check-cert instance",
+        "solve constants", "exact compare",
+    ],
 )
 def test_input_not_utf8_exit_1(certified_cycle_report, tmp_path, capsys, command):
     # every subcommand that reads a file names one that is not UTF-8 text
@@ -1088,10 +1092,27 @@ def test_input_not_utf8_exit_1(certified_cycle_report, tmp_path, capsys, command
         "reduce": ["reduce", str(bad)],
         "check-cert report": ["check-cert", str(bad), inp],
         "check-cert instance": ["check-cert", str(report), str(bad)],
+        "solve constants": ["solve", inp, "--seed", "1", "--constants", str(bad)],
+        "exact compare": ["exact", inp, "--compare", str(bad)],
     }[command]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: not utf-8 text (byte 0)\n"
+
+
+@pytest.mark.parametrize("command", ["check-cert", "solve constants", "exact compare"])
+def test_deeply_nested_json_exit_1(certified_cycle_report, tmp_path, capsys, command):
+    # json's parser recurses once per level, past the interpreter's limit
+    inp, _ = certified_cycle_report
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    args = {
+        "check-cert": ["check-cert", str(deep), inp],
+        "solve constants": ["solve", inp, "--seed", "1", "--constants", str(deep)],
+        "exact compare": ["exact", inp, "--compare", str(deep)],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
 
 
 def test_solve_and_check_cert_import_numpy_only(tmp_path):
@@ -1130,8 +1151,14 @@ class TestExact:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "{not json", "[1, 2]", '{"sparsity": "abc"}'],
-        ids=["missing", "invalid_json", "list", "sparsity_not_a_number"],
+        [
+            None, "{not json", "[1, 2]", '{"sparsity": "abc"}', '{"sparsity": true}',
+            '{"sparsity": 1' + "0" * 400 + "}",
+        ],
+        ids=[
+            "missing", "invalid_json", "list", "sparsity_not_a_number", "sparsity_bool",
+            "sparsity_past_the_floats",
+        ],
     )
     def test_bad_compare_report_exit_1(self, planted_file, tmp_path, capsys, content):
         report = tmp_path / "r.json"
@@ -1176,6 +1203,14 @@ class TestGen:
 
     def test_gen_invalid_spec(self, capsys):
         assert main(["gen", "--n", "4", "--m", "3", "--kappa", "9", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize(
+        "weight", [("--inside-w", "1/0"), ("--crossing-w", "5/0", "--model", "planted-cut")]
+    )
+    def test_gen_zero_denominator_exit_1(self, capsys, weight):
+        assert main(["gen", "--n", "4", "--m", "3", "--seed", "1", *weight]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: Fraction({weight[1].split('/')[0]}, 0)\n"
 
 
 class TestReduce:

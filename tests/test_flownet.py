@@ -51,6 +51,8 @@ from witnesses import (
     mapping_triangle_sum,
     mat_A,
     per_edge_totals,
+    plain_flow_args,
+    terminal_rows,
 )
 
 THREE_CYCLE = "dhg 3 3\nv a 1\nv b 1\nv c 1\ne 1 T a H b\ne 1 T b H c\ne 1 T c H a\n"
@@ -68,11 +70,18 @@ def brute_min_cut(n_nodes, arcs, s, t):
     return best
 
 
+def single_flow(kernel, *args):
+    """``kernel``'s one flow of ``plain_flow_args(*args)``: its value, its
+    arc flows and its reachability mask."""
+    values, flow, reach = kernel(*plain_flow_args(*args))
+    return float(values[0]), flow, reach[0]
+
+
 def run_kernel(kernel, n_nodes, arcs, s, t):
     frm = [a[0] for a in arcs]
     to = [a[1] for a in arcs]
     cap = [a[2] for a in arcs]
-    return kernel(n_nodes, frm, to, cap, s, t, 1e-12)
+    return single_flow(kernel, n_nodes, frm, to, cap, s, t, 1e-12)
 
 
 def random_arc_lists(rng, count):
@@ -167,9 +176,8 @@ def reduced_flow_instances(rng, count):
             continue
         source_caps = [float(rng.uniform(0.01, 4.0)) for _ in left]
         sink_caps = [float(rng.uniform(0.01, 4.0)) for _ in right]
-        instances.append(
-            build_flow_instance(reduce_to_digraph(h), left, source_caps, right, sink_caps)
-        )
+        rows = terminal_rows(h.n, left, source_caps, right, sink_caps)
+        instances.append(build_flow_instance(reduce_to_digraph(h), *rows))
     return instances
 
 
@@ -190,18 +198,23 @@ class TestKernelOnReducedDigraphs:
         monkeypatch.setattr(_maxflow_py, "_bfs", counted)
         worst = 0
         for inst in reduced_flow_instances(rng, 60):
-            eps = flow_tolerance(inst)
+            (eps,) = flow_tolerance(inst)
             arcs = concatenated_arcs(inst)
             calls.clear()
-            value, _, reach = _maxflow_py.max_flow_arrays(*arcs, eps)
+            value, _, reach = single_flow(_maxflow_py.max_flow_arrays, *arcs, eps)
             worst = max(worst, len(calls))
             expected = edmonds_karp(*arcs)
             assert value == pytest.approx(expected, abs=eps)
-            assert reach[inst.s] and not reach[inst.t]
-            _, arc_from, arc_to, cap, _, _ = arcs
+            _, arc_from, arc_to, cap, s, t = arcs
+            assert reach[s] and not reach[t]
             leaving = sum(c for u, v, c in zip(arc_from, arc_to, cap) if reach[u] and not reach[v])
             assert leaving == pytest.approx(value, abs=eps)
         assert worst <= self.MAX_BFS_PER_FLOW
+
+
+# the rows of the 3-vertex simple instance without terminal capacity: all
+# zero, and zero or negative, which adds no arc either
+NO_CAPACITY = [([0.0] * 3, [0.0] * 3), ([0.0, -1.0, 0.0], [0.0, 0.0, -0.0])]
 
 
 class TestFlowTolerance:
@@ -215,7 +228,7 @@ class TestFlowTolerance:
 
     def test_wide_weights_match_edmonds_karp(self):
         rd = reduce_to_digraph(parse_dhg(self.WIDE))
-        inst = build_flow_instance(rd, [0], [1e-6], [1, 2], [1e-6, 1e-6])
+        inst = build_flow_instance(rd, [1e-6, 0.0, 0.0], [0.0, 1e-6, 1e-6])
         res = max_flow(inst)
         arcs = concatenated_arcs(inst)
         expected = edmonds_karp(*arcs)
@@ -227,31 +240,37 @@ class TestFlowTolerance:
         )
         assert leaving == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("caps", [([], [], [], []), ([0], [0.0], [2], [0.0])])
+    @pytest.mark.parametrize("caps", NO_CAPACITY)
     def test_no_terminal_capacity_zero_flow(self, caps):
         _, rd = simple_instance()
         inst = build_flow_instance(rd, *caps)
-        assert flow_tolerance(inst) > 0.0
+        assert flow_tolerance(inst)[0] > 0.0
         res = max_flow(inst)
         assert res.value == 0.0
         assert not any(res.arc_flow)
-        assert res.reachable[inst.s] and not res.reachable[inst.t]
+        s = rd.num_vertices
+        assert res.reachable[s] and not res.reachable[s + 1]
 
 
 def bits(result):
     """A kernel result with every float spelled out to the last bit."""
-    value, flow, reach = result
-    return value.hex(), [float(f).hex() for f in flow], [bool(r) for r in reach]
+    values, flow, reach = result
+    return (
+        [float(v).hex() for v in values],
+        [float(f).hex() for f in flow],
+        np.asarray(reach, dtype=bool).tolist(),
+    )
 
 
-def instance_args(inst):
-    """The kernel's arguments for ``inst`` as one flow over plain arcs."""
-    return (*concatenated_arcs(inst), flow_tolerance(inst))
+def instance_args(inst, row=0):
+    """The kernel's arguments for flow ``row`` of ``inst`` as one flow over
+    plain arcs."""
+    return plain_flow_args(*concatenated_arcs(inst, row), flow_tolerance(inst)[row])
 
 
 def assert_kernels_agree(*args):
     got = _core.max_flow_arrays(*args)
-    assert type(got[0]) is float and got[1].dtype == np.float64 and got[2].dtype == np.bool_
+    assert [out.dtype for out in got] == [np.float64, np.float64, np.bool_]
     assert bits(got) == bits(_maxflow_py.max_flow_arrays(*args))
 
 
@@ -272,36 +291,37 @@ class TestCompiledKernel:
     def test_random_instances(self, rng):
         for n_nodes, arcs in random_arc_lists(rng, 120):
             frm, to, cap = (list(col) for col in zip(*arcs))
-            assert_kernels_agree(n_nodes, frm, to, cap, 0, n_nodes - 1, 1e-12)
+            assert_kernels_agree(*plain_flow_args(n_nodes, frm, to, cap, 0, n_nodes - 1, 1e-12))
 
     def test_reduced_digraph_instances(self, rng):
         for inst in reduced_flow_instances(rng, 60):
             assert_kernels_agree(*instance_args(inst))
 
-    @pytest.mark.parametrize("caps", [([], [], [], []), ([0], [0.0], [2], [0.0])])
+    @pytest.mark.parametrize("caps", NO_CAPACITY)
     def test_no_terminal_capacity(self, caps):
         _, rd = simple_instance()
         assert_kernels_agree(*instance_args(build_flow_instance(rd, *caps)))
 
     def test_source_is_sink(self):
         _, rd = simple_instance()
-        n, frm, to, cap, s, _, eps = instance_args(build_flow_instance(rd, [0], [1.0], [2], [1.0]))
-        assert_kernels_agree(n, frm, to, cap, s, s, eps)
+        inst = build_flow_instance(rd, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        n, frm, to, cap, s, _, *rest = instance_args(inst)
+        assert_kernels_agree(n, frm, to, cap, s, s, *rest)
 
     def test_capacities_within_eps(self):
         arcs = [(0, 1, 1e-13), (1, 2, 5e-13), (0, 2, 1e-12)]
         frm, to, cap = (list(col) for col in zip(*arcs))
-        assert_kernels_agree(3, frm, to, cap, 0, 2, 1e-12)
+        assert_kernels_agree(*plain_flow_args(3, frm, to, cap, 0, 2, 1e-12))
 
     def test_wide_weight_ratio(self):
         rd = reduce_to_digraph(parse_dhg(TestFlowTolerance.WIDE))
-        inst = build_flow_instance(rd, [0], [1e-6], [1, 2], [1e-6, 1e-6])
+        inst = build_flow_instance(rd, [1e-6, 0.0, 0.0], [0.0, 1e-6, 1e-6])
         assert_kernels_agree(*instance_args(inst))
         assert max_flow(inst).value == pytest.approx(5e-8, rel=1e-9)
 
     def test_out_of_range_node_raises(self):
         with pytest.raises((ValueError, IndexError)):
-            _core.max_flow_arrays(2, [0], [2], [1.0], 0, 1, 1e-12)
+            _core.max_flow_arrays(*plain_flow_args(2, [0], [2], [1.0], 0, 1, 1e-12))
 
     def test_without_a_compiler_the_python_kernel_runs(self, rng, tmp_path):
         # a copy of the package without its cached build, imported where
@@ -313,16 +333,17 @@ class TestCompiledKernel:
             ignore=shutil.ignore_patterns("__pycache__"),
         )
         (tmp_path / "tmp").mkdir()
+        args = map(instance_args, reduced_flow_instances(rng, 20))
         instances = [
-            [n, frm.tolist(), to.tolist(), cap.tolist(), s, t, eps]
-            for n, frm, to, cap, s, t, eps in map(instance_args, reduced_flow_instances(rng, 20))
+            [n, frm.tolist(), to.tolist(), cap.tolist(), s, t, eps, [[]], [[]]]
+            for n, frm, to, cap, s, t, eps, *_ in args
         ]
         script = (
             "import json, shutil, sys\n"
             "shutil.which = lambda *args, **kwargs: None\n"
             "from hyperspars import _core\n"
             "flows = [_core.max_flow_arrays(*args) for args in json.load(sys.stdin)]\n"
-            "flows = [(value, flow.tolist(), reach.tolist()) for value, flow, reach in flows]\n"
+            "flows = [[out.tolist() for out in flow] for flow in flows]\n"
             "print(json.dumps([_core.__file__, _core._impl.__name__, _core.HAVE_COMPILED, flows]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp_path / "tmp"))
@@ -341,15 +362,15 @@ KERNELS = sorted({_maxflow_py, _core._impl}, key=lambda kernel: kernel.__name__)
 
 
 class TestBatchedKernel:
-    """A batch of flows over one reduced digraph, each with its own terminal
-    arcs, against the same flows run one at a time on their concatenated
-    arcs, bit for bit, on both kernels."""
+    """A batch of flows over one reduced digraph, each with its own row of
+    terminal capacities, against the same flows run one at a time on their
+    concatenated arcs, bit for bit, on both kernels."""
 
     @staticmethod
     def batch(seed, n_flows, weights):
-        """A reduced digraph and ``n_flows`` flow instances on it: random
-        terminal sets, some of zero capacity, on edge weights with a ratio
-        of 1e14, a subnormal one, or neither."""
+        """A reduced digraph and an instance of ``n_flows`` flows on it:
+        random terminal sets, some of zero capacity, on edge weights with a
+        ratio of 1e14, a subnormal one, or neither."""
         g = np.random.default_rng(seed)
         h = random_hypergraph(g, max_n=7, max_m=5)
         special = {
@@ -361,26 +382,34 @@ class TestBatchedKernel:
         ]
         h = make_h(h.n, edges, h.vertex_weights)
         rd = reduce_to_digraph(h)
-        insts = []
+        rows = []
         for _ in range(n_flows):
             sources = g.choice(h.n, int(g.integers(0, h.n + 1)), replace=False)
             sinks = g.choice(h.n, int(g.integers(0, h.n + 1)), replace=False)
             scale = 0.0 if g.random() < 0.1 else 10.0 ** g.uniform(-3, 3)
             caps = [scale * g.uniform(0, 2, len(side)) for side in (sources, sinks)]
-            insts.append(build_flow_instance(rd, sources, caps[0], sinks, caps[1]))
-        return rd, insts
+            rows.append(terminal_rows(h.n, sources, caps[0], sinks, caps[1]))
+        return rd, build_flow_instance(rd, *map(np.array, zip(*rows)))
 
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 60),
         st.sampled_from(["plain", "wide", "subnormal"]),
         st.sampled_from(["below", "at", "above", "none"]),
+        st.booleans(),
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_batch_equals_flows_one_at_a_time(self, seed, n_flows, weights, stop_at):
-        rd, insts = self.batch(seed, n_flows, weights)
-        singles = [bits(_maxflow_py.max_flow_arrays(*instance_args(inst))) for inst in insts]
-        values = [float.fromhex(value) for value, _, _ in singles]
+    def test_batch_equals_flows_one_at_a_time(self, seed, n_flows, weights, stop_at, terminals):
+        # without terminals the rows are n_term = 0 columns wide, and each
+        # flow runs over the digraph's arcs alone
+        rd, inst = self.batch(seed, n_flows, weights)
+        if not terminals:
+            no_caps = np.zeros((n_flows, rd.base.n))
+            inst = build_flow_instance(rd, no_caps, no_caps)
+        singles = [
+            bits(_maxflow_py.max_flow_arrays(*instance_args(inst, f))) for f in range(n_flows)
+        ]
+        values = [float.fromhex(value) for (value,), _, _ in singles]
         stop = math.inf
         if stop_at != "none":
             value = values[np.random.default_rng(seed).integers(n_flows)]
@@ -389,56 +418,66 @@ class TestBatchedKernel:
             )
         # up to and including the first flow whose value is not below stop
         solved = next((f + 1 for f, value in enumerate(values) if not value < stop), n_flows)
-        terminals = [(i.sources, i.source_caps, i.sinks, i.sink_caps) for i in insts]
-        eps = [flow_tolerance(inst) for inst in insts]
+        n_term = rd.base.n if terminals else 0
+        rows = inst.source_caps[:, :n_term], inst.sink_caps[:, :n_term]
         s = rd.num_vertices
         for kernel in KERNELS:
-            got = kernel.max_flow_arrays(s + 2, *rd.flow_arcs, s, s + 1, eps, terminals, stop)
-            assert [value.hex() for value in got[0].tolist()] == [v for v, _, _ in singles[:solved]]
-            assert got[2].tolist() == [reach for _, _, reach in singles[:solved]]
-            assert [f.hex() for f in got[1].tolist()] == singles[solved - 1][1]
-        results = max_flows(insts, stop)
-        assert [bits((r.value, [], r.reachable)) for r in results] == [
+            got = kernel.max_flow_arrays(
+                s + 2, *rd.flow_arcs, s, s + 1, flow_tolerance(inst), *rows, stop
+            )
+            assert bits(got) == (
+                [value for (value,), _, _ in singles[:solved]],
+                singles[solved - 1][1],
+                [reach for _, _, (reach,) in singles[:solved]],
+            )
+        results = max_flows(inst, stop)
+        assert [bits(([r.value], [], [r.reachable])) for r in results] == [
             (value, [], reach) for value, _, reach in singles[:solved]
         ]
         assert [r.arc_flow is None for r in results] == [True] * (solved - 1) + [False]
 
     def test_no_flow_after_the_stop_is_solved(self, monkeypatch):
         # the reference kernel solves flows until the first at the stop value
-        _, insts = self.batch(1, 8, "plain")
+        rd, inst = self.batch(1, 8, "plain")
         solves = []
         real = _maxflow_py._solve
         monkeypatch.setattr(_maxflow_py, "_solve", lambda *a: solves.append(1) or real(*a))
         monkeypatch.setattr(flownet, "max_flow_arrays", _maxflow_py.max_flow_arrays)
-        values = [max_flow(inst).value for inst in insts]
+        values = [
+            max_flow(build_flow_instance(rd, *rows)).value
+            for rows in zip(inst.source_caps, inst.sink_caps)
+        ]
         assert len(solves) == 8 and len(set(values)) > 2
         for first in range(8):
             stop = values[first]
             want = next(f for f, value in enumerate(values) if not value < stop) + 1
             solves.clear()
-            assert len(max_flows(insts, stop)) == len(solves) == want
+            assert len(max_flows(inst, stop)) == len(solves) == want
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
-        "terminals, eps",
+        "source_caps, sink_caps, eps",
         [
-            ([([0], [1.0], [1], [1.0]), ([0], [], [1], [1.0])], [1e-12] * 2),
-            ([([0], [1.0], [1], [1.0])], [1e-12] * 2),
-            ([], []),
-            ([([0], [1.0], [4], [1.0])], [1e-12]),
+            ([[1.0], [1.0]], [[1.0]], [1e-12] * 2),
+            ([[1.0]], [[1.0]], [1e-12] * 2),
+            (np.zeros((0, 1)), np.zeros((0, 1)), []),
+            ([[1.0] * 5], [[1.0] * 5], [1e-12]),
         ],
         ids=["capacity_missing", "tolerance_extra", "no_flow", "vertex_out_of_range"],
     )
-    def test_bad_batch_raises(self, kernel, terminals, eps):
+    def test_bad_batch_raises(self, kernel, source_caps, sink_caps, eps):
         # flows over one arc 0 -> 1 of a 4-node net, s = 2, t = 3
         with pytest.raises((ValueError, IndexError)):
-            kernel.max_flow_arrays(4, [0], [1], [1.0], 2, 3, eps, terminals)
+            kernel.max_flow_arrays(4, [0], [1], [1.0], 2, 3, eps, source_caps, sink_caps)
 
     def test_a_batch_shares_one_digraph(self):
+        # rows fit the vertices of the one digraph they are built on
         _, rd = simple_instance()
-        other = reduce_to_digraph(make_h(3, [({0}, {2}, 1)]))
-        with pytest.raises(ValueError, match="one reduced digraph"):
-            max_flows([build_flow_instance(r, [0], [1.0], [2], [1.0]) for r in (rd, other)])
+        other = reduce_to_digraph(make_h(4, [({0}, {2}, 1)]))
+        assert build_flow_instance(other, [1.0, 0, 0, 0], [0, 0, 1.0, 0]).rd is other
+        for caps in (([1.0, 0, 0, 0], [0, 0, 1.0, 0]), ([1.0, 0, 0], [[0, 0, 1.0]] * 2)):
+            with pytest.raises(ValueError, match="rows"):
+                build_flow_instance(rd, *caps)
 
 
 def simple_instance():
@@ -451,7 +490,7 @@ def simple_instance():
 class TestFlowInstance:
     def test_capacities_halved_on_edge_arcs(self):
         h, rd = simple_instance()
-        cap = concatenated_arcs(build_flow_instance(rd, [0], [10.0], [2], [10.0]))[3]
+        cap = concatenated_arcs(build_flow_instance(rd, [10.0, 0, 0], [0, 0, 10.0]))[3]
         edge_caps = [cap[k] for k in rd.edge_arc_index]
         assert edge_caps == [1.0, 1.5]
         gadget_caps = {
@@ -463,11 +502,11 @@ class TestFlowInstance:
 
     def test_source_sink_arcs(self):
         h, rd = simple_instance()
-        inst = build_flow_instance(rd, [0, 1], [2.0, 1.0], [2], [4.0])
-        assert inst.source_total == 3.0
-        assert inst.sink_total == 4.0
-        _, arc_from, arc_to, *_ = concatenated_arcs(inst)
-        assert arc_from[-1] == 2 and arc_to[-1] == inst.t
+        inst = build_flow_instance(rd, [2.0, 1.0, 0.0], [0.0, 0.0, 4.0])
+        assert inst.source_totals == [3.0]
+        assert inst.sink_totals == [4.0]
+        _, arc_from, arc_to, _, _, t = concatenated_arcs(inst)
+        assert arc_from[-1] == 2 and arc_to[-1] == t
 
     def test_terminal_order_does_not_matter(self, rng):
         # capacities over sixteen decades, so that the order of summing
@@ -480,19 +519,26 @@ class TestFlowInstance:
             sources, sinks = order[:k], order[k:]
             source_caps = 10.0 ** rng.uniform(-8, 8, len(sources))
             sink_caps = 10.0 ** rng.uniform(-8, 8, len(sinks))
-            want = build_flow_instance(rd, sources, source_caps, sinks, sink_caps)
+            want = build_flow_instance(
+                rd, *terminal_rows(h.n, sources, source_caps, sinks, sink_caps)
+            )
             by_source, by_sink = np.argsort(sources), np.argsort(sinks)
-            assert want.sources.tolist() == sorted(sources.tolist())
-            assert want.sinks.tolist() == sorted(sinks.tolist())
+            assert np.flatnonzero(want.source_caps).tolist() == sorted(sources.tolist())
+            assert np.flatnonzero(want.sink_caps).tolist() == sorted(sinks.tolist())
             # summed one at a time in vertex order
-            assert want.source_total == sum(source_caps[by_source].tolist())
-            assert want.sink_total == sum(sink_caps[by_sink].tolist())
+            assert want.source_totals == [sum(source_caps[by_source].tolist())]
+            assert want.sink_totals == [sum(sink_caps[by_sink].tolist())]
             for p, q in ((by_source, by_sink), (rng.permutation(k), rng.permutation(h.n - k))):
-                got = build_flow_instance(rd, sources[p], source_caps[p], sinks[q], sink_caps[q])
-                for name in ("sources", "source_caps", "sinks", "sink_caps"):
+                rows = terminal_rows(h.n, sources[p], source_caps[p], sinks[q], sink_caps[q])
+                got = build_flow_instance(rd, *rows)
+                for name in ("source_caps", "sink_caps"):
                     assert np.array_equal(getattr(got, name), getattr(want, name))
                     assert getattr(got, name).dtype == getattr(want, name).dtype
-                assert (got.source_total, got.sink_total) == (want.source_total, want.sink_total)
+                    assert getattr(got, name).shape == (1, h.n)
+                    assert not getattr(got, name).flags.writeable
+                assert (got.source_totals, got.sink_totals) == (
+                    want.source_totals, want.sink_totals
+                )
                 assert flow_tolerance(got) == flow_tolerance(want)
 
     @pytest.mark.parametrize("reversed_h", [False, True])
@@ -518,7 +564,7 @@ class TestLiftFlow:
     def test_single_pair_direct(self):
         h = make_h(2, [({0}, {1}, 2)])
         rd = reduce_to_digraph(h)
-        inst = build_flow_instance(rd, [0], [1.0], [1], [1.0])
+        inst = build_flow_instance(rd, [1.0, 0.0], [0.0, 1.0])
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         assert dict(((e, i, j), f) for e, i, j, f in fa) == pytest.approx(
@@ -528,7 +574,7 @@ class TestLiftFlow:
     def test_two_tails_single_head_proportional(self):
         h = make_h(3, [({0, 1}, {2}, 2)])
         rd = reduce_to_digraph(h)
-        inst = build_flow_instance(rd, [0, 1], [0.3, 0.7], [2], [1.0])
+        inst = build_flow_instance(rd, [0.3, 0.7, 0.0], [0.0, 0.0, 1.0])
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         vals = {(i, j): f for _, i, j, f in fa}
@@ -539,7 +585,7 @@ class TestLiftFlow:
         # inflows (0.5, 0.5), outflows (0.25, 0.75): product split
         h = make_h(4, [({0, 1}, {2, 3}, 2)])
         rd = reduce_to_digraph(h)
-        inst = build_flow_instance(rd, [0, 1], [0.5, 0.5], [2, 3], [0.25, 0.75])
+        inst = build_flow_instance(rd, [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75])
         res = max_flow(inst)
         fa = lift_flow(res, inst)
         vals = {(i, j): f for _, i, j, f in fa}
@@ -558,7 +604,8 @@ class TestLiftFlow:
             right = [h.n - 1]
             source_caps = [float(rng.uniform(0.2, 2.0)) for _ in left]
             sink_caps = [float(rng.uniform(0.2, 2.0)) for _ in right]
-            inst = build_flow_instance(rd, left, source_caps, right, sink_caps)
+            rows = terminal_rows(h.n, left, source_caps, right, sink_caps)
+            inst = build_flow_instance(rd, *rows)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
             for e_idx, tot in per_edge_totals(fa).items():
@@ -569,10 +616,10 @@ class TestLiftFlow:
         # e1's edge arc carries 0 while its tail arc from vertex 0 carries
         # 0.5: the edge has an arc with flow, so its check still runs
         h, rd = simple_instance()
-        inst = build_flow_instance(rd, [0], [1.0], [2], [1.0])
+        inst = build_flow_instance(rd, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         flow = np.zeros(len(concatenated_arcs(inst)[3]))
         flow[rd.edge_arc_index[1] + 1] = 0.5
-        res = MaxFlowResult(0.5, flow, np.zeros(inst.num_nodes, dtype=bool))
+        res = MaxFlowResult(0.5, flow, np.zeros(rd.num_vertices + 2, dtype=bool))
         with pytest.raises(ArithmeticError, match="violated at edge 1: in=0.5 mid=0 out=0"):
             lift_flow(res, inst)
         with pytest.raises(ArithmeticError, match="violated at edge 1"):
@@ -634,7 +681,8 @@ class TestMatchesLoopReferences:
             sources, sinks = order[:k], order[k:]
             source_caps = [float(rng.uniform(0.1, 2.0)) for _ in sources]
             sink_caps = [float(rng.uniform(0.1, 2.0)) for _ in sinks]
-            inst = build_flow_instance(rd, sources, source_caps, sinks, sink_caps)
+            rows = terminal_rows(n, sources, source_caps, sinks, sink_caps)
+            inst = build_flow_instance(rd, *rows)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
             assert len(fa) and list(fa) == list(loop_lift_flow(res, inst))
@@ -744,7 +792,8 @@ class TestDecompose:
             right = list(range(1, h.n))
             source_caps = [float(rng.uniform(0.2, 3.0))]
             sink_caps = [float(rng.uniform(0.2, 3.0)) for _ in right]
-            inst = build_flow_instance(reduce_to_digraph(h), left, source_caps, right, sink_caps)
+            rows = terminal_rows(h.n, left, source_caps, right, sink_caps)
+            inst = build_flow_instance(reduce_to_digraph(h), *rows)
             fa = lift_flow(max_flow(inst), inst)
             dec = decompose(fa, left, right)
             small = decompose(FlowAssignment(fa.keys, fa.values * 2.0**-k), left, right)
@@ -764,7 +813,8 @@ class TestDecompose:
                 continue
             source_caps = [float(rng.uniform(0.2, 3.0)) for _ in left]
             sink_caps = [float(rng.uniform(0.2, 3.0)) for _ in right]
-            inst = build_flow_instance(rd, left, source_caps, right, sink_caps)
+            rows = terminal_rows(h.n, left, source_caps, right, sink_caps)
+            inst = build_flow_instance(rd, *rows)
             res = max_flow(inst)
             fa = lift_flow(res, inst)
             dec = decompose(fa, left, right)

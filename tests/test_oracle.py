@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hyperspars import driver, oracle
 from hyperspars.driver import SolverConfig, binary_search
-from hyperspars.flownet import FlowAssignment, MaxFlowResult, flow_matrix
+from hyperspars.flownet import FlowAssignment, MaxFlowResult, build_flow_instance, flow_matrix
 from hyperspars.oracle import (
     DualCertificate,
     OracleConfig,
@@ -259,7 +259,10 @@ def direction_split(st, h, s, i0, cfg, rng):
     dirs = _unit_directions(rng, vhat.shape[1], cfg.n_dirs_for(h.n))
     dist0 = st.pairwise_dist2()[0]
     splits = _direction_splits(vhat[members], omega, members, dist0, dirs, cfg, total)
-    return next((got for got in splits if got is not None), None)
+    if not len(splits[0]):
+        return None
+    u_eff, left, right = (side[0] for side in splits)
+    return u_eff, np.flatnonzero(left).tolist(), np.flatnonzero(right).tolist()
 
 
 class TestDirectionSplit:
@@ -289,6 +292,39 @@ class TestDirectionSplit:
                 d0 = float((vhat[i] - vhat[0]) @ (vhat[i] - vhat[0]))
                 d1 = float((vhat[j] - vhat[0]) @ (vhat[j] - vhat[0]))
                 assert d1 >= d0 - 1e-12
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.sampled_from([{}, {"sigma": 0.8}, {"c_frac": 0.1}, {"c_frac": 0.25}]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_masks_are_the_reference_sides(self, seed, n, constants):
+        # every direction split at once, against one direction at a time:
+        # the same splitting directions, each oriented alike, with L and R
+        # the same vertex sets
+        g = np.random.default_rng(seed)
+        h = random_hypergraph(g, n=n, m=int(g.integers(1, 2 * n + 1)), max_side=4)
+        state = normalized_state(g, h, dim=int(g.integers(1, n + 1)))
+        cfg = OracleConfig(**constants)
+        omega = np.array(h.vertex_weights, dtype=float)
+        total = float(h.total_weight)
+        i0 = int(g.integers(n))
+        vhat = (total / 3.0) * (state.vectors - state.vectors[i0])
+        # S holds i0, as the medium ball does
+        members = np.flatnonzero((g.random(n) < 0.8) | (np.arange(n) == i0))
+        dist0 = state.pairwise_dist2()[0]
+        dirs = _unit_directions(g, vhat.shape[1], 16)
+        got = _direction_splits(vhat[members], omega, members, dist0, dirs, cfg, total)
+        splits = (
+            witnesses.direction_split_once(vhat, omega, members, dist0, u, cfg, total) for u in dirs
+        )
+        want = [split for split in splits if split is not None]
+        assert [a.shape for a in got] == [(len(want), vhat.shape[1]), *[(len(want), n)] * 2]
+        for u, left, right, (u_want, left_want, right_want) in zip(*got, want):
+            assert u.tolist() == u_want.tolist()
+            assert set(np.flatnonzero(left).tolist()) == set(left_want)
+            assert set(np.flatnonzero(right).tolist()) == set(right_want)
 
     def test_coincident_vectors_fail(self, rng):
         h = make_h(4, [({0}, {1}, 1)])
@@ -461,25 +497,31 @@ def scan_both_ways(monkeypatch, h, state, alpha, cfg, seed, script=None):
     for case2 in (oracle._case2, witnesses.scan_case2):
         flows = []
 
-        def scripted(res, inst):
-            terminal_caps = [*inst.source_caps.tolist(), *inst.sink_caps.tolist()]
-            flows.append((inst.sources.tolist(), inst.sinks.tolist(), terminal_caps))
+        def scripted(res, source_caps, sink_caps):
+            sources, sinks = np.flatnonzero(source_caps), np.flatnonzero(sink_caps)
+            terminal_caps = [*source_caps[sources].tolist(), *sink_caps[sinks].tolist()]
+            flows.append((sources.tolist(), sinks.tolist(), terminal_caps))
             return script.get(len(flows), lambda r: r)(res)
 
-        def scripted_batch(insts, stop, real=oracle.max_flows):
+        def scripted_batch(inst, stop, real=oracle.max_flows):
             out = []
-            while insts:
-                results = real(insts, stop)
-                for inst, res in zip(insts, results):
-                    out.append(scripted(res, inst))
+            rows = list(zip(inst.source_caps, inst.sink_caps))
+            while rows:
+                results = real(build_flow_instance(inst.rd, *map(np.array, zip(*rows))), stop)
+                for res, row in zip(results, rows):
+                    out.append(scripted(res, *row))
                     if not out[-1].value < stop:
                         return out
-                insts = insts[len(results) :]
+                rows = rows[len(results) :]
             return out
 
         with monkeypatch.context() as m:
             solve = oracle.max_flow
-            m.setattr(oracle, "max_flow", lambda inst: scripted(solve(inst), inst))
+            m.setattr(
+                oracle,
+                "max_flow",
+                lambda inst: scripted(solve(inst), inst.source_caps[0], inst.sink_caps[0]),
+            )
             m.setattr(oracle, "max_flows", scripted_batch)
             m.setattr(oracle, "_case2", case2)
             real = witnesses.random_direction
@@ -848,9 +890,10 @@ def seeded(rng, h, alpha, cert, failures):
 
 def splits_by_route(state, h, seed):
     """Case 2's split of ``state``'s medium ball along each of n_dirs
-    directions drawn from ``seed``, as (direction, L, R) lists or None, for
-    the distances to vertex 0 read three ways: d2[0], the direct
-    |v_i - v_0|^2, and d2[0] moved by up to 4 ulps per entry."""
+    directions drawn from ``seed``, as (direction, L, R) lists for each
+    direction that gives a split, for the distances to vertex 0 read three
+    ways: d2[0], the direct |v_i - v_0|^2, and d2[0] moved by up to 4 ulps
+    per entry."""
     cfg = OracleConfig()
     omega = np.array(h.vertex_weights, dtype=float)
     total = float(h.total_weight)
@@ -862,12 +905,13 @@ def splits_by_route(state, h, seed):
     dirs = _unit_directions(rng, v.shape[1], cfg.n_dirs_for(h.n))
     ulps = rng.integers(-4, 5, size=h.n)
     routes = d2[0], np.einsum("ij,ij->i", v - v[0], v - v[0]), d2[0] + ulps * np.spacing(d2[0])
+    splits = [_direction_splits(vm, omega, members, dist0, dirs, cfg, total) for dist0 in routes]
     return [
         [
-            None if got is None else [side.tolist() for side in got]
-            for got in _direction_splits(vm, omega, members, dist0, dirs, cfg, total)
+            [u.tolist(), np.flatnonzero(left).tolist(), np.flatnonzero(right).tolist()]
+            for u, left, right in zip(*split)
         ]
-        for dist0 in routes
+        for split in splits
     ]
 
 
@@ -956,7 +1000,7 @@ class TestStateThroughD2:
             assert len(set(state.pairwise_dist2()[0, 1:].tolist())) > 1
         d2_route, direct, perturbed = splits_by_route(state, h, 0)
         assert d2_route == direct == perturbed
-        assert any(got is not None for got in direct)
+        assert direct
 
 
 class TestMatchesTheEntryByEntryCheck:

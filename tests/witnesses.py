@@ -435,18 +435,39 @@ def loop_triangle_matrix_sum(triangles: Mapping[TriangleId, float], n: int) -> n
     return m
 
 
-def concatenated_arcs(instance: FlowInstance) -> tuple:
-    """(n_nodes, arc_from, arc_to, cap, s, t) of ``instance`` with its
-    terminal arcs appended to the digraph's, as one flow over plain arcs:
-    the digraph's arcs, then one arc s -> v per source, then one arc v -> t
-    per sink, each side in vertex order."""
+def terminal_rows(n: int, sources, source_caps, sinks, sink_caps) -> tuple:
+    """The source and sink capacity rows of one flow over n vertices:
+    ``source_caps[k]`` at vertex ``sources[k]``, likewise for the sinks,
+    and 0 elsewhere."""
+    rows = np.zeros((2, n))
+    rows[0, np.asarray(sources, dtype=int)] = source_caps
+    rows[1, np.asarray(sinks, dtype=int)] = sink_caps
+    return rows[0], rows[1]
+
+
+def plain_flow_args(n_nodes, arc_from, arc_to, cap, s, t, eps) -> tuple:
+    """The kernel's arguments for one s-t flow over plain arcs at tolerance
+    ``eps``: k = 1 flow with n_term = 0 terminal columns."""
+    no_terminals = np.zeros((1, 0))
+    return n_nodes, arc_from, arc_to, cap, s, t, [eps], no_terminals, no_terminals
+
+
+def concatenated_arcs(instance: FlowInstance, row: int = 0) -> tuple:
+    """(n_nodes, arc_from, arc_to, cap, s, t) of flow ``row`` of
+    ``instance`` with its terminal arcs appended to the digraph's, as one
+    flow over plain arcs: the digraph's arcs, then one arc s -> v per
+    vertex v of positive source capacity, then one arc v -> t per vertex
+    of positive sink capacity, each side in vertex order."""
     arc_from, arc_to, cap = instance.rd.flow_arcs
-    s, t = instance.s, instance.t
+    s = instance.rd.num_vertices
+    t = s + 1
+    source_caps, sink_caps = instance.source_caps[row], instance.sink_caps[row]
+    sources, sinks = np.flatnonzero(source_caps > 0.0), np.flatnonzero(sink_caps > 0.0)
     return (
-        instance.num_nodes,
-        np.concatenate((arc_from, np.full(len(instance.sources), s, np.int32), instance.sinks)),
-        np.concatenate((arc_to, instance.sources, np.full(len(instance.sinks), t, np.int32))),
-        np.concatenate((cap, instance.source_caps, instance.sink_caps)),
+        s + 2,
+        np.concatenate((arc_from, np.full(len(sources), s), sinks)),
+        np.concatenate((arc_to, sources, np.full(len(sinks), t))),
+        np.concatenate((cap, source_caps[sources], sink_caps[sinks])),
         s,
         t,
     )
@@ -603,7 +624,7 @@ def scan_case2(call, rng: np.random.Generator) -> OracleOutcome:
             continue
         u_eff, left, right = got
         caps = cap_coeff * omega[left], cap_coeff * omega[right]
-        inst = oracle.build_flow_instance(rd, left, caps[0], right, caps[1])
+        inst = oracle.build_flow_instance(rd, *terminal_rows(h.n, left, caps[0], right, caps[1]))
         res = oracle.max_flow(inst)
         extra = {
             "i0": i0,
